@@ -38,6 +38,8 @@ def _load_config(path) -> dict:
 
 def _write_table(out_dir, name: str, header: list, rows, fmt: str,
                  meta: dict) -> Path:
+    if not np.all(np.isfinite(np.asarray(rows, dtype=float))):
+        raise DomainError(f"non-finite values in the {name} table")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
@@ -112,9 +114,7 @@ def _cmd_kernel(args, cfg) -> int:
     factor, _ = _factor_from_params(params)
     base = params.get("base", [1.0, 2.0])
     system = biorth_fixed(base, factor)
-    hi = factor.tail if np.isfinite(factor.support[1]) is False \
-        else factor.support[1] * max(base)
-    grid = _grid(params, hi)
+    grid = _grid(params, factor.tail * max(base))
     rows = [(y, kernel_fixed(y, y, base, factor, method="series",
                              system=system)) for y in grid]
     _write_table(args.out, "kernel", ["y", "K"], rows, args.format,

@@ -60,10 +60,6 @@ class PolynomialEnsembleSpec:
         return B
 
     @property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.bimoments))
-
-    @property
     def norm_constant(self) -> float:
         inv = float(special.gamma(self.n + 1)) \
             * float(np.linalg.det(self.bimoments).real)
@@ -317,7 +313,9 @@ def product_weights(base, factors) -> PolynomialEnsembleSpec:
     return spec
 
 
-_FACT_CACHE: dict = {}
+#: The last (base, factor, convolved ensemble) of jpdf_fact_poly.  Holding
+#: the pair keeps it alive, so matching it by identity is safe.
+_FACT_CACHE: list = []
 
 
 def jpdf_fact_poly(a, base: PolynomialEnsembleSpec,
@@ -325,14 +323,11 @@ def jpdf_fact_poly(a, base: PolynomialEnsembleSpec,
     """Density of the product of one factor with a polynomial-ensemble base.
 
     p(a) = [C_n[w] / prod_j M A(2j-1)] Delta(a^2) det[(A (*) w_b)(a_c)].
-    The convolved weights are cached per (base, factor) pair.
+    The convolved weights of the last (base, factor) pair are cached.
     """
-    key = (id(base), id(factor))
-    spec = _FACT_CACHE.get(key)
-    if spec is None:
-        spec = convolve_ensemble(base, factor)
-        _FACT_CACHE[key] = spec
-    return spec.density(a)
+    if not any(b is base and f is factor for b, f, _ in _FACT_CACHE):
+        _FACT_CACHE[:] = [(base, factor, convolve_ensemble(base, factor))]
+    return _FACT_CACHE[0][2].density(a)
 
 
 def corank2_jpdf(x, a) -> float:

@@ -18,8 +18,8 @@ import numpy as np
 from scipy import special, stats
 
 from . import __version__
-from .linalg import (DomainError, SingularSpectrum, build_canonical,
-                     haar_orthogonal_batch, spectra_batch)
+from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
+                     build_canonical, spectra_batch)
 from .mellin import (FactorizingWeight, a_sigma, ginibre_weight,
                      jacobi_weight, mellin_numeric)
 from .ensembles import (PolynomialEnsembleSpec, corank2_jpdf,
@@ -252,14 +252,10 @@ def run_corank2_experiment(config: ExperimentConfig) -> TestReport:
     rng = _rng(config.seed)
     x = build_canonical(a).entries
     vals = []
-    done = 0
-    while done < config.nsamples:
-        block = min(100_000, config.nsamples - done)
-        k = haar_orthogonal_batch(2 * n, block, rng)
+    for (k,) in _haar_blocks(2 * n, config.nsamples, rng):
         y = k @ x @ np.swapaxes(k, 1, 2)
         y = (y - np.swapaxes(y, 1, 2)) / 2.0
         vals.append(spectra_batch(y[:, :-2, :-2]))
-        done += block
     samples = np.concatenate(vals).ravel()
 
     def density(v):

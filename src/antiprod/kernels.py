@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .linalg import DomainError, SingularSpectrum
 from .mellin import FactorizingWeight, WeightFunction, mellin_convolve
-from .ensembles import PolynomialEnsembleSpec
+from .ensembles import PolynomialEnsembleSpec, fixed_base_weights
 
 __all__ = [
     "BiorthSystem", "ContourSpec", "ContourError",
@@ -215,28 +215,13 @@ def biorth_fixed(atilde, factor: FactorizingWeight) -> BiorthSystem:
         else SingularSpectrum.from_values(atilde)
     if at.is_degenerate:
         raise DomainError("fixed-base kernel requires a non-degenerate base")
-    if np.any(at.values <= 0):
-        raise DomainError("fixed base must be invertible (all a > 0)")
     n = at.n
+    qtilde = fixed_base_weights(at, factor)     # rejects a base value <= 0
     D = _fixed_lagrange_coeffs(at.values)
-    qtilde = []
-    for aj in at.values:
-        aj = float(aj)
-
-        def density(y, aj=aj):
-            return factor.density(np.asarray(y) / aj) / aj
-
-        def mellin(s, aj=aj):
-            return aj ** (complex(s) - 1.0) * factor.mellin(s)
-
-        lo, hi = factor.support
-        qtilde.append(WeightFunction(density=density, mellin=mellin,
-                                     support=(lo * aj, hi * aj),
-                                     label=f"q_fixed[{aj:g}]"))
-    sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=tuple(qtilde),
+    sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde,
                        factor=factor, label="fixed")
     off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
-    return BiorthSystem(n=n, ptilde_coeffs=D, qtilde=tuple(qtilde),
+    return BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde,
                         factor=factor, label="fixed", gram_offdiag=off)
 
 

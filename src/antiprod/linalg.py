@@ -244,6 +244,19 @@ def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.nda
     return q
 
 
+#: Haar matrices per block of the Monte Carlo loops; bounds their memory.
+_HAAR_BLOCK = 100_000
+
+
+def _haar_blocks(m: int, nsamples: int, rng: np.random.Generator,
+                 draws: int = 1):
+    """Yield tuples of `draws` Haar O(m) stacks, drawn in order, with
+    min(_HAAR_BLOCK, remaining) matrices each, until nsamples are drawn."""
+    for done in range(0, nsamples, _HAAR_BLOCK):
+        block = min(_HAAR_BLOCK, nsamples - done)
+        yield tuple(haar_orthogonal_batch(m, block, rng) for _ in range(draws))
+
+
 def project_corank2(x: AntisymmetricMatrix) -> AntisymmetricMatrix:
     """Leading (2n-2) x (2n-2) principal submatrix."""
     if x.dim <= 2:

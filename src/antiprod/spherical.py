@@ -11,6 +11,12 @@ confluent divided-difference columns rather than by perturbing the input.
 The module also carries the auxiliary kernel f_n, its recursion over the
 corank-2 projection density, the Harish-Chandra O(2n) integral, and the
 spherical transforms with their exact factorization.
+
+Every Monte Carlo estimator here is one Haar average, `_haar_moments`: it
+streams blocks of Haar O(2n) draws, sums an integrand vector F and F F^H
+over the N draws, and returns the mean and covariance of F.  A scalar
+estimate has standard error sqrt(cov / N); Phi, a ratio of two averages
+over the same draws, takes its error from the delta method.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from scipy import special
 
 from .linalg import (DEGENERACY_RTOL, DomainError, SingularSpectrum,
-                     build_canonical, haar_orthogonal_batch, spectra_batch,
+                     _haar_blocks, build_canonical, spectra_batch,
                      vandermonde_sq)
 from .mellin import QuadratureError
 
@@ -36,8 +42,6 @@ __all__ = [
 
 #: Relative gap below which parameter entries count as coincident.
 S_DEGENERACY_RTOL = 1e-10
-
-_MC_BLOCK = 100_000
 
 
 @dataclass(frozen=True)
@@ -294,39 +298,39 @@ def _minor_exponent_check(s: SphericalParameter, a_min: float):
             "Re s_n >= 0 required when the spectrum nearly touches zero")
 
 
-def _haar_minor_stats(mats, exponents, nsamples, rng, dim):
-    """Haar averages of prod_j det(minor_2j)^(e_j) for each matrix in mats.
+def _sandwich(k, m):
+    """k m k^T for each matrix k of a stack."""
+    return k @ m @ np.swapaxes(k, 1, 2)
 
-    All matrices share the same Haar samples.  Returns (means, cov) where
-    cov[i][j] = E[F_i conj(F_j)] - E[F_i] conj(E[F_j]) estimated from the
-    samples, and the count actually used.
+
+def _minor_power(y, exponents):
+    """prod_j det(y[:2j, :2j])^(e_j) for each matrix y of a stack."""
+    logf = np.zeros(y.shape[0], dtype=complex)
+    for j, e in enumerate(exponents, start=1):
+        if e == 0:
+            continue
+        d = np.maximum(np.linalg.det(y[:, :2 * j, :2 * j]), 1e-300)
+        logf = logf + e * np.log(d)
+    return np.exp(logf)
+
+
+def _haar_moments(dim, nsamples, rng, block_fn, draws=1):
+    """Haar Monte Carlo moments over O(dim) of the rows of block_fn.
+
+    block_fn maps the `draws` Haar stacks of one block to an (m, block)
+    array F.  Returns (mean, cov, N) with mean_i = E[F_i] and
+    cov[i, j] = E[F_i conj(F_j)] - E[F_i] conj(E[F_j]) over the N samples.
     """
-    m = len(mats)
-    n = dim // 2
-    S1 = np.zeros(m, dtype=complex)
-    S2 = np.zeros((m, m), dtype=complex)
-    done = 0
-    while done < nsamples:
-        block = min(_MC_BLOCK, nsamples - done)
-        k = haar_orthogonal_batch(dim, block, rng)
-        F = np.empty((m, block), dtype=complex)
-        for i, mat in enumerate(mats):
-            y = k @ mat @ np.swapaxes(k, 1, 2)
-            logf = np.zeros(block, dtype=complex)
-            for j in range(1, n + 1):
-                e = exponents[j - 1]
-                if e == 0:
-                    continue
-                d = np.linalg.det(y[:, :2 * j, :2 * j])
-                d = np.maximum(d, 1e-300)
-                logf = logf + e * np.log(d)
-            F[i] = np.exp(logf)
-        S1 += F.sum(axis=1)
-        S2 += F @ F.conj().T
-        done += block
-    mean = S1 / done
-    cov = S2 / done - np.outer(mean, mean.conj())
-    return mean, cov, done
+    if nsamples < 1:
+        raise DomainError("nsamples must be >= 1")
+    S1 = S2 = N = 0
+    for ks in _haar_blocks(dim, nsamples, rng, draws):
+        F = block_fn(*ks)
+        S1 = S1 + F.sum(axis=1)
+        S2 = S2 + F @ F.conj().T
+        N += F.shape[1]
+    mean = S1 / N
+    return mean, S2 / N - np.outer(mean, mean.conj()), N
 
 
 def phi_montecarlo(s, a, nsamples: int, rng):
@@ -342,8 +346,10 @@ def phi_montecarlo(s, a, nsamples: int, rng):
     _minor_exponent_check(s, float(np.min(a.values)))
     x = build_canonical(a).entries
     x1 = build_canonical(SingularSpectrum(np.ones(a.n))).entries
-    mean, cov, N = _haar_minor_stats([x, x1], s.exponents, nsamples, rng,
-                                     2 * a.n)
+    mean, cov, N = _haar_moments(
+        2 * a.n, nsamples, rng,
+        lambda k: np.stack([_minor_power(_sandwich(k, m), s.exponents)
+                            for m in (x, x1)]))
     num, den = mean
     r = num / den
     var_resid = (cov[0, 0] + abs(r) ** 2 * cov[1, 1]
@@ -360,8 +366,9 @@ def psi_montecarlo(s, g, nsamples: int, rng):
     if ge.shape[0] != 2 * s.n:
         raise DomainError("dimension of g does not match s")
     m = ge @ ge.T
-    mean, cov, N = _haar_minor_stats([m], s.exponents, nsamples, rng,
-                                     ge.shape[0])
+    mean, cov, N = _haar_moments(
+        ge.shape[0], nsamples, rng,
+        lambda k: _minor_power(_sandwich(k, m), s.exponents)[None])
     stderr = np.sqrt(max(cov[0, 0].real, 0.0) / N)
     return complex(mean[0]), float(stderr)
 
@@ -375,21 +382,15 @@ def factorization_check_phi(s, g, a, nsamples: int, rng):
     _minor_exponent_check(s, float(np.min(a.values)))
     ge = g.entries if hasattr(g, "entries") else np.asarray(g, dtype=float)
     x = build_canonical(a).entries
-    dim = x.shape[0]
-    S1 = 0.0 + 0.0j
-    S2 = 0.0
-    done = 0
-    while done < nsamples:
-        block = min(_MC_BLOCK, nsamples - done)
-        k = haar_orthogonal_batch(dim, block, rng)
-        y = ge @ (k @ x @ np.swapaxes(k, 1, 2)) @ ge.T
+
+    def lhs_block(k):
+        y = ge @ _sandwich(k, x) @ ge.T
         y = (y - np.swapaxes(y, 1, 2)) / 2.0
-        vals = _phi_closed_batch(s, spectra_batch(y))
-        S1 += vals.sum()
-        S2 += float(np.sum(np.abs(vals) ** 2))
-        done += block
-    lhs = S1 / done
-    lhs_se = np.sqrt(max(S2 / done - abs(lhs) ** 2, 0.0) / done)
+        return _phi_closed_batch(s, spectra_batch(y))[None]
+
+    mean, cov, N = _haar_moments(x.shape[0], nsamples, rng, lhs_block)
+    lhs = mean[0]
+    lhs_se = np.sqrt(max(cov[0, 0].real, 0.0) / N)
     psi, psi_se = psi_montecarlo(s, ge, nsamples, rng)
     phi = phi_closed(s, a)
     rhs = psi * phi
@@ -408,32 +409,16 @@ def factorization_check_psi(s, g, gprime, nsamples: int, rng):
     ge = g.entries if hasattr(g, "entries") else np.asarray(g, dtype=float)
     gpe = gprime.entries if hasattr(gprime, "entries") \
         else np.asarray(gprime, dtype=float)
-    dim = ge.shape[0]
-    n = s.n
-    exps = s.exponents
     inner = gpe @ gpe.T
-    S1 = 0.0 + 0.0j
-    S2 = 0.0
-    done = 0
-    while done < nsamples:
-        block = min(_MC_BLOCK, nsamples - done)
-        k1 = haar_orthogonal_batch(dim, block, rng)
-        k2 = haar_orthogonal_batch(dim, block, rng)
-        m = ge @ (k1 @ inner @ np.swapaxes(k1, 1, 2)) @ ge.T
-        y = k2 @ m @ np.swapaxes(k2, 1, 2)
-        logf = np.zeros(block, dtype=complex)
-        for j in range(1, n + 1):
-            e = exps[j - 1]
-            if e == 0:
-                continue
-            d = np.maximum(np.linalg.det(y[:, :2 * j, :2 * j]), 1e-300)
-            logf = logf + e * np.log(d)
-        vals = np.exp(logf)
-        S1 += vals.sum()
-        S2 += float(np.sum(np.abs(vals) ** 2))
-        done += block
-    lhs = S1 / done
-    lhs_se = np.sqrt(max(S2 / done - abs(lhs) ** 2, 0.0) / done)
+
+    def lhs_block(k1, k2):
+        m = ge @ _sandwich(k1, inner) @ ge.T
+        return _minor_power(_sandwich(k2, m), s.exponents)[None]
+
+    mean, cov, N = _haar_moments(ge.shape[0], nsamples, rng, lhs_block,
+                                 draws=2)
+    lhs = mean[0]
+    lhs_se = np.sqrt(max(cov[0, 0].real, 0.0) / N)
     p1, se1 = psi_montecarlo(s, ge, nsamples, rng)
     p2, se2 = psi_montecarlo(s, gpe, nsamples, rng)
     rhs = p1 * p2
@@ -442,33 +427,22 @@ def factorization_check_psi(s, g, gprime, nsamples: int, rng):
     return complex(lhs), complex(rhs), float(z)
 
 
-def _cn_constant(s: SphericalParameter) -> complex:
-    """c_n(s) = prod_(j<n) (2j)! / (Delta_n(s) prod_(k<l)(s_k - s_l - 1)).
-
-    The sign follows the recursion and the a -> 1 limit of the closed form
-    (Phi normalizes to 1); see the repository notes for the derivation.
-    """
-    n = s.n
-    num = np.prod([float(factorial(2 * j)) for j in range(n)])
-    den = _pairwise_prod(s.s)
-    for k in range(n):
-        for l in range(k + 1, n):
-            den *= s.s[k] - s.s[l] - 1.0
-    return num / den
+def _cn_delta(s) -> complex:
+    """c_n(s) Delta_n(s) = prod_(j<n) (2j)! / prod_(k<l)(s_k - s_l - 1);
+    callers divide by Delta_n(s) where that stays finite.  The sign makes
+    the a -> 1 limit of the closed form normalize Phi to 1."""
+    n = len(s)
+    den = np.prod([s[k] - s[l] - 1.0
+                   for k in range(n) for l in range(k + 1, n)])
+    return np.prod([float(factorial(2 * j)) for j in range(n)]) / den
 
 
 def fn_closed(s, a) -> complex:
     """Auxiliary kernel f_n(s; i a (x) tau_2) = c_n(s) det[a^(s+n-1)]/Delta(a^2)."""
     s = _as_param(s)
     a = _as_spectrum(a)
-    n = s.n
-    core = _alternant_core(s, a)  # det / (Delta(a^2) Delta(s))
-    num = np.prod([float(factorial(2 * j)) for j in range(n)])
-    den = 1.0 + 0.0j
-    for k in range(n):
-        for l in range(k + 1, n):
-            den *= s.s[k] - s.s[l] - 1.0
-    return complex(num * core / den)
+    # the core divides by Delta(s) through the confluent path
+    return complex(_cn_delta(s.s) * _alternant_core(s, a))
 
 
 def fn_limit(s) -> complex:
@@ -502,13 +476,8 @@ def fn_recurrence(s, a, points_per_cell: int = 24, rtol: float = 1e-7) -> comple
     s_shift = s.s[:-1] - s.s[-1] - n          # parameter of f_(n-1)
     p = s_shift + (n - 1) - 1.0               # alternant exponents, size n-1
     # the Vandermonde of the inner spectrum cancels between the projection
-    # density and the closed form of f_(n-1); what survives of c_(n-1) is
-    num = np.prod([float(factorial(2 * j)) for j in range(n - 1)])
-    den = _pairwise_prod(s_shift)
-    for k in range(n - 1):
-        for l in range(k + 1, n - 1):
-            den *= s_shift[k] - s_shift[l] - 1.0
-    c_factor = num / den
+    # density and the closed form of f_(n-1); what survives of it is c_(n-1)
+    c_factor = _cn_delta(s_shift) / _pairwise_prod(s_shift)
 
     def integral(npts):
         # 1-d cell decomposition shared by every coordinate
@@ -645,22 +614,12 @@ def harish_chandra_o2n_mc(x, y, nsamples: int, rng):
     y = _as_spectrum(y)
     X = build_canonical(x).entries
     Y = build_canonical(y).entries
-    dim = X.shape[0]
-    S1 = 0.0
-    S2 = 0.0
-    done = 0
-    while done < nsamples:
-        block = min(_MC_BLOCK, nsamples - done)
-        k = haar_orthogonal_batch(dim, block, rng)
-        kyk = k @ Y @ np.swapaxes(k, 1, 2)
-        tr = np.einsum("ij,sji->s", X, kyk)
-        vals = np.exp(tr / 2.0)
-        S1 += vals.sum()
-        S2 += float(np.sum(vals ** 2))
-        done += block
-    mean = S1 / done
-    stderr = np.sqrt(max(S2 / done - mean ** 2, 0.0) / done)
-    return float(mean), float(stderr)
+
+    def block(k):
+        return np.exp(np.einsum("ij,sji->s", X, _sandwich(k, Y)) / 2.0)[None]
+
+    mean, cov, N = _haar_moments(X.shape[0], nsamples, rng, block)
+    return float(mean[0]), float(np.sqrt(max(cov[0, 0], 0.0) / N))
 
 
 def isometry_log_constant(n: int) -> float:

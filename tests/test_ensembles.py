@@ -148,3 +148,16 @@ def test_convolve_preserves_n():
     spec = convolve_ensemble(base, GW)
     assert spec.n == 2
     assert np.isfinite(spec.norm_constant)
+
+
+def test_fact_poly_cache_keeps_one_entry_and_matches_identity():
+    from antiprod import ensembles
+    for at in (1.0, 2.0, 3.0, 1.5, 2.5, 0.5):
+        # a fresh pair each time; the dead pair's ids are free for reuse
+        base = PolynomialEnsembleSpec(1, fixed_base_weights([at], GW))
+        factor = ginibre_weight(0.0)
+        got = jpdf_fact_poly([1.3], base, factor)
+        want = convolve_ensemble(base, factor).density([1.3])
+        assert got == want
+        assert len(ensembles._FACT_CACHE) == 1
+        del base, factor

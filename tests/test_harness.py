@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,12 @@ from antiprod.harness import (SCHEMA_VERSION, ExperimentConfig, TestReport,
                               run_prop45_check, run_spectrum_experiment,
                               run_suite)
 
+import antiprod
+
+#: The child interpreters of the CLI tests import the package under test.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(antiprod.__file__).parents[1])]
+    + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 def test_prop45_identity_and_negative_control():
     rep = run_prop45_check(0.5, 1.0, 2)
@@ -98,7 +105,7 @@ def test_cli_verify_prop45_exit_zero(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "antiprod.cli", "verify", "--suite", "prop45",
          "--out", str(tmp_path), "--seed", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert out.returncode == 0, out.stderr
     assert "PASS" in out.stdout
 
@@ -107,7 +114,7 @@ def test_cli_sample_writes_table(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "antiprod.cli", "sample", "--samples", "200",
          "--seed", "2", "--out", str(tmp_path), "--format", "jsonlines"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert out.returncode == 0, out.stderr
     meta = json.loads((tmp_path / "spectra.meta.json").read_text())
     assert meta["schema"] == SCHEMA_VERSION
@@ -117,5 +124,27 @@ def test_cli_bad_args_exit_two(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "antiprod.cli", "verify", "--suite", "nope",
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert out.returncode == 2
+
+
+def test_cli_kernel_readme_config_is_finite(tmp_path):
+    from antiprod.cli import main
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema: antiprod/1\nparams:\n  factor: ginibre\n  n: 2\n"
+                   "  nu: 0.0\n  base: [1.0, 2.0]\n")
+    assert main(["kernel", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "kernel.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert rows.shape == (200, 2)
+    assert np.all(np.isfinite(rows))
+
+
+def test_cli_table_rejects_non_finite_rows(tmp_path):
+    from antiprod.cli import _write_table
+    from antiprod.linalg import DomainError
+    with pytest.raises(DomainError):
+        _write_table(tmp_path, "t", ["y", "K"], [(1.0, 2.0), (np.inf, np.nan)],
+                     "csv", {})
+    assert not (tmp_path / "t.csv").exists()
