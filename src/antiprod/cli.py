@@ -38,20 +38,21 @@ def _load_config(path) -> dict:
 
 def _write_table(out_dir, name: str, header: list, rows, fmt: str,
                  meta: dict) -> Path:
-    if not np.all(np.isfinite(np.asarray(rows, dtype=float))):
+    values = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(values)):
         raise DomainError(f"non-finite values in the {name} table")
+    rows = values.tolist()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         path = out / f"{name}.csv"
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(format(float(v), ".17g") for v in row))
+        line = ",".join(["%.17g"] * len(header))
+        lines = [",".join(header)] + [line % tuple(row) for row in rows]
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "jsonlines":
         path = out / f"{name}.jsonl"
-        lines = [json.dumps(dict(zip(header, [float(v) for v in row])),
-                            sort_keys=True) for row in rows]
+        lines = [json.dumps(dict(zip(header, row)), sort_keys=True)
+                 for row in rows]
         path.write_text("\n".join(lines) + ("\n" if lines else ""))
     else:
         raise DomainError(f"unknown output format {fmt!r}")

@@ -225,20 +225,31 @@ def haar_orthogonal(m: int, rng: np.random.Generator) -> OrthogonalMatrix:
     return OrthogonalMatrix(haar_orthogonal_batch(m, 1, rng)[0])
 
 
-def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of `size` Haar O(m) matrices, shape (size, m, m).
+def _haar_columns(m: int, k: int, size: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Stack of `size` uniform m x k frames with orthonormal columns (the
+    first k columns of a Haar O(m) matrix), shape (size, m, k).
 
-    QR factorization of standard Gaussian matrices with the R-diagonal fixed
-    positive, followed by a uniform +/-1 reflection of the first column so
-    that both components of O(m) are hit with probability 1/2 each.
+    Thin QR factorization of standard Gaussian m x k matrices with the
+    R-diagonal fixed positive.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    g = rng.standard_normal((size, m, m))
+    g = rng.standard_normal((size, m, k))
     q, r = np.linalg.qr(g)
     d = np.sign(np.einsum("sii->si", r))
     d[d == 0.0] = 1.0
-    q = q * d[:, None, :]
+    return q * d[:, None, :]
+
+
+def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of `size` Haar O(m) matrices, shape (size, m, m).
+
+    The frames of :func:`_haar_columns` with k = m, followed by a uniform
+    +/-1 reflection of the first column so that both components of O(m)
+    are hit with probability 1/2 each.
+    """
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    q = _haar_columns(m, m, size, rng)
     flip = rng.integers(0, 2, size=size) * 2 - 1
     q[:, :, 0] *= flip[:, None]
     return q

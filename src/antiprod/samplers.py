@@ -1,10 +1,14 @@
 """Random generators for the concrete factor ensembles and products.
 
-Factors are sampled as g = R (M^T M)^(1/2) with R Haar orthogonal and M a
+A factor has the law of g = R (M^T M)^(1/2) with R Haar orthogonal and M a
 rectangular Gaussian (induced Ginibre) or a sub-block of a Haar orthogonal
-matrix (induced Jacobi).  Products are built as iterated sandwiches
-X_M ... X_1 A X_1^T ... X_M^T around a canonical antisymmetric base and
-exactly re-antisymmetrized to scrub floating-point drift.
+matrix (induced Jacobi).  It is drawn as g = R C, where C is an upper
+triangular matrix with C^T C equal in law to M^T M.  The two constructions
+have the same law: writing (M^T M)^(1/2) = Q C with Q orthogonal, R Q is
+Haar and independent of C, since R is Haar and independent of M.  Products
+are built as iterated sandwiches X_M ... X_1 A X_1^T ... X_M^T around a
+canonical antisymmetric base and exactly re-antisymmetrized to scrub
+floating-point drift.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (AntisymmetricMatrix, DomainError, GeneralLinearMatrix,
-                     SingularSpectrum, build_canonical, haar_orthogonal_batch)
+                     SingularSpectrum, _haar_columns, build_canonical,
+                     haar_orthogonal_batch)
 
 __all__ = [
     "GinibreSpec", "JacobiSpec", "ProductSpec",
@@ -22,10 +27,6 @@ __all__ = [
     "sample_induced_ginibre_batch", "sample_induced_jacobi",
     "sample_induced_jacobi_batch", "build_product", "build_product_batch",
 ]
-
-#: Eigenvalues of M^T M below this are clamped to 0 before the square root.
-PSD_CLAMP = 1e-14
-
 
 @dataclass(frozen=True)
 class GinibreSpec:
@@ -117,25 +118,27 @@ def sample_ginibre_rect(rows: int, cols: int,
     return rng.standard_normal((rows, cols))
 
 
-def _psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
-    """Symmetric square roots of a stack of PSD matrices, clamped at 0."""
-    w, v = np.linalg.eigh(mats)
-    w = np.sqrt(np.clip(w, 0.0, None) * (np.abs(w) > PSD_CLAMP))
-    return np.einsum("sik,sk,sjk->sij", v, w, v)
-
-
 def sample_induced_ginibre_batch(spec: GinibreSpec, size: int,
                                  rng: np.random.Generator) -> np.ndarray:
-    """Stack of induced Ginibre matrices g = R (M^T M)^(1/2), shape (size, 2n, 2n)."""
+    """Stack of induced Ginibre matrices g = R (M^T M)^(1/2), shape (size, 2n, 2n).
+
+    M is a 2(n + nu) x 2n standard Gaussian.  It is not drawn: C is its
+    Bartlett factor, upper triangular with C_ii = sqrt(chi^2_{2(n+nu)-i})
+    for i < 2n and N(0, 1) entries above the diagonal, so that C^T C is
+    Wishart like M^T M, and g = R C with R Haar O(2n).
+    """
     if not spec.samplable:
         raise DomainError(
             f"nu = {spec.nu} is an analytic-only parameter; direct sampling "
             "needs a nonnegative integer")
-    n, nu = spec.n, int(spec.nu)
-    m = rng.standard_normal((size, 2 * (n + nu), 2 * n))
-    root = _psd_sqrt_batch(np.einsum("sji,sjk->sik", m, m))
-    r = haar_orthogonal_batch(2 * n, size, rng)
-    return np.einsum("sij,sjk->sik", r, root)
+    k = 2 * spec.n
+    diag = np.arange(k)
+    upper = np.triu_indices(k, 1)
+    c = np.zeros((size, k, k))
+    c[:, diag, diag] = np.sqrt(
+        rng.chisquare(2 * (spec.n + int(spec.nu)) - diag, size=(size, k)))
+    c[:, upper[0], upper[1]] = rng.standard_normal((size, upper[0].size))
+    return haar_orthogonal_batch(k, size, rng) @ c
 
 
 def sample_induced_ginibre(spec: GinibreSpec,
@@ -145,17 +148,17 @@ def sample_induced_ginibre(spec: GinibreSpec,
 
 def sample_induced_jacobi_batch(spec: JacobiSpec, size: int,
                                 rng: np.random.Generator) -> np.ndarray:
-    """Stack of induced Jacobi matrices from truncated Haar O(K1) matrices.
+    """Stack of induced Jacobi matrices g = R (M^T M)^(1/2), shape (size, 2n, 2n).
 
-    M is the leading 2N x 2n sub-block; all singular values of the result
-    lie in [0, 1].
+    M is the leading 2N x 2n sub-block of a Haar O(K1) matrix; only its
+    first 2n columns are drawn, as a uniform K1 x 2n frame.  C is the
+    triangular factor of the QR factorization of M, so C^T C = M^T M, and
+    g = R C with R Haar O(2n).  All singular values of g lie in [0, 1].
     """
-    n = spec.n
-    k = haar_orthogonal_batch(spec.K1, size, rng)
-    m = k[:, : 2 * spec.N, : 2 * n]
-    root = _psd_sqrt_batch(np.einsum("sji,sjk->sik", m, m))
-    r = haar_orthogonal_batch(2 * n, size, rng)
-    return np.einsum("sij,sjk->sik", r, root)
+    k = 2 * spec.n
+    m = _haar_columns(spec.K1, k, size, rng)[:, : 2 * spec.N]
+    c = np.linalg.qr(m, mode="r")
+    return haar_orthogonal_batch(k, size, rng) @ c
 
 
 def sample_induced_jacobi(spec: JacobiSpec,

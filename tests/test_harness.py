@@ -148,3 +148,19 @@ def test_cli_table_rejects_non_finite_rows(tmp_path):
         _write_table(tmp_path, "t", ["y", "K"], [(1.0, 2.0), (np.inf, np.nan)],
                      "csv", {})
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_cli_table_bytes_match_per_value_spelling(tmp_path):
+    from antiprod.cli import _write_table
+    header = ["a", "b", "c"]
+    rows = [(0.1, 1 / 3, 5e-324), (1e-300, 2.5e17, 0.0),
+            (-0.0, 123456789.125, 7.0)]
+    # the reference spelling: one value at a time
+    csv = "\n".join([",".join(header)] + [
+        ",".join(format(float(v), ".17g") for v in row) for row in rows]) + "\n"
+    jsonl = "\n".join(json.dumps(dict(zip(header, [float(v) for v in row])),
+                                 sort_keys=True) for row in rows) + "\n"
+    _write_table(tmp_path, "t", header, rows, "csv", {})
+    _write_table(tmp_path, "t", header, np.array(rows), "jsonlines", {})
+    assert (tmp_path / "t.csv").read_text() == csv
+    assert (tmp_path / "t.jsonl").read_text() == jsonl

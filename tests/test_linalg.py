@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from antiprod.linalg import (AntisymmetricMatrix, DomainError,
                              GeneralLinearMatrix, OrthogonalMatrix,
-                             SingularSpectrum, build_canonical,
+                             SingularSpectrum, _haar_columns, build_canonical,
                              haar_orthogonal, haar_orthogonal_batch,
                              project_corank2, singular_spectrum,
                              spectra_batch, vandermonde_sq,
@@ -110,6 +110,31 @@ def test_haar_first_moment_is_zero():
     rng = np.random.default_rng(11)
     q = haar_orthogonal_batch(2, 20_000, rng)
     assert np.max(np.abs(q.mean(axis=0))) < 4.0 / np.sqrt(2 * 20_000)
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (5, 2), (9, 4), (41, 4), (41, 41)])
+def test_haar_columns_are_orthonormal(m, k):
+    q = _haar_columns(m, k, 50, np.random.default_rng(12))
+    assert q.shape == (50, m, k)
+    gram = np.einsum("sji,sjk->sik", q, q)
+    assert np.max(np.abs(gram - np.eye(k)[None])) < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 4, 41])
+def test_haar_batch_stream_is_unchanged(m):
+    # the recipe every Haar Monte Carlo estimate has been drawn with:
+    # Gaussian, QR, R-diagonal signs fixed positive, column-0 flip
+    for seed in (0, 13):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((30, m, m))
+        q, r = np.linalg.qr(g)
+        d = np.sign(np.einsum("sii->si", r))
+        d[d == 0.0] = 1.0
+        q = q * d[:, None, :]
+        flip = rng.integers(0, 2, size=30) * 2 - 1
+        q[:, :, 0] *= flip[:, None]
+        got = haar_orthogonal_batch(m, 30, np.random.default_rng(seed))
+        assert np.array_equal(got, q)
 
 
 def test_project_corank2():

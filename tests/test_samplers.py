@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from antiprod.linalg import DomainError, SingularSpectrum, spectra_batch
+from antiprod.linalg import (DomainError, SingularSpectrum,
+                             haar_orthogonal_batch, spectra_batch)
 from antiprod.samplers import (GinibreSpec, JacobiSpec, ProductSpec,
-                               build_product, build_product_batch,
+                               _factor_batch, build_product,
+                               build_product_batch,
                                sample_ginibre_rect,
                                sample_induced_ginibre,
                                sample_induced_ginibre_batch,
@@ -127,3 +129,49 @@ def test_spectrum_distribution_k_invariant():
     a2 = spectra_batch(build_product_batch(spec, 20_000, rng))[:, 1]
     res = stats.ks_2samp(a1, a2)
     assert res.pvalue > 1e-3
+
+
+# The reference construction of the factors: g = R (M^T M)^(1/2) with the
+# symmetric square root from eigh, and the Jacobi M cut from a full Haar
+# O(K1) matrix.
+
+def _reference_root(m):
+    w, v = np.linalg.eigh(np.einsum("sji,sjk->sik", m, m))
+    return np.einsum("sik,sk,sjk->sij", v, np.sqrt(np.clip(w, 0.0, None)), v)
+
+
+def _reference_factor(spec, size, rng, block=2000):
+    out = []
+    for done in range(0, size, block):
+        b = min(block, size - done)
+        if isinstance(spec, GinibreSpec):
+            m = rng.standard_normal((b, 2 * (spec.n + int(spec.nu)), 2 * spec.n))
+        else:
+            m = haar_orthogonal_batch(spec.K1, b, rng)[:, : 2 * spec.N,
+                                                       : 2 * spec.n]
+        out.append(haar_orthogonal_batch(2 * spec.n, b, rng) @ _reference_root(m))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("spec", [JacobiSpec(2, 2, 9), JacobiSpec(2, 2, 41),
+                                  GinibreSpec(2, 1.0)], ids=str)
+def test_factor_singular_values_match_reference(spec):
+    size = 10_000
+    new = np.linalg.svd(_factor_batch(spec, size, np.random.default_rng(10)),
+                        compute_uv=False)
+    ref = np.linalg.svd(_reference_factor(spec, size, np.random.default_rng(11)),
+                        compute_uv=False)
+    for j in range(2 * spec.n):
+        assert stats.ks_2samp(new[:, j], ref[:, j]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("spec", [GinibreSpec(1, 0.0), GinibreSpec(2, 1.0)],
+                         ids=str)
+def test_ginibre_det_mean_is_bartlett(spec):
+    # E det(g^T g) = E det(M^T M) = prod_{i < 2n} (2 (n + nu) - i)
+    size = 40_000
+    g = sample_induced_ginibre_batch(spec, size, np.random.default_rng(12))
+    d = np.linalg.det(np.swapaxes(g, 1, 2) @ g)
+    expect = np.prod(2 * (spec.n + spec.nu) - np.arange(2 * spec.n))
+    z = (d.mean() - expect) / (d.std(ddof=1) / np.sqrt(size))
+    assert abs(z) < 4.0

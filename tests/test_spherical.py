@@ -70,19 +70,26 @@ def test_psi_identity_matrix():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
-def test_factorization_phi():
+# at s = (2, 0) both sides are constant in k, so z is round-off there;
+# s = (4, 0) gives both sides a k-dependence that a wrong identity would show
+FACTORIZATION_S = pytest.mark.parametrize(
+    "s", [(2.0, 0.0), (4.0, 0.0)], ids=["s20", "s40"])
+
+
+@FACTORIZATION_S
+def test_factorization_phi(s):
     rng = np.random.default_rng(3)
     g = np.diag([1.2, 0.8, 1.1, 0.9])
-    _, _, z = factorization_check_phi((2.0, 0.0), g, (1.0, 2.0),
-                                      100_000, rng)
+    _, _, z = factorization_check_phi(s, g, (1.0, 2.0), 100_000, rng)
     assert z < 3.5
 
 
-def test_factorization_psi():
+@FACTORIZATION_S
+def test_factorization_psi(s):
     rng = np.random.default_rng(4)
     g = np.diag([1.2, 0.8, 1.1, 0.9])
     gp = np.diag([0.7, 1.3, 1.0, 1.0])
-    _, _, z = factorization_check_psi((2.0, 0.0), g, gp, 100_000, rng)
+    _, _, z = factorization_check_psi(s, g, gp, 100_000, rng)
     assert z < 3.5
 
 
