@@ -20,8 +20,7 @@ import yaml
 from . import __version__
 from .linalg import DomainError, SingularSpectrum, spectra_batch
 from .harness import (SCHEMA_VERSION, emit_results, run_suite,
-                      _factor_from_params, _pooled_marginal)
-from .ensembles import PolynomialEnsembleSpec, fixed_base_weights
+                      _factor_from_params, _pooled_marginal, _write_rows)
 from .samplers import ProductSpec, build_product_batch
 
 
@@ -38,27 +37,10 @@ def _load_config(path) -> dict:
 
 def _write_table(out_dir, name: str, header: list, rows, fmt: str,
                  meta: dict) -> Path:
-    values = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"non-finite values in the {name} table")
-    rows = values.tolist()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        path = out / f"{name}.csv"
-        line = ",".join(["%.17g"] * len(header))
-        lines = [",".join(header)] + [line % tuple(row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
-    elif fmt == "jsonlines":
-        path = out / f"{name}.jsonl"
-        lines = [json.dumps(dict(zip(header, row)), sort_keys=True)
-                 for row in rows]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
-    else:
-        raise DomainError(f"unknown output format {fmt!r}")
-    meta_path = out / f"{name}.meta.json"
+    path = _write_rows(out_dir, name, header, rows, fmt)
     meta = dict(meta, schema=SCHEMA_VERSION, version=__version__)
-    meta_path.write_text(json.dumps(meta, sort_keys=True, default=str) + "\n")
+    path.with_name(f"{name}.meta.json").write_text(
+        json.dumps(meta, sort_keys=True, default=str) + "\n")
     return path
 
 
@@ -79,15 +61,6 @@ def _cmd_sample(args, cfg) -> int:
     return 0
 
 
-def _fixed_ensemble(params: dict) -> PolynomialEnsembleSpec:
-    n = int(params.get("n", 1))
-    params.setdefault("n", n)
-    factor, _ = _factor_from_params(params)
-    base = params.get("base", [1.0] * n)
-    return PolynomialEnsembleSpec(n, fixed_base_weights(base, factor),
-                                  label="fixed")
-
-
 def _grid(params: dict, default_hi: float):
     lo = float(params.get("grid_lo", 1e-4))
     hi = float(params.get("grid_hi", default_hi))
@@ -97,18 +70,20 @@ def _grid(params: dict, default_hi: float):
 
 def _cmd_jpdf(args, cfg) -> int:
     params = cfg.get("params", {})
-    ens = _fixed_ensemble(params)
-    density, support = _pooled_marginal(ens)
+    n = int(params.get("n", 1))
+    params.setdefault("n", n)
+    factor, _ = _factor_from_params(params)
+    density, support = _pooled_marginal(params.get("base", [1.0] * n), factor)
     hi = support[1] if np.isfinite(support[1]) else 10.0
     grid = _grid(params, hi)
-    rows = [(y, float(np.atleast_1d(density(y))[0])) for y in grid]
+    rows = np.column_stack([grid, density(grid)])
     _write_table(args.out, "jpdf", ["y", "density"], rows, args.format,
                  {"command": "jpdf", "params": params})
     return 0
 
 
 def _cmd_kernel(args, cfg) -> int:
-    from .kernels import biorth_fixed, kernel_fixed
+    from .kernels import biorth_fixed
     params = cfg.get("params", {})
     n = int(params.get("n", 2))
     params.setdefault("n", n)
@@ -116,8 +91,7 @@ def _cmd_kernel(args, cfg) -> int:
     base = params.get("base", [1.0, 2.0])
     system = biorth_fixed(base, factor)
     grid = _grid(params, factor.tail * max(base))
-    rows = [(y, kernel_fixed(y, y, base, factor, method="series",
-                             system=system)) for y in grid]
+    rows = np.column_stack([grid, system.diagonal(grid)])
     _write_table(args.out, "kernel", ["y", "K"], rows, args.format,
                  {"command": "kernel", "params": params,
                   "gram_offdiag": system.gram_offdiag})

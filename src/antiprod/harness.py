@@ -2,6 +2,8 @@
 
 Every experiment is described by an ExperimentConfig and produces a
 TestReport with the statistics, per-bin tables and a pass/fail verdict.
+Spectrum experiments compare pooled Monte Carlo spectra with the kernel
+diagonal K_n(y, y) / n of the fixed-base product ensemble.
 Reports are emitted as CSV or JSON-lines tables plus a plain-text summary;
 emitted bytes are deterministic for fixed (config, seed), so re-running a
 suite reproduces the artifacts exactly (wall-clock stays in memory only).
@@ -20,11 +22,11 @@ from scipy import special, stats
 from . import __version__
 from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
                      build_canonical, spectra_batch)
-from .mellin import (FactorizingWeight, a_sigma, ginibre_weight,
-                     jacobi_weight, mellin_numeric)
-from .ensembles import (PolynomialEnsembleSpec, corank2_jpdf,
-                        fixed_base_weights, jpdf_degenerate, jpdf_fixed,
-                        muttalib_borodin_weights, product_weights)
+from .mellin import ginibre_weight, jacobi_weight, mellin_numeric
+from .ensembles import (PolynomialEnsembleSpec, corank2_jpdf, jpdf_fixed,
+                        muttalib_borodin_weights)
+from .kernels import (biorth_fixed, correlation_Rk, gram_biorth,
+                      kernel_fixed, kernel_fixed_contour)
 from .samplers import (GinibreSpec, JacobiSpec, ProductSpec,
                        build_product_batch)
 from . import spherical as sph
@@ -39,9 +41,6 @@ __all__ = [
 
 #: Config/output schema identifier embedded in every artifact.
 SCHEMA_VERSION = "antiprod/1"
-
-_CSV_HEADER = "bin_lo,bin_hi,empirical,analytic,zscore"
-
 
 @dataclass
 class ExperimentConfig:
@@ -110,18 +109,9 @@ def _grid_cdf(density, lo: float, hi: float, npts: int = 8192):
     """(grid, pdf, cdf) tables of a 1-D density by trapezoid accumulation."""
     eps = max(lo, 1e-12)
     x = np.linspace(eps, hi, npts)
-    p = np.asarray([float(density(v)) for v in x]) \
-        if not _vectorized(density) else np.asarray(density(x), dtype=float)
+    p = np.asarray(density(x), dtype=float)
     c = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) / 2.0 * np.diff(x))])
     return x, p, c
-
-
-def _vectorized(f) -> bool:
-    try:
-        out = f(np.array([0.5, 0.6]))
-        return np.shape(out) == (2,)
-    except Exception:
-        return False
 
 
 def _quad_mass(density, support) -> float:
@@ -151,7 +141,7 @@ def _binned_comparison(samples: np.ndarray, density, support, bins: int):
     levels = np.linspace(0.0, 1.0, bins + 1)
     edges = np.interp(levels, cdf, x)
     edges[0] = lo
-    edges[-1] = hi_eff if np.isfinite(hi) else np.inf
+    edges[-1] = hi_eff
     ecdf_x = np.sort(samples)
     N = ecdf_x.size
     f_at = np.interp(ecdf_x, x, cdf, left=0.0, right=1.0)
@@ -179,51 +169,26 @@ def _binned_comparison(samples: np.ndarray, density, support, bins: int):
     return rows, ks, chi2, pval, norm
 
 
-def _pooled_marginal(spec: PolynomialEnsembleSpec):
-    """Density of one pooled spectrum entry of a polynomial ensemble (n <= 2)."""
-    n = spec.n
-    if n == 1:
-        w = spec.weights[0]
-        c = float(spec.norm_constant)
-
-        def density(y):
-            return c * np.asarray(w.density(y), dtype=float)
-
-        return density, spec.support
-    if n != 2:
-        raise DomainError("quadrature marginal implemented for n <= 2")
-    w1, w2 = spec.weights
-    c = float(spec.norm_constant)
-    lo, hi = spec.support
-    hi_eff = hi if np.isfinite(hi) else min(w.tail for w in spec.weights) * 1.0
-    nodes, wts = np.polynomial.legendre.leggauss(600)
-    xx = (hi_eff - lo) / 2.0 * nodes + (hi_eff + lo) / 2.0
-    ww = (hi_eff - lo) / 2.0 * wts
-    w1x = np.asarray(w1.density(xx), dtype=float)
-    w2x = np.asarray(w2.density(xx), dtype=float)
+def _pooled_marginal(atilde, factor):
+    """Density of one pooled spectrum entry of the fixed-base product, the
+    kernel diagonal K_n(y, y) / n, and its support."""
+    system = biorth_fixed(atilde, factor)
 
     def density(y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        d = (xx[None, :] ** 2 - y[:, None] ** 2) \
-            * (np.asarray(w1.density(y))[:, None] * w2x[None, :]
-               - w1x[None, :] * np.asarray(w2.density(y))[:, None])
-        out = c * (d * ww[None, :]).sum(axis=1)
-        return out if out.shape[0] > 1 else float(out[0])
+        return system.diagonal(y) / system.n
 
-    return density, (lo, hi_eff)
+    return density, (0.0, factor.support[1] * max(atilde))
 
 
 def run_spectrum_experiment(config: ExperimentConfig) -> TestReport:
     """Sample product spectra and compare the pooled marginal with the
-    quadrature marginal of the configured analytic jPDF."""
+    kernel diagonal K_n(y, y) / n of the fixed-base product ensemble."""
     t0 = time.perf_counter()
     p = config.params
     n = int(p["n"])
     factor, fspec = _factor_from_params(p)
     atilde = p.get("base", [1.0] * n)
-    ens = PolynomialEnsembleSpec(
-        n, fixed_base_weights(atilde, factor), label="fixed")
-    density, support = _pooled_marginal(ens)
+    density, support = _pooled_marginal(atilde, factor)
     rng = _rng(config.seed)
     prod = ProductSpec(factors=(fspec,),
                        base=SingularSpectrum.from_values(atilde))
@@ -445,8 +410,6 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
 def run_kernel_suite(config: ExperimentConfig) -> TestReport:
     """Gram, trace, series-versus-contour and correlation consistency."""
     from scipy import integrate
-    from .kernels import (biorth_fixed, gram_biorth, kernel_fixed,
-                          kernel_fixed_contour, correlation_Rk)
     t0 = time.perf_counter()
     stats_d = {}
     ok = True
@@ -574,42 +537,46 @@ def run_suite(name: str, seed: int = 0, nsamples: int = 100_000):
     return reports
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+def _write_rows(out_dir, name: str, header: list, rows, fmt: str) -> Path:
+    """Write rows as name.csv (%.17g values) or name.jsonl (one sorted-key
+    object per row); refuses a table with a NaN or inf value unwritten."""
+    if fmt not in ("csv", "jsonlines"):
+        raise DomainError(f"unknown output format {fmt!r}")
+    values = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"non-finite values in the {name} table")
+    rows = values.tolist()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if fmt == "csv":
+        path = out / f"{name}.csv"
+        line = ",".join(["%.17g"] * len(header))
+        lines = [",".join(header)] + [line % tuple(row) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        path = out / f"{name}.jsonl"
+        lines = [json.dumps(dict(zip(header, row)), sort_keys=True)
+                 for row in rows]
+        path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    return path
 
 
 def emit_results(reports, out_dir, fmt: str = "csv"):
     """Write per-report tables and summaries; returns the written paths.
 
     CSV tables carry the header bin_lo,bin_hi,empirical,analytic,zscore;
-    JSON-lines tables one object per bin.  Summaries embed the schema
-    identifier, package version, resolved config and statistics.  Output
-    bytes depend only on the report contents, never on wall-clock.
+    JSON-lines tables one object per bin.  A table with a non-finite value
+    raises DomainError.  Summaries embed the schema identifier, package
+    version, resolved config and statistics.  Output bytes depend only on
+    the report contents, never on wall-clock.
     """
-    if fmt not in ("csv", "jsonlines"):
-        raise DomainError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = []
     for rep in reports:
-        if fmt == "csv":
-            table = out / f"{rep.name}.csv"
-            lines = [_CSV_HEADER]
-            for lo, hi, emp, ana, z in rep.rows:
-                lines.append(",".join(_fmt(float(v))
-                                      for v in (lo, hi, emp, ana, z)))
-            table.write_text("\n".join(lines) + "\n")
-        else:
-            table = out / f"{rep.name}.jsonl"
-            lines = []
-            for lo, hi, emp, ana, z in rep.rows:
-                lines.append(json.dumps(
-                    {"bin_lo": lo, "bin_hi": hi, "empirical": emp,
-                     "analytic": ana, "zscore": z}, sort_keys=True))
-            table.write_text("\n".join(lines) + ("\n" if lines else ""))
-        paths.append(table)
+        paths.append(_write_rows(
+            out, rep.name,
+            ["bin_lo", "bin_hi", "empirical", "analytic", "zscore"],
+            rep.rows, fmt))
         summary = out / f"{rep.name}.summary.txt"
         slines = [f"schema: {SCHEMA_VERSION}",
                   f"version: {__version__}",
@@ -619,7 +586,7 @@ def emit_results(reports, out_dir, fmt: str = "csv"):
                   "config: " + json.dumps(rep.config, sort_keys=True,
                                           default=str)]
         for key in sorted(rep.statistics):
-            slines.append(f"stat {key}: {_fmt(float(rep.statistics[key]))}")
+            slines.append(f"stat {key}: {float(rep.statistics[key]):.17g}")
         for note in rep.notes:
             slines.append(f"note: {note}")
         summary.write_text("\n".join(slines) + "\n")

@@ -97,6 +97,22 @@ class BiorthSystem:
     def q(self, j: int, y):
         return self.qtilde[j].density(y)
 
+    def diagonal(self, y):
+        """Kernel diagonal K_n(y, y) = sum_j p_j(y) q_j(y), vectorized over y.
+
+        K_n(y, y) / n is the density of one pooled spectrum entry of the
+        determinantal ensemble (Borodin, Nucl. Phys. B 536, 1999).
+        """
+        y = np.asarray(y, dtype=float)
+        # float_power squares through libm pow, as the scalar y' ** 2 of
+        # kernel_fixed does, so both agree bit for bit (y * y can differ)
+        u = np.float_power(y, 2)
+        pc = self._p_coeffs()
+        out = 0.0
+        for j in range(self.n):
+            out = out + npoly.polyval(u, pc[j]) * self.q(j, y)
+        return out
+
     def gram_matrix(self) -> np.ndarray:
         """int p_j(y) q_k(y) dy from the exact Mellin handles of qtilde."""
         pc = self._p_coeffs()

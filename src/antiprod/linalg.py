@@ -7,7 +7,7 @@ nonnegative half (a_1, ..., a_n) sorted ascending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -47,6 +47,19 @@ def test_binned_comparison_on_exact_samples():
     assert norm == pytest.approx(1.0, abs=1e-5)
 
 
+def test_binned_comparison_last_bin_is_finite_with_same_counts():
+    rng = np.random.default_rng(0)
+    samples = rng.exponential(size=50_000)
+    rows, *_ = _binned_comparison(samples, lambda y: np.exp(-y),
+                                  (0.0, np.inf), 50)
+    rows = np.array(rows)
+    assert np.all(np.isfinite(rows))
+    # the counts are those of the same bins with an inf last edge
+    edges = np.append(rows[:, 0], np.inf)
+    counts, _ = np.histogram(samples, bins=edges)
+    assert np.array_equal(counts / samples.size, rows[:, 2])
+
+
 def test_binned_comparison_detects_mismatch():
     rng = np.random.default_rng(1)
     samples = rng.exponential(size=50_000) * 1.3
@@ -62,6 +75,21 @@ def test_spectrum_experiment_quick():
                            nsamples=20_000, seed=3, label="quick-n1")
     rep = run_spectrum_experiment(cfg)
     assert rep.passed, rep.statistics
+
+
+def test_spectrum_experiment_n3(tmp_path):
+    cfg = ExperimentConfig(kind="spectrum",
+                           params={"factor": "ginibre", "n": 3, "nu": 0.0,
+                                   "base": [1.0, 2.0, 3.0]},
+                           nsamples=20_000, seed=5, label="quick-n3")
+    rep = run_spectrum_experiment(cfg)
+    assert rep.passed, rep.statistics
+    assert rep.statistics["ks_tol"] == 0.015
+    # every table value is finite, so the report can be written
+    emit_results([rep], tmp_path, fmt="jsonlines")
+    rows = [list(json.loads(line).values()) for line in
+            (tmp_path / "quick-n3.jsonl").read_text().splitlines()]
+    assert len(rows) == len(rep.rows) and np.all(np.isfinite(rows))
 
 
 def test_corank2_experiment_quick():
@@ -89,6 +117,17 @@ def test_emit_results_deterministic(tmp_path):
         paths = emit_results(reports, out, fmt="csv")
         blobs.append(b"".join(Path(p).read_bytes() for p in sorted(paths)))
     assert blobs[0] == blobs[1]
+
+
+def test_emit_results_rejects_non_finite_rows(tmp_path):
+    from antiprod.linalg import DomainError
+    rep = TestReport(name="bad", passed=True, statistics={},
+                     rows=[(0.0, 1.0, 0.5, 0.5, 0.0),
+                           (1.0, np.inf, 0.5, 0.5, 0.0)])
+    for fmt in ("csv", "jsonlines"):
+        with pytest.raises(DomainError):
+            emit_results([rep], tmp_path, fmt=fmt)
+    assert not list(tmp_path.glob("bad.*"))
 
 
 def test_empty_rows_csv_is_header_only(tmp_path):
@@ -139,6 +178,20 @@ def test_cli_kernel_readme_config_is_finite(tmp_path):
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert rows.shape == (200, 2)
     assert np.all(np.isfinite(rows))
+
+
+def test_cli_jpdf_n3(tmp_path):
+    from antiprod.cli import main
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema: antiprod/1\nparams:\n  factor: ginibre\n  n: 3\n"
+                   "  nu: 0.0\n  base: [1.0, 2.0, 3.0]\n")
+    assert main(["jpdf", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "jpdf.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert rows.shape == (200, 2)
+    assert np.all(np.isfinite(rows))
+    assert np.all(rows[:, 1] >= 0.0)
 
 
 def test_cli_table_rejects_non_finite_rows(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from antiprod.ensembles import (PolynomialEnsembleSpec, fixed_base_weights,
-                                muttalib_borodin_weights)
+                                jpdf_fixed, muttalib_borodin_weights)
 from antiprod.kernels import (ContourError, ContourSpec,
                               biorth_fixed, chi_poly, correlation_Rk,
                               gram_biorth, kernel_fixed, kernel_fixed_contour,
@@ -143,3 +143,35 @@ def test_kernel_poly_diag_r2_vanishes():
         return kernel_poly(yp, y, sys, GW, method="series")
 
     assert abs(correlation_Rk([1.1, 1.1], K)) < 1e-9
+
+
+def test_diagonal_over_n_is_the_jpdf_marginal_n3():
+    # A(a) = (1 - a)^6 makes jpdf_fixed piecewise polynomial of degree <= 10
+    # in each entry between the base values, where 8-node Gauss-Legendre
+    # panels integrate it exactly
+    base = [0.5, 0.9, 1.3]
+    jw = jacobi_weight(0.0, 0.0, 3)
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+    breaks = [0.0] + base
+    x = np.concatenate([(b - a) / 2 * nodes + (b + a) / 2
+                        for a, b in zip(breaks[:-1], breaks[1:])])
+    w = np.concatenate([(b - a) / 2 * wts
+                        for a, b in zip(breaks[:-1], breaks[1:])])
+    ys = np.array([0.07, 0.33, 0.61, 1.02])
+    marg = [w @ np.array([[jpdf_fixed([y, u, v], base, jw) for v in x]
+                          for u in x]) @ w
+            for y in ys]
+    diag = biorth_fixed(base, jw).diagonal(ys) / 3
+    np.testing.assert_allclose(diag, marg, rtol=1e-12, atol=0)
+
+
+def test_diagonal_matches_series_kernel_pointwise():
+    # on the Ginibre grid, y * y and the scalar y ** 2 differ in the last
+    # bit at one point, which the series kernel would then show
+    for base, w in (([1.0, 2.0], GW), ([0.5, 0.9, 1.3],
+                                        jacobi_weight(0.0, 0.0, 3))):
+        sys = biorth_fixed(base, w)
+        ys = np.linspace(1e-4, 3.0 * max(base), 300)
+        want = [kernel_fixed(y, y, base, w, method="series", system=sys)
+                for y in ys]
+        assert sys.diagonal(ys).tolist() == want
