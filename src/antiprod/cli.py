@@ -21,6 +21,7 @@ from . import __version__
 from .linalg import DomainError, SingularSpectrum, spectra_batch
 from .harness import (SCHEMA_VERSION, emit_results, run_suite,
                       _factor_from_params, _pooled_marginal, _write_rows)
+from .mellin import QuadratureError
 from .samplers import ProductSpec, build_product_batch
 
 
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify}
     try:
         return handlers[args.command](args, cfg)
-    except (DomainError, OSError) as exc:
+    except (DomainError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

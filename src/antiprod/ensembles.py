@@ -335,6 +335,7 @@ def corank2_jpdf(x, a) -> float:
 
     p(x | a) = [(2n-2)!/(n-1)!] Delta_(n-1)(x^2)/Delta_n(a^2)
                * det[row of ones; (a_k - x_j) Theta(a_k - x_j)].
+    Leading axes of x (shape (..., n - 1)) are a batch of spectra.
     """
     a = SingularSpectrum.from_values(a) if not isinstance(a, SingularSpectrum) else a
     n = a.n
@@ -342,17 +343,15 @@ def corank2_jpdf(x, a) -> float:
         raise DomainError("projection density needs n >= 2")
     if a.is_degenerate:
         raise DomainError("projection density requires distinct a")
-    x = np.sort(np.atleast_1d(np.asarray(x, dtype=float)))
-    if x.size != n - 1:
+    x = np.sort(np.atleast_1d(np.asarray(x, dtype=float)), axis=-1)
+    if x.shape[-1] != n - 1:
         raise DomainError("projected spectrum must have length n - 1")
-    if np.any(x < 0):
-        return 0.0
     av = a.values
-    D = np.empty((n, n))
-    D[0, :] = 1.0
-    diff = av[None, :] - x[:, None]
-    D[1:, :] = np.where(diff > 0.0, diff, 0.0)
+    D = np.empty(x.shape[:-1] + (n, n))
+    D[..., 0, :] = 1.0
+    diff = av - x[..., :, None]
+    D[..., 1:, :] = np.where(diff > 0.0, diff, 0.0)
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
-    val = pref * vandermonde_sq(x) / vandermonde_sq(av) \
-        * float(np.linalg.det(D))
-    return max(val, 0.0)
+    val = pref * vandermonde_sq(x) / vandermonde_sq(av) * np.linalg.det(D)
+    val = np.where(np.any(x < 0, axis=-1), 0.0, np.maximum(val, 0.0))
+    return val if val.ndim else float(val)

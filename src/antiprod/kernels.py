@@ -299,7 +299,7 @@ def kernel_poly(yprime: float, y: float, base: BiorthSystem,
             pj = _series_p(base, factor, j, yprime)
         else:
             raise DomainError(f"unknown kernel method {method!r}")
-        qj = mellin_convolve(factor, base.qtilde[j], y, rtol=1e-7)
+        qj = mellin_convolve(factor, base.qtilde[j], y)
         out += pj * qj
     return out
 

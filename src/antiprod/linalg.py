@@ -156,13 +156,13 @@ class OrthogonalMatrix:
 
 
 def vandermonde_sq(a: SingularSpectrum | np.ndarray) -> float:
-    """prod_{k<l} (a_l^2 - a_k^2), the squared-variable Vandermonde; 1 for n = 1."""
+    """prod_{k<l} (a_l^2 - a_k^2) over the last axis; 1 for n = 1."""
     v = a.values if isinstance(a, SingularSpectrum) else np.asarray(a, dtype=float)
     sq = v * v
     out = 1.0
-    for k in range(sq.size):
-        out *= float(np.prod(sq[k + 1:] - sq[k]))
-    return out
+    for k in range(sq.shape[-1]):
+        out = out * np.prod(sq[..., k + 1:] - sq[..., k, None], axis=-1)
+    return out if np.ndim(out) else float(out)
 
 
 def vandermonde_sq_log(a: SingularSpectrum | np.ndarray) -> tuple[float, float]:

@@ -7,6 +7,12 @@ so that their Mellin transform at s = 1 equals 1, i.e. they are probability
 densities of the determinant modulus.  The Mellin transform diagonalizes the
 multiplicative convolution, M[f (*) h] = Mf * Mh, which is what makes the
 closed forms downstream possible.
+
+Numeric integrals of the package go through quad: Gauss-Legendre panels
+evaluated on whole arrays of nodes, an error estimate from a lower-order
+rule on the same panels, and bisection of the panels that miss their share
+of the error gate.  mellin_numeric and mellin_convolve integrate in the log
+variable; a quadrature that cannot meet the gate raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
-from scipy import integrate, special, stats
+from scipy import special, stats
 
 from .linalg import DomainError
 
@@ -29,9 +35,31 @@ __all__ = [
 #: Argument beyond which an exponentially decaying density is treated as zero.
 TAIL_CUT = 800.0
 
+#: Gauss-Legendre order of the panel rule, and the lower order whose sum on
+#: the same panel gives the error estimate.
+GL_ORDER, GL_LOW = 32, 16
+#: Panels per interval before any bisection.
+GL_PANELS = 8
+#: Relative error gate of every quadrature.
+QUAD_RTOL = 1e-10
+#: Panels per interval beyond which a quadrature stops bisecting.
+QUAD_LIMIT = 400
+
+_HIGH, _LOW = (np.polynomial.legendre.leggauss(k) for k in (GL_ORDER, GL_LOW))
+_GL_NODES = np.concatenate([_HIGH[0], _LOW[0]])
+
+
+def _support_of(f):
+    return getattr(f, "support", (0.0, np.inf))
+
+
+def _tail_of(f):
+    hi = _support_of(f)[1]
+    return hi if np.isfinite(hi) else TAIL_CUT
+
 
 class QuadratureError(ArithmeticError):
-    """Quadrature failed to reach the requested tolerance."""
+    """Quadrature missed its error gate or met a NaN or inf integrand."""
 
     def __init__(self, message, value=None, error=None):
         super().__init__(message)
@@ -55,10 +83,8 @@ class WeightFunction:
     def __call__(self, a):
         return self.density(a)
 
-    @property
-    def tail(self) -> float:
-        hi = self.support[1]
-        return hi if np.isfinite(hi) else TAIL_CUT
+    #: Support end, with TAIL_CUT in place of inf.
+    tail = property(_tail_of)
 
 
 @dataclass(frozen=True)
@@ -91,10 +117,8 @@ class FactorizingWeight:
     def __call__(self, a):
         return self.density(a)
 
-    @property
-    def tail(self) -> float:
-        hi = self.support[1]
-        return hi if np.isfinite(hi) else TAIL_CUT
+    #: Support end, with TAIL_CUT in place of inf.
+    tail = property(_tail_of)
 
     def density_deriv(self, a, k: int):
         """k-th derivative of the density at a > 0."""
@@ -285,101 +309,104 @@ def a_sigma_custom(sampler2x2: Callable, rng, nsamples: int = 100_000,
         support=(lo, hi), smoothness=0, params={"nsamples": int(nsamples)})
 
 
-def _support_of(f):
-    if hasattr(f, "support"):
-        return f.support
-    return (0.0, np.inf)
+def _gl_panels(f, a, b):
+    """(value, error) of f over each panel [a, b]: the GL_ORDER-point
+    Gauss-Legendre sum and its distance from the GL_LOW-point sum.  f maps
+    nodes of shape a.shape + (GL_ORDER + GL_LOW,) to values."""
+    half = (b - a) / 2.0
+    fx = f((a + half)[..., None] + half[..., None] * _GL_NODES)
+    if not np.all(np.isfinite(fx)):
+        raise QuadratureError("integrand is not finite on a panel",
+                              value=np.nan, error=np.inf)
+    value = half * (fx[..., :GL_ORDER] @ _HIGH[1])
+    return value, np.abs(value - half * (fx[..., GL_ORDER:] @ _LOW[1]))
 
 
-def _tail_of(f):
-    if hasattr(f, "tail"):
-        return f.tail
-    hi = _support_of(f)[1]
-    return hi if np.isfinite(hi) else TAIL_CUT
+def quad(f, lo, hi, *args):
+    """(value, error) of int_lo^hi f(x, *args) dx for each interval.
 
-
-def mellin_numeric(f, s, support=None, rtol=1e-10) -> complex:
-    """M f(s) = int_0^inf f(a) a^(s-1) da by adaptive quadrature.
-
-    The integral is split at a = 1 and both pieces are integrated in the
-    log variable, which resolves algebraic endpoint behaviour at 0.
+    lo, hi and args broadcast to one shape; f gets nodes x of shape
+    (panels, nodes) and each arg per panel, of shape (panels, 1).  An
+    interval starts as GL_PANELS panels; its error is the sum of the panel
+    errors plus the QUADPACK round-off bound 50 eps sum |panel value|.
+    While that exceeds QUAD_RTOL |value|, the panels whose error exceeds
+    their width's share of the gate are bisected, up to QUAD_LIMIT panels
+    per interval; an interval left above the gate raises QuadratureError.
     """
-    if support is None:
-        support = _support_of(f)
-    dens = f.density if hasattr(f, "density") else f
-    lo, hi = support
-    hi_eff = min(hi, _tail_of(f) if hasattr(f, "tail") else TAIL_CUT)
-    lo_eff = max(lo, 1e-280)
-    s = complex(s)
+    shape = np.broadcast(lo, hi, *args).shape
+    lo, hi, *args = [np.broadcast_to(p, shape).ravel()
+                     for p in (lo, hi, *args)]
+    m = lo.size
+    edges = lo[:, None] + (hi - lo)[:, None] * np.linspace(0, 1, GL_PANELS + 1)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    own = np.repeat(np.arange(m), GL_PANELS)
 
-    def piece(t_lo, t_hi):
-        if t_lo >= t_hi:
-            return 0.0
-        # substitute a = e^t: integrand f(e^t) e^(st)
-        def re(t):
-            a = np.exp(t)
-            return float(np.real(dens(a) * np.exp(s * t)))
+    def panels(a, b, own):
+        return _gl_panels(lambda x: f(x, *[p[own, None] for p in args]), a, b)
 
-        def im(t):
-            a = np.exp(t)
-            return float(np.imag(dens(a) * np.exp(s * t)))
-
-        vr, er = integrate.quad(re, np.log(t_lo), np.log(t_hi), limit=400,
-                                epsabs=1e-13, epsrel=1e-11)
-        vi, ei = integrate.quad(im, np.log(t_lo), np.log(t_hi), limit=400,
-                                epsabs=1e-13, epsrel=1e-11)
-        scale = max(abs(vr) + abs(vi), 1e-300)
-        if (er + ei) / scale > max(rtol, 1e-13) * 1e3 and er + ei > 1e-12:
-            raise QuadratureError(
-                f"Mellin quadrature error {er + ei:.2e} above tolerance",
-                value=vr + 1j * vi, error=er + ei)
-        return vr + 1j * vi
-
-    mid = min(max(1.0, 2.0 * lo_eff), hi_eff)
-    val = piece(lo_eff, mid) + piece(mid, hi_eff)
-    return val
-
-
-def mellin_convolve(f, h, y: float, rtol=1e-8) -> float:
-    """(f (*) h)(y) = int f(t) h(y/t) dt/t by adaptive quadrature in log t."""
-    if y <= 0:
-        raise DomainError("convolution argument must be positive")
-    f_lo, f_hi = _support_of(f)
-    h_lo, h_hi = _support_of(h)
-    fd = f.density if hasattr(f, "density") else f
-    hd = h.density if hasattr(h, "density") else h
-    t_lo = max(f_lo, y / min(h_hi, np.inf) if np.isfinite(h_hi) else 0.0,
-               y / _tail_of(h), 1e-280)
-    t_hi = min(f_hi, _tail_of(f))
-    if np.isfinite(h_lo) and h_lo > 0:
-        t_hi = min(t_hi, y / h_lo)
-    if t_lo >= t_hi:
-        return 0.0
-
-    def integrand(tau):
-        t = np.exp(tau)
-        return float(fd(t) * hd(y / t))
-
-    val, err = integrate.quad(integrand, np.log(t_lo), np.log(t_hi),
-                              limit=400, epsabs=1e-12, epsrel=1e-10)
-    if err > max(rtol * max(abs(val), 1.0), 1e-11):
+    v, e = panels(a, b, own)
+    while True:
+        value = np.zeros(m, dtype=v.dtype)
+        np.add.at(value, own, v)
+        error = np.bincount(own, e + 50.0 * np.finfo(float).eps * np.abs(v), m)
+        gate = np.maximum(QUAD_RTOL * np.abs(value), np.finfo(float).tiny)
+        fail = error > gate
+        split = (fail & (np.bincount(own, minlength=m) < QUAD_LIMIT))[own]
+        k = own[split]  # a failing interval has a positive width
+        split[split] = e[split] > gate[k] * (b - a)[split] / (hi - lo)[k]
+        if not split.any():
+            break
+        mid = (a[split] + b[split]) / 2.0
+        na = np.concatenate([a[split], mid])
+        nb = np.concatenate([mid, b[split]])
+        nown = np.tile(own[split], 2)
+        nv, ne = panels(na, nb, nown)
+        a, b, own, v, e = (np.concatenate([old[~split], new]) for old, new in
+                           ((a, na), (b, nb), (own, nown), (v, nv), (e, ne)))
+    if fail.any():
         raise QuadratureError(
-            f"convolution quadrature error {err:.2e} above tolerance",
-            value=val, error=err)
-    return val
+            f"quadrature error above the {QUAD_RTOL:g} relative gate",
+            value=value.reshape(shape), error=error.reshape(shape))
+    return value.reshape(shape)[()], error.reshape(shape)[()]
+
+
+def mellin_numeric(f, s, support=None) -> complex:
+    """M f(s) = int_0^inf f(a) a^(s-1) da by quad in t = log a, which
+    resolves algebraic behaviour at a = 0; a half line ends at TAIL_CUT."""
+    lo, hi = _support_of(f) if support is None else support
+    dens, s = getattr(f, "density", f), complex(s)
+    val, _ = quad(lambda t: dens(np.exp(t)) * np.exp(s * t),
+                  np.log(max(lo, 1e-280)),
+                  np.log(hi if np.isfinite(hi) else TAIL_CUT))
+    return complex(val)
+
+
+def mellin_convolve(f, h, y):
+    """(f (*) h)(y) = int f(t) h(y/t) dt/t by quad in log t, on a window per
+    y cut to both supports and tails; y may be an array."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0):
+        raise DomainError("convolution argument must be positive")
+    fd, hd = getattr(f, "density", f), getattr(h, "density", h)
+    h_lo = _support_of(h)[0]
+    # the tail never exceeds the support end, so it also cuts at it
+    t_lo = np.log(np.maximum(max(_support_of(f)[0], 1e-280), y / _tail_of(h)))
+    t_hi = np.log(np.minimum(_tail_of(f), y / h_lo if h_lo > 0 else np.inf))
+    val, _ = quad(lambda tau, yy: fd(np.exp(tau)) * hd(yy / np.exp(tau)),
+                  t_lo, np.maximum(t_lo, t_hi), y)
+    return float(val) if val.ndim == 0 else val
 
 
 class ConvolvedDensity:
     """Mellin convolution of a factor density with a weight, tabulated once.
 
-    The convolution is evaluated with fixed Gauss-Legendre quadrature in
-    log t on a geometric grid in y (512 points per decade) and interpolated
-    with a cubic spline in log y.  Below the grid the density follows the
-    power law fitted to the first grid points; outside the support it is 0.
+    The convolution is evaluated by mellin_convolve on a geometric grid in
+    y (512 points per decade) and interpolated with a cubic spline in
+    log y.  Below the grid the density follows the power law fitted to the
+    first grid points; outside the support it is 0.
     """
 
     GRID_PER_DECADE = 512
-    GL_NODES = 400
 
     def __init__(self, factor, weight, y_lo=None, y_hi=None):
         self.factor = factor
@@ -391,41 +418,15 @@ class ConvolvedDensity:
         hi = _tail_of(factor) * _tail_of(weight)
         self._y_hi = hi if y_hi is None else y_hi
         self._spline = None
-        self._slope = 0.0
 
     def _build(self):
         from scipy.interpolate import CubicSpline
-        fd = self.factor.density if hasattr(self.factor, "density") \
-            else self.factor
-        wd = self.weight.density if hasattr(self.weight, "density") \
-            else self.weight
-        f_lo, _ = _support_of(self.factor)
-        w_lo, _ = _support_of(self.weight)
-        f_tail = _tail_of(self.factor)
-        w_tail = _tail_of(self.weight)
         ndec = np.log10(self._y_hi / self._y_lo)
         ny = int(np.ceil(ndec * self.GRID_PER_DECADE)) + 1
         logy = np.linspace(np.log(self._y_lo), np.log(self._y_hi), ny)
-        y = np.exp(logy)
-        # per-y integration window in log t
-        t_lo = np.maximum(np.maximum(f_lo, y / w_tail), 1e-280)
-        t_hi = np.full_like(y, f_tail)
-        if w_lo > 0:
-            t_hi = np.minimum(t_hi, y / w_lo)
-        ok = t_hi > t_lo
-        nodes, wts = np.polynomial.legendre.leggauss(self.GL_NODES)
-        vals = np.zeros(ny)
-        a = np.log(t_lo[ok])
-        b = np.log(t_hi[ok])
-        half = (b - a) / 2.0
-        mid = (b + a) / 2.0
-        tau = mid[:, None] + half[:, None] * nodes[None, :]
-        t = np.exp(tau)
-        integ = fd(t) * wd(y[ok, None] / t)
-        vals[ok] = (integ * wts[None, :]).sum(axis=1) * half
-        vals = np.maximum(vals, 0.0)
+        vals = np.maximum(
+            mellin_convolve(self.factor, self.weight, np.exp(logy)), 0.0)
         self._grid_logy = logy
-        self._grid_vals = vals
         self._spline = CubicSpline(logy, vals)
         # power-law continuation below the grid
         i0 = np.argmax(vals > 0)

@@ -217,3 +217,25 @@ def test_cli_table_bytes_match_per_value_spelling(tmp_path):
     _write_table(tmp_path, "t", header, np.array(rows), "jsonlines", {})
     assert (tmp_path / "t.csv").read_text() == csv
     assert (tmp_path / "t.jsonl").read_text() == jsonl
+
+
+def test_cli_quadrature_error_exits_two(tmp_path, monkeypatch, capsys):
+    from antiprod import cli
+    from antiprod.mellin import QuadratureError
+
+    def failing(*args, **kwargs):
+        raise QuadratureError("gate missed", value=1.0, error=1.0)
+
+    monkeypatch.setattr(cli, "run_suite", failing)
+    assert cli.main(["verify", "--suite", "quick", "--out",
+                     str(tmp_path)]) == 2
+    assert "error: gate missed" in capsys.readouterr().err
+
+
+def test_readme_library_sketch_runs():
+    readme = Path(__file__).parents[1] / "README.md"
+    block = readme.read_text().split("```python\n")[1].split("```")[0]
+    scope = {}
+    exec(compile(block, str(readme), "exec"), scope)
+    assert scope["spectra"].shape == (100_000, 2)
+    assert scope["density"] > 0.0

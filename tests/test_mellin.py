@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy import special
 
+from antiprod import mellin
 from antiprod.linalg import DomainError
 from antiprod.mellin import (ConvolvedDensity, QuadratureError,
                              a_sigma, a_sigma_custom, ginibre_weight,
-                             jacobi_weight, mellin_convolve, mellin_numeric)
+                             jacobi_weight, mellin_convolve, mellin_numeric,
+                             quad)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
@@ -78,6 +81,54 @@ def test_convolved_density_matches_quadrature():
     conv = ConvolvedDensity(f, h)
     for y in (0.1, 0.7, 2.0, 5.0):
         assert conv(y) == pytest.approx(mellin_convolve(f, h, y), rel=1e-6)
+
+
+def test_two_ginibre_convolution_is_meijer_g():
+    # G^{2,0}_{0,2}(y | 0, 0) = 2 K_0(2 sqrt(y)) (Kuijlaars & Zhang 2014)
+    g = ginibre_weight(0.0)
+    y = np.array([0.01, 0.5, 5.0, 20.0])
+    exact = 2.0 * special.k0(2.0 * np.sqrt(y))
+    np.testing.assert_allclose(mellin_convolve(g, g, y), exact, rtol=1e-12)
+    for yi, ei in zip(y, exact):
+        assert mellin_convolve(g, g, yi) == pytest.approx(ei, rel=1e-12)
+    np.testing.assert_allclose(ConvolvedDensity(g, g)(y), exact, rtol=1e-9)
+
+
+def test_quadrature_raises_on_nan_integrand():
+    with pytest.raises(QuadratureError) as info:
+        quad(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
+    assert info.value.value is not None and info.value.error is not None
+
+
+def test_quadrature_raises_when_it_cannot_resolve():
+    # 1/x is not integrable at 0: bisecting the first panel never meets
+    # the gate
+    with pytest.raises(QuadratureError) as info:
+        quad(lambda x: 1.0 / x, 0.0, 1.0)
+    assert np.isfinite(info.value.value)
+    assert info.value.error > mellin.QUAD_RTOL * abs(info.value.value)
+
+
+def test_error_estimate_bounds_closed_form_error(monkeypatch):
+    estimates = []
+
+    def recording(*args):
+        out = quad(*args)
+        estimates.append(out)
+        return out
+
+    monkeypatch.setattr(mellin, "quad", recording)
+    checks = 0
+    for nu in (0.0, 0.5, 1.0):
+        for mu in (0.0, 0.5, 1.0):
+            for w in (ginibre_weight(nu), jacobi_weight(nu, mu, 2)):
+                for j in range(4):
+                    s = 2 * j + 1
+                    num = mellin_numeric(w, s)
+                    _, error = estimates.pop()
+                    assert abs(num - w.mellin(s)) <= error
+                    checks += 1
+    assert checks == 72
 
 
 def test_a_sigma_catalogue():
