@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import product
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -22,9 +23,9 @@ from scipy import special, stats
 from . import __version__
 from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
                      build_canonical, spectra_batch)
-from .mellin import (TAIL_CUT, ConvolvedDensity, WeightFunction, _gl_panels,
+from .mellin import (TAIL_CUT, ConvolvedDensity, WeightFunction,
                      ginibre_weight, jacobi_weight, mellin_convolve,
-                     mellin_numeric, quad)
+                     mellin_numeric, quad, quad_cumulative)
 from .ensembles import (PolynomialEnsembleSpec, corank2_jpdf, jpdf_fixed,
                         muttalib_borodin_weights)
 from .kernels import (biorth_fixed, correlation_Rk, gram_biorth,
@@ -110,27 +111,23 @@ def _factor_from_params(params: dict):
     raise DomainError(f"unknown factor kind {kind!r}")
 
 
-def _quad_mass(density, support) -> float:
-    """Total mass of a 1-D density; a half line is cut at TAIL_CUT."""
-    lo, hi = support
-    val, _ = quad(density, max(lo, 1e-12), hi if np.isfinite(hi) else TAIL_CUT)
-    return float(val)
-
-
-def _binned_comparison(samples: np.ndarray, density, support, bins: int):
+def _binned_comparison(samples: np.ndarray, density, support, bins: int,
+                       kinks=()):
     """Equal-probability binning of samples under an analytic density.
 
     Returns (rows, ks, chi2_stat, chi2_pvalue, norm) where rows are
     (bin_lo, bin_hi, empirical fraction, analytic fraction, zscore) and
-    norm is the quadrature mass of the density (should be 1).
+    norm is the quadrature mass of the density (should be 1).  The cdf
+    table has a grid point on each of the kinks of the density.
     """
     lo, hi = support
     hi_eff = min(hi, max(float(np.max(samples)) * 1.25, 1.0))
     # cdf table: cumulative Gauss-Legendre panel sums in log y
-    t = np.linspace(np.log(max(lo, 1e-12)), np.log(hi_eff), CDF_PANELS + 1)
-    mass, _ = _gl_panels(lambda u: density(np.exp(u)) * np.exp(u),
-                         t[:-1], t[1:])
-    x, c = np.exp(t), np.concatenate([[0.0], np.cumsum(mass)])
+    lo_eff = max(lo, 1e-12)
+    t = np.union1d(np.linspace(np.log(lo_eff), np.log(hi_eff), CDF_PANELS + 1),
+                   np.log([k for k in kinks if lo_eff < k < hi_eff]))
+    x = np.exp(t)
+    c = quad_cumulative(lambda u: density(np.exp(u)) * np.exp(u), t)
     norm = float(c[-1])
     cdf = c / norm
     # inverse CDF at equal-probability levels
@@ -192,7 +189,9 @@ def run_spectrum_experiment(config: ExperimentConfig) -> TestReport:
         build_product_batch(prod, config.nsamples, rng)).ravel()
     rows, ks, chi2, pval, _ = _binned_comparison(
         samples, density, support, config.bins)
-    norm = _quad_mass(density, support)
+    lo, hi = support
+    norm = float(quad(density, max(lo, 1e-12),
+                      hi if np.isfinite(hi) else TAIL_CUT)[0])
     ks_tol = config.tol("ks", 0.01 if n == 1 else 0.015)
     passed = ks < ks_tol and abs(norm - 1.0) < config.tol("norm", 1e-6)
     stats_d = {"ks": ks, "ks_tol": ks_tol, "chi2": chi2,
@@ -223,11 +222,10 @@ def run_corank2_experiment(config: ExperimentConfig) -> TestReport:
         return corank2_jpdf(np.asarray(v)[..., None], a)
 
     rows, ks, chi2, pval, _ = _binned_comparison(
-        samples, density, (0.0, float(a.values[-1])), config.bins)
+        samples, density, (0.0, float(a.values[-1])), config.bins, a.values)
     # the projection density is piecewise polynomial; integrate each cell
-    cells = np.concatenate([[0.0], a.values])
-    norm = sum(_quad_mass(density, (cells[i], cells[i + 1]))
-               for i in range(n))
+    cells = np.concatenate([[1e-12], a.values])
+    norm = float(np.sum(quad(density, cells[:-1], cells[1:])[0]))
     norm_tol = config.tol("norm", 1e-10)
     p_min = config.tol("chi2_pvalue", 1e-3)
     passed = abs(norm - 1.0) < norm_tol and pval > p_min
@@ -459,16 +457,10 @@ def run_mellin_suite(config: ExperimentConfig) -> TestReport:
     worst = 0.0
     for nu in (0.0, 0.5, 1.0):
         for mu in (0.0, 0.5, 1.0):
-            for j in range(4):
-                s = 2 * j + 1
-                gwt = ginibre_weight(nu)
-                rel = abs(mellin_numeric(gwt, s) - gwt.mellin(s)) \
-                    / abs(gwt.mellin(s))
-                worst = max(worst, rel)
-                jwt = jacobi_weight(nu, mu, 2)
-                rel = abs(mellin_numeric(jwt, s) - jwt.mellin(s)) \
-                    / abs(jwt.mellin(s))
-                worst = max(worst, rel)
+            for s, w in product((1, 3, 5, 7), (ginibre_weight(nu),
+                                               jacobi_weight(nu, mu, 2))):
+                worst = max(worst, abs(mellin_numeric(w, s) - w.mellin(s))
+                            / abs(w.mellin(s)))
     stats_d["closed_form_rel"] = worst
     ok &= worst < 1e-8
     # M[f (*) h](s) = M f(s) M h(s) by quadrature on the convolved density

@@ -276,6 +276,14 @@ def _series_p(sys: BiorthSystem, factor: FactorizingWeight, j: int,
     return float(npoly.polyval(yprime ** 2, sys.ptilde_coeffs[j] * minv))
 
 
+def _p(sys, factor, j, yprime, radius, contour, method) -> float:
+    if method == "contour":
+        return _contour_p(sys, factor, j, yprime, radius, contour.n_nodes)
+    if method == "series":
+        return _series_p(sys, factor, j, yprime)
+    raise DomainError(f"unknown kernel method {method!r}")
+
+
 def kernel_poly(yprime: float, y: float, base: BiorthSystem,
                 factor: FactorizingWeight,
                 contour: ContourSpec | None = None,
@@ -290,17 +298,10 @@ def kernel_poly(yprime: float, y: float, base: BiorthSystem,
     if contour is None:
         contour = ContourSpec()
     radius = contour.radius if contour.radius is not None else 1.0
-    n = base.n
     out = 0.0
-    for j in range(n):
-        if method == "contour":
-            pj = _contour_p(base, factor, j, yprime, radius, contour.n_nodes)
-        elif method == "series":
-            pj = _series_p(base, factor, j, yprime)
-        else:
-            raise DomainError(f"unknown kernel method {method!r}")
-        qj = mellin_convolve(factor, base.qtilde[j], y)
-        out += pj * qj
+    for j in range(base.n):
+        out += _p(base, factor, j, yprime, radius, contour, method) \
+            * mellin_convolve(factor, base.qtilde[j], y)
     return out
 
 
@@ -322,13 +323,8 @@ def kernel_fixed(yprime: float, y: float, atilde, factor: FactorizingWeight,
         else 0.5 * float(at.values[0])
     out = 0.0
     for j in range(sys.n):
-        if method == "contour":
-            pj = _contour_p(sys, factor, j, yprime, radius, contour.n_nodes)
-        elif method == "series":
-            pj = _series_p(sys, factor, j, yprime)
-        else:
-            raise DomainError(f"unknown kernel method {method!r}")
-        out += pj * sys.qtilde[j].density(y)
+        out += _p(sys, factor, j, yprime, radius, contour, method) \
+            * sys.qtilde[j].density(y)
     return out
 
 

@@ -11,8 +11,10 @@ closed forms downstream possible.
 Numeric integrals of the package go through quad: Gauss-Legendre panels
 evaluated on whole arrays of nodes, an error estimate from a lower-order
 rule on the same panels, and bisection of the panels that miss their share
-of the error gate.  mellin_numeric and mellin_convolve integrate in the log
-variable; a quadrature that cannot meet the gate raises QuadratureError.
+of the error gate, QUAD_RTOL times the integral of |f|.  quad_cumulative
+tabulates running integrals on a fixed grid under the same gate.
+mellin_numeric and mellin_convolve integrate in the log variable; a
+quadrature that cannot meet the gate raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from scipy import special, stats
 from .linalg import DomainError
 
 __all__ = [
-    "WeightFunction", "FactorizingWeight", "QuadratureError",
-    "mellin_numeric", "mellin_convolve", "a_sigma", "a_sigma_custom",
-    "ginibre_weight", "jacobi_weight", "ConvolvedDensity",
+    "WeightFunction", "FactorizingWeight", "QuadratureError", "quad",
+    "quad_cumulative", "mellin_numeric", "mellin_convolve", "a_sigma",
+    "a_sigma_custom", "ginibre_weight", "jacobi_weight", "ConvolvedDensity",
 ]
 
 #: Argument beyond which an exponentially decaying density is treated as zero.
@@ -40,7 +42,7 @@ TAIL_CUT = 800.0
 GL_ORDER, GL_LOW = 32, 16
 #: Panels per interval before any bisection.
 GL_PANELS = 8
-#: Relative error gate of every quadrature.
+#: Error gate of every quadrature, relative to the integral of |f|.
 QUAD_RTOL = 1e-10
 #: Panels per interval beyond which a quadrature stops bisecting.
 QUAD_LIMIT = 400
@@ -190,16 +192,13 @@ def ginibre_weight(nu: float) -> FactorizingWeight:
     # derivative of a^(2nu) e^(-a): polynomial recursion in front of
     # a^(2nu - k) e^(-a)
     polys = [npp.Polynomial([1.0])]
+    x = npp.Polynomial([0.0, 1.0])
 
-    def _extend(k):
+    def deriv(a, k):
         while len(polys) <= k:
             j = len(polys) - 1
             q = polys[j]
-            x = npp.Polynomial([0.0, 1.0])
             polys.append((two_nu - j) * q + x * q.deriv() - x * q)
-
-    def deriv(a, k):
-        _extend(k)
         a = np.asarray(a, dtype=float)
         return polys[k](a) * np.exp((two_nu - k) * np.log(a) - a - lognorm)
 
@@ -241,18 +240,14 @@ def jacobi_weight(nu: float, mu: float, n: int) -> FactorizingWeight:
         return val if val.ndim else complex(val)
 
     polys = [npp.Polynomial([1.0])]
+    x, one_m_x = npp.Polynomial([0.0, 1.0]), npp.Polynomial([1.0, -1.0])
 
-    def _extend(k):
+    def deriv(a, k):
         while len(polys) <= k:
             j = len(polys) - 1
             r = polys[j]
-            x = npp.Polynomial([0.0, 1.0])
-            one_m_x = npp.Polynomial([1.0, -1.0])
             polys.append((two_nu - j) * one_m_x * r - (beta - j) * x * r
                          + x * one_m_x * r.deriv())
-
-    def deriv(a, k):
-        _extend(k)
         a = np.asarray(a, dtype=float)
         return polys[k](a) * np.exp((two_nu - k) * np.log(a)
                                     + (beta - k) * np.log1p(-a) - lognorm)
@@ -328,10 +323,12 @@ def quad(f, lo, hi, *args):
     lo, hi and args broadcast to one shape; f gets nodes x of shape
     (panels, nodes) and each arg per panel, of shape (panels, 1).  An
     interval starts as GL_PANELS panels; its error is the sum of the panel
-    errors plus the QUADPACK round-off bound 50 eps sum |panel value|.
-    While that exceeds QUAD_RTOL |value|, the panels whose error exceeds
-    their width's share of the gate are bisected, up to QUAD_LIMIT panels
-    per interval; an interval left above the gate raises QuadratureError.
+    errors plus the QUADPACK round-off bound 50 eps sum |panel value|, and
+    its gate QUAD_RTOL sum |panel value|, which holds an integrand that
+    changes sign to its size.  While the error exceeds the gate, the worst
+    panels that miss their width's share of it are bisected, up to
+    QUAD_LIMIT panels per interval; an interval left above the gate raises
+    QuadratureError.
     """
     shape = np.broadcast(lo, hi, *args).shape
     lo, hi, *args = [np.broadcast_to(p, shape).ravel()
@@ -348,26 +345,47 @@ def quad(f, lo, hi, *args):
     while True:
         value = np.zeros(m, dtype=v.dtype)
         np.add.at(value, own, v)
-        error = np.bincount(own, e + 50.0 * np.finfo(float).eps * np.abs(v), m)
-        gate = np.maximum(QUAD_RTOL * np.abs(value), np.finfo(float).tiny)
+        size = np.bincount(own, np.abs(v), m)
+        error = np.bincount(own, e, m) + 50.0 * np.finfo(float).eps * size
+        gate = np.maximum(QUAD_RTOL * size, np.finfo(float).tiny)
         fail = error > gate
-        split = (fail & (np.bincount(own, minlength=m) < QUAD_LIMIT))[own]
-        k = own[split]  # a failing interval has a positive width
-        split[split] = e[split] > gate[k] * (b - a)[split] / (hi - lo)[k]
-        if not split.any():
+        cand = np.flatnonzero(fail[own])
+        k = own[cand]  # a failing interval has a positive width
+        cand = cand[e[cand] > gate[k] * (b - a)[cand] / (hi - lo)[k]]
+        # bisect the worst panels of each interval, as many as keep it
+        # within QUAD_LIMIT panels
+        cand = cand[np.lexsort((-e[cand], own[cand]))]
+        k = own[cand]
+        rank = np.arange(cand.size) - np.searchsorted(k, k)
+        cand = np.sort(cand[rank < QUAD_LIMIT - np.bincount(own)[k]])
+        if not cand.size:
             break
-        mid = (a[split] + b[split]) / 2.0
-        na = np.concatenate([a[split], mid])
-        nb = np.concatenate([mid, b[split]])
-        nown = np.tile(own[split], 2)
+        mid = (a[cand] + b[cand]) / 2.0
+        na = np.concatenate([a[cand], mid])
+        nb = np.concatenate([mid, b[cand]])
+        nown = np.tile(own[cand], 2)
         nv, ne = panels(na, nb, nown)
-        a, b, own, v, e = (np.concatenate([old[~split], new]) for old, new in
-                           ((a, na), (b, nb), (own, nown), (v, nv), (e, ne)))
+        a, b, own, v, e = (np.concatenate([np.delete(old, cand), new])
+                           for old, new in ((a, na), (b, nb), (own, nown),
+                                            (v, nv), (e, ne)))
     if fail.any():
         raise QuadratureError(
             f"quadrature error above the {QUAD_RTOL:g} relative gate",
             value=value.reshape(shape), error=error.reshape(shape))
     return value.reshape(shape)[()], error.reshape(shape)[()]
+
+
+def quad_cumulative(f, x):
+    """int_x[0]^x[i] f for each point of the grid x, one panel per cell,
+    gated as quad but never bisected: a kink of f belongs on a grid point."""
+    v, e = _gl_panels(f, x[:-1], x[1:])
+    size = np.sum(np.abs(v))
+    error = np.sum(e) + 50.0 * np.finfo(float).eps * size
+    cum = np.concatenate([[0.0], np.cumsum(v)])
+    if error > max(QUAD_RTOL * size, np.finfo(float).tiny):
+        raise QuadratureError("cumulative quadrature error above the gate",
+                              value=cum, error=error)
+    return cum
 
 
 def mellin_numeric(f, s, support=None) -> complex:
@@ -442,11 +460,8 @@ class ConvolvedDensity:
         if self._spline is None:
             self._build()
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
         out = np.zeros_like(y)
-        lo, hi = self.support
-        inside = (y > 0) & (y < hi if np.isfinite(hi) else y > 0)
+        inside = (y > 0) & (y < self.support[1])
         logy = np.where(y > 0, np.log(np.maximum(y, 1e-300)), 0.0)
         on_grid = inside & (logy >= self._grid_logy[0]) \
             & (logy <= self._grid_logy[-1])
@@ -455,7 +470,7 @@ class ConvolvedDensity:
         if np.any(below) and self._anchor is not None:
             l0, v0 = self._anchor
             out[below] = v0 * np.exp(self._slope * (logy[below] - l0))
-        return float(out[0]) if scalar else out
+        return out if out.ndim else float(out)
 
     def mellin(self, s):
         mf = self.factor.mellin if hasattr(self.factor, "mellin") else None

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from antiprod.ensembles import (PolynomialEnsembleSpec, fixed_base_weights,
                                 jpdf_fixed, muttalib_borodin_weights)
@@ -9,7 +9,7 @@ from antiprod.kernels import (ContourError, ContourSpec,
                               gram_biorth, kernel_fixed, kernel_fixed_contour,
                               kernel_poly)
 from antiprod.linalg import DomainError
-from antiprod.mellin import ginibre_weight, jacobi_weight
+from antiprod.mellin import ginibre_weight, jacobi_weight, mellin_convolve
 
 GW = ginibre_weight(0.0)
 
@@ -131,6 +131,23 @@ def test_kernel_poly_methods_agree():
         series = kernel_poly(yp, y, sys, GW, method="series")
         contour = kernel_poly(yp, y, sys, GW, method="contour")
         assert contour == pytest.approx(series, rel=1e-8, abs=1e-12)
+
+
+def test_kernel_poly_at_a_root_of_a_dual_convolution():
+    # q_1 is orthogonal to p_0, so factor (*) q_1 changes sign; at its root
+    # the convolution integral is zero while its integrand is not
+    base = PolynomialEnsembleSpec(2, fixed_base_weights([1.0, 2.0], GW))
+    sys = gram_biorth(base)
+
+    def q1(y):
+        return mellin_convolve(GW, sys.qtilde[1], y)
+
+    root = optimize.brentq(q1, 0.8, 0.9, xtol=1e-15)
+    assert abs(q1(root)) < 1e-15
+    series = kernel_poly(0.4, root, sys, GW, method="series")
+    contour = kernel_poly(0.4, root, sys, GW, method="contour")
+    assert np.isfinite(series)
+    assert contour == pytest.approx(series, rel=1e-8, abs=1e-12)
 
 
 def test_kernel_poly_diag_r2_vanishes():

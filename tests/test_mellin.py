@@ -109,6 +109,24 @@ def test_quadrature_raises_when_it_cannot_resolve():
     assert info.value.error > mellin.QUAD_RTOL * abs(info.value.value)
 
 
+def test_quadrature_keeps_each_interval_within_the_panel_limit(monkeypatch):
+    # every panel of sin(1e6 x) fails in every round, so the last round
+    # must split only as many as the limit leaves
+    evaluated = []
+    panels = mellin._gl_panels
+
+    def counting(f, a, b):
+        evaluated.append(a.size)
+        return panels(f, a, b)
+
+    monkeypatch.setattr(mellin, "_gl_panels", counting)
+    with pytest.raises(QuadratureError):
+        quad(lambda x: np.sin(1e6 * x), 0.0, 1.0)
+    # GL_PANELS to start, then two evaluated panels for each added one
+    added = (sum(evaluated) - mellin.GL_PANELS) // 2
+    assert mellin.GL_PANELS + added == mellin.QUAD_LIMIT
+
+
 def test_error_estimate_bounds_closed_form_error(monkeypatch):
     estimates = []
 

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from antiprod import harness, linalg
+from antiprod.ensembles import corank2_jpdf
 from antiprod.linalg import build_canonical, haar_orthogonal_batch
+from antiprod.mellin import QuadratureError
 from antiprod.spherical import (SphericalParameter, factorization_check_phi,
                                 factorization_check_psi,
                                 harish_chandra_o2n_mc, phi_closed,
@@ -108,6 +110,22 @@ def test_factorization_psi_partial_block():
     z = abs(lhs - p1 * p2) / np.sqrt(lhs_se ** 2 + (se1 * abs(p2)) ** 2
                                      + (se2 * abs(p1)) ** 2)
     assert got == pytest.approx((lhs, p1 * p2, z), rel=1e-9)
+
+
+def test_cdf_table_is_gated_and_puts_a_grid_point_on_each_kink():
+    # the corank-2 density has a kink at a_1 = 1; a panel across it misses
+    # the quadrature gate
+    a = linalg.SingularSpectrum.from_values(A)
+
+    def density(v):
+        return corank2_jpdf(np.asarray(v)[..., None], a)
+
+    samples = np.linspace(0.05, 1.95, 200)
+    with pytest.raises(QuadratureError):
+        harness._binned_comparison(samples, density, (0.0, 2.0), 5)
+    norm = harness._binned_comparison(samples, density, (0.0, 2.0), 5,
+                                      a.values)[-1]
+    assert norm == pytest.approx(1.0, abs=1e-10)
 
 
 def test_corank2_samples_partial_block(monkeypatch):
