@@ -18,8 +18,8 @@ from .ensembles import (PolynomialEnsembleSpec, corank2_jpdf,
                         jpdf_fixed, muttalib_borodin_weights,
                         product_weights)
 from .samplers import (GinibreSpec, JacobiSpec, ProductSpec, build_product,
-                       build_product_batch, sample_induced_ginibre,
-                       sample_induced_jacobi)
+                       build_product_batch, product_spectra_batch,
+                       sample_induced_ginibre, sample_induced_jacobi)
 from .kernels import (BiorthSystem, ContourSpec, biorth_fixed, chi_poly,
                       correlation_Rk, gram_biorth, kernel_fixed,
                       kernel_fixed_contour, kernel_poly)
@@ -37,7 +37,7 @@ __all__ = [
     "jpdf_degenerate", "jpdf_fact_poly", "jpdf_fixed",
     "muttalib_borodin_weights", "product_weights",
     "GinibreSpec", "JacobiSpec", "ProductSpec", "build_product",
-    "build_product_batch",
+    "build_product_batch", "product_spectra_batch",
     "sample_induced_ginibre", "sample_induced_jacobi",
     "BiorthSystem", "ContourSpec", "biorth_fixed", "chi_poly",
     "correlation_Rk", "gram_biorth", "kernel_fixed",

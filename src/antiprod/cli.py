@@ -18,11 +18,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .linalg import DomainError, SingularSpectrum, spectra_batch
+from .linalg import DomainError, SingularSpectrum
 from .harness import (SCHEMA_VERSION, emit_results, run_suite,
                       _factor_from_params, _pooled_marginal, _write_rows)
 from .mellin import QuadratureError
-from .samplers import ProductSpec, build_product_batch
+from .samplers import ProductSpec, product_spectra_batch
 
 
 def _load_config(path) -> dict:
@@ -54,7 +54,7 @@ def _cmd_sample(args, cfg) -> int:
     prod = ProductSpec(factors=(fspec,),
                        base=SingularSpectrum.from_values(base))
     rng = np.random.default_rng(args.seed)
-    spectra = spectra_batch(build_product_batch(prod, args.samples, rng))
+    spectra = product_spectra_batch(prod, args.samples, rng)
     header = [f"a_{j + 1}" for j in range(n)]
     _write_table(args.out, "spectra", header, spectra, args.format,
                  {"command": "sample", "params": params,

@@ -31,7 +31,7 @@ from .ensembles import (PolynomialEnsembleSpec, corank2_jpdf, jpdf_fixed,
 from .kernels import (biorth_fixed, correlation_Rk, gram_biorth,
                       kernel_fixed, kernel_fixed_contour)
 from .samplers import (GinibreSpec, JacobiSpec, ProductSpec,
-                       build_product_batch)
+                       product_spectra_batch)
 from . import spherical as sph
 
 __all__ = [
@@ -185,8 +185,7 @@ def run_spectrum_experiment(config: ExperimentConfig) -> TestReport:
     rng = _rng(config.seed)
     prod = ProductSpec(factors=(fspec,),
                        base=SingularSpectrum.from_values(atilde))
-    samples = spectra_batch(
-        build_product_batch(prod, config.nsamples, rng)).ravel()
+    samples = product_spectra_batch(prod, config.nsamples, rng).ravel()
     rows, ks, chi2, pval, _ = _binned_comparison(
         samples, density, support, config.bins)
     lo, hi = support
@@ -290,7 +289,7 @@ def prop45_distribution_check(nsamples: int = 100_000,
     rng = _rng(seed)
     prod = ProductSpec(factors=(JacobiSpec(1, 1, 5),),
                        base=SingularSpectrum.from_values([1.0]))
-    a = spectra_batch(build_product_batch(prod, nsamples, rng)).ravel()
+    a = product_spectra_batch(prod, nsamples, rng).ravel()
     b1 = WeightFunction(
         density=lambda t: np.where(
             (t > 0) & (t < 1),
@@ -522,25 +521,34 @@ def run_suite(name: str, seed: int = 0, nsamples: int = 100_000):
 
 def _write_rows(out_dir, name: str, header: list, rows, fmt: str) -> Path:
     """Write rows as name.csv (%.17g values) or name.jsonl (one sorted-key
-    object per row); refuses a table with a NaN or inf value unwritten."""
+    object per row); refuses a table with a NaN or inf value unwritten.
+
+    Each format has one line template applied to the whole table at once.
+    The jsonlines template spells each value with %r, which is the
+    float.__repr__ spelling of json, so the bytes are those of
+    json.dumps(row, sort_keys=True).
+    """
     if fmt not in ("csv", "jsonlines"):
         raise DomainError(f"unknown output format {fmt!r}")
     values = np.asarray(rows, dtype=float)
+    # an empty table arrives with shape (0,)
+    values = values.reshape(len(values), len(header))
     if not np.all(np.isfinite(values)):
         raise DomainError(f"non-finite values in the {name} table")
-    rows = values.tolist()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         path = out / f"{name}.csv"
-        line = ",".join(["%.17g"] * len(header))
-        lines = [",".join(header)] + [line % tuple(row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
+        head = ",".join(header) + "\n"
+        line = ",".join(["%.17g"] * len(header)) + "\n"
     else:
         path = out / f"{name}.jsonl"
-        lines = [json.dumps(dict(zip(header, row)), sort_keys=True)
-                 for row in rows]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
+        order = sorted(range(len(header)), key=header.__getitem__)
+        values = values[:, order]
+        head = ""
+        line = "{" + ", ".join(f"{json.dumps(header[j])}: %r"
+                               for j in order) + "}\n"
+    path.write_text(head + (line * len(values)) % tuple(values.ravel().tolist()))
     return path
 
 

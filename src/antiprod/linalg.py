@@ -215,7 +215,7 @@ def spectra_batch(mats: np.ndarray) -> np.ndarray:
     Vectorized counterpart of :func:`singular_spectrum` without the pairing
     diagnostics; intended for Monte Carlo inner loops.
     """
-    w = np.linalg.eigvalsh(np.einsum("mji,mjk->mik", mats, mats))
+    w = np.linalg.eigvalsh(mats.transpose(0, 2, 1) @ mats)
     w = np.clip(w, 0.0, None)
     return np.sqrt((w[:, 0::2] + w[:, 1::2]) / 2.0)
 

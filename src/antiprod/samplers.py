@@ -9,6 +9,14 @@ Haar and independent of C, since R is Haar and independent of M.  Products
 are built as iterated sandwiches X_M ... X_1 A X_1^T ... X_M^T around a
 canonical antisymmetric base and exactly re-antisymmetrized to scrub
 floating-point drift.
+
+The singular spectrum is invariant under orthogonal conjugation, so the
+outermost rotation R_M of a product cannot change it:
+:func:`product_spectra_batch` skips it, while every inner rotation changes
+the law and stays.  Each factor draws C before R, and R_M is drawn last, so
+at a fixed seed :func:`product_spectra_batch` and the spectra of
+:func:`build_product_batch` use the same random numbers and agree to
+rounding.
 """
 
 from __future__ import annotations
@@ -19,13 +27,14 @@ import numpy as np
 
 from .linalg import (AntisymmetricMatrix, DomainError, GeneralLinearMatrix,
                      SingularSpectrum, _haar_columns, build_canonical,
-                     haar_orthogonal_batch)
+                     haar_orthogonal_batch, spectra_batch)
 
 __all__ = [
     "GinibreSpec", "JacobiSpec", "ProductSpec",
     "sample_ginibre_rect", "sample_induced_ginibre",
     "sample_induced_ginibre_batch", "sample_induced_jacobi",
     "sample_induced_jacobi_batch", "build_product", "build_product_batch",
+    "product_spectra_batch",
 ]
 
 @dataclass(frozen=True)
@@ -118,15 +127,12 @@ def sample_ginibre_rect(rows: int, cols: int,
     return rng.standard_normal((rows, cols))
 
 
-def sample_induced_ginibre_batch(spec: GinibreSpec, size: int,
-                                 rng: np.random.Generator) -> np.ndarray:
-    """Stack of induced Ginibre matrices g = R (M^T M)^(1/2), shape (size, 2n, 2n).
-
-    M is a 2(n + nu) x 2n standard Gaussian.  It is not drawn: C is its
-    Bartlett factor, upper triangular with C_ii = sqrt(chi^2_{2(n+nu)-i})
+def _ginibre_triangle(spec: GinibreSpec, size: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Bartlett factors C of 2(n + nu) x 2n standard Gaussians M, shape
+    (size, 2n, 2n): upper triangular with C_ii = sqrt(chi^2_{2(n+nu)-i})
     for i < 2n and N(0, 1) entries above the diagonal, so that C^T C is
-    Wishart like M^T M, and g = R C with R Haar O(2n).
-    """
+    Wishart like M^T M."""
     if not spec.samplable:
         raise DomainError(
             f"nu = {spec.nu} is an analytic-only parameter; direct sampling "
@@ -138,7 +144,40 @@ def sample_induced_ginibre_batch(spec: GinibreSpec, size: int,
     c[:, diag, diag] = np.sqrt(
         rng.chisquare(2 * (spec.n + int(spec.nu)) - diag, size=(size, k)))
     c[:, upper[0], upper[1]] = rng.standard_normal((size, upper[0].size))
-    return haar_orthogonal_batch(k, size, rng) @ c
+    return c
+
+
+def _jacobi_triangle(spec: JacobiSpec, size: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """QR triangles C of the leading 2N x 2n sub-blocks M of Haar O(K1)
+    matrices, shape (size, 2n, 2n), so that C^T C = M^T M.  Only the first
+    2n columns of each Haar matrix are drawn, as a uniform K1 x 2n frame."""
+    m = _haar_columns(spec.K1, 2 * spec.n, size, rng)[:, : 2 * spec.N]
+    return np.linalg.qr(m, mode="r")
+
+
+def _triangle_batch(factor, size: int, rng: np.random.Generator) -> np.ndarray:
+    if isinstance(factor, GinibreSpec):
+        return _ginibre_triangle(factor, size, rng)
+    if isinstance(factor, JacobiSpec):
+        return _jacobi_triangle(factor, size, rng)
+    raise DomainError(f"unknown factor spec {type(factor).__name__}")
+
+
+def _factor_batch(factor, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of factors g = R C: the triangle C is drawn first, then R."""
+    c = _triangle_batch(factor, size, rng)
+    return haar_orthogonal_batch(2 * factor.n, size, rng) @ c
+
+
+def sample_induced_ginibre_batch(spec: GinibreSpec, size: int,
+                                 rng: np.random.Generator) -> np.ndarray:
+    """Stack of induced Ginibre matrices g = R (M^T M)^(1/2), shape (size, 2n, 2n).
+
+    M is a 2(n + nu) x 2n standard Gaussian.  It is not drawn: g = R C with
+    C its Bartlett factor and R Haar O(2n).
+    """
+    return _factor_batch(spec, size, rng)
 
 
 def sample_induced_ginibre(spec: GinibreSpec,
@@ -150,15 +189,11 @@ def sample_induced_jacobi_batch(spec: JacobiSpec, size: int,
                                 rng: np.random.Generator) -> np.ndarray:
     """Stack of induced Jacobi matrices g = R (M^T M)^(1/2), shape (size, 2n, 2n).
 
-    M is the leading 2N x 2n sub-block of a Haar O(K1) matrix; only its
-    first 2n columns are drawn, as a uniform K1 x 2n frame.  C is the
-    triangular factor of the QR factorization of M, so C^T C = M^T M, and
-    g = R C with R Haar O(2n).  All singular values of g lie in [0, 1].
+    M is the leading 2N x 2n sub-block of a Haar O(K1) matrix, and g = R C
+    with C the triangle of the QR factorization of M and R Haar O(2n).  All
+    singular values of g lie in [0, 1].
     """
-    k = 2 * spec.n
-    m = _haar_columns(spec.K1, k, size, rng)[:, : 2 * spec.N]
-    c = np.linalg.qr(m, mode="r")
-    return haar_orthogonal_batch(k, size, rng) @ c
+    return _factor_batch(spec, size, rng)
 
 
 def sample_induced_jacobi(spec: JacobiSpec,
@@ -166,25 +201,56 @@ def sample_induced_jacobi(spec: JacobiSpec,
     return GeneralLinearMatrix(sample_induced_jacobi_batch(spec, 1, rng)[0])
 
 
-def _factor_batch(factor, size: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(factor, GinibreSpec):
-        return sample_induced_ginibre_batch(factor, size, rng)
-    if isinstance(factor, JacobiSpec):
-        return sample_induced_jacobi_batch(factor, size, rng)
-    raise DomainError(f"unknown factor spec {type(factor).__name__}")
+def _product_core(spec: ProductSpec, size: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The product up to its outermost rotation,
+    C_M R_(M-1) C_(M-1) ... R_1 C_1 A C_1^T R_1^T ... C_M^T, shape
+    (size, 2n, 2n), with the draws in the order C_1, R_1, ..., C_M."""
+    if size < 1:
+        raise DomainError(f"sample count must be >= 1, got {size}")
+    y = np.broadcast_to(
+        build_canonical(SingularSpectrum.from_values(spec.base_values)).entries,
+        (size, 2 * spec.n, 2 * spec.n))
+    for i, factor in enumerate(spec.factors):
+        r = haar_orthogonal_batch(2 * spec.n, size, rng) if i else None
+        c = _triangle_batch(factor, size, rng)
+        g = c if r is None else c @ r
+        y = g @ y @ g.transpose(0, 2, 1)
+    return y
+
+
+def _antisymmetrized(y: np.ndarray) -> np.ndarray:
+    return (y - y.transpose(0, 2, 1)) / 2.0
 
 
 def build_product_batch(spec: ProductSpec, size: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Stack of product matrices X_M ... X_1 A X_1^T ... X_M^T, shape
-    (size, 2n, 2n), exactly antisymmetrized."""
-    y = np.broadcast_to(
-        build_canonical(SingularSpectrum.from_values(spec.base_values)).entries,
-        (size, 2 * spec.n, 2 * spec.n)).copy()
-    for factor in spec.factors:
-        g = _factor_batch(factor, size, rng)
-        y = np.einsum("sij,sjk,slk->sil", g, y, g)
-    return (y - y.transpose(0, 2, 1)) / 2.0
+    (size, 2n, 2n), exactly antisymmetrized.
+
+    The outermost rotation R_M is drawn last, after every triangle; its
+    conjugation leaves the singular spectrum unchanged, so at a fixed seed
+    the spectra agree to rounding with :func:`product_spectra_batch`.
+    """
+    y = _product_core(spec, size, rng)
+    if spec.factors:
+        r = haar_orthogonal_batch(2 * spec.n, size, rng)
+        y = r @ y @ r.transpose(0, 2, 1)
+    return _antisymmetrized(y)
+
+
+def product_spectra_batch(spec: ProductSpec, size: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Singular spectra of a stack of products X_M ... X_1 A X_1^T ... X_M^T,
+    shape (size, n), ascending per row.
+
+    The spectrum is invariant under orthogonal conjugation, so the
+    outermost Haar rotation R_M is neither drawn nor applied; every inner
+    rotation changes the law and stays.  Since R_M is the last draw of
+    :func:`build_product_batch`, at a fixed seed both use the same random
+    numbers and their spectra agree to rounding.
+    """
+    return spectra_batch(_antisymmetrized(_product_core(spec, size, rng)))
 
 
 def build_product(spec: ProductSpec,

@@ -205,18 +205,39 @@ def test_cli_table_rejects_non_finite_rows(tmp_path):
 
 def test_cli_table_bytes_match_per_value_spelling(tmp_path):
     from antiprod.cli import _write_table
-    header = ["a", "b", "c"]
-    rows = [(0.1, 1 / 3, 5e-324), (1e-300, 2.5e17, 0.0),
-            (-0.0, 123456789.125, 7.0)]
-    # the reference spelling: one value at a time
-    csv = "\n".join([",".join(header)] + [
-        ",".join(format(float(v), ".17g") for v in row) for row in rows]) + "\n"
-    jsonl = "\n".join(json.dumps(dict(zip(header, [float(v) for v in row])),
-                                 sort_keys=True) for row in rows) + "\n"
-    _write_table(tmp_path, "t", header, rows, "csv", {})
-    _write_table(tmp_path, "t", header, np.array(rows), "jsonlines", {})
-    assert (tmp_path / "t.csv").read_text() == csv
-    assert (tmp_path / "t.jsonl").read_text() == jsonl
+    cases = [
+        (["a", "b", "c"], [(0.1, 1 / 3, 5e-324), (1e-300, 2.5e17, 0.0),
+                           (-0.0, 123456789.125, 7.0)]),
+        # the bin header, whose sorted key order differs from its column order
+        (["bin_lo", "bin_hi", "empirical", "analytic", "zscore"],
+         [(0.0, 0.25, 0.02, 0.02, -1.5), (0.25, 3.0000000000000004, 0.98,
+                                          0.98, 1e-17)]),
+        (["a_1"], [(0.5,), (2.0 / 3.0,), (1e22,)]),
+        (["a_1", "a_2"], []),
+    ]
+    for k, (header, rows) in enumerate(cases):
+        # the reference spelling: one value at a time
+        csv = "\n".join([",".join(header)] + [
+            ",".join(format(float(v), ".17g") for v in row)
+            for row in rows]) + "\n"
+        jsonl = "".join(json.dumps(dict(zip(header, [float(v) for v in row])),
+                                   sort_keys=True) + "\n" for row in rows)
+        _write_table(tmp_path, f"t{k}", header, rows, "csv", {})
+        _write_table(tmp_path, f"t{k}", header, np.array(rows), "jsonlines", {})
+        assert (tmp_path / f"t{k}.csv").read_text() == csv
+        assert (tmp_path / f"t{k}.jsonl").read_text() == jsonl
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--samples", "0"],
+    ["sample", "--samples", "-5"],
+    ["verify", "--suite", "spectrum", "--samples", "0"],
+], ids=["sample-0", "sample-negative", "verify-spectrum-0"])
+def test_cli_sample_count_below_one_exits_two(tmp_path, capsys, argv):
+    from antiprod.cli import main
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "error: sample count must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_quadrature_error_exits_two(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ from antiprod.linalg import (DomainError, SingularSpectrum,
                              haar_orthogonal_batch, spectra_batch)
 from antiprod.samplers import (GinibreSpec, JacobiSpec, ProductSpec,
                                _factor_batch, build_product,
-                               build_product_batch,
+                               build_product_batch, product_spectra_batch,
                                sample_ginibre_rect,
                                sample_induced_ginibre,
                                sample_induced_ginibre_batch,
@@ -175,3 +175,66 @@ def test_ginibre_det_mean_is_bartlett(spec):
     expect = np.prod(2 * (spec.n + spec.nu) - np.arange(2 * spec.n))
     z = (d.mean() - expect) / (d.std(ddof=1) / np.sqrt(size))
     assert abs(z) < 4.0
+
+
+# The spectra-only path skips the outermost rotation R_M, the last draw of
+# build_product_batch, so at a fixed seed it sees the same random numbers.
+
+def _factor_lists(n):
+    g0, g1, jac = GinibreSpec(n, 0.0), GinibreSpec(n, 1.0), JacobiSpec(n, n, 4 * n + 1)
+    return [(), (g1,), (jac, g0), (g0, jac, g1)]
+
+
+def _assert_squares_close(a, b):
+    # squares within 1e-10 of the row's largest square
+    scale = np.max(b * b, axis=1, keepdims=True)
+    assert np.max(np.abs(a * a - b * b) / scale) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_spectra_match_full_product(n):
+    base = np.linspace(0.5, 2.0, n)
+    for m, factors in enumerate(_factor_lists(n)):
+        spec = ProductSpec(factors=factors, base=base)
+        seed = 100 + 10 * n + m
+        a = product_spectra_batch(spec, 300, np.random.default_rng(seed))
+        assert a.shape == (300, n)
+        full = spectra_batch(build_product_batch(spec, 300,
+                                                 np.random.default_rng(seed)))
+        _assert_squares_close(a, full)
+        # the explicit product of whole factors g = R C, drawn in turn
+        rng = np.random.default_rng(seed)
+        y = build_product(ProductSpec(base=base), rng).entries
+        for factor in factors:
+            g = _factor_batch(factor, 300, rng)
+            y = g @ y @ np.swapaxes(g, 1, 2)
+        y = np.broadcast_to(y, (300, 2 * n, 2 * n))
+        _assert_squares_close(a, spectra_batch((y - np.swapaxes(y, 1, 2)) / 2))
+
+
+def test_product_spectra_of_empty_product_are_the_base():
+    for base in ([0.3], [1.0, 2.0], [0.3, 1.7, 2.2], [0.1, 0.2, 5.0, 7.5]):
+        a = product_spectra_batch(ProductSpec(base=base), 5,
+                                  np.random.default_rng(13))
+        assert np.array_equal(a, np.tile(base, (5, 1)))
+
+
+@pytest.mark.parametrize("spec", [GinibreSpec(1, 0.0), GinibreSpec(1, 1.0),
+                                  JacobiSpec(1, 1, 5)], ids=str)
+def test_product_spectra_n1_are_det_times_base(spec):
+    # at n = 1, g A g^T = det(g) A for every 2 x 2 antisymmetric A
+    sampler = (sample_induced_ginibre_batch if isinstance(spec, GinibreSpec)
+               else sample_induced_jacobi_batch)
+    a = product_spectra_batch(ProductSpec(factors=(spec,), base=[1.7]), 2000,
+                              np.random.default_rng(14))[:, 0]
+    g = sampler(spec, 2000, np.random.default_rng(14))
+    expect = np.abs(np.linalg.det(g)) * 1.7
+    assert np.max(np.abs(a - expect) / expect) < 1e-13
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_product_rejects_sample_counts_below_one(size):
+    spec = ProductSpec(factors=(GinibreSpec(1, 0.0),))
+    for build in (build_product_batch, product_spectra_batch):
+        with pytest.raises(DomainError):
+            build(spec, size, np.random.default_rng(15))
