@@ -15,6 +15,7 @@ import json
 import time
 from itertools import product
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from scipy import special, stats
 
 from . import __version__
 from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
-                     build_canonical, spectra_batch)
+                     build_canonical, haar_orthogonal_batch, spectra_batch)
 from .mellin import (TAIL_CUT, ConvolvedDensity, WeightFunction,
                      ginibre_weight, jacobi_weight, mellin_convolve,
                      mellin_numeric, quad, quad_cumulative)
@@ -211,7 +212,8 @@ def run_corank2_experiment(config: ExperimentConfig) -> TestReport:
     rng = _rng(config.seed)
     x = build_canonical(a).entries
     vals = []
-    for (k,) in _haar_blocks(2 * n, config.nsamples, rng):
+    haar = partial(haar_orthogonal_batch, 2 * n)
+    for (k,) in _haar_blocks((haar,), config.nsamples, rng):
         y = k @ x @ np.swapaxes(k, 1, 2)
         y = (y - np.swapaxes(y, 1, 2)) / 2.0
         vals.append(spectra_batch(y[:, :-2, :-2]))

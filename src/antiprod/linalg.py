@@ -259,13 +259,16 @@ def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.nda
 _HAAR_BLOCK = 100_000
 
 
-def _haar_blocks(m: int, nsamples: int, rng: np.random.Generator,
-                 draws: int = 1):
-    """Yield tuples of `draws` Haar O(m) stacks, drawn in order, with
-    min(_HAAR_BLOCK, remaining) matrices each, until nsamples are drawn."""
+def _haar_blocks(draws, nsamples: int, rng: np.random.Generator):
+    """Yield, for each block of min(_HAAR_BLOCK, remaining) samples until
+    nsamples are drawn, the tuple of draw(block, rng) over the callables of
+    `draws`, called in order; `partial(haar_orthogonal_batch, m)` draws
+    Haar O(m) stacks."""
+    if nsamples < 1:
+        raise DomainError("nsamples must be >= 1")
     for done in range(0, nsamples, _HAAR_BLOCK):
         block = min(_HAAR_BLOCK, nsamples - done)
-        yield tuple(haar_orthogonal_batch(m, block, rng) for _ in range(draws))
+        yield tuple(draw(block, rng) for draw in draws)
 
 
 def project_corank2(x: AntisymmetricMatrix) -> AntisymmetricMatrix:

@@ -13,24 +13,39 @@ corank-2 projection density, the Harish-Chandra O(2n) integral, and the
 spherical transforms with their exact factorization.
 
 Every Monte Carlo estimator here is one Haar average, `_haar_moments`: it
-streams blocks of Haar O(2n) draws, sums an integrand vector F and F F^H
-over the N draws, and returns the mean and covariance of F.  A scalar
-estimate has standard error sqrt(cov / N); Phi, a ratio of two averages
-over the same draws, takes its error from the delta method.
+streams blocks of draws, sums an integrand vector F and F F^H over the N
+samples, and returns the mean and covariance of F.  A scalar estimate has
+standard error sqrt(cov / N); Phi, a ratio of two averages over the same
+draws, takes its error from the delta method.
+
+Each stack of a block is drawn by its own callable.  The Haar average of
+prod_j det((k m k^T)[:2j, :2j])^(e_j) equals that of k^T m k, since k^T is
+Haar too, and the minors of k^T m k read only the leading p columns of k.
+Those columns are distributed as the QR frame Q = g R^-1 of a standard
+Gaussian 2n x p matrix g, and then each proper minor is the Gram ratio
+det(g_2j^T m g_2j) / det(g_2j^T g_2j), draw by draw, while the full minor
+is the constant det m.  So
+`phi_montecarlo`, `psi_montecarlo` and the Psi draw of
+`factorization_check_psi` draw only Gaussian 2n x p frames, with
+p = 2 max{j < n : e_j != 0}, and orthogonalize nothing.  The estimators
+whose integrand needs all of k (`harish_chandra_o2n_mc`,
+`factorization_check_phi` and the inner rotation of
+`factorization_check_psi`) draw Haar O(2n) stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
 
 import numpy as np
 from scipy import special
 
 from .linalg import (DEGENERACY_RTOL, DomainError, SingularSpectrum,
-                     _haar_blocks, build_canonical, spectra_batch,
-                     vandermonde_sq)
-from .mellin import QuadratureError
+                     _haar_blocks, build_canonical, haar_orthogonal_batch,
+                     spectra_batch, vandermonde_sq)
+from .mellin import quad
 
 __all__ = [
     "SphericalParameter", "phi_closed", "phi_montecarlo", "psi_montecarlo",
@@ -303,29 +318,47 @@ def _sandwich(k, m):
     return k @ m @ np.swapaxes(k, 1, 2)
 
 
-def _minor_power(y, exponents):
-    """prod_j det(y[:2j, :2j])^(e_j) for each matrix y of a stack."""
-    logf = np.zeros(y.shape[0], dtype=complex)
-    for j, e in enumerate(exponents, start=1):
-        if e == 0:
-            continue
-        d = np.maximum(np.linalg.det(y[:, :2 * j, :2 * j]), 1e-300)
-        logf = logf + e * np.log(d)
-    return np.exp(logf)
+def _frame_draw(s: SphericalParameter):
+    """Draw callable of `_haar_moments`: stacks of standard Gaussian
+    2n x p matrices, p = 2 max{j < n : e_j != 0} (0 when only the full
+    minor is weighted), the columns that `_frame_minor_power` reads."""
+    proper = np.flatnonzero(s.exponents[:-1])
+    p = 2 * (proper[-1] + 1) if proper.size else 0
+    return lambda size, rng: rng.standard_normal((size, 2 * s.n, p))
 
 
-def _haar_moments(dim, nsamples, rng, block_fn, draws=1):
-    """Haar Monte Carlo moments over O(dim) of the rows of block_fn.
+def _frame_minor_power(g, m, exponents):
+    """prod_j det((k^T m k)[:2j, :2j])^(e_j) over a stack of Gaussian g.
 
-    block_fn maps the `draws` Haar stacks of one block to an (m, block)
-    array F.  Returns (mean, cov, N) with mean_i = E[F_i] and
-    cov[i, j] = E[F_i conj(F_j)] - E[F_i] conj(E[F_j]) over the N samples.
+    k is the Haar matrix whose leading columns are the QR frame
+    Q = g R^-1 of g.  Since
+    (Q^T m Q)[:2j, :2j] = R_2j^-T g_2j^T m g_2j R_2j^-1, each proper minor
+    is the Gram ratio det(g_2j^T m g_2j) / det(g_2j^T g_2j) of the leading
+    2j columns, and the full minor is det m.  Leading axes of m broadcast
+    against the stack.
     """
-    if nsamples < 1:
-        raise DomainError("nsamples must be >= 1")
+    gt = np.swapaxes(g, -1, -2)
+    num, den = gt @ m @ g, gt @ g
+    logf = exponents[-1] * np.log(np.maximum(np.linalg.det(m), 1e-300))
+    for j, e in enumerate(exponents[:g.shape[-1] // 2], start=1):
+        if e != 0:
+            r = np.linalg.det(num[..., :2 * j, :2 * j]) \
+                / np.linalg.det(den[..., :2 * j, :2 * j])
+            logf = logf + e * np.log(np.maximum(r, 1e-300))
+    return np.exp(np.broadcast_to(logf, num.shape[:-2]))
+
+
+def _haar_moments(draws, nsamples, rng, block_fn):
+    """Haar Monte Carlo moments of the rows of block_fn.
+
+    block_fn maps the stacks that the callables of `draws` return for one
+    block to an (m, block) array F.  Returns (mean, cov, N) with
+    mean_i = E[F_i] and cov[i, j] = E[F_i conj(F_j)] - E[F_i] conj(E[F_j])
+    over the N samples.
+    """
     S1 = S2 = N = 0
-    for ks in _haar_blocks(dim, nsamples, rng, draws):
-        F = block_fn(*ks)
+    for stacks in _haar_blocks(draws, nsamples, rng):
+        F = block_fn(*stacks)
         S1 = S1 + F.sum(axis=1)
         S2 = S2 + F @ F.conj().T
         N += F.shape[1]
@@ -336,20 +369,19 @@ def _haar_moments(dim, nsamples, rng, block_fn, draws=1):
 def phi_montecarlo(s, a, nsamples: int, rng):
     """Monte Carlo estimate of Phi(s; i a (x) tau_2) from its definition.
 
-    The numerator and denominator Haar averages share the same sample set;
-    the standard error of the ratio comes from the delta method.
+    The numerator and denominator Haar averages share the same Gaussian
+    frames; the standard error of the ratio comes from the delta method.
     """
     s = _as_param(s)
     a = _as_spectrum(a)
     if a.n != s.n:
         raise DomainError("s and a must have the same length")
     _minor_exponent_check(s, float(np.min(a.values)))
-    x = build_canonical(a).entries
-    x1 = build_canonical(SingularSpectrum(np.ones(a.n))).entries
+    ms = np.stack([build_canonical(a).entries,
+                   build_canonical(SingularSpectrum(np.ones(a.n))).entries])
     mean, cov, N = _haar_moments(
-        2 * a.n, nsamples, rng,
-        lambda k: np.stack([_minor_power(_sandwich(k, m), s.exponents)
-                            for m in (x, x1)]))
+        (_frame_draw(s),), nsamples, rng,
+        lambda f: _frame_minor_power(f, ms[:, None], s.exponents))
     num, den = mean
     r = num / den
     var_resid = (cov[0, 0] + abs(r) ** 2 * cov[1, 1]
@@ -367,8 +399,8 @@ def psi_montecarlo(s, g, nsamples: int, rng):
         raise DomainError("dimension of g does not match s")
     m = ge @ ge.T
     mean, cov, N = _haar_moments(
-        ge.shape[0], nsamples, rng,
-        lambda k: _minor_power(_sandwich(k, m), s.exponents)[None])
+        (_frame_draw(s),), nsamples, rng,
+        lambda f: _frame_minor_power(f, m, s.exponents)[None])
     stderr = np.sqrt(max(cov[0, 0].real, 0.0) / N)
     return complex(mean[0]), float(stderr)
 
@@ -388,7 +420,8 @@ def factorization_check_phi(s, g, a, nsamples: int, rng):
         y = (y - np.swapaxes(y, 1, 2)) / 2.0
         return _phi_closed_batch(s, spectra_batch(y))[None]
 
-    mean, cov, N = _haar_moments(x.shape[0], nsamples, rng, lhs_block)
+    haar = partial(haar_orthogonal_batch, x.shape[0])
+    mean, cov, N = _haar_moments((haar,), nsamples, rng, lhs_block)
     lhs = mean[0]
     lhs_se = np.sqrt(max(cov[0, 0].real, 0.0) / N)
     psi, psi_se = psi_montecarlo(s, ge, nsamples, rng)
@@ -403,20 +436,21 @@ def factorization_check_psi(s, g, gprime, nsamples: int, rng):
     """Check E_k Psi(s; g k g' g'^T k^T g^T) = Psi(s; g) Psi(s; g').
 
     The left side is a double Haar average (one k from the identity, one
-    from Psi itself), estimated with two independent Haar draws per sample.
-    Returns (lhs, rhs, zscore)."""
+    from Psi itself), estimated per sample with a Haar draw k and a
+    Gaussian frame for Psi.  Returns (lhs, rhs, zscore)."""
     s = _as_param(s)
     ge = g.entries if hasattr(g, "entries") else np.asarray(g, dtype=float)
     gpe = gprime.entries if hasattr(gprime, "entries") \
         else np.asarray(gprime, dtype=float)
     inner = gpe @ gpe.T
 
-    def lhs_block(k1, k2):
-        m = ge @ _sandwich(k1, inner) @ ge.T
-        return _minor_power(_sandwich(k2, m), s.exponents)[None]
+    def lhs_block(k, f):
+        return _frame_minor_power(f, ge @ _sandwich(k, inner) @ ge.T,
+                                  s.exponents)[None]
 
-    mean, cov, N = _haar_moments(ge.shape[0], nsamples, rng, lhs_block,
-                                 draws=2)
+    haar = partial(haar_orthogonal_batch, ge.shape[0])
+    mean, cov, N = _haar_moments((haar, _frame_draw(s)), nsamples, rng,
+                                 lhs_block)
     lhs = mean[0]
     lhs_se = np.sqrt(max(cov[0, 0].real, 0.0) / N)
     p1, se1 = psi_montecarlo(s, ge, nsamples, rng)
@@ -453,15 +487,17 @@ def fn_limit(s) -> complex:
     return fn_closed(s, ones)
 
 
-def fn_recurrence(s, a, points_per_cell: int = 24, rtol: float = 1e-7) -> complex:
-    """f_n through the corank-2 projection recursion, by cell quadrature.
+def fn_recurrence(s, a) -> complex:
+    """f_n through the corank-2 projection recursion, by quadrature.
 
-    The (n-1)-fold integral couples the projection density with the closed
-    form of f_(n-1); the two antisymmetric Vandermonde factors in the
-    integrand cancel analytically, so the quadrature never divides by a
-    small gap.  Cells are cut at the singular values (where the integrand
-    kinks) and the lowest cell is refined geometrically toward 0 to resolve
-    the algebraic endpoint power.
+    The recursion integrates the projection density against the closed
+    form of f_(n-1) over the inner spectrum x in (0, a_n)^(n-1).  The two
+    Vandermonde factors of x cancel analytically, which leaves
+    det[1; (a_c - x_b)_+] det[x_b^(p_l)] under the integral.  By
+    Andreief's identity that (n-1)-fold integral is
+    (n-1)! det[1; int_0^(a_c) (a_c - x) x^(p_l) dx], whose (n-1) x n entries
+    are one vectorized `quad` call.  The quadrature is the independent
+    route; the entries are not replaced by their Beta-function values.
     """
     s = _as_param(s)
     a = _as_spectrum(a)
@@ -478,67 +514,15 @@ def fn_recurrence(s, a, points_per_cell: int = 24, rtol: float = 1e-7) -> comple
     # the Vandermonde of the inner spectrum cancels between the projection
     # density and the closed form of f_(n-1); what survives of it is c_(n-1)
     c_factor = _cn_delta(s_shift) / _pairwise_prod(s_shift)
-
-    def integral(npts):
-        # 1-d cell decomposition shared by every coordinate
-        brk = np.concatenate([[0.0], av])
-        cells = []
-        # refine (0, a_1) geometrically toward 0
-        lo, hi = brk[0], brk[1]
-        edges = [hi]
-        t = hi
-        for _ in range(12):
-            t *= 0.2
-            edges.append(t)
-        edges.append(0.0)
-        edges = edges[::-1]
-        cells.extend(zip(edges[:-1], edges[1:]))
-        for i in range(1, n):
-            cells.append((brk[i], brk[i + 1]))
-        nodes, wts = np.polynomial.legendre.leggauss(npts)
-        xs, ws = [], []
-        for lo, hi in cells:
-            half = (hi - lo) / 2.0
-            xs.append((hi + lo) / 2.0 + half * nodes)
-            ws.append(half * wts)
-        xs = np.concatenate(xs)
-        ws = np.concatenate(ws)
-        d = n - 1
-        grids = np.meshgrid(*([xs] * d), indexing="ij")
-        wgrids = np.meshgrid(*([ws] * d), indexing="ij")
-        X = np.stack([g.ravel() for g in grids], axis=-1)     # (M, d)
-        W = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-        total = 0.0 + 0.0j
-        chunk = 200_000
-        for start in range(0, X.shape[0], chunk):
-            Xc = X[start:start + chunk]
-            Wc = W[start:start + chunk]
-            m = Xc.shape[0]
-            # det[ones row; (a_c - x_b) Theta], size n x n
-            D1 = np.empty((m, n, n))
-            D1[:, 0, :] = 1.0
-            diff = av[None, None, :] - Xc[:, :, None]
-            D1[:, 1:, :] = np.where(diff > 0.0, diff, 0.0)
-            det1 = np.linalg.det(D1)
-            # det[x_b^(p_l)], size d x d
-            logx = np.log(Xc)
-            D2 = np.exp(p[None, :, None] * logx[:, None, :])
-            det2 = np.linalg.det(D2)
-            total += np.sum(Wc * det1 * det2)
-        return total
-
-    I1 = integral(points_per_cell)
-    I2 = integral(points_per_cell + 10)
-    err = abs(I2 - I1) / max(abs(I2), 1e-300)
-    if err > rtol:
-        raise QuadratureError(
-            f"recursion quadrature achieved relative error {err:.2e}, "
-            f"above {rtol:.1e}", value=I2, error=err)
+    moments, _ = quad(lambda x, ac, pl: (ac - x) * x ** pl,
+                      0.0, av[None, :], av[None, :], p[:, None])
+    integral = factorial(n - 1) * np.linalg.det(
+        np.vstack([np.ones(n), moments]))
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
     det_a = float(np.prod(av))
     vand = vandermonde_sq(a)
     norm = pref * det_a ** complex(s.s[-1] + n - 1) * c_factor / vand
-    return complex(norm * I2)
+    return complex(norm * integral)
 
 
 # Harish-Chandra integral over O(2n)
@@ -618,7 +602,8 @@ def harish_chandra_o2n_mc(x, y, nsamples: int, rng):
     def block(k):
         return np.exp(np.einsum("ij,sji->s", X, _sandwich(k, Y)) / 2.0)[None]
 
-    mean, cov, N = _haar_moments(X.shape[0], nsamples, rng, block)
+    haar = partial(haar_orthogonal_batch, X.shape[0])
+    mean, cov, N = _haar_moments((haar,), nsamples, rng, block)
     return float(mean[0]), float(np.sqrt(max(cov[0, 0], 0.0) / N))
 
 
@@ -666,7 +651,14 @@ def spherical_transform_poly(spec, s) -> complex:
 
 def spherical_transform_factor(factor, s) -> complex:
     """Transform of a factorizing ensemble:
-    S_Psi(s) = prod_j M A(s_j - n + 1) / M A(2j - 1)."""
+    S_Psi(s) = prod_j M A(s_j - n + 1) / M A(2j - 1).
+
+    Against a sampled factor g of weight A the parameter is shifted: with
+    s' = s - (2n - 1) and the minor exponents e_j of s',
+    E_g prod_j det((g g^T)[:2j, :2j])^(e_j) = S_Psi(s), and a product of
+    factors A_i on the base a~ with sampled spectrum a has
+    E Phi(s'; a) = prod_i S_Psi[A_i](s) Phi(s'; a~).
+    """
     s = _as_param(s)
     n = s.n
     out = 1.0 + 0.0j

@@ -240,6 +240,18 @@ def test_cli_sample_count_below_one_exits_two(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("suite", ["corank2", "spherical"])
+def test_cli_haar_suites_reject_zero_samples(tmp_path, capsys, suite):
+    # both suites draw through the shared Haar block loop
+    from antiprod.cli import main
+    assert main(["verify", "--suite", suite, "--samples", "0",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: nsamples must be >= 1" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_quadrature_error_exits_two(tmp_path, monkeypatch, capsys):
     from antiprod import cli
     from antiprod.mellin import QuadratureError

@@ -2,8 +2,10 @@
 
 The block size is patched to 7 and 20 samples are drawn, so every estimator
 runs two full blocks and one partial block.  The reference draws the same
-Haar stacks block by block, then evaluates the integrands sample by sample
-through independent formulas.
+Haar stacks and Gaussian stacks block by block, then evaluates the
+integrands sample by sample through independent formulas: the minor
+estimators take the Haar matrix k of each Gaussian stack from its own QR
+factorization and the principal minors of k^T m k.
 """
 
 import numpy as np
@@ -31,12 +33,38 @@ def small_block(monkeypatch):
     monkeypatch.setattr(linalg, "_HAAR_BLOCK", BLOCK)
 
 
-def naive_draws(rng, dim, draws=1):
-    """`draws` Haar stacks of NS matrices, drawn in blocks of BLOCK."""
+def naive_draws(rng, draws):
+    """One stack of NS matrices per callable of `draws`, drawn in blocks of
+    BLOCK."""
     sizes = [BLOCK] * (NS // BLOCK) + [NS % BLOCK]
-    blocks = [[haar_orthogonal_batch(dim, size, rng) for _ in range(draws)]
-              for size in sizes]
+    blocks = [[draw(size, rng) for draw in draws] for size in sizes]
     return [np.concatenate(ks) for ks in zip(*blocks)]
+
+
+def haar(size, rng):
+    return haar_orthogonal_batch(4, size, rng)
+
+
+def gauss(size, rng):
+    # the proper minor of order 2 has a nonzero exponent at S, so the
+    # estimators draw the two leading columns of k
+    return rng.standard_normal((size, 4, 2))
+
+
+def qr_haar(g):
+    """For each Gaussian matrix, an orthogonal k whose leading columns are
+    its QR frame with the R diagonal made positive."""
+    ks = []
+    for gi in g:
+        q, r = np.linalg.qr(gi, mode="complete")
+        q[:, :gi.shape[1]] *= np.sign(np.diag(r))
+        ks.append(q)
+    return np.array(ks)
+
+
+def frame_minor_product(g, m):
+    """Minor products of k^T m k for the k of each Gaussian matrix."""
+    return minor_product(sandwich(qr_haar(g).transpose(0, 2, 1), m))
 
 
 def minor_product(y):
@@ -54,16 +82,16 @@ def mean_se(v):
 
 
 def naive_psi(rng, g):
-    return mean_se(minor_product(sandwich(naive_draws(rng, 4)[0], g @ g.T)))
+    return mean_se(frame_minor_product(naive_draws(rng, (gauss,))[0], g @ g.T))
 
 
 def test_phi_montecarlo_partial_block():
     got = phi_montecarlo(S, A, NS, np.random.default_rng(1))
-    k = naive_draws(np.random.default_rng(1), 4)[0]
-    num = minor_product(sandwich(k, build_canonical(
-        linalg.SingularSpectrum.from_values(A)).entries))
-    den = minor_product(sandwich(k, build_canonical(
-        linalg.SingularSpectrum(np.ones(2))).entries))
+    f = naive_draws(np.random.default_rng(1), (gauss,))[0]
+    num = frame_minor_product(f, build_canonical(
+        linalg.SingularSpectrum.from_values(A)).entries)
+    den = frame_minor_product(f, build_canonical(
+        linalg.SingularSpectrum(np.ones(2))).entries)
     r = np.mean(num) / np.mean(den)
     se = np.sqrt(np.mean(np.abs(num - r * den) ** 2) / NS) / abs(np.mean(den))
     assert got[0] == pytest.approx(r, rel=1e-12)
@@ -79,7 +107,7 @@ def test_psi_montecarlo_partial_block():
 def test_harish_chandra_mc_partial_block():
     x, y = (0.5, 1.0), (0.8, 1.6)
     got = harish_chandra_o2n_mc(x, y, NS, np.random.default_rng(3))
-    k = naive_draws(np.random.default_rng(3), 4)[0]
+    k = naive_draws(np.random.default_rng(3), (haar,))[0]
     X = build_canonical(linalg.SingularSpectrum.from_values(x)).entries
     Y = build_canonical(linalg.SingularSpectrum.from_values(y)).entries
     vals = np.exp(np.trace(X @ sandwich(k, Y), axis1=1, axis2=2) / 2.0)
@@ -90,7 +118,7 @@ def test_factorization_phi_partial_block():
     got = factorization_check_phi(S, G, A, NS, np.random.default_rng(4))
     rng = np.random.default_rng(4)
     x = build_canonical(linalg.SingularSpectrum.from_values(A)).entries
-    ys = G @ sandwich(naive_draws(rng, 4)[0], x) @ G.T
+    ys = G @ sandwich(naive_draws(rng, (haar,))[0], x) @ G.T
     lhs = [phi_closed(S, linalg.singular_spectrum(
         linalg.AntisymmetricMatrix.from_raw(y))) for y in ys]
     lhs, lhs_se = mean_se(np.array(lhs))
@@ -103,9 +131,9 @@ def test_factorization_phi_partial_block():
 def test_factorization_psi_partial_block():
     got = factorization_check_psi(S, G, GP, NS, np.random.default_rng(5))
     rng = np.random.default_rng(5)
-    k1, k2 = naive_draws(rng, 4, draws=2)
-    lhs, lhs_se = mean_se(minor_product(
-        sandwich(k2, G @ sandwich(k1, GP @ GP.T) @ G.T)))
+    k1, f = naive_draws(rng, (haar, gauss))
+    lhs, lhs_se = mean_se(frame_minor_product(
+        f, G @ sandwich(k1, GP @ GP.T) @ G.T))
     (p1, se1), (p2, se2) = naive_psi(rng, G), naive_psi(rng, GP)
     z = abs(lhs - p1 * p2) / np.sqrt(lhs_se ** 2 + (se1 * abs(p2)) ** 2
                                      + (se2 * abs(p1)) ** 2)
@@ -139,7 +167,7 @@ def test_corank2_samples_partial_block(monkeypatch):
     monkeypatch.setattr(harness, "_binned_comparison", spy)
     harness.run_corank2_experiment(harness.ExperimentConfig(
         kind="corank2", params={"a": list(A)}, nsamples=NS, seed=6, bins=5))
-    k = naive_draws(np.random.default_rng(6), 4)[0]
+    k = naive_draws(np.random.default_rng(6), (haar,))[0]
     x = build_canonical(linalg.SingularSpectrum.from_values(A)).entries
     # the corank-2 block of a 4 x 4 antisymmetric matrix is [[0, b], [-b, 0]]
     want = np.abs(sandwich(k, x)[:, 0, 1])

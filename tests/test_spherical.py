@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from antiprod import spherical
 from antiprod.linalg import DomainError, SingularSpectrum
 from antiprod.spherical import (SphericalParameter, fn_closed, fn_limit,
                                 fn_recurrence, harish_chandra_o2n,
@@ -56,6 +57,27 @@ def test_phi_montecarlo_agrees():
     closed = phi_closed(s, a)
     assert se > 0
     assert abs(mc - closed) < 3.5 * se
+    # negative control: the same draws against Phi at a scaled by 1.02
+    assert abs(mc - phi_closed(s, (1.02, 2.04))) > 10.0 * se
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["antisymmetric", "gram"])
+def test_gram_ratio_minors_match_qr_frame(n, kind):
+    rng = np.random.default_rng(20 + n)
+    h = rng.standard_normal((2 * n, 2 * n))
+    m = h - h.T if kind == "antisymmetric" else h @ h.T
+    e = rng.uniform(0.3, 1.5, n) + 0.2j       # every minor weighted
+    g = rng.standard_normal((40, 2 * n, 2 * n - 2))
+    got = spherical._frame_minor_power(g, m, e)
+    want = []
+    for gi in g:
+        k, r = np.linalg.qr(gi, mode="complete")
+        k[:, :2 * n - 2] *= np.sign(np.diag(r))
+        y = k.T @ m @ k
+        want.append(np.prod([complex(np.linalg.det(y[:2 * j, :2 * j]))
+                             ** e[j - 1] for j in range(1, n + 1)]))
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_phi_montecarlo_rejects_outside_domain():
@@ -93,13 +115,45 @@ def test_factorization_psi(s):
     assert z < 3.5
 
 
+def test_factorization_phi_negative_control(monkeypatch):
+    # the same draws against a right side with Phi at a scaled by 1.02
+    g = np.diag([1.2, 0.8, 1.1, 0.9])
+    args = ((4.0, 0.0), g, (1.0, 2.0), 100_000)
+    _, _, z = factorization_check_phi(*args, np.random.default_rng(3))
+    closed = spherical.phi_closed
+    monkeypatch.setattr(spherical, "phi_closed",
+                        lambda s, a: closed(s, 1.02 * a.values))
+    _, _, z_twin = factorization_check_phi(*args, np.random.default_rng(3))
+    assert z < 4.0 and z_twin > 10.0
+
+
+def test_factorization_psi_negative_control(monkeypatch):
+    # the same draws against a right side whose Psi factors are each
+    # scaled by 1.02
+    g = np.diag([1.2, 0.8, 1.1, 0.9])
+    gp = np.diag([0.7, 1.3, 1.0, 1.0])
+    args = ((4.0, 0.0), g, gp, 100_000)
+    _, _, z = factorization_check_psi(*args, np.random.default_rng(4))
+    psi = spherical.psi_montecarlo
+
+    def scaled(*a):
+        value, se = psi(*a)
+        return 1.02 * value, se
+
+    monkeypatch.setattr(spherical, "psi_montecarlo", scaled)
+    _, _, z_twin = factorization_check_psi(*args, np.random.default_rng(4))
+    assert z < 4.0 and z_twin > 10.0
+
+
 def test_fn_recurrence_matches_closed():
     for s, a in [((2.0, 0.0), (1.0, 2.0)),
                  ((3.0, 1.0), (1.0, 2.0)),
-                 ((4.0, 2.0, 0.0), (1.0, 2.0, 3.0))]:
+                 ((4.0, 2.0, 0.0), (1.0, 2.0, 3.0)),
+                 ((8.0, 5.5, 3.0, 0.0), (0.6, 1.1, 1.7, 2.3)),
+                 ((6.5 + 0.7j, 3.2 - 0.4j, 0.5 + 0.1j), (0.8, 1.5, 2.1))]:
         rec = fn_recurrence(s, a)
         clo = fn_closed(s, a)
-        assert abs(rec - clo) / abs(clo) < 1e-6
+        assert abs(rec - clo) / abs(clo) < 1e-9
 
 
 def test_fn_named_value():
