@@ -22,12 +22,12 @@ from scipy import special
 
 from .linalg import (DEGENERACY_RTOL, DomainError, SingularSpectrum,
                      vandermonde_sq)
-from .mellin import (ConvolvedDensity, FactorizingWeight, WeightFunction)
+from .mellin import ConvolvedDensity, WeightFunction
 
 __all__ = [
     "PolynomialEnsembleSpec", "FixedBaseSpec",
     "fixed_base_weights", "muttalib_borodin_weights", "degenerate_weights",
-    "jpdf_fixed", "jpdf_degenerate", "jpdf_fact_poly",
+    "jpdf_fixed", "jpdf_degenerate",
     "product_weights", "convolve_ensemble", "corank2_jpdf",
 ]
 
@@ -113,7 +113,7 @@ def _as_fixed(atilde) -> FixedBaseSpec:
     return FixedBaseSpec(atilde)
 
 
-def _log_mellin_norm(factor: FactorizingWeight, n: int) -> float:
+def _log_mellin_norm(factor: WeightFunction, n: int) -> float:
     """log prod_j M A(2j - 1) for j = 1..n (positive for a density)."""
     out = 0.0
     for j in range(1, n + 1):
@@ -121,7 +121,7 @@ def _log_mellin_norm(factor: FactorizingWeight, n: int) -> float:
     return out
 
 
-def fixed_base_weights(atilde, factor: FactorizingWeight) -> tuple:
+def fixed_base_weights(atilde, factor: WeightFunction) -> tuple:
     """Weights w_c(a) = (1/atilde_c) A(a / atilde_c) of the fixed-base
     polynomial ensemble, with exact Mellin atilde_c^(s-1) M A(s)."""
     spec = _as_fixed(atilde)
@@ -142,7 +142,7 @@ def fixed_base_weights(atilde, factor: FactorizingWeight) -> tuple:
     return tuple(weights)
 
 
-def degenerate_weights(factor: FactorizingWeight, n: int) -> tuple:
+def degenerate_weights(factor: WeightFunction, n: int) -> tuple:
     """Weights w_c = (-a d/da)^(c-1) A with exact Mellin s^(c-1) M A(s)."""
     weights = []
     for c in range(1, n + 1):
@@ -190,14 +190,14 @@ def muttalib_borodin_weights(nu: float, mu: float, n: int) -> tuple:
 
 
 def _confluent_fixed_det(a: np.ndarray, atv: np.ndarray,
-                         factor: FactorizingWeight) -> float:
+                         factor: WeightFunction) -> float:
     """det[(1/t_c) A(a_b / t_c)] / Delta_n(t^2) with coinciding t entries.
 
     Columns in the variable u = t^2 are replaced by divided differences;
     derivatives with respect to u are assembled from closed-form density
     derivatives through d/du = (1/(2t)) d/dt.
     """
-    from .spherical import _hermite_divdiff, _snap_clusters
+    from .spherical import _expand, _hermite_divdiff, _snap_clusters
     n = a.size
     u_nodes, _ = _snap_clusters(atv ** 2, DEGENERACY_RTOL)
     M = np.empty((n, n))
@@ -209,18 +209,12 @@ def _confluent_fixed_det(a: np.ndarray, atv: np.ndarray,
             return float(factor.density(ab / t)) / t
 
         def taylor(u, m, ab=ab):
-            # expand d^m/du^m of t^(-1) A(ab/t) over terms t^(-p) A^(k)(ab/t)
-            terms = {(1, 0): 1.0}
-            for _ in range(m):
-                new = {}
-                for (p, k), c in terms.items():
-                    # d/du = (1/2) t^(-1) d/dt;
-                    # d/dt [t^(-p) A^(k)(ab/t)] =
-                    #   -p t^(-p-1) A^(k) - ab t^(-p-2) A^(k+1)
-                    new[(p + 2, k)] = new.get((p + 2, k), 0.0) - 0.5 * p * c
-                    new[(p + 3, k + 1)] = new.get((p + 3, k + 1), 0.0) \
-                        - 0.5 * ab * c
-                terms = new
+            # expand d^m/du^m of t^(-1) A(ab/t) over terms t^(-p) A^(k)(ab/t):
+            # d/du = (1/2) t^(-1) d/dt and d/dt [t^(-p) A^(k)(ab/t)] =
+            # -p t^(-p-1) A^(k) - ab t^(-p-2) A^(k+1)
+            terms = _expand(lambda p, k: (((p + 2, k), -0.5 * p),
+                                          ((p + 3, k + 1), -0.5 * ab)),
+                            (1, 0), m)
             t = np.sqrt(u)
             out = 0.0
             for (p, k), c in terms.items():
@@ -231,7 +225,7 @@ def _confluent_fixed_det(a: np.ndarray, atv: np.ndarray,
     return float(np.linalg.det(M))
 
 
-def jpdf_fixed(a, atilde, factor: FactorizingWeight) -> float:
+def jpdf_fixed(a, atilde, factor: WeightFunction) -> float:
     """Density of the spectrum of g x g^T for fixed x with spectrum atilde.
 
     p(a | at) = [1 / (n! prod_j M A(2j-1))] Delta(a^2)/Delta(at^2)
@@ -261,16 +255,17 @@ def jpdf_fixed(a, atilde, factor: FactorizingWeight) -> float:
     return max(float(val), 0.0)
 
 
-def jpdf_degenerate(a, factor: FactorizingWeight) -> float:
+def jpdf_degenerate(a, factor: WeightFunction) -> float:
     """Limit atilde -> (1,...,1) of the fixed-base density.
 
     p(a) = [1 / (2^(n(n-1)/2) n! prod_j M A(2j-1))] Delta(a^2)
            * det[(-a_b d/da_b)^(c-1) A(a_b)].
+
+    For n >= 2 the factor needs closed-form derivatives; one without them
+    raises DomainError.
     """
     a = np.sort(np.asarray(a, dtype=float))
     n = a.size
-    if factor.smoothness < n - 1:
-        raise DomainError("factor density is not smooth enough")
     logc = -(n * (n - 1) / 2.0) * np.log(2.0) - special.gammaln(n + 1) \
         - _log_mellin_norm(factor, n)
     W = np.empty((n, n))
@@ -281,21 +276,17 @@ def jpdf_degenerate(a, factor: FactorizingWeight) -> float:
 
 
 def convolve_ensemble(base: PolynomialEnsembleSpec,
-                      factor: FactorizingWeight) -> PolynomialEnsembleSpec:
+                      factor: WeightFunction) -> PolynomialEnsembleSpec:
     """Polynomial ensemble of the product: weights A (*) w_b with exact
     Mellin products."""
     weights = []
     for w in base.weights:
         conv = ConvolvedDensity(factor, w)
-
-        def mellin(s, fa=factor, wb=w):
-            return fa.mellin(s) * wb.mellin(s)
-
         weights.append(WeightFunction(
-            density=conv, mellin=mellin, support=conv.support,
-            label=f"{factor.kind}(*){w.label}"))
+            density=conv, mellin=conv.mellin, support=conv.support,
+            label=f"{factor.label}(*){w.label}"))
     return PolynomialEnsembleSpec(n=base.n, weights=tuple(weights),
-                                  label=f"{factor.kind}(*){base.label}")
+                                  label=f"{factor.label}(*){base.label}")
 
 
 def product_weights(base, factors) -> PolynomialEnsembleSpec:
@@ -311,23 +302,6 @@ def product_weights(base, factors) -> PolynomialEnsembleSpec:
     for factor in factors:
         spec = convolve_ensemble(spec, factor)
     return spec
-
-
-#: The last (base, factor, convolved ensemble) of jpdf_fact_poly.  Holding
-#: the pair keeps it alive, so matching it by identity is safe.
-_FACT_CACHE: list = []
-
-
-def jpdf_fact_poly(a, base: PolynomialEnsembleSpec,
-                   factor: FactorizingWeight) -> float:
-    """Density of the product of one factor with a polynomial-ensemble base.
-
-    p(a) = [C_n[w] / prod_j M A(2j-1)] Delta(a^2) det[(A (*) w_b)(a_c)].
-    The convolved weights of the last (base, factor) pair are cached.
-    """
-    if not any(b is base and f is factor for b, f, _ in _FACT_CACHE):
-        _FACT_CACHE[:] = [(base, factor, convolve_ensemble(base, factor))]
-    return _FACT_CACHE[0][2].density(a)
 
 
 def corank2_jpdf(x, a) -> float:

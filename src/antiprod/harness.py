@@ -98,7 +98,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _factor_from_params(params: dict):
-    """(FactorizingWeight, sampler spec) from a config params mapping."""
+    """(WeightFunction, sampler spec) from a config params mapping."""
     kind = params.get("factor", "ginibre")
     n = int(params["n"])
     if kind == "ginibre":

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .linalg import DomainError, SingularSpectrum
-from .mellin import FactorizingWeight, WeightFunction, mellin_convolve
+from .mellin import WeightFunction, mellin_convolve
 from .ensembles import PolynomialEnsembleSpec, fixed_base_weights
 
 __all__ = [
@@ -75,7 +75,7 @@ class BiorthSystem:
     n: int
     ptilde_coeffs: np.ndarray
     qtilde: tuple
-    factor: FactorizingWeight | None = None
+    factor: WeightFunction | None = None
     label: str = "biorth"
     gram_offdiag: float | None = None
 
@@ -126,7 +126,7 @@ class BiorthSystem:
         return G
 
 
-def chi_poly(factor: FactorizingWeight, z, m1: int = 0, m2: int = 0):
+def chi_poly(factor: WeightFunction, z, m1: int = 0, m2: int = 0):
     """chi_{m1,m2}(z) = sum_{j=m1}^{m2} z^(2j) / M A(2j + 1).
 
     Terms with infinite Mellin value are dropped (their reciprocal is 0).
@@ -220,7 +220,7 @@ def _fixed_lagrange_coeffs(atv: np.ndarray) -> np.ndarray:
     return D
 
 
-def biorth_fixed(atilde, factor: FactorizingWeight) -> BiorthSystem:
+def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
     """Bi-orthonormal system of the fixed-base product ensemble.
 
     p_j(y') = contour average of chi(z) prod_{i!=j}(a_i^2 - (y'/z)^2) /
@@ -255,7 +255,7 @@ def _real_part(val: complex, what: str) -> float:
     return float(val.real)
 
 
-def _contour_p(sys: BiorthSystem, factor: FactorizingWeight, j: int,
+def _contour_p(sys: BiorthSystem, factor: WeightFunction, j: int,
                yprime: float, radius: float, n_nodes: int) -> float:
     """p_j(y') as the trapezoid z-circle average of chi(z) ptilde_j(y'/z)."""
     n = sys.n
@@ -269,7 +269,7 @@ def _contour_p(sys: BiorthSystem, factor: FactorizingWeight, j: int,
     return _real_part(complex(val), "z-contour")
 
 
-def _series_p(sys: BiorthSystem, factor: FactorizingWeight, j: int,
+def _series_p(sys: BiorthSystem, factor: WeightFunction, j: int,
               yprime: float) -> float:
     minv = np.array([1.0 / float(np.real(factor.mellin(2 * i + 1)))
                      for i in range(sys.n)])
@@ -285,7 +285,7 @@ def _p(sys, factor, j, yprime, radius, contour, method) -> float:
 
 
 def kernel_poly(yprime: float, y: float, base: BiorthSystem,
-                factor: FactorizingWeight,
+                factor: WeightFunction,
                 contour: ContourSpec | None = None,
                 method: str = "contour") -> float:
     """Correlation kernel of one factor applied to a polynomial-ensemble base.
@@ -305,7 +305,7 @@ def kernel_poly(yprime: float, y: float, base: BiorthSystem,
     return out
 
 
-def kernel_fixed(yprime: float, y: float, atilde, factor: FactorizingWeight,
+def kernel_fixed(yprime: float, y: float, atilde, factor: WeightFunction,
                  contour: ContourSpec | None = None,
                  method: str = "contour",
                  system: BiorthSystem | None = None) -> float:
@@ -329,7 +329,7 @@ def kernel_fixed(yprime: float, y: float, atilde, factor: FactorizingWeight,
 
 
 def kernel_fixed_contour(yprime: float, y: float, atilde,
-                         factor: FactorizingWeight,
+                         factor: WeightFunction,
                          contour: ContourSpec | None = None) -> float:
     """Double-contour form of the fixed-base kernel.
 

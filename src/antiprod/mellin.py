@@ -8,6 +8,13 @@ densities of the determinant modulus.  The Mellin transform diagonalizes the
 multiplicative convolution, M[f (*) h] = Mf * Mh, which is what makes the
 closed forms downstream possible.
 
+A factor enters a product only through A and M A, so A is the same kind of
+object as the base weights w_c and the convolved weights A (*) w_c: each is
+one WeightFunction, a density on the half line with its Mellin handle, its
+support and a label.  The catalogued A also carry closed-form derivatives,
+which the degenerate-limit densities need; a weight without them raises
+DomainError when a derivative is asked for.
+
 Numeric integrals of the package go through quad: Gauss-Legendre panels
 evaluated on whole arrays of nodes, an error estimate from a lower-order
 rule on the same panels, and bisection of the panels that miss their share
@@ -19,7 +26,7 @@ quadrature that cannot meet the gate raises QuadratureError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,7 +36,7 @@ from scipy import special, stats
 from .linalg import DomainError
 
 __all__ = [
-    "WeightFunction", "FactorizingWeight", "QuadratureError", "quad",
+    "WeightFunction", "QuadratureError", "quad",
     "quad_cumulative", "mellin_numeric", "mellin_convolve", "a_sigma",
     "a_sigma_custom", "ginibre_weight", "jacobi_weight", "ConvolvedDensity",
 ]
@@ -51,15 +58,6 @@ _HIGH, _LOW = (np.polynomial.legendre.leggauss(k) for k in (GL_ORDER, GL_LOW))
 _GL_NODES = np.concatenate([_HIGH[0], _LOW[0]])
 
 
-def _support_of(f):
-    return getattr(f, "support", (0.0, np.inf))
-
-
-def _tail_of(f):
-    hi = _support_of(f)[1]
-    return hi if np.isfinite(hi) else TAIL_CUT
-
-
 class QuadratureError(ArithmeticError):
     """Quadrature missed its error gate or met a NaN or inf integrand."""
 
@@ -73,86 +71,62 @@ class QuadratureError(ArithmeticError):
 class WeightFunction:
     """Weight w on the positive half line with a Mellin evaluator.
 
-    The Mellin handle is exact where a closed form exists, otherwise it
-    falls back to quadrature of the density.
+    Parameters
+    ----------
+    density : callable
+        w(a).  The catalogued determinant-modulus densities are normalized
+        so that M w(1) = 1 and also accept complex arguments (the analytic
+        continuation used by the double-contour kernel).
+    mellin : callable
+        s -> M w(s), exact where a closed form exists, otherwise quadrature
+        of the density.
+    support : (lo, hi)
+    label : str
+        Name used in ensemble labels; the catalogue sets "ginibre",
+        "jacobi" or "custom".
+    deriv : callable, optional
+        (a, k) -> w^(k)(a) for k >= 1, where closed forms exist.
     """
 
     density: Callable
     mellin: Callable
     support: tuple
     label: str = "w"
+    deriv: Callable = None
 
     def __call__(self, a):
         return self.density(a)
 
-    #: Support end, with TAIL_CUT in place of inf.
-    tail = property(_tail_of)
-
-
-@dataclass(frozen=True)
-class FactorizingWeight:
-    """Determinant-modulus density A of a 2x2 factor ensemble.
-
-    Parameters
-    ----------
-    kind : {"ginibre", "jacobi", "custom"}
-    density : callable
-        A(a), normalized so that M A(1) = 1.  For the catalogued kinds the
-        callable also accepts complex arguments (the analytic continuation
-        used by the double-contour kernel).
-    mellin : callable
-        s -> M A(s), exact for catalogued kinds.
-    support : (lo, hi)
-    smoothness : int
-        Number of available derivatives of the density.
-    params : dict
-    """
-
-    kind: str
-    density: Callable
-    mellin: Callable
-    support: tuple
-    smoothness: int
-    params: dict = field(default_factory=dict)
-    _deriv: Callable = None
-
-    def __call__(self, a):
-        return self.density(a)
-
-    #: Support end, with TAIL_CUT in place of inf.
-    tail = property(_tail_of)
+    @property
+    def tail(self) -> float:
+        """Support end, with TAIL_CUT in place of inf."""
+        hi = self.support[1]
+        return hi if np.isfinite(hi) else TAIL_CUT
 
     def density_deriv(self, a, k: int):
         """k-th derivative of the density at a > 0."""
         if k == 0:
             return self.density(a)
-        if self._deriv is None or k > self.smoothness:
+        if self.deriv is None:
             raise DomainError(
-                f"{self.kind} weight provides {self.smoothness} derivatives, "
-                f"requested {k}")
-        return self._deriv(a, k)
+                f"{self.label} weight has no closed-form derivatives")
+        return self.deriv(a, k)
 
     def neg_xdx_pow(self, a, m: int):
-        """((-a d/da)^m A)(a), the degenerate-limit column operator."""
+        """((-a d/da)^m w)(a), the degenerate-limit column operator."""
         if m == 0:
             return self.density(a)
-        if m > self.smoothness:
-            raise DomainError(
-                f"operator order {m} exceeds smoothness {self.smoothness}")
-        # expand in the algebra a^p * A^(k)(a): (-a d/da) maps
-        # a^p A^(k) -> -p a^p A^(k) - a^(p+1) A^(k+1)
-        terms = {(0, 0): 1.0}
+        # (-a d/da) maps a^k w^(k) -> -k a^k w^(k) - a^(k+1) w^(k+1), so
+        # the expansion is sum_k c_k a^k w^(k)
+        c = [1.0]
         for _ in range(m):
-            new = {}
-            for (p, k), c in terms.items():
-                new[(p, k)] = new.get((p, k), 0.0) - p * c
-                new[(p + 1, k + 1)] = new.get((p + 1, k + 1), 0.0) - c
-            terms = new
+            c = [-k * ck - cl for k, (ck, cl)
+                 in enumerate(zip(c + [0.0], [0.0] + c))]
         a = np.asarray(a, dtype=float)
         out = np.zeros_like(a, dtype=float)
-        for (p, k), c in terms.items():
-            if c != 0.0:
-                out = out + c * a ** p * self.density_deriv(a, k)
+        for k, ck in enumerate(c):
+            if ck:
+                out = out + ck * a ** k * self.density_deriv(a, k)
         return out
 
 
@@ -160,7 +134,26 @@ def _log_beta(x, y):
     return special.loggamma(x) + special.loggamma(y) - special.loggamma(x + y)
 
 
-def ginibre_weight(nu: float) -> FactorizingWeight:
+def _deriv_polys(step):
+    """Polynomials P_(k+1) = step(P_k, k) from P_0 = 1, each cached on
+    first use as (j, c) with P_k(a) = a^j polyval(a, c): the lowest power
+    a^j is split off so that the caller folds it into its exponential, and
+    a tiny a meets no 0 * inf.  A zero P_k (a polynomial density
+    differentiated past its degree) is cached as (k, [0])."""
+    polys, table = [npp.Polynomial([1.0])], [(0, np.array([1.0]))]
+
+    def split(k):
+        while len(table) <= k:
+            polys.append(step(polys[-1], len(polys) - 1))
+            coef = polys[-1].coef
+            j = next((i for i, v in enumerate(coef) if v), None)
+            table.append((len(table), coef) if j is None else (j, coef[j:]))
+        return table[k]
+
+    return split
+
+
+def ginibre_weight(nu: float) -> WeightFunction:
     """Determinant-modulus density of the induced real Ginibre factor.
 
     A(a) = a^(2 nu) e^(-a) / Gamma(1 + 2 nu) on (0, inf), with exact Mellin
@@ -191,24 +184,20 @@ def ginibre_weight(nu: float) -> FactorizingWeight:
 
     # derivative of a^(2nu) e^(-a): polynomial recursion in front of
     # a^(2nu - k) e^(-a)
-    polys = [npp.Polynomial([1.0])]
     x = npp.Polynomial([0.0, 1.0])
+    polys = _deriv_polys(lambda q, j: (two_nu - j) * q + x * q.deriv() - x * q)
 
     def deriv(a, k):
-        while len(polys) <= k:
-            j = len(polys) - 1
-            q = polys[j]
-            polys.append((two_nu - j) * q + x * q.deriv() - x * q)
+        j, c = polys(k)
         a = np.asarray(a, dtype=float)
-        return polys[k](a) * np.exp((two_nu - k) * np.log(a) - a - lognorm)
+        return npp.polyval(a, c) \
+            * np.exp((two_nu - k + j) * np.log(a) - a - lognorm)
 
-    return FactorizingWeight(
-        kind="ginibre", density=density, mellin=mellin,
-        support=(0.0, np.inf), smoothness=64,
-        params={"nu": nu}, _deriv=deriv)
+    return WeightFunction(density=density, mellin=mellin,
+                          support=(0.0, np.inf), label="ginibre", deriv=deriv)
 
 
-def jacobi_weight(nu: float, mu: float, n: int) -> FactorizingWeight:
+def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
     """Determinant-modulus density of the induced real Jacobi factor.
 
     A(a) = a^(2 nu) (1 - a)^(2 (mu + n)) / B(1 + 2 nu, 2 mu + 2 n + 1) on
@@ -239,26 +228,22 @@ def jacobi_weight(nu: float, mu: float, n: int) -> FactorizingWeight:
         val = np.exp(_log_beta(s + two_nu, beta + 1.0) - lognorm)
         return val if val.ndim else complex(val)
 
-    polys = [npp.Polynomial([1.0])]
+    # polynomial recursion in front of a^(2nu - k) (1 - a)^(beta - k)
     x, one_m_x = npp.Polynomial([0.0, 1.0]), npp.Polynomial([1.0, -1.0])
+    polys = _deriv_polys(lambda r, j: (two_nu - j) * one_m_x * r
+                         - (beta - j) * x * r + x * one_m_x * r.deriv())
 
     def deriv(a, k):
-        while len(polys) <= k:
-            j = len(polys) - 1
-            r = polys[j]
-            polys.append((two_nu - j) * one_m_x * r - (beta - j) * x * r
-                         + x * one_m_x * r.deriv())
+        j, c = polys(k)
         a = np.asarray(a, dtype=float)
-        return polys[k](a) * np.exp((two_nu - k) * np.log(a)
-                                    + (beta - k) * np.log1p(-a) - lognorm)
+        return npp.polyval(a, c) * np.exp(
+            (two_nu - k + j) * np.log(a) + (beta - k) * np.log1p(-a) - lognorm)
 
-    return FactorizingWeight(
-        kind="jacobi", density=density, mellin=mellin,
-        support=(0.0, 1.0), smoothness=64,
-        params={"nu": nu, "mu": mu, "n": n}, _deriv=deriv)
+    return WeightFunction(density=density, mellin=mellin,
+                          support=(0.0, 1.0), label="jacobi", deriv=deriv)
 
 
-def a_sigma(kind: str, **params) -> FactorizingWeight:
+def a_sigma(kind: str, **params) -> WeightFunction:
     """Catalogue lookup: kind 'ginibre' (nu) or 'jacobi' (nu, mu, n)."""
     if kind == "ginibre":
         return ginibre_weight(params["nu"])
@@ -268,12 +253,14 @@ def a_sigma(kind: str, **params) -> FactorizingWeight:
 
 
 def a_sigma_custom(sampler2x2: Callable, rng, nsamples: int = 100_000,
-                   bw_method=None) -> FactorizingWeight:
+                   bw_method=None) -> WeightFunction:
     """Determinant-modulus density of a custom 2x2 ensemble, estimated by MC.
 
     sampler2x2(rng) must return one 2x2 real matrix draw.  The density of
     |det z| is estimated with a Gaussian kernel density in log |det z|;
-    intended for exploratory factors only (smoothness 0, quadrature Mellin).
+    intended for exploratory factors only.  The Mellin transform is by
+    quadrature, and the weight has no derivatives, so the degenerate and
+    confluent densities, which need them, raise DomainError.
     """
     dets = np.empty(nsamples)
     for i in range(nsamples):
@@ -299,9 +286,8 @@ def a_sigma_custom(sampler2x2: Callable, rng, nsamples: int = 100_000,
     def mellin(s):
         return mellin_numeric(density, s, support=(lo, hi))
 
-    return FactorizingWeight(
-        kind="custom", density=density, mellin=mellin,
-        support=(lo, hi), smoothness=0, params={"nsamples": int(nsamples)})
+    return WeightFunction(density=density, mellin=mellin,
+                          support=(lo, hi), label="custom")
 
 
 def _gl_panels(f, a, b):
@@ -390,26 +376,27 @@ def quad_cumulative(f, x):
 
 def mellin_numeric(f, s, support=None) -> complex:
     """M f(s) = int_0^inf f(a) a^(s-1) da by quad in t = log a, which
-    resolves algebraic behaviour at a = 0; a half line ends at TAIL_CUT."""
-    lo, hi = _support_of(f) if support is None else support
-    dens, s = getattr(f, "density", f), complex(s)
-    val, _ = quad(lambda t: dens(np.exp(t)) * np.exp(s * t),
+    resolves algebraic behaviour at a = 0; a half line ends at TAIL_CUT.
+
+    f is a WeightFunction, or a plain callable with an explicit support."""
+    lo, hi = f.support if support is None else support
+    s = complex(s)
+    val, _ = quad(lambda t: f(np.exp(t)) * np.exp(s * t),
                   np.log(max(lo, 1e-280)),
                   np.log(hi if np.isfinite(hi) else TAIL_CUT))
     return complex(val)
 
 
-def mellin_convolve(f, h, y):
+def mellin_convolve(f: WeightFunction, h: WeightFunction, y):
     """(f (*) h)(y) = int f(t) h(y/t) dt/t by quad in log t, on a window per
     y cut to both supports and tails; y may be an array."""
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise DomainError("convolution argument must be positive")
-    fd, hd = getattr(f, "density", f), getattr(h, "density", h)
-    h_lo = _support_of(h)[0]
+    fd, hd, h_lo = f.density, h.density, h.support[0]
     # the tail never exceeds the support end, so it also cuts at it
-    t_lo = np.log(np.maximum(max(_support_of(f)[0], 1e-280), y / _tail_of(h)))
-    t_hi = np.log(np.minimum(_tail_of(f), y / h_lo if h_lo > 0 else np.inf))
+    t_lo = np.log(np.maximum(max(f.support[0], 1e-280), y / h.tail))
+    t_hi = np.log(np.minimum(f.tail, y / h_lo if h_lo > 0 else np.inf))
     val, _ = quad(lambda tau, yy: fd(np.exp(tau)) * hd(yy / np.exp(tau)),
                   t_lo, np.maximum(t_lo, t_hi), y)
     return float(val) if val.ndim == 0 else val
@@ -426,14 +413,14 @@ class ConvolvedDensity:
 
     GRID_PER_DECADE = 512
 
-    def __init__(self, factor, weight, y_lo=None, y_hi=None):
+    def __init__(self, factor: WeightFunction, weight: WeightFunction,
+                 y_lo=None, y_hi=None):
         self.factor = factor
         self.weight = weight
-        f_lo, f_hi = _support_of(factor)
-        w_lo, w_hi = _support_of(weight)
+        (f_lo, f_hi), (w_lo, w_hi) = factor.support, weight.support
         self.support = (f_lo * w_lo, f_hi * w_hi)
         self._y_lo = 1e-7 if y_lo is None else y_lo
-        hi = _tail_of(factor) * _tail_of(weight)
+        hi = factor.tail * weight.tail
         self._y_hi = hi if y_hi is None else y_hi
         self._spline = None
 
@@ -473,8 +460,5 @@ class ConvolvedDensity:
         return out if out.ndim else float(out)
 
     def mellin(self, s):
-        mf = self.factor.mellin if hasattr(self.factor, "mellin") else None
-        mw = self.weight.mellin if hasattr(self.weight, "mellin") else None
-        if mf is None or mw is None:
-            raise DomainError("exact Mellin handles unavailable")
-        return mf(s) * mw(s)
+        """M[factor (*) weight](s) = M factor(s) M weight(s)."""
+        return self.factor.mellin(s) * self.weight.mellin(s)

@@ -51,7 +51,7 @@ __all__ = [
     "SphericalParameter", "phi_closed", "phi_montecarlo", "psi_montecarlo",
     "factorization_check_phi", "factorization_check_psi",
     "fn_closed", "fn_recurrence", "harish_chandra_o2n",
-    "harish_chandra_o2n_mc", "isometry_density", "isometry_log_constant",
+    "harish_chandra_o2n_mc",
     "spherical_transform_poly", "spherical_transform_factor",
 ]
 
@@ -164,6 +164,24 @@ def _hermite_divdiff(nodes, value, taylor, dd1=None):
         col = new
         edge.append(col[0])
     return edge
+
+
+def _expand(rule, start, m):
+    """{key: coefficient} of the m-th derivative of the term start.
+
+    A term is a key with coefficient; rule(*key) lists the (key, factor)
+    pairs whose sum is the derivative of that term.  The confluent columns
+    expand f^(m) this way before scaling it into the taylor input of
+    _hermite_divdiff.
+    """
+    terms = {start: 1.0}
+    for _ in range(m):
+        new = {}
+        for key, c in terms.items():
+            for nkey, f in rule(*key):
+                new[nkey] = new.get(nkey, 0.0) + f * c
+        terms = new
+    return terms
 
 
 def _alternant_ratio(nodes, rows):
@@ -295,12 +313,8 @@ def _phi_closed_batch(s: SphericalParameter, spectra: np.ndarray) -> np.ndarray:
     # powers[m, b, c] = a_c^(s_b + n - 1)
     powers = np.exp(p[None, :, None] * loga[:, None, :])
     dets = np.linalg.det(powers)
-    sq = a * a
-    vsq = np.ones(a.shape[0], dtype=float)
-    for k in range(n):
-        for l in range(k + 1, n):
-            vsq *= sq[:, l] - sq[:, k]
-    return np.exp(_log_prefactor(n)) * dets / (vsq * _pairwise_prod(s.s))
+    return np.exp(_log_prefactor(n)) * dets \
+        / (vandermonde_sq(a) * _pairwise_prod(s.s))
 
 
 def _minor_exponent_check(s: SphericalParameter, a_min: float):
@@ -536,23 +550,17 @@ def _cosh_row(x):
     def taylor(u, m):
         if u == 0.0:
             return x ** (2 * m) / float(factorial(2 * m))
-        # represent d^m/du^m as a combination of cosh/sinh times powers of
-        # r = sqrt(u); differentiation rule d/du = (1/(2r)) d/dr
-        terms = {("C", 0): 1.0}
-        for _ in range(m):
-            new = {}
-            for (kind, k), c in terms.items():
-                other = "S" if kind == "C" else "C"
-                new[(other, k + 1)] = new.get((other, k + 1), 0.0) \
-                    + c * x / 2.0
-                new[(kind, k + 2)] = new.get((kind, k + 2), 0.0) \
-                    - c * k / 2.0
-            terms = new
+        # represent d^m/du^m as a combination of terms (h, k): cosh (h = 0)
+        # or sinh (h = 1) of x r times r^(-k), with r = sqrt(u) and the
+        # differentiation rule d/du = (1/(2r)) d/dr
+        terms = _expand(lambda h, k: (((1 - h, k + 1), x / 2.0),
+                                      ((h, k + 2), -k / 2.0)),
+                        (0, 0), m)
         r = np.sqrt(u)
-        C, S = np.cosh(x * r), np.sinh(x * r)
+        cs = (np.cosh(x * r), np.sinh(x * r))
         out = 0.0
-        for (kind, k), c in terms.items():
-            out += c * (C if kind == "C" else S) * r ** (-k)
+        for (h, k), c in terms.items():
+            out += c * cs[h] * r ** (-k)
         return out / float(factorial(m))
 
     def dd1(u, v):
@@ -605,26 +613,6 @@ def harish_chandra_o2n_mc(x, y, nsamples: int, rng):
     haar = partial(haar_orthogonal_batch, X.shape[0])
     mean, cov, N = _haar_moments((haar,), nsamples, rng, block)
     return float(mean[0]), float(np.sqrt(max(cov[0, 0], 0.0) / N))
-
-
-def isometry_log_constant(n: int) -> float:
-    """log C with C = (1/n!) prod_(j<n) 2 (2 pi)^(2j) / (2j)!."""
-    out = -special.gammaln(n + 1)
-    for j in range(n):
-        out += np.log(2.0) + 2 * j * np.log(2.0 * np.pi) \
-            - special.gammaln(2 * j + 1)
-    return float(out)
-
-
-def isometry_density(a, f_H) -> float:
-    """Spectral density C Delta_n^2(a^2) f_H(i a (x) tau_2).
-
-    f_H takes the 2n x 2n matrix entries and returns the matrix density.
-    """
-    a = _as_spectrum(a)
-    x = build_canonical(a).entries
-    vsq = vandermonde_sq(a)
-    return float(np.exp(isometry_log_constant(a.n)) * vsq * vsq * f_H(x))
 
 
 def spherical_transform_poly(spec, s) -> complex:

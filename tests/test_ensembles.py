@@ -6,7 +6,7 @@ from scipy import integrate
 from antiprod.ensembles import (PolynomialEnsembleSpec, corank2_jpdf,
                                 convolve_ensemble, degenerate_weights,
                                 fixed_base_weights, jpdf_degenerate,
-                                jpdf_fact_poly, jpdf_fixed,
+                                jpdf_fixed,
                                 muttalib_borodin_weights, product_weights)
 from antiprod.linalg import DomainError
 from antiprod.mellin import ginibre_weight, jacobi_weight
@@ -138,8 +138,8 @@ def test_product_weights_mellin_is_product():
 
 def test_fact_poly_n1_normalizes():
     base = PolynomialEnsembleSpec(1, fixed_base_weights([1.0], GW))
-    val, _ = integrate.quad(lambda y: jpdf_fact_poly([y], base, GW),
-                            0, 200, limit=300)
+    density = convolve_ensemble(base, GW).density
+    val, _ = integrate.quad(lambda y: density([y]), 0, 200, limit=300)
     assert val == pytest.approx(1.0, abs=1e-5)
 
 
@@ -150,14 +150,20 @@ def test_convolve_preserves_n():
     assert np.isfinite(spec.norm_constant)
 
 
-def test_fact_poly_cache_keeps_one_entry_and_matches_identity():
-    from antiprod import ensembles
-    for at in (1.0, 2.0, 3.0, 1.5, 2.5, 0.5):
-        # a fresh pair each time; the dead pair's ids are free for reuse
-        base = PolynomialEnsembleSpec(1, fixed_base_weights([at], GW))
-        factor = ginibre_weight(0.0)
-        got = jpdf_fact_poly([1.3], base, factor)
-        want = convolve_ensemble(base, factor).density([1.3])
-        assert got == want
-        assert len(ensembles._FACT_CACHE) == 1
-        del base, factor
+def test_tiny_spectrum_entry_stays_finite():
+    # the confluent and degenerate columns use A^(k) at a ~ 1e-160, where
+    # a^(2 nu - k) on its own overflows
+    deg = [jpdf_degenerate([lo, 1.0, 2.0], GW) for lo in (1e-160, 1e-100)]
+    assert deg[0] == pytest.approx(deg[1], rel=1e-12)
+    base = [0.8, 1.5, 1.5, 1.5]
+    fixed = [jpdf_fixed([lo, 0.5, 1.0, 2.0], base, GW)
+             for lo in (1e-160, 1e-100)]
+    assert fixed[0] > 0.0
+    assert fixed[0] == pytest.approx(fixed[1], rel=1e-12)
+
+
+def test_triple_base_entry_n4_matches_split_base():
+    for a in ([0.3, 0.9, 1.7, 3.1], [0.6, 1.2, 2.2, 4.0]):
+        conf = jpdf_fixed(a, [0.8, 1.5, 1.5, 1.5], GW)
+        split = jpdf_fixed(a, [0.8, 1.5 - 1e-4, 1.5, 1.5 + 1e-4], GW)
+        assert conf == pytest.approx(split, rel=1e-5)

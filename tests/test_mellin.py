@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import special
@@ -58,7 +60,7 @@ def test_density_deriv_matches_finite_difference():
 def test_neg_xdx_mellin_identity():
     # M[(-a d/da)^m A](s) = s^m M A(s)
     w = ginibre_weight(0.5)
-    for m in (1, 2):
+    for m in (1, 2, 3):
         s = 3.0
         num = mellin_numeric(lambda a: w.neg_xdx_pow(a, m), s,
                              support=w.support)
@@ -150,14 +152,36 @@ def test_error_estimate_bounds_closed_form_error(monkeypatch):
 
 
 def test_a_sigma_catalogue():
-    assert a_sigma("ginibre", nu=0.5).kind == "ginibre"
-    assert a_sigma("jacobi", nu=0.0, mu=0.0, n=2).kind == "jacobi"
+    assert a_sigma("ginibre", nu=0.5).label == "ginibre"
+    assert a_sigma("jacobi", nu=0.0, mu=0.0, n=2).label == "jacobi"
     with pytest.raises(DomainError):
         a_sigma("wishart")
     with pytest.raises(DomainError):
         ginibre_weight(-0.6)
     with pytest.raises(DomainError):
         jacobi_weight(0.0, -1.6, 1)
+
+
+@pytest.mark.parametrize("w", [ginibre_weight(0.0), ginibre_weight(1.0),
+                               jacobi_weight(0.0, 0.0, 1),
+                               jacobi_weight(0.5, 0.5, 2)],
+                         ids=["ginibre0", "ginibre1", "jacobi001", "jacobi2"])
+def test_density_deriv_finite_at_tiny_argument(w):
+    # 2 nu is an integer in each case, so every derivative is finite at 0;
+    # a^(2 nu - k) on its own would overflow below a ~ 1e-154
+    for k in range(1, 6):
+        tiny, small = w.density_deriv(1e-160, k), w.density_deriv(1e-100, k)
+        assert np.isfinite(tiny)
+        assert tiny == pytest.approx(small, rel=1e-12, abs=1e-90)
+
+
+def test_replace_density_keeps_weight_fields():
+    for w in (ginibre_weight(0.5), jacobi_weight(0.0, 0.5, 2)):
+        r = dataclasses.replace(w, density=lambda a: 2.0 * w.density(a))
+        assert (r.mellin, r.deriv, r.support, r.label) \
+            == (w.mellin, w.deriv, w.support, w.label)
+        assert r(0.3) == 2.0 * w(0.3)
+        assert r.density_deriv(0.3, 2) == w.density_deriv(0.3, 2)
 
 
 def test_a_sigma_custom_recovers_exponential():
@@ -168,3 +192,15 @@ def test_a_sigma_custom_recovers_exponential():
     ref = np.exp(-grid)
     est = np.array([float(w.density(g)) for g in grid])
     assert np.max(np.abs(est - ref)) < 0.05
+
+
+def test_a_sigma_custom_has_no_derivatives():
+    from antiprod.ensembles import jpdf_degenerate
+    w = a_sigma_custom(lambda r: r.standard_normal((2, 2)),
+                       np.random.default_rng(5), nsamples=20_000)
+    assert w.label == "custom"
+    assert w.density_deriv(0.5, 0) == w.density(0.5)
+    with pytest.raises(DomainError):
+        w.density_deriv(0.5, 1)
+    with pytest.raises(DomainError):
+        jpdf_degenerate([0.5, 1.2], w)

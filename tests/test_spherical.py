@@ -5,8 +5,8 @@ from antiprod import spherical
 from antiprod.linalg import DomainError, SingularSpectrum
 from antiprod.spherical import (SphericalParameter, fn_closed, fn_limit,
                                 fn_recurrence, harish_chandra_o2n,
-                                harish_chandra_o2n_mc, isometry_log_constant,
-                                phi_closed, phi_montecarlo, psi_montecarlo,
+                                harish_chandra_o2n_mc, phi_closed,
+                                phi_montecarlo, psi_montecarlo,
                                 factorization_check_phi,
                                 factorization_check_psi)
 
@@ -180,6 +180,18 @@ def test_harish_chandra_symmetry():
         harish_chandra_o2n(y, x), rel=1e-10)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_cosh_row_taylor_matches_mpmath(m):
+    # taylor(u, m) = f^(m)(u) / m! for f(u) = cosh(x sqrt(u))
+    import mpmath
+    mpmath.mp.dps = 50
+    for x, u in ((0.7, 1.3), (2.5, 0.4), (1.1, 6.0)):
+        _, taylor, _ = spherical._cosh_row(x)
+        want = mpmath.diff(lambda v: mpmath.cosh(x * mpmath.sqrt(v)),
+                           mpmath.mpf(u), m) / mpmath.factorial(m)
+        assert taylor(u, m) == pytest.approx(float(want), rel=1e-11)
+
+
 def test_harish_chandra_zero_is_one():
     assert harish_chandra_o2n((0.0, 0.0), (1.0, 2.0)) == 1.0
 
@@ -220,8 +232,3 @@ def test_transform_rejects_out_of_strip_parameter():
     base = PolynomialEnsembleSpec(2, muttalib_borodin_weights(0.0, 0.0, 2))
     with pytest.raises(DomainError):
         spherical_transform_poly(base, (2.0, 0.0))
-
-
-def test_isometry_constant_positive():
-    for n in (1, 2, 3):
-        assert np.isfinite(isometry_log_constant(n))
