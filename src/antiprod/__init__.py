@@ -5,9 +5,9 @@ verification harness."""
 
 __version__ = "0.1.0"
 
-from .linalg import (AntisymmetricMatrix, DomainError, GeneralLinearMatrix,
-                     OrthogonalMatrix, SingularSpectrum, build_canonical,
-                     haar_orthogonal, singular_spectrum, vandermonde_sq)
+from .linalg import (AntisymmetricMatrix, DomainError, SingularSpectrum,
+                     build_canonical, haar_orthogonal_batch,
+                     singular_spectrum, vandermonde_sq)
 from .mellin import (WeightFunction, a_sigma, ginibre_weight, jacobi_weight,
                      mellin_convolve, mellin_numeric)
 from .spherical import (SphericalParameter, fn_closed, fn_recurrence,
@@ -15,18 +15,19 @@ from .spherical import (SphericalParameter, fn_closed, fn_recurrence,
 from .ensembles import (PolynomialEnsembleSpec, corank2_jpdf,
                         fixed_base_weights, jpdf_degenerate, jpdf_fixed,
                         muttalib_borodin_weights, product_weights)
-from .samplers import (GinibreSpec, JacobiSpec, ProductSpec, build_product,
+from .samplers import (GinibreSpec, JacobiSpec, ProductSpec,
                        build_product_batch, product_spectra_batch,
-                       sample_induced_ginibre, sample_induced_jacobi)
+                       sample_induced_ginibre_batch,
+                       sample_induced_jacobi_batch)
 from .kernels import (BiorthSystem, ContourSpec, biorth_fixed, chi_poly,
                       correlation_Rk, gram_biorth, kernel_fixed,
                       kernel_fixed_contour, kernel_poly)
 
 __all__ = [
     "__version__",
-    "AntisymmetricMatrix", "DomainError", "GeneralLinearMatrix",
-    "OrthogonalMatrix", "SingularSpectrum", "build_canonical",
-    "haar_orthogonal", "singular_spectrum", "vandermonde_sq",
+    "AntisymmetricMatrix", "DomainError", "SingularSpectrum",
+    "build_canonical", "haar_orthogonal_batch", "singular_spectrum",
+    "vandermonde_sq",
     "WeightFunction", "a_sigma", "ginibre_weight", "jacobi_weight",
     "mellin_convolve", "mellin_numeric",
     "SphericalParameter", "fn_closed", "fn_recurrence",
@@ -34,9 +35,9 @@ __all__ = [
     "PolynomialEnsembleSpec", "corank2_jpdf", "fixed_base_weights",
     "jpdf_degenerate", "jpdf_fixed",
     "muttalib_borodin_weights", "product_weights",
-    "GinibreSpec", "JacobiSpec", "ProductSpec", "build_product",
+    "GinibreSpec", "JacobiSpec", "ProductSpec",
     "build_product_batch", "product_spectra_batch",
-    "sample_induced_ginibre", "sample_induced_jacobi",
+    "sample_induced_ginibre_batch", "sample_induced_jacobi_batch",
     "BiorthSystem", "ContourSpec", "biorth_fixed", "chi_poly",
     "correlation_Rk", "gram_biorth", "kernel_fixed",
     "kernel_fixed_contour", "kernel_poly",

@@ -9,7 +9,9 @@ recursion of the spherical module.
 
 All densities are symmetric in the spectrum entries and integrate to 1
 over the full unordered box; the density of the ascending spectrum is n!
-times the value returned here.  Evaluators accept unsorted input.
+times the value returned here.  Evaluators take spectra of shape (..., n)
+in any entry order, a stack of them at once, and return a float for a
+single spectrum.
 """
 
 from __future__ import annotations
@@ -51,10 +53,8 @@ class PolynomialEnsembleSpec:
     @property
     def bimoments(self) -> np.ndarray:
         """B[b, c] = M w_(c+1)(2b + 1) for b, c = 0, ..., n-1."""
-        B = np.empty((self.n, self.n), dtype=complex)
-        for b in range(self.n):
-            for c in range(self.n):
-                B[b, c] = self.weights[c].mellin(2 * b + 1)
+        B = np.array([[w.mellin(2 * b + 1) for w in self.weights]
+                      for b in range(self.n)], dtype=complex)
         if np.max(np.abs(B.imag)) < 1e-12 * np.max(np.abs(B.real)):
             return B.real.copy()
         return B
@@ -73,16 +73,27 @@ class PolynomialEnsembleSpec:
         hi = max(w.support[1] for w in self.weights)
         return (lo, hi)
 
-    def density(self, a) -> float:
-        """C_n[w] Delta_n(a^2) det[w_b(a_c)]."""
-        a = np.sort(np.asarray(a, dtype=float))
-        if a.size != self.n:
-            raise DomainError("spectrum length does not match ensemble size")
-        W = np.empty((self.n, self.n))
-        for b in range(self.n):
-            W[b, :] = self.weights[b](a)
-        val = self.norm_constant * vandermonde_sq(a) * float(np.linalg.det(W))
-        return max(val, 0.0)
+    def density(self, a):
+        """C_n[w] Delta_n(a^2) det[w_b(a_c)] for spectra a of shape (..., n);
+        a float for a single spectrum."""
+        a = _spectra(a, self.n)
+        W = np.stack([w(a) for w in self.weights], axis=-2)
+        return _clamped(self.norm_constant * vandermonde_sq(a)
+                        * np.linalg.det(W))
+
+
+def _spectra(a, n=None) -> np.ndarray:
+    """Spectra a of shape (..., n), each sorted ascending."""
+    a = np.sort(np.atleast_1d(np.asarray(a, dtype=float)), axis=-1)
+    if n is not None and a.shape[-1] != n:
+        raise DomainError("spectrum length does not match ensemble size")
+    return a
+
+
+def _clamped(val):
+    """A density stack clamped at 0; a float for a single value."""
+    val = np.maximum(val, 0.0)
+    return val if val.ndim else float(val)
 
 
 @dataclass(frozen=True)
@@ -92,8 +103,7 @@ class FixedBaseSpec:
     atilde: SingularSpectrum
 
     def __post_init__(self):
-        at = self.atilde if isinstance(self.atilde, SingularSpectrum) \
-            else SingularSpectrum.from_values(self.atilde)
+        at = SingularSpectrum.from_values(self.atilde)
         if np.any(at.values <= 0):
             raise DomainError("fixed base must be invertible (all a > 0)")
         object.__setattr__(self, "atilde", at)
@@ -101,10 +111,6 @@ class FixedBaseSpec:
     @property
     def n(self) -> int:
         return self.atilde.n
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.atilde.is_degenerate
 
 
 def _as_fixed(atilde) -> FixedBaseSpec:
@@ -115,10 +121,8 @@ def _as_fixed(atilde) -> FixedBaseSpec:
 
 def _log_mellin_norm(factor: WeightFunction, n: int) -> float:
     """log prod_j M A(2j - 1) for j = 1..n (positive for a density)."""
-    out = 0.0
-    for j in range(1, n + 1):
-        out += np.log(float(np.real(factor.mellin(2 * j - 1.0))))
-    return out
+    return sum(np.log(float(np.real(factor.mellin(2 * j - 1.0))))
+               for j in range(1, n + 1))
 
 
 def fixed_base_weights(atilde, factor: WeightFunction) -> tuple:
@@ -190,89 +194,87 @@ def muttalib_borodin_weights(nu: float, mu: float, n: int) -> tuple:
 
 
 def _confluent_fixed_det(a: np.ndarray, atv: np.ndarray,
-                         factor: WeightFunction) -> float:
-    """det[(1/t_c) A(a_b / t_c)] / Delta_n(t^2) with coinciding t entries.
+                         factor: WeightFunction) -> np.ndarray:
+    """det[(1/t_c) A(a_b / t_c)] / Delta_n(t^2) with coinciding t entries,
+    for spectra a of shape (..., n).
 
     Columns in the variable u = t^2 are replaced by divided differences;
     derivatives with respect to u are assembled from closed-form density
-    derivatives through d/du = (1/(2t)) d/dt.
+    derivatives through d/du = (1/(2t)) d/dt.  Each column is elementwise
+    in a, so the whole stack shares one divided-difference table.
     """
     from .spherical import _expand, _hermite_divdiff, _snap_clusters
-    n = a.size
     u_nodes, _ = _snap_clusters(atv ** 2, DEGENERACY_RTOL)
-    M = np.empty((n, n))
-    for b in range(n):
-        ab = a[b]
 
-        def value(u, ab=ab):
-            t = np.sqrt(u)
-            return float(factor.density(ab / t)) / t
+    def value(u):
+        t = np.sqrt(u)
+        return factor.density(a / t) / t
 
-        def taylor(u, m, ab=ab):
-            # expand d^m/du^m of t^(-1) A(ab/t) over terms t^(-p) A^(k)(ab/t):
-            # d/du = (1/2) t^(-1) d/dt and d/dt [t^(-p) A^(k)(ab/t)] =
-            # -p t^(-p-1) A^(k) - ab t^(-p-2) A^(k+1)
-            terms = _expand(lambda p, k: (((p + 2, k), -0.5 * p),
-                                          ((p + 3, k + 1), -0.5 * ab)),
-                            (1, 0), m)
-            t = np.sqrt(u)
-            out = 0.0
-            for (p, k), c in terms.items():
-                out += c * t ** (-p) * float(factor.density_deriv(ab / t, k))
-            return out / float(factorial(m))
+    def taylor(u, m):
+        # expand d^m/du^m of t^(-1) A(a/t) over terms t^(-p) A^(k)(a/t):
+        # d/du = (1/2) t^(-1) d/dt and d/dt [t^(-p) A^(k)(a/t)] =
+        # -p t^(-p-1) A^(k) - a t^(-p-2) A^(k+1)
+        terms = _expand(lambda p, k: (((p + 2, k), -0.5 * p),
+                                      ((p + 3, k + 1), -0.5 * a)),
+                        (1, 0), m)
+        t = np.sqrt(u)
+        out = 0.0
+        for (p, k), c in terms.items():
+            out += c * t ** (-p) * factor.density_deriv(a / t, k)
+        return out / float(factorial(m))
 
-        M[b, :] = _hermite_divdiff(list(u_nodes), value, taylor, None)
-    return float(np.linalg.det(M))
+    # edge[c][..., b] is column c of row b
+    edge = _hermite_divdiff(list(u_nodes), value, taylor, None)
+    return np.linalg.det(np.stack(edge, axis=-1))
 
 
-def jpdf_fixed(a, atilde, factor: WeightFunction) -> float:
+def jpdf_fixed(a, atilde, factor: WeightFunction):
     """Density of the spectrum of g x g^T for fixed x with spectrum atilde.
 
     p(a | at) = [1 / (n! prod_j M A(2j-1))] Delta(a^2)/Delta(at^2)
                 * det[(1/at_c) A(a_b / at_c)].
 
-    A partially degenerate atilde routes through confluent columns, a fully
+    a has shape (..., n), a stack of spectra in any entry order; the result
+    has shape a.shape[:-1], and is a float for a single spectrum.  A
+    partially degenerate atilde routes through confluent columns, a fully
     degenerate one through the scaled degenerate-limit density.
     """
     spec = _as_fixed(atilde)
     n = spec.n
-    a = np.sort(np.asarray(a, dtype=float))
-    if a.size != n:
-        raise DomainError("spectrum length does not match base size")
+    a = _spectra(a, n)
     atv = spec.atilde.values
-    gaps = atv[1:] / atv[:-1] - 1.0 if n > 1 else np.array([np.inf])
-    if n > 1 and np.all(gaps <= DEGENERACY_RTOL):
+    coincide = spec.atilde.relative_gaps <= DEGENERACY_RTOL
+    if coincide.size and coincide.all():
         lam = float(np.mean(atv))
         return jpdf_degenerate(a / lam, factor) / lam ** n
     logc = -special.gammaln(n + 1) - _log_mellin_norm(factor, n)
-    if spec.is_degenerate:
+    if coincide.any():
         det = _confluent_fixed_det(a, atv, factor)
         val = np.exp(logc) * vandermonde_sq(a) * det
     else:
-        W = factor.density(a[:, None] / atv[None, :]) / atv[None, :]
-        det = float(np.linalg.det(W))
+        W = factor.density(a[..., :, None] / atv) / atv
+        det = np.linalg.det(W)
         val = np.exp(logc) * vandermonde_sq(a) / vandermonde_sq(atv) * det
-    return max(float(val), 0.0)
+    return _clamped(val)
 
 
-def jpdf_degenerate(a, factor: WeightFunction) -> float:
+def jpdf_degenerate(a, factor: WeightFunction):
     """Limit atilde -> (1,...,1) of the fixed-base density.
 
     p(a) = [1 / (2^(n(n-1)/2) n! prod_j M A(2j-1))] Delta(a^2)
            * det[(-a_b d/da_b)^(c-1) A(a_b)].
 
-    For n >= 2 the factor needs closed-form derivatives; one without them
+    a has shape (..., n), a stack of spectra in any entry order; the result
+    has shape a.shape[:-1], and is a float for a single spectrum.  For
+    n >= 2 the factor needs closed-form derivatives; one without them
     raises DomainError.
     """
-    a = np.sort(np.asarray(a, dtype=float))
-    n = a.size
+    a = _spectra(a)
+    n = a.shape[-1]
     logc = -(n * (n - 1) / 2.0) * np.log(2.0) - special.gammaln(n + 1) \
         - _log_mellin_norm(factor, n)
-    W = np.empty((n, n))
-    for c in range(n):
-        W[:, c] = factor.neg_xdx_pow(a, c)
-    val = np.exp(logc) * vandermonde_sq(a) * float(np.linalg.det(W))
-    return max(float(val), 0.0)
+    W = np.stack([factor.neg_xdx_pow(a, c) for c in range(n)], axis=-1)
+    return _clamped(np.exp(logc) * vandermonde_sq(a) * np.linalg.det(W))
 
 
 def convolve_ensemble(base: PolynomialEnsembleSpec,
@@ -304,22 +306,20 @@ def product_weights(base, factors) -> PolynomialEnsembleSpec:
     return spec
 
 
-def corank2_jpdf(x, a) -> float:
+def corank2_jpdf(x, a):
     """Spectral density of the corank-2 projection of k (i a (x) tau_2) k^T.
 
     p(x | a) = [(2n-2)!/(n-1)!] Delta_(n-1)(x^2)/Delta_n(a^2)
                * det[row of ones; (a_k - x_j) Theta(a_k - x_j)].
     Leading axes of x (shape (..., n - 1)) are a batch of spectra.
     """
-    a = SingularSpectrum.from_values(a) if not isinstance(a, SingularSpectrum) else a
+    a = SingularSpectrum.from_values(a)
     n = a.n
     if n < 2:
         raise DomainError("projection density needs n >= 2")
     if a.is_degenerate:
         raise DomainError("projection density requires distinct a")
-    x = np.sort(np.atleast_1d(np.asarray(x, dtype=float)), axis=-1)
-    if x.shape[-1] != n - 1:
-        raise DomainError("projected spectrum must have length n - 1")
+    x = _spectra(x, n - 1)
     av = a.values
     D = np.empty(x.shape[:-1] + (n, n))
     D[..., 0, :] = 1.0
@@ -327,5 +327,4 @@ def corank2_jpdf(x, a) -> float:
     D[..., 1:, :] = np.where(diff > 0.0, diff, 0.0)
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
     val = pref * vandermonde_sq(x) / vandermonde_sq(av) * np.linalg.det(D)
-    val = np.where(np.any(x < 0, axis=-1), 0.0, np.maximum(val, 0.0))
-    return val if val.ndim else float(val)
+    return _clamped(np.where(np.any(x < 0, axis=-1), 0.0, val))

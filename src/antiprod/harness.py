@@ -345,7 +345,7 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
     for i, (s, a) in enumerate(points):
         closed = sph.phi_closed(s, a)
         mc, se = sph.phi_montecarlo(s, a, N, rng)
-        z = abs(mc - closed) / se if se > 0 else 0.0
+        z = sph.zscore(mc, closed, se)
         stats_d[f"phi_z_{i}"] = z
         ok &= z < 3.0
 
@@ -356,7 +356,7 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
         stats_d[f"phi_limit_n{n}"] = abs(lim - 1.0)
         ok &= abs(lim - 1.0) < 1e-8
     mc, se = sph.phi_montecarlo((2.0, 0.0), (1.0, 1.0), N, rng)
-    z = abs(mc - 1.0) / se if se > 0 else 0.0
+    z = sph.zscore(mc, 1.0, se)
     stats_d["phi_limit_mc_z"] = z
     ok &= z < 3.0
 
@@ -378,7 +378,7 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
     ok &= stats_d["hc_n1_err"] < 1e-12
     closed = sph.harish_chandra_o2n((0.5, 1.0), (0.8, 1.6))
     mc, se = sph.harish_chandra_o2n_mc((0.5, 1.0), (0.8, 1.6), N, rng)
-    z = abs(mc - closed) / se if se > 0 else 0.0
+    z = sph.zscore(mc, closed, se)
     stats_d["hc_n2_z"] = z
     ok &= z < 3.0
 
@@ -413,6 +413,7 @@ def run_kernel_suite(config: ExperimentConfig) -> TestReport:
     cases = [("ginibre", gw, [1.0, 2.0], 40.0, [0.4, 0.9, 1.5, 2.4]),
              ("jacobi", jw, [0.5, 0.9], 0.9, [0.05, 0.15, 0.25, 0.4])]
     for label, fac, at, hi, pts in cases:
+        pts = np.array(pts)
         sysf = biorth_fixed(at, fac)
         stats_d[f"{label}_gram"] = sysf.gram_offdiag
         ok &= sysf.gram_offdiag < 1e-8
@@ -421,16 +422,17 @@ def run_kernel_suite(config: ExperimentConfig) -> TestReport:
         tr, _ = quad(sysf.diagonal, 1e-9, hi)
         stats_d[f"{label}_trace_err"] = abs(tr - 2.0)
         ok &= abs(tr - 2.0) < 1e-6
-        sc = max(abs(kernel_fixed(yp, y, at, fac, system=sysf)
-                     - ker(yp, y))
-                 for yp in pts for y in pts)
-        dc = max(abs(kernel_fixed_contour(yp, y, at, fac) - ker(yp, y))
-                 for yp in pts for y in pts)
+        series = ker(pts[:, None], pts)
+        sc = float(np.max(np.abs(
+            kernel_fixed(pts[:, None], pts, at, fac, system=sysf) - series)))
+        dc = max(abs(kernel_fixed_contour(a, b, at, fac) - series[i, j])
+                 for i, a in enumerate(pts) for j, b in enumerate(pts))
         stats_d[f"{label}_series_vs_contour"] = sc
         stats_d[f"{label}_double_contour"] = dc
         ok &= sc < 1e-7 and dc < 1e-7
-        pair = np.vectorize(lambda x, y0: jpdf_fixed([y0, x], at, fac))
-        marg, _ = quad(pair, 1e-9, hi, np.asarray(pts))
+        marg, _ = quad(lambda x, y0: jpdf_fixed(
+            np.stack(np.broadcast_arrays(y0, x), axis=-1), at, fac),
+            1e-9, hi, pts)
         r1_sup = float(np.max(np.abs(sysf.diagonal(pts) - 2.0 * marg)))
         stats_d[f"{label}_r1_sup"] = r1_sup
         ok &= r1_sup < 1e-5

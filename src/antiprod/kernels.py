@@ -3,7 +3,9 @@
 The singular-value densities of ensembles.py are determinantal; this module
 constructs the underlying bi-orthonormal pairs {p_j, q_j} and evaluates the
 correlation kernel both as the finite series sum_j p_j(y') q_j(y) and
-through its contour-integral representations.  Contour integrals over
+through its contour-integral representations.  One broadcasting evaluator,
+BiorthSystem.kernel, serves the diagonal and both single-contour kernels
+on whole grids of (y', y).  Contour integrals over
 circles are discretized by the trapezoid rule, which is spectrally accurate
 for the meromorphic-in-z^2 integrands that occur here.
 """
@@ -79,23 +81,52 @@ class BiorthSystem:
     label: str = "biorth"
     gram_offdiag: float | None = None
 
-    def _p_coeffs(self) -> np.ndarray:
-        """Coefficients of the final p_j: the chi-contour transform divides
-        coefficient i of ptilde_j by M A(2i + 1) when a factor is attached."""
-        if self.factor is None:
+    def _p_coeffs(self, factor) -> np.ndarray:
+        """Coefficients of the p_j: the chi-contour transform under factor
+        divides coefficient i of ptilde_j by M A(2i + 1); without a factor
+        p_j = ptilde_j."""
+        if factor is None:
             return self.ptilde_coeffs
-        minv = np.array([1.0 / float(np.real(self.factor.mellin(2 * i + 1)))
+        minv = np.array([1.0 / float(np.real(factor.mellin(2 * i + 1)))
                          for i in range(self.n)])
         return self.ptilde_coeffs * minv[None, :]
 
-    def p(self, j: int, y):
-        """p_j(y), an even polynomial of degree <= 2(n-1)."""
-        u = np.asarray(y, dtype=float) ** 2
-        val = npoly.polyval(u, self._p_coeffs()[j])
-        return val if np.ndim(val) else float(val)
+    def p(self, yprime, factor=None, circle=None) -> np.ndarray:
+        """p_j(y') for j = 0, ..., n-1, shape (n,) + y'.shape.
 
-    def q(self, j: int, y):
-        return self.qtilde[j].density(y)
+        p_j is the chi transform of ptilde_j under factor (default the
+        attached one): the residue series sum_i ptilde_ji y'^(2i) /
+        M A(2i + 1), or, with circle = (radius, n_nodes), the trapezoid
+        average of chi(z) ptilde_j(y'/z) over that z-circle.
+        """
+        yprime = np.asarray(yprime, dtype=float)
+        factor = self.factor if factor is None else factor
+        if circle is None:
+            # float_power squares through libm pow, as the scalar y ** 2 of
+            # Python does, so a grid and a point agree bit for bit (y * y
+            # can differ)
+            u = np.float_power(yprime, 2)
+            return npoly.polyval(u, self._p_coeffs(factor).T)
+        radius, n_nodes = circle
+        z = radius * _unit_circle(n_nodes)
+        u = (yprime[..., None] / z) ** 2
+        vals = np.mean(chi_poly(factor, z, 0, self.n - 1)
+                       * npoly.polyval(u, self.ptilde_coeffs.T), axis=-1)
+        return _real_part(vals, "z-contour")
+
+    def kernel(self, yprime, y, q=None, factor=None, circle=None):
+        """K_n(y', y) = sum_j p_j(y') q_j(y), broadcasting y' against y.
+
+        q holds the values q_j(y) (default the duals qtilde_j at y); factor
+        and circle choose the p_j as in p.  A float for scalar y', y.
+        """
+        y = np.asarray(y, dtype=float)
+        if q is None:
+            q = [w.density(y) for w in self.qtilde]
+        out = 0.0
+        for pj, qj in zip(self.p(yprime, factor, circle), q):
+            out = out + pj * qj
+        return out if np.ndim(out) else float(out)
 
     def diagonal(self, y):
         """Kernel diagonal K_n(y, y) = sum_j p_j(y) q_j(y), vectorized over y.
@@ -103,19 +134,11 @@ class BiorthSystem:
         K_n(y, y) / n is the density of one pooled spectrum entry of the
         determinantal ensemble (Borodin, Nucl. Phys. B 536, 1999).
         """
-        y = np.asarray(y, dtype=float)
-        # float_power squares through libm pow, as the scalar y' ** 2 of
-        # kernel_fixed does, so both agree bit for bit (y * y can differ)
-        u = np.float_power(y, 2)
-        pc = self._p_coeffs()
-        out = 0.0
-        for j in range(self.n):
-            out = out + npoly.polyval(u, pc[j]) * self.q(j, y)
-        return out
+        return self.kernel(y, y)
 
     def gram_matrix(self) -> np.ndarray:
         """int p_j(y) q_k(y) dy from the exact Mellin handles of qtilde."""
-        pc = self._p_coeffs()
+        pc = self._p_coeffs(self.factor)
         G = np.empty((self.n, self.n))
         for j in range(self.n):
             for k in range(self.n):
@@ -227,8 +250,7 @@ def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
     (a_i^2 - a_j^2), reduced here to its exact residue form; q_j(y) =
     (1/a_j) A(y / a_j).
     """
-    at = atilde if isinstance(atilde, SingularSpectrum) \
-        else SingularSpectrum.from_values(atilde)
+    at = SingularSpectrum.from_values(atilde)
     if at.is_degenerate:
         raise DomainError("fixed-base kernel requires a non-degenerate base")
     n = at.n
@@ -241,91 +263,63 @@ def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
                         factor=factor, label="fixed", gram_offdiag=off)
 
 
-def _circle_average(f, radius: float, n_nodes: int):
-    """(1/2 pi i) contour integral dz/z f(z) = mean of f over the circle."""
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    z = radius * np.exp(1j * theta)
-    return np.mean(f(z))
+def _unit_circle(m: int) -> np.ndarray:
+    """The m trapezoid nodes exp(2 pi i k / m) on the unit circle."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
 
 
-def _real_part(val: complex, what: str) -> float:
-    if abs(val.imag) > IMAG_TOL * max(abs(val.real), 1.0):
+def _real_part(val, what: str):
+    imag = np.abs(val.imag)
+    if np.any(imag > IMAG_TOL * np.maximum(np.abs(val.real), 1.0)):
         raise ContourError(
-            f"{what}: imaginary residue {val.imag:.3e} above {IMAG_TOL:g}")
-    return float(val.real)
+            f"{what}: imaginary residue {np.max(imag):.3e} above {IMAG_TOL:g}")
+    return val.real
 
 
-def _contour_p(sys: BiorthSystem, factor: WeightFunction, j: int,
-               yprime: float, radius: float, n_nodes: int) -> float:
-    """p_j(y') as the trapezoid z-circle average of chi(z) ptilde_j(y'/z)."""
-    n = sys.n
-
-    def f(z):
-        u = (yprime / z) ** 2
-        return chi_poly(factor, z, 0, n - 1) \
-            * npoly.polyval(u, sys.ptilde_coeffs[j])
-
-    val = _circle_average(f, radius, n_nodes)
-    return _real_part(complex(val), "z-contour")
-
-
-def _series_p(sys: BiorthSystem, factor: WeightFunction, j: int,
-              yprime: float) -> float:
-    minv = np.array([1.0 / float(np.real(factor.mellin(2 * i + 1)))
-                     for i in range(sys.n)])
-    return float(npoly.polyval(yprime ** 2, sys.ptilde_coeffs[j] * minv))
-
-
-def _p(sys, factor, j, yprime, radius, contour, method) -> float:
-    if method == "contour":
-        return _contour_p(sys, factor, j, yprime, radius, contour.n_nodes)
+def _circle(method: str, contour: ContourSpec | None, radius: float):
+    """(radius, n_nodes) of the z-circle for method 'contour', None for
+    'series'; radius is the default when contour leaves it open."""
     if method == "series":
-        return _series_p(sys, factor, j, yprime)
-    raise DomainError(f"unknown kernel method {method!r}")
+        return None
+    if method != "contour":
+        raise DomainError(f"unknown kernel method {method!r}")
+    contour = ContourSpec() if contour is None else contour
+    if contour.radius is not None:
+        radius = contour.radius
+    return radius, contour.n_nodes
 
 
-def kernel_poly(yprime: float, y: float, base: BiorthSystem,
-                factor: WeightFunction,
-                contour: ContourSpec | None = None,
-                method: str = "contour") -> float:
+def kernel_poly(yprime, y, base: BiorthSystem, factor: WeightFunction,
+                contour: ContourSpec | None = None, method: str = "contour"):
     """Correlation kernel of one factor applied to a polynomial-ensemble base.
 
     K_n(y', y) = sum_j p_j(y') q_j(y) with p_j the chi-contour transform of
     the base polynomial ptilde_j and q_j the Mellin convolution of the
     factor density with the base dual qtilde_j.  method 'contour' evaluates
-    the z-integral by trapezoid circle average, 'series' by its residues.
+    the z-integral by trapezoid circle average (radius 1 by default),
+    'series' by its residues.  y' and y broadcast against each other (y
+    positive); the result has their broadcast shape, a float for scalars.
     """
-    if contour is None:
-        contour = ContourSpec()
-    radius = contour.radius if contour.radius is not None else 1.0
-    out = 0.0
-    for j in range(base.n):
-        out += _p(base, factor, j, yprime, radius, contour, method) \
-            * mellin_convolve(factor, base.qtilde[j], y)
-    return out
+    circle = _circle(method, contour, 1.0)
+    q = [mellin_convolve(factor, w, y) for w in base.qtilde]
+    return base.kernel(yprime, y, q=q, factor=factor, circle=circle)
 
 
-def kernel_fixed(yprime: float, y: float, atilde, factor: WeightFunction,
+def kernel_fixed(yprime, y, atilde, factor: WeightFunction,
                  contour: ContourSpec | None = None,
                  method: str = "contour",
-                 system: BiorthSystem | None = None) -> float:
+                 system: BiorthSystem | None = None):
     """Correlation kernel of the fixed-base product ensemble.
 
     Sum-over-j form with the Lagrange-type polynomials in (y'/z)^2; the
     z-contour encircles only the origin, default radius 0.5 min_j a_j.
+    y' and y broadcast against each other; the result has their broadcast
+    shape, a float for scalars.
     """
-    at = atilde if isinstance(atilde, SingularSpectrum) \
-        else SingularSpectrum.from_values(atilde)
+    at = SingularSpectrum.from_values(atilde)
     sys = system if system is not None else biorth_fixed(at, factor)
-    if contour is None:
-        contour = ContourSpec()
-    radius = contour.radius if contour.radius is not None \
-        else 0.5 * float(at.values[0])
-    out = 0.0
-    for j in range(sys.n):
-        out += _p(sys, factor, j, yprime, radius, contour, method) \
-            * sys.qtilde[j].density(y)
-    return out
+    circle = _circle(method, contour, 0.5 * float(at.values[0]))
+    return sys.kernel(yprime, y, factor=factor, circle=circle)
 
 
 def kernel_fixed_contour(yprime: float, y: float, atilde,
@@ -338,10 +332,11 @@ def kernel_fixed_contour(yprime: float, y: float, atilde,
                  * prod_i (a_i^2 - z'^2)/(a_i^2 - z^2),
     with z' on a circle around the origin and z on a union of small circles
     that encircle only the poles at a_1, ..., a_n.  Requires the factor
-    density to be holomorphic near y / a_j.
+    density to be holomorphic near y / a_j; one that takes real arguments
+    only (a_sigma_custom) raises DomainError.  One (y', y) point per call:
+    the integrand alone has n_nodes x n x nodes_per_circle entries.
     """
-    at = atilde if isinstance(atilde, SingularSpectrum) \
-        else SingularSpectrum.from_values(atilde)
+    at = SingularSpectrum.from_values(atilde)
     if at.is_degenerate:
         raise DomainError("fixed-base kernel requires a non-degenerate base")
     av = at.values
@@ -357,10 +352,9 @@ def kernel_fixed_contour(yprime: float, y: float, atilde,
     if rprime <= 0 or rprime + rho >= av[0]:
         raise ContourError("z'-circle collides with the pole circles")
     nz = contour.nodes_per_circle
-    theta = 2.0 * np.pi * np.arange(nz) / nz
-    zpole = av[:, None] + rho * np.exp(1j * theta)[None, :]
-    phi = 2.0 * np.pi * np.arange(contour.n_nodes) / contour.n_nodes
-    zp = rprime * np.exp(1j * phi)
+    w = _unit_circle(nz)
+    zpole = av[:, None] + rho * w[None, :]
+    zp = rprime * _unit_circle(contour.n_nodes)
     sq = av * av
     chi_vals = chi_poly(factor, yprime / zp, 0, n - 1)
     num = np.prod(sq[None, :] - (zp ** 2)[:, None], axis=1)
@@ -368,18 +362,18 @@ def kernel_fixed_contour(yprime: float, y: float, atilde,
     den = np.prod(sq[None, None, :] - (zpole ** 2)[..., None], axis=-1)
     frac = 1.0 / ((zp ** 2)[:, None, None] - (zpole ** 2)[None, :, :])
     integrand = (chi_vals * num)[:, None, None] \
-        * (a_vals / den * np.exp(1j * theta)[None, :])[None, :, :] * frac
+        * (a_vals / den * w[None, :])[None, :, :] * frac
     inner = (2.0 * rho / nz) * np.sum(integrand, axis=(1, 2))
     val = np.mean(inner)
     return _real_part(complex(val), "double contour")
 
 
 def correlation_Rk(points, kernel) -> float:
-    """R_k(y_1, ..., y_k) = det[K(y_l, y_m)] for a kernel handle K(y', y)."""
+    """R_k(y_1, ..., y_k) = det[K(y_l, y_m)] for a kernel handle K(y', y).
+
+    points has shape (k,).  K must broadcast y' against y, as kernel_fixed
+    and kernel_poly do: the k x k matrix is one call K(y[:, None],
+    y[None, :]).
+    """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    k = pts.size
-    M = np.empty((k, k))
-    for l in range(k):
-        for m in range(k):
-            M[l, m] = kernel(pts[l], pts[m])
-    return float(np.linalg.det(M))
+    return float(np.linalg.det(kernel(pts[:, None], pts[None, :])))

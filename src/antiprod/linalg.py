@@ -48,6 +48,9 @@ class SingularSpectrum:
 
     @classmethod
     def from_values(cls, values) -> "SingularSpectrum":
+        """Spectrum of the sorted values; a SingularSpectrum passes as is."""
+        if isinstance(values, cls):
+            return values
         return cls(np.sort(np.asarray(values, dtype=float)))
 
     @property
@@ -55,14 +58,18 @@ class SingularSpectrum:
         return self.values.size
 
     @property
+    def relative_gaps(self) -> np.ndarray:
+        """Consecutive gaps (a_(k+1) - a_k) / a_(k+1), with a zero pair
+        counting as gap 0; empty for n = 1."""
+        v = self.values
+        hi = v[1:]
+        return (hi - v[:-1]) / np.where(hi == 0.0, 1.0, hi)
+
+    @property
     def degeneracy_gap(self) -> float:
         """Minimum relative consecutive gap; inf for n = 1."""
-        v = self.values
-        if v.size < 2:
-            return np.inf
-        scale = np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
-        scale = np.where(scale == 0.0, 1.0, scale)
-        return float(np.min(np.diff(v) / scale))
+        gaps = self.relative_gaps
+        return float(np.min(gaps)) if gaps.size else np.inf
 
     @property
     def is_degenerate(self) -> bool:
@@ -102,59 +109,6 @@ class AntisymmetricMatrix:
         return self.dim // 2
 
 
-@dataclass(frozen=True)
-class GeneralLinearMatrix:
-    """Even-dimensional real invertible matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-            raise DomainError("entries must be square with even dimension")
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise DomainError("matrix is singular to relative tolerance 1e-12")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.dim // 2
-
-
-@dataclass(frozen=True)
-class OrthogonalMatrix:
-    """Real m x m matrix k with k^T k = 1."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError("entries must be square")
-        dev = np.max(np.abs(m.T @ m - np.eye(m.shape[0])))
-        if dev > 1e-12:
-            raise DomainError(f"not orthogonal: max |k^T k - 1| = {dev:.3e}")
-        d = float(np.linalg.det(m))
-        if min(abs(d - 1.0), abs(d + 1.0)) > 1e-10:
-            raise DomainError(f"determinant {d} not in {{+1, -1}}")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def det_sign(self) -> int:
-        return 1 if np.linalg.det(self.entries) > 0 else -1
-
-
 def vandermonde_sq(a: SingularSpectrum | np.ndarray) -> float:
     """prod_{k<l} (a_l^2 - a_k^2) over the last axis; 1 for n = 1."""
     v = a.values if isinstance(a, SingularSpectrum) else np.asarray(a, dtype=float)
@@ -163,21 +117,6 @@ def vandermonde_sq(a: SingularSpectrum | np.ndarray) -> float:
     for k in range(sq.shape[-1]):
         out = out * np.prod(sq[..., k + 1:] - sq[..., k, None], axis=-1)
     return out if np.ndim(out) else float(out)
-
-
-def vandermonde_sq_log(a: SingularSpectrum | np.ndarray) -> tuple[float, float]:
-    """(sign, log|Delta_n(a^2)|); sign 0 with log -inf at degeneracy."""
-    v = a.values if isinstance(a, SingularSpectrum) else np.asarray(a, dtype=float)
-    sq = v * v
-    sign = 1.0
-    logabs = 0.0
-    for k in range(sq.size):
-        d = sq[k + 1:] - sq[k]
-        if np.any(d == 0.0):
-            return 0.0, -np.inf
-        sign *= float(np.prod(np.sign(d)))
-        logabs += float(np.sum(np.log(np.abs(d))))
-    return sign, logabs
 
 
 def build_canonical(a: SingularSpectrum) -> AntisymmetricMatrix:
@@ -218,11 +157,6 @@ def spectra_batch(mats: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(mats.transpose(0, 2, 1) @ mats)
     w = np.clip(w, 0.0, None)
     return np.sqrt((w[:, 0::2] + w[:, 1::2]) / 2.0)
-
-
-def haar_orthogonal(m: int, rng: np.random.Generator) -> OrthogonalMatrix:
-    """One Haar-distributed matrix from O(m)."""
-    return OrthogonalMatrix(haar_orthogonal_batch(m, 1, rng)[0])
 
 
 def _haar_columns(m: int, k: int, size: int,
@@ -270,9 +204,3 @@ def _haar_blocks(draws, nsamples: int, rng: np.random.Generator):
         block = min(_HAAR_BLOCK, nsamples - done)
         yield tuple(draw(block, rng) for draw in draws)
 
-
-def project_corank2(x: AntisymmetricMatrix) -> AntisymmetricMatrix:
-    """Leading (2n-2) x (2n-2) principal submatrix."""
-    if x.dim <= 2:
-        raise DomainError("corank-2 projection of a 2x2 matrix is empty")
-    return AntisymmetricMatrix(x.entries[:-2, :-2].copy())

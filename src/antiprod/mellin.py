@@ -104,7 +104,8 @@ class WeightFunction:
         return hi if np.isfinite(hi) else TAIL_CUT
 
     def density_deriv(self, a, k: int):
-        """k-th derivative of the density at a > 0."""
+        """k-th derivative of the density; the catalogued weights give 0
+        wherever their density is 0 by support."""
         if k == 0:
             return self.density(a)
         if self.deriv is None:
@@ -190,8 +191,13 @@ def ginibre_weight(nu: float) -> WeightFunction:
     def deriv(a, k):
         j, c = polys(k)
         a = np.asarray(a, dtype=float)
-        return npp.polyval(a, c) \
-            * np.exp((two_nu - k + j) * np.log(a) - a - lognorm)
+        out = np.zeros_like(a)
+        pos = a > 0
+        out[pos] = npp.polyval(a[pos], c) \
+            * np.exp((two_nu - k + j) * np.log(a[pos]) - a[pos] - lognorm)
+        if two_nu == 0.0:
+            out[a == 0] = (-1.0) ** k * np.exp(-lognorm)
+        return out
 
     return WeightFunction(density=density, mellin=mellin,
                           support=(0.0, np.inf), label="ginibre", deriv=deriv)
@@ -236,8 +242,12 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
     def deriv(a, k):
         j, c = polys(k)
         a = np.asarray(a, dtype=float)
-        return npp.polyval(a, c) * np.exp(
-            (two_nu - k + j) * np.log(a) + (beta - k) * np.log1p(-a) - lognorm)
+        out = np.zeros_like(a)
+        ok = (a > 0) & (a < 1)
+        out[ok] = npp.polyval(a[ok], c) * np.exp(
+            (two_nu - k + j) * np.log(a[ok]) + (beta - k) * np.log1p(-a[ok])
+            - lognorm)
+        return out
 
     return WeightFunction(density=density, mellin=mellin,
                           support=(0.0, 1.0), label="jacobi", deriv=deriv)
@@ -260,7 +270,9 @@ def a_sigma_custom(sampler2x2: Callable, rng, nsamples: int = 100_000,
     |det z| is estimated with a Gaussian kernel density in log |det z|;
     intended for exploratory factors only.  The Mellin transform is by
     quadrature, and the weight has no derivatives, so the degenerate and
-    confluent densities, which need them, raise DomainError.
+    confluent densities, which need them, raise DomainError.  The density
+    takes real arguments only: the double-contour kernel, which continues
+    it to complex ones, raises DomainError as well.
     """
     dets = np.empty(nsamples)
     for i in range(nsamples):
@@ -276,6 +288,9 @@ def a_sigma_custom(sampler2x2: Callable, rng, nsamples: int = 100_000,
     lo, hi = dets.min() * 0.5, dets.max() * 2.0
 
     def density(a):
+        if np.iscomplexobj(a):
+            raise DomainError("a custom factor density has no analytic "
+                              "continuation to complex arguments")
         a = np.asarray(a, dtype=float)
         out = np.zeros_like(a)
         ok = (a >= lo) & (a <= hi)

@@ -25,16 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (AntisymmetricMatrix, DomainError, GeneralLinearMatrix,
-                     SingularSpectrum, _haar_columns, build_canonical,
-                     haar_orthogonal_batch, spectra_batch)
+from .linalg import (DomainError, SingularSpectrum, _haar_columns,
+                     build_canonical, haar_orthogonal_batch, spectra_batch)
 
 __all__ = [
     "GinibreSpec", "JacobiSpec", "ProductSpec",
-    "sample_ginibre_rect", "sample_induced_ginibre",
-    "sample_induced_ginibre_batch", "sample_induced_jacobi",
-    "sample_induced_jacobi_batch", "build_product", "build_product_batch",
-    "product_spectra_batch",
+    "sample_induced_ginibre_batch", "sample_induced_jacobi_batch",
+    "build_product_batch", "product_spectra_batch",
 ]
 
 @dataclass(frozen=True)
@@ -100,8 +97,7 @@ class ProductSpec:
     def __post_init__(self):
         ns = {f.n for f in self.factors}
         if self.base is not None:
-            base = self.base if isinstance(self.base, SingularSpectrum) \
-                else SingularSpectrum.from_values(self.base)
+            base = SingularSpectrum.from_values(self.base)
             object.__setattr__(self, "base", base)
             ns.add(base.n)
         if self.n > 0:
@@ -117,14 +113,6 @@ class ProductSpec:
         if self.base is None:
             return np.ones(self.n)
         return self.base.values
-
-
-def sample_ginibre_rect(rows: int, cols: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """rows x cols matrix of i.i.d. standard normal entries."""
-    if rows < 2 or cols < 2 or rows % 2 or cols % 2:
-        raise DomainError("rows and cols must be even integers >= 2")
-    return rng.standard_normal((rows, cols))
 
 
 def _ginibre_triangle(spec: GinibreSpec, size: int,
@@ -180,11 +168,6 @@ def sample_induced_ginibre_batch(spec: GinibreSpec, size: int,
     return _factor_batch(spec, size, rng)
 
 
-def sample_induced_ginibre(spec: GinibreSpec,
-                           rng: np.random.Generator) -> GeneralLinearMatrix:
-    return GeneralLinearMatrix(sample_induced_ginibre_batch(spec, 1, rng)[0])
-
-
 def sample_induced_jacobi_batch(spec: JacobiSpec, size: int,
                                 rng: np.random.Generator) -> np.ndarray:
     """Stack of induced Jacobi matrices g = R (M^T M)^(1/2), shape (size, 2n, 2n).
@@ -194,11 +177,6 @@ def sample_induced_jacobi_batch(spec: JacobiSpec, size: int,
     singular values of g lie in [0, 1].
     """
     return _factor_batch(spec, size, rng)
-
-
-def sample_induced_jacobi(spec: JacobiSpec,
-                          rng: np.random.Generator) -> GeneralLinearMatrix:
-    return GeneralLinearMatrix(sample_induced_jacobi_batch(spec, 1, rng)[0])
 
 
 def _product_core(spec: ProductSpec, size: int,
@@ -252,7 +230,3 @@ def product_spectra_batch(spec: ProductSpec, size: int,
     """
     return spectra_batch(_antisymmetrized(_product_core(spec, size, rng)))
 
-
-def build_product(spec: ProductSpec,
-                  rng: np.random.Generator) -> AntisymmetricMatrix:
-    return AntisymmetricMatrix(build_product_batch(spec, 1, rng)[0])

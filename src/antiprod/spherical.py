@@ -49,7 +49,7 @@ from .mellin import quad
 
 __all__ = [
     "SphericalParameter", "phi_closed", "phi_montecarlo", "psi_montecarlo",
-    "factorization_check_phi", "factorization_check_psi",
+    "factorization_check_phi", "factorization_check_psi", "zscore",
     "fn_closed", "fn_recurrence", "harish_chandra_o2n",
     "harish_chandra_o2n_mc",
     "spherical_transform_poly", "spherical_transform_factor",
@@ -104,10 +104,6 @@ class SphericalParameter:
 
 def _as_param(s) -> SphericalParameter:
     return s if isinstance(s, SphericalParameter) else SphericalParameter(np.asarray(s))
-
-
-def _as_spectrum(a) -> SingularSpectrum:
-    return a if isinstance(a, SingularSpectrum) else SingularSpectrum.from_values(a)
 
 
 def _expm1c(z):
@@ -295,7 +291,7 @@ def phi_closed(s, a) -> complex:
     path; in particular the limit a -> (1, ..., 1) returns exactly 1.
     """
     s = _as_param(s)
-    a = _as_spectrum(a)
+    a = SingularSpectrum.from_values(a)
     core = _alternant_core(s, a)
     return complex(np.exp(_log_prefactor(s.n)) * core)
 
@@ -325,6 +321,15 @@ def _minor_exponent_check(s: SphericalParameter, a_min: float):
     if a_min < 1e-8 and np.real(s.s[-1]) < 0:
         raise DomainError(
             "Re s_n >= 0 required when the spectrum nearly touches zero")
+
+
+def zscore(x, ref, se) -> float:
+    """|x - ref| / se.  An exact estimate (se = 0) scores 0 when it matches
+    ref to 1e-12 relative and inf otherwise, so that it can fail."""
+    diff = abs(x - ref)
+    if se > 0:
+        return float(diff / se)
+    return 0.0 if diff <= 1e-12 * abs(ref) else np.inf
 
 
 def _sandwich(k, m):
@@ -387,7 +392,7 @@ def phi_montecarlo(s, a, nsamples: int, rng):
     frames; the standard error of the ratio comes from the delta method.
     """
     s = _as_param(s)
-    a = _as_spectrum(a)
+    a = SingularSpectrum.from_values(a)
     if a.n != s.n:
         raise DomainError("s and a must have the same length")
     _minor_exponent_check(s, float(np.min(a.values)))
@@ -408,7 +413,7 @@ def psi_montecarlo(s, g, nsamples: int, rng):
     """Monte Carlo estimate of Psi(s; g); exact (zero variance) when the
     integrand is k-independent, e.g. g proportional to the identity."""
     s = _as_param(s)
-    ge = g.entries if hasattr(g, "entries") else np.asarray(g, dtype=float)
+    ge = np.asarray(g, dtype=float)
     if ge.shape[0] != 2 * s.n:
         raise DomainError("dimension of g does not match s")
     m = ge @ ge.T
@@ -424,9 +429,9 @@ def factorization_check_phi(s, g, a, nsamples: int, rng):
 
     Returns (lhs, rhs, zscore)."""
     s = _as_param(s)
-    a = _as_spectrum(a)
+    a = SingularSpectrum.from_values(a)
     _minor_exponent_check(s, float(np.min(a.values)))
-    ge = g.entries if hasattr(g, "entries") else np.asarray(g, dtype=float)
+    ge = np.asarray(g, dtype=float)
     x = build_canonical(a).entries
 
     def lhs_block(k):
@@ -442,8 +447,8 @@ def factorization_check_phi(s, g, a, nsamples: int, rng):
     phi = phi_closed(s, a)
     rhs = psi * phi
     se = np.sqrt(lhs_se ** 2 + (psi_se * abs(phi)) ** 2)
-    z = abs(lhs - rhs) / se if se > 0 else 0.0
-    return complex(lhs), complex(rhs), float(z)
+    z = zscore(lhs, rhs, se)
+    return complex(lhs), complex(rhs), z
 
 
 def factorization_check_psi(s, g, gprime, nsamples: int, rng):
@@ -453,9 +458,8 @@ def factorization_check_psi(s, g, gprime, nsamples: int, rng):
     from Psi itself), estimated per sample with a Haar draw k and a
     Gaussian frame for Psi.  Returns (lhs, rhs, zscore)."""
     s = _as_param(s)
-    ge = g.entries if hasattr(g, "entries") else np.asarray(g, dtype=float)
-    gpe = gprime.entries if hasattr(gprime, "entries") \
-        else np.asarray(gprime, dtype=float)
+    ge = np.asarray(g, dtype=float)
+    gpe = np.asarray(gprime, dtype=float)
     inner = gpe @ gpe.T
 
     def lhs_block(k, f):
@@ -471,8 +475,8 @@ def factorization_check_psi(s, g, gprime, nsamples: int, rng):
     p2, se2 = psi_montecarlo(s, gpe, nsamples, rng)
     rhs = p1 * p2
     se = np.sqrt(lhs_se ** 2 + (se1 * abs(p2)) ** 2 + (se2 * abs(p1)) ** 2)
-    z = abs(lhs - rhs) / se if se > 0 else 0.0
-    return complex(lhs), complex(rhs), float(z)
+    z = zscore(lhs, rhs, se)
+    return complex(lhs), complex(rhs), z
 
 
 def _cn_delta(s) -> complex:
@@ -488,7 +492,7 @@ def _cn_delta(s) -> complex:
 def fn_closed(s, a) -> complex:
     """Auxiliary kernel f_n(s; i a (x) tau_2) = c_n(s) det[a^(s+n-1)]/Delta(a^2)."""
     s = _as_param(s)
-    a = _as_spectrum(a)
+    a = SingularSpectrum.from_values(a)
     # the core divides by Delta(s) through the confluent path
     return complex(_cn_delta(s.s) * _alternant_core(s, a))
 
@@ -514,7 +518,7 @@ def fn_recurrence(s, a) -> complex:
     route; the entries are not replaced by their Beta-function values.
     """
     s = _as_param(s)
-    a = _as_spectrum(a)
+    a = SingularSpectrum.from_values(a)
     n = s.n
     if n < 2:
         raise DomainError("the recursion starts at n = 2")
@@ -578,8 +582,8 @@ def harish_chandra_o2n(x, y) -> float:
     Coinciding entries in one of the spectra are handled by the confluent
     path; an all-zero spectrum returns 1 exactly.
     """
-    x = _as_spectrum(x)
-    y = _as_spectrum(y)
+    x = SingularSpectrum.from_values(x)
+    y = SingularSpectrum.from_values(y)
     n = x.n
     if y.n != n:
         raise DomainError("spectra must have equal length")
@@ -602,8 +606,8 @@ def harish_chandra_o2n(x, y) -> float:
 
 def harish_chandra_o2n_mc(x, y, nsamples: int, rng):
     """Monte Carlo counterpart: Haar average of exp(Tr X k Y k^T / 2)."""
-    x = _as_spectrum(x)
-    y = _as_spectrum(y)
+    x = SingularSpectrum.from_values(x)
+    y = SingularSpectrum.from_values(y)
     X = build_canonical(x).entries
     Y = build_canonical(y).entries
 

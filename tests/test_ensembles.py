@@ -167,3 +167,47 @@ def test_triple_base_entry_n4_matches_split_base():
         conf = jpdf_fixed(a, [0.8, 1.5, 1.5, 1.5], GW)
         split = jpdf_fixed(a, [0.8, 1.5 - 1e-4, 1.5, 1.5 + 1e-4], GW)
         assert conf == pytest.approx(split, rel=1e-5)
+
+
+def test_catalogued_derivatives_vanish_outside_the_support():
+    # a base entry 0.95 / 0.9 > 1 sits outside the Jacobi support, where
+    # the density and every derivative are 0
+    jw = jacobi_weight(0.0, 0.0, 2)
+    assert jpdf_fixed([0.3, 0.95], [0.9, 0.9], jw) == 0.0
+    assert jpdf_degenerate([0.3, 1.2], jw) == 0.0
+    for k in (1, 2, 3):
+        for w, out in ((jw, [-0.5, 1.0, 1.5]), (GW, [-0.5, -2.0])):
+            assert np.all(w.density_deriv(np.array(out), k) == 0.0)
+        # A(a) = e^(-a) keeps its derivatives (-1)^k at the edge a = 0
+        assert GW.density_deriv(np.array([0.0]), k)[0] == (-1.0) ** k
+
+
+def _bases(n, kind):
+    """A distinct, partially or fully degenerate base of size n."""
+    if kind == "distinct":
+        return [0.5 + 0.4 * i for i in range(n)]
+    if kind == "partial":
+        return [0.5] + [0.9] * (n - 1)
+    return [0.7] * n
+
+
+@given(n=st.integers(1, 4), jacobi=st.booleans(),
+       kind=st.sampled_from(["distinct", "partial", "full"]),
+       rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stacked_densities_match_per_row_calls_bitwise(n, jacobi, kind, rows,
+                                                       seed):
+    if (kind == "partial" and n < 3) or (kind == "full" and n < 2):
+        kind = "distinct"
+    w = jacobi_weight(0.0, 0.0, n) if jacobi else GW
+    base = _bases(n, kind)
+    hi = 1.0 if jacobi else 6.0
+    a = np.random.default_rng(seed).uniform(0.01, hi * max(base), (rows, 2, n))
+    for f in (lambda x: jpdf_fixed(x, base, w),
+              lambda x: jpdf_degenerate(x, w)):
+        stacked = f(a)
+        assert stacked.shape == (rows, 2)
+        per_row = [[f(list(r)) for r in block] for block in a]
+        assert all(type(v) is float for block in per_row for v in block)
+        assert np.array_equal(stacked, per_row)
+        assert f(a[:1, 0]).shape == (1,)

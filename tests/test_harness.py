@@ -271,4 +271,20 @@ def test_readme_library_sketch_runs():
     scope = {}
     exec(compile(block, str(readme), "exec"), scope)
     assert scope["spectra"].shape == (100_000, 2)
-    assert scope["density"] > 0.0
+    assert scope["density"].shape == (1000,)
+    assert np.all(scope["density"] > 0.0)
+    assert scope["kernel"].shape == (50, 50)
+    assert np.all(np.isfinite(scope["kernel"]))
+
+
+def test_exact_spherical_gate_fails_on_a_wrong_closed_form(monkeypatch):
+    # at s = (2, 0) the Monte Carlo estimate of Phi is exact (stderr 0), so
+    # only an exact-match rule can catch a closed form that is 2 % off
+    from antiprod import harness, spherical
+    closed = spherical.phi_closed
+    monkeypatch.setattr(spherical, "phi_closed",
+                        lambda s, a: 1.02 * closed(s, a))
+    rep = harness.run_spherical_suite(ExperimentConfig(
+        kind="spherical-identity", nsamples=2000, seed=0))
+    assert not rep.passed
+    assert rep.statistics["phi_z_0"] == np.inf

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
 from antiprod.ensembles import (PolynomialEnsembleSpec, fixed_base_weights,
@@ -192,3 +193,33 @@ def test_diagonal_matches_series_kernel_pointwise():
         want = [kernel_fixed(y, y, base, w, method="series", system=sys)
                 for y in ys]
         assert sys.diagonal(ys).tolist() == want
+
+
+def test_custom_factor_double_contour_raises():
+    # the custom density cannot be continued to the complex y / z of the
+    # pole circles, so the double contour refuses it; the series form
+    # needs real arguments only
+    from antiprod.mellin import a_sigma_custom
+    w = a_sigma_custom(lambda r: r.standard_normal((2, 2)),
+                       np.random.default_rng(6), nsamples=5_000)
+    assert np.isfinite(kernel_fixed(0.7, 0.9, [1.0, 2.0], w,
+                                    method="series"))
+    with pytest.raises(DomainError):
+        kernel_fixed_contour(0.7, 0.9, [1.0, 2.0], w)
+
+
+@given(yp=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=3),
+       y=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=3))
+@settings(max_examples=15, deadline=None)
+def test_kernels_on_a_grid_match_per_point_calls_bitwise(yp, y):
+    at = [1.0, 2.0]
+    sysf = biorth_fixed(at, GW)
+    sysp = gram_biorth(PolynomialEnsembleSpec(2, fixed_base_weights(at, GW)))
+    grid = np.asarray(yp)[:, None], np.asarray(y)[None, :]
+    for method in ("series", "contour"):
+        for K in (lambda a, b: kernel_fixed(a, b, at, GW, method=method,
+                                            system=sysf),
+                  lambda a, b: kernel_poly(a, b, sysp, GW, method=method)):
+            per_point = [[K(a, b) for b in y] for a in yp]
+            assert all(type(v) is float for row in per_point for v in row)
+            assert np.array_equal(K(*grid), per_point)

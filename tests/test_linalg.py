@@ -3,12 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antiprod.linalg import (AntisymmetricMatrix, DomainError,
-                             GeneralLinearMatrix, OrthogonalMatrix,
                              SingularSpectrum, _haar_columns, build_canonical,
-                             haar_orthogonal, haar_orthogonal_batch,
-                             project_corank2, singular_spectrum,
-                             spectra_batch, vandermonde_sq,
-                             vandermonde_sq_log)
+                             haar_orthogonal_batch, singular_spectrum,
+                             spectra_batch, vandermonde_sq)
 
 
 def test_vandermonde_examples():
@@ -17,16 +14,8 @@ def test_vandermonde_examples():
     assert vandermonde_sq(np.array([1.0, 2.0, 4.0])) == 540.0
 
 
-def test_vandermonde_log_matches():
-    a = np.array([0.3, 1.1, 2.7])
-    sign, logabs = vandermonde_sq_log(a)
-    assert sign * np.exp(logabs) == pytest.approx(vandermonde_sq(a))
-
-
 def test_vandermonde_degenerate_is_zero():
     assert vandermonde_sq(np.array([1.0, 1.0])) == 0.0
-    sign, logabs = vandermonde_sq_log(np.array([1.0, 1.0]))
-    assert sign == 0.0 and logabs == -np.inf
 
 
 def test_spectrum_validation():
@@ -50,18 +39,6 @@ def test_antisymmetric_validation():
         AntisymmetricMatrix(np.zeros((3, 3)))
 
 
-def test_general_linear_rejects_singular():
-    with pytest.raises(DomainError):
-        GeneralLinearMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
-def test_orthogonal_validation():
-    with pytest.raises(DomainError):
-        OrthogonalMatrix(np.eye(2) * 1.1)
-    k = OrthogonalMatrix(np.diag([1.0, -1.0]))
-    assert k.det_sign == -1
-
-
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
                 max_size=4))
 @settings(max_examples=50, deadline=None)
@@ -76,8 +53,8 @@ def test_spectrum_invariant_under_conjugation():
     rng = np.random.default_rng(5)
     a = SingularSpectrum.from_values([0.5, 1.5, 2.5])
     x = build_canonical(a)
-    k = haar_orthogonal(6, rng)
-    y = AntisymmetricMatrix.from_raw(k.entries @ x.entries @ k.entries.T)
+    k = haar_orthogonal_batch(6, 1, rng)[0]
+    y = AntisymmetricMatrix.from_raw(k @ x.entries @ k.T)
     assert np.allclose(singular_spectrum(y).values, a.values, atol=1e-10)
 
 
@@ -135,12 +112,3 @@ def test_haar_batch_stream_is_unchanged(m):
         q[:, :, 0] *= flip[:, None]
         got = haar_orthogonal_batch(m, 30, np.random.default_rng(seed))
         assert np.array_equal(got, q)
-
-
-def test_project_corank2():
-    a = SingularSpectrum.from_values([1.0, 2.0])
-    x = build_canonical(a)
-    sub = project_corank2(x)
-    assert sub.dim == 2
-    with pytest.raises(DomainError):
-        project_corank2(sub)

@@ -5,27 +5,10 @@ from scipy import stats
 from antiprod.linalg import (DomainError, SingularSpectrum,
                              haar_orthogonal_batch, spectra_batch)
 from antiprod.samplers import (GinibreSpec, JacobiSpec, ProductSpec,
-                               _factor_batch, build_product,
-                               build_product_batch, product_spectra_batch,
-                               sample_ginibre_rect,
-                               sample_induced_ginibre,
+                               _factor_batch, build_product_batch,
+                               product_spectra_batch,
                                sample_induced_ginibre_batch,
                                sample_induced_jacobi_batch)
-
-
-def test_rect_gaussian_moments():
-    rng = np.random.default_rng(0)
-    m = np.stack([sample_ginibre_rect(4, 2, rng) for _ in range(4000)])
-    tr = np.einsum("sij,sij->s", m, m)
-    # E Tr M^T M = rows * cols = 8, Var = 2 * 8
-    assert abs(tr.mean() - 8.0) < 4.0 * np.sqrt(16.0 / 4000)
-
-
-def test_rect_validation():
-    rng = np.random.default_rng(0)
-    for rows, cols in [(3, 2), (2, 3), (0, 2), (2, 1)]:
-        with pytest.raises(DomainError):
-            sample_ginibre_rect(rows, cols, rng)
 
 
 def test_ginibre_spec_validation():
@@ -49,9 +32,9 @@ def test_ginibre_n1_det_is_exponential():
 
 def test_ginibre_polar_factors():
     rng = np.random.default_rng(3)
-    g = sample_induced_ginibre(GinibreSpec(2, 1.0), rng)
-    assert g.entries.shape == (4, 4)
-    s = np.linalg.svd(g.entries, compute_uv=False)
+    g = sample_induced_ginibre_batch(GinibreSpec(2, 1.0), 1, rng)[0]
+    assert g.shape == (4, 4)
+    s = np.linalg.svd(g, compute_uv=False)
     assert np.all(s > 0)
 
 
@@ -98,8 +81,8 @@ def test_product_spec_inference():
 def test_empty_product_is_base():
     rng = np.random.default_rng(6)
     spec = ProductSpec(base=[1.0, 2.0])
-    y = build_product(spec, rng)
-    vals = spectra_batch(y.entries[None])[0]
+    y = build_product_batch(spec, 1, rng)[0]
+    vals = spectra_batch(y[None])[0]
     assert np.allclose(vals, [1.0, 2.0], atol=1e-12)
 
 
@@ -204,7 +187,7 @@ def test_product_spectra_match_full_product(n):
         _assert_squares_close(a, full)
         # the explicit product of whole factors g = R C, drawn in turn
         rng = np.random.default_rng(seed)
-        y = build_product(ProductSpec(base=base), rng).entries
+        y = build_product_batch(ProductSpec(base=base), 1, rng)[0]
         for factor in factors:
             g = _factor_batch(factor, 300, rng)
             y = g @ y @ np.swapaxes(g, 1, 2)
