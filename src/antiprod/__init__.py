@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .linalg import (AntisymmetricMatrix, DomainError, SingularSpectrum,
                      build_canonical, haar_orthogonal_batch,
-                     singular_spectrum, vandermonde_sq)
+                     singular_spectrum, vandermonde)
 from .mellin import (WeightFunction, a_sigma, ginibre_weight, jacobi_weight,
                      mellin_convolve, mellin_numeric)
 from .spherical import (SphericalParameter, fn_closed, fn_recurrence,
@@ -27,7 +27,7 @@ __all__ = [
     "__version__",
     "AntisymmetricMatrix", "DomainError", "SingularSpectrum",
     "build_canonical", "haar_orthogonal_batch", "singular_spectrum",
-    "vandermonde_sq",
+    "vandermonde",
     "WeightFunction", "a_sigma", "ginibre_weight", "jacobi_weight",
     "mellin_convolve", "mellin_numeric",
     "SphericalParameter", "fn_closed", "fn_recurrence",

@@ -103,12 +103,16 @@ def _cmd_spherical(args, cfg) -> int:
     from . import spherical as sph
     params = cfg.get("params", {})
     s = tuple(params.get("s", (2.0, 0.0)))
-    points = params.get("a_points", [[1.0, 2.0]])
-    rows = []
-    for a in points:
-        val = sph.phi_closed(s, tuple(a))
-        rows.append(tuple(a) + (float(np.real(val)), float(np.imag(val))))
-    n = len(points[0])
+    try:
+        points = np.array(params.get("a_points", [[1.0, 2.0]]), dtype=float)
+    except ValueError as exc:
+        raise DomainError(
+            f"a_points must be equal-length lists: {exc}") from exc
+    if points.ndim != 2:
+        raise DomainError("a_points must be a list of spectra")
+    val = sph.phi_closed(s, points)
+    rows = np.column_stack([points, val.real, val.imag])
+    n = points.shape[1]
     header = [f"a_{j + 1}" for j in range(n)] + ["phi_re", "phi_im"]
     _write_table(args.out, "spherical", header, rows, args.format,
                  {"command": "spherical", "params": params})

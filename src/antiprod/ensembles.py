@@ -22,8 +22,9 @@ from math import factorial
 import numpy as np
 from scipy import special
 
-from .linalg import (DEGENERACY_RTOL, DomainError, SingularSpectrum,
-                     vandermonde_sq)
+from .linalg import (DomainError, SingularSpectrum, coincident,
+                     confluent_alternant, derivative_terms, sorted_spectra,
+                     vandermonde)
 from .mellin import ConvolvedDensity, WeightFunction
 
 __all__ = [
@@ -76,18 +77,10 @@ class PolynomialEnsembleSpec:
     def density(self, a):
         """C_n[w] Delta_n(a^2) det[w_b(a_c)] for spectra a of shape (..., n);
         a float for a single spectrum."""
-        a = _spectra(a, self.n)
+        a = sorted_spectra(a, self.n)
         W = np.stack([w(a) for w in self.weights], axis=-2)
-        return _clamped(self.norm_constant * vandermonde_sq(a)
+        return _clamped(self.norm_constant * vandermonde(a * a)
                         * np.linalg.det(W))
-
-
-def _spectra(a, n=None) -> np.ndarray:
-    """Spectra a of shape (..., n), each sorted ascending."""
-    a = np.sort(np.atleast_1d(np.asarray(a, dtype=float)), axis=-1)
-    if n is not None and a.shape[-1] != n:
-        raise DomainError("spectrum length does not match ensemble size")
-    return a
 
 
 def _clamped(val):
@@ -193,39 +186,32 @@ def muttalib_borodin_weights(nu: float, mu: float, n: int) -> tuple:
     return tuple(weights)
 
 
-def _confluent_fixed_det(a: np.ndarray, atv: np.ndarray,
+def _confluent_fixed_det(a: np.ndarray, atv: np.ndarray, same: np.ndarray,
                          factor: WeightFunction) -> np.ndarray:
-    """det[(1/t_c) A(a_b / t_c)] / Delta_n(t^2) with coinciding t entries,
-    for spectra a of shape (..., n).
+    """det[(1/t_c) A(a_b / t_c)] / Delta_n(t^2) with the coinciding t
+    entries that same flags, for spectra a of shape (..., n).
 
-    Columns in the variable u = t^2 are replaced by divided differences;
-    derivatives with respect to u are assembled from closed-form density
-    derivatives through d/du = (1/(2t)) d/dt.  Each column is elementwise
-    in a, so the whole stack shares one divided-difference table.
+    The nodes are u = t^2; derivatives with respect to u are assembled
+    from closed-form density derivatives through d/du = (1/(2t)) d/dt.
     """
-    from .spherical import _expand, _hermite_divdiff, _snap_clusters
-    u_nodes, _ = _snap_clusters(atv ** 2, DEGENERACY_RTOL)
-
-    def value(u):
-        t = np.sqrt(u)
-        return factor.density(a / t) / t
+    a = a[..., :, None]
 
     def taylor(u, m):
+        t = np.sqrt(u)
+        if m == 0:
+            return factor.density(a / t) / t
         # expand d^m/du^m of t^(-1) A(a/t) over terms t^(-p) A^(k)(a/t):
         # d/du = (1/2) t^(-1) d/dt and d/dt [t^(-p) A^(k)(a/t)] =
         # -p t^(-p-1) A^(k) - a t^(-p-2) A^(k+1)
-        terms = _expand(lambda p, k: (((p + 2, k), -0.5 * p),
-                                      ((p + 3, k + 1), -0.5 * a)),
-                        (1, 0), m)
-        t = np.sqrt(u)
+        terms = derivative_terms(lambda p, k: (((p + 2, k), -0.5 * p),
+                                               ((p + 3, k + 1), -0.5 * a)),
+                                 (1, 0), m)
         out = 0.0
         for (p, k), c in terms.items():
-            out += c * t ** (-p) * factor.density_deriv(a / t, k)
+            out = out + c * t ** (-p) * factor.density_deriv(a / t, k)
         return out / float(factorial(m))
 
-    # edge[c][..., b] is column c of row b
-    edge = _hermite_divdiff(list(u_nodes), value, taylor, None)
-    return np.linalg.det(np.stack(edge, axis=-1))
+    return confluent_alternant(atv * atv, same, taylor)
 
 
 def jpdf_fixed(a, atilde, factor: WeightFunction):
@@ -241,20 +227,20 @@ def jpdf_fixed(a, atilde, factor: WeightFunction):
     """
     spec = _as_fixed(atilde)
     n = spec.n
-    a = _spectra(a, n)
+    a = sorted_spectra(a, n)
     atv = spec.atilde.values
-    coincide = spec.atilde.relative_gaps <= DEGENERACY_RTOL
-    if coincide.size and coincide.all():
+    same = coincident(atv)
+    if same.size and same.all():
         lam = float(np.mean(atv))
         return jpdf_degenerate(a / lam, factor) / lam ** n
     logc = -special.gammaln(n + 1) - _log_mellin_norm(factor, n)
-    if coincide.any():
-        det = _confluent_fixed_det(a, atv, factor)
-        val = np.exp(logc) * vandermonde_sq(a) * det
+    if same.any():
+        det = _confluent_fixed_det(a, atv, same, factor)
+        val = np.exp(logc) * vandermonde(a * a) * det
     else:
         W = factor.density(a[..., :, None] / atv) / atv
         det = np.linalg.det(W)
-        val = np.exp(logc) * vandermonde_sq(a) / vandermonde_sq(atv) * det
+        val = np.exp(logc) * vandermonde(a * a) / vandermonde(atv * atv) * det
     return _clamped(val)
 
 
@@ -269,12 +255,12 @@ def jpdf_degenerate(a, factor: WeightFunction):
     n >= 2 the factor needs closed-form derivatives; one without them
     raises DomainError.
     """
-    a = _spectra(a)
+    a = sorted_spectra(a)
     n = a.shape[-1]
     logc = -(n * (n - 1) / 2.0) * np.log(2.0) - special.gammaln(n + 1) \
         - _log_mellin_norm(factor, n)
     W = np.stack([factor.neg_xdx_pow(a, c) for c in range(n)], axis=-1)
-    return _clamped(np.exp(logc) * vandermonde_sq(a) * np.linalg.det(W))
+    return _clamped(np.exp(logc) * vandermonde(a * a) * np.linalg.det(W))
 
 
 def convolve_ensemble(base: PolynomialEnsembleSpec,
@@ -319,12 +305,12 @@ def corank2_jpdf(x, a):
         raise DomainError("projection density needs n >= 2")
     if a.is_degenerate:
         raise DomainError("projection density requires distinct a")
-    x = _spectra(x, n - 1)
+    x = sorted_spectra(x, n - 1)
     av = a.values
     D = np.empty(x.shape[:-1] + (n, n))
     D[..., 0, :] = 1.0
     diff = av - x[..., :, None]
     D[..., 1:, :] = np.where(diff > 0.0, diff, 0.0)
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
-    val = pref * vandermonde_sq(x) / vandermonde_sq(av) * np.linalg.det(D)
+    val = pref * vandermonde(x * x) / vandermonde(av * av) * np.linalg.det(D)
     return _clamped(np.where(np.any(x < 0, axis=-1), 0.0, val))

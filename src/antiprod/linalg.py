@@ -3,6 +3,11 @@
 Even-dimensional real antisymmetric matrices have purely imaginary spectra
 {+/- i a_j} with a_j >= 0; throughout, "singular spectrum" refers to the
 nonnegative half (a_1, ..., a_n) sorted ascending.
+
+The closed forms of the package are alternants det[f_b(u_c)] / Delta(u).
+`confluent_alternant` evaluates them on stacks of nodes through one
+divided-difference table, whose confluent columns resolve coinciding
+nodes; `coincident` is the rule by which entries of a spectrum coincide.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ class SingularSpectrum:
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
         if v.ndim != 1 or v.size == 0:
             raise DomainError("spectrum must be a nonempty vector")
-        if np.any(v < 0):
+        if (v < 0).any():
             raise DomainError("singular values must be nonnegative")
-        if np.any(np.diff(v) < 0):
+        if (v[1:] < v[:-1]).any():
             raise DomainError("singular values must be sorted ascending")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -58,22 +63,8 @@ class SingularSpectrum:
         return self.values.size
 
     @property
-    def relative_gaps(self) -> np.ndarray:
-        """Consecutive gaps (a_(k+1) - a_k) / a_(k+1), with a zero pair
-        counting as gap 0; empty for n = 1."""
-        v = self.values
-        hi = v[1:]
-        return (hi - v[:-1]) / np.where(hi == 0.0, 1.0, hi)
-
-    @property
-    def degeneracy_gap(self) -> float:
-        """Minimum relative consecutive gap; inf for n = 1."""
-        gaps = self.relative_gaps
-        return float(np.min(gaps)) if gaps.size else np.inf
-
-    @property
     def is_degenerate(self) -> bool:
-        return self.degeneracy_gap <= DEGENERACY_RTOL
+        return bool(coincident(self.values).any())
 
 
 @dataclass(frozen=True)
@@ -109,14 +100,95 @@ class AntisymmetricMatrix:
         return self.dim // 2
 
 
-def vandermonde_sq(a: SingularSpectrum | np.ndarray) -> float:
-    """prod_{k<l} (a_l^2 - a_k^2) over the last axis; 1 for n = 1."""
-    v = a.values if isinstance(a, SingularSpectrum) else np.asarray(a, dtype=float)
-    sq = v * v
+def sorted_spectra(a, n=None) -> np.ndarray:
+    """Spectra a of shape (..., n), each sorted ascending; a SingularSpectrum
+    is one spectrum."""
+    if isinstance(a, SingularSpectrum):
+        a = a.values
+    a = np.sort(np.atleast_1d(np.asarray(a, dtype=float)), axis=-1)
+    if n is not None and a.shape[-1] != n:
+        raise DomainError(f"spectra of length {n} expected, "
+                          f"got length {a.shape[-1]}")
+    return a
+
+
+def coincident(v) -> np.ndarray:
+    """Flags, shape (..., n - 1), of the consecutive entries of ascending
+    nonnegative spectra v (..., n) that coincide: relative gap
+    (v_(k+1) - v_k) / v_(k+1) <= DEGENERACY_RTOL, a zero pair counting as
+    gap 0.  The rule is scale-invariant, so it holds for v and v^2 alike."""
+    v = np.asarray(v, dtype=float)
+    hi = v[..., 1:]
+    return hi - v[..., :-1] <= DEGENERACY_RTOL * hi
+
+
+def vandermonde(v):
+    """prod_(k<l) (v_l - v_k) over the last axis of v, in the given order;
+    1 for n = 1, and a scalar for a single vector."""
+    v = np.asarray(v)
     out = 1.0
-    for k in range(sq.shape[-1]):
-        out = out * np.prod(sq[..., k + 1:] - sq[..., k, None], axis=-1)
-    return out if np.ndim(out) else float(out)
+    for k in range(v.shape[-1]):
+        out = out * (v[..., k + 1:] - v[..., k, None]).prod(axis=-1)
+    return out
+
+
+def confluent_alternant(nodes, same, taylor, dd1=None):
+    """det[f_b(u_c)] / prod_(k<l) (u_l - u_k) for each stack entry of nodes.
+
+    nodes has shape (..., n), each row sorted ascending; same, shape
+    (..., n - 1), flags the consecutive nodes that coincide, and each run
+    of them is replaced by its mean.  taylor(u, m) returns f_b^(m)(u)/m!
+    for nodes u of shape (..., k) as an array (..., n, k) over the rows b
+    (m = 0 gives the values); dd1(u, v), in the same layout, is an optional
+    cancellation-free first difference f_b[u, v] of distinct nodes.  The
+    leading axes of nodes and of the taylor values broadcast.
+
+    The determinant is that of the top edges of the Newton
+    divided-difference tables, det[f_b[u_0, ..., u_c]], in which a
+    difference across coinciding nodes is the Taylor coefficient: the
+    confluent columns.  The ratio is symmetric in the nodes, so any order
+    that keeps coinciding nodes adjacent serves.  Returns an array of
+    shape (...), a scalar for a single row of nodes.
+    """
+    u = np.asarray(nodes)
+    n = u.shape[-1]
+    # runs of exactly equal nodes need no snap
+    if (same & (u[..., 1:] != u[..., :-1])).any():
+        label = np.zeros(same.shape[:-1] + (n,), dtype=int)
+        label[..., 1:] = np.cumsum(~same, axis=-1)
+        member = label[..., :, None] == label[..., None, :]
+        u = (member * u[..., None, :]).sum(axis=-1) / member.sum(axis=-1)
+    col = taylor(u, 0)
+    edge = [col[..., 0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, n):
+            lo, hi = u[..., :n - m], u[..., m:]
+            if m == 1 and dd1 is not None:
+                col = dd1(lo, hi)
+            else:
+                col = (col[..., 1:] - col[..., :-1]) / (hi - lo)[..., None, :]
+            eq = hi == lo
+            if eq.any():
+                col = np.where(eq[..., None, :], taylor(lo, m), col)
+            edge.append(col[..., 0])
+    return np.linalg.det(np.stack(edge, axis=-1))
+
+
+def derivative_terms(rule, start, m: int) -> dict:
+    """{key: coefficient} of the m-th derivative of the term start.
+
+    A term is a key with a coefficient; rule(*key) lists the (key, factor)
+    pairs whose sum is the derivative of that term.  The taylor inputs of
+    `confluent_alternant` expand f^(m) this way.
+    """
+    terms = {start: 1.0}
+    for _ in range(m):
+        new = {}
+        for key, c in terms.items():
+            for nkey, f in rule(*key):
+                new[nkey] = new.get(nkey, 0.0) + f * c
+        terms = new
+    return terms
 
 
 def build_canonical(a: SingularSpectrum) -> AntisymmetricMatrix:

@@ -227,6 +227,8 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
         with np.errstate(divide="ignore"):
             out[ok] = np.exp(two_nu * np.log(a[ok])
                              + beta * np.log1p(-a[ok]) - lognorm)
+        if two_nu == 0.0:
+            out[a == 0] = np.exp(-lognorm)
         return out if out.ndim else float(out)
 
     def mellin(s):
@@ -247,6 +249,10 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
         out[ok] = npp.polyval(a[ok], c) * np.exp(
             (two_nu - k + j) * np.log(a[ok]) + (beta - k) * np.log1p(-a[ok])
             - lognorm)
+        if two_nu == 0.0:
+            # the a -> 0+ limit of d^k/da^k (1 - a)^beta / B
+            out[a == 0] = (-1.0) ** k * special.poch(beta - k + 1.0, k) \
+                * np.exp(-lognorm)
         return out
 
     return WeightFunction(density=density, mellin=mellin,
@@ -269,8 +275,9 @@ def a_sigma_custom(sampler2x2: Callable, rng, nsamples: int = 100_000,
     sampler2x2(rng) must return one 2x2 real matrix draw.  The density of
     |det z| is estimated with a Gaussian kernel density in log |det z|;
     intended for exploratory factors only.  The Mellin transform is by
-    quadrature, and the weight has no derivatives, so the degenerate and
-    confluent densities, which need them, raise DomainError.  The density
+    quadrature, run once per s, and the weight has no derivatives, so the
+    degenerate and confluent densities, which need them, raise
+    DomainError.  The density
     takes real arguments only: the double-contour kernel, which continues
     it to complex ones, raises DomainError as well.
     """
@@ -298,8 +305,15 @@ def a_sigma_custom(sampler2x2: Callable, rng, nsamples: int = 100_000,
         out[ok] = kde(np.log(a[ok])) / a[ok]
         return out if out.ndim else float(out)
 
+    values = {}
+
     def mellin(s):
-        return mellin_numeric(density, s, support=(lo, hi))
+        # the quadrature is the costly part, and the kernels ask for the
+        # same few s again and again
+        s = complex(s)
+        if s not in values:
+            values[s] = mellin_numeric(density, s, support=(lo, hi))
+        return values[s]
 
     return WeightFunction(density=density, mellin=mellin,
                           support=(lo, hi), label="custom")

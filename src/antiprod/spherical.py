@@ -7,7 +7,9 @@ Haar measure of O(2n).  The closed form of Phi is an alternant ratio
     Phi(s; a) = (prod_j 2^j j!) det[a_c^(s_b + n - 1)] / (Delta(a^2) Delta(s))
 
 whose degenerate limits (coinciding a or s entries) are evaluated through
-confluent divided-difference columns rather than by perturbing the input.
+the confluent divided-difference columns of `linalg.confluent_alternant`
+rather than by perturbing the input; the closed forms take stacks of
+spectra.
 The module also carries the auxiliary kernel f_n, its recursion over the
 corank-2 projection density, the Harish-Chandra O(2n) integral, and the
 spherical transforms with their exact factorization.
@@ -42,9 +44,10 @@ from math import factorial
 import numpy as np
 from scipy import special
 
-from .linalg import (DEGENERACY_RTOL, DomainError, SingularSpectrum,
-                     _haar_blocks, build_canonical, haar_orthogonal_batch,
-                     spectra_batch, vandermonde_sq)
+from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
+                     build_canonical, coincident, confluent_alternant,
+                     derivative_terms, haar_orthogonal_batch, sorted_spectra,
+                     spectra_batch, vandermonde)
 from .mellin import quad
 
 __all__ = [
@@ -84,16 +87,16 @@ class SphericalParameter:
         return bool(np.all(d >= 2.0 - 1e-12))
 
     @property
+    def nodes(self) -> tuple:
+        """(s sorted by real, then imaginary part; flags of its consecutive
+        entries that coincide, within S_DEGENERACY_RTOL max(|s|, 1))."""
+        v = np.sort(self.s)
+        tol = S_DEGENERACY_RTOL * max(float(np.abs(v).max()), 1.0)
+        return v, np.abs(v[1:] - v[:-1]) <= tol
+
+    @property
     def is_degenerate(self) -> bool:
-        v = self.s
-        if v.size < 2:
-            return False
-        scale = max(np.max(np.abs(v)), 1.0)
-        for k in range(v.size):
-            for l in range(k + 1, v.size):
-                if abs(v[l] - v[k]) <= S_DEGENERACY_RTOL * scale:
-                    return True
-        return False
+        return bool(self.nodes[1].any())
 
     @property
     def exponents(self) -> np.ndarray:
@@ -107,176 +110,81 @@ def _as_param(s) -> SphericalParameter:
 
 
 def _expm1c(z):
-    """exp(z) - 1 without cancellation, for complex scalar z."""
+    """exp(z) - 1 without cancellation, elementwise for complex z."""
     x, y = np.real(z), np.imag(z)
     return np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2 \
         + 1j * np.exp(x) * np.sin(y)
 
 
-def _snap_clusters(nodes, rtol):
-    """Replace clusters of nodes closer than rtol (relative) by their mean.
-
-    Exact coincidence then routes the divided differences to the analytic
-    Taylor columns; the snap itself perturbs by at most rtol relative.
-    """
-    nodes = np.array(nodes)
-    order = np.argsort(nodes.real + 1e-9 * nodes.imag) \
-        if np.iscomplexobj(nodes) else np.argsort(nodes)
-    nodes = nodes[order]
-    scale = max(float(np.max(np.abs(nodes))), 1.0)
-    out = nodes.copy()
-    i = 0
-    while i < len(nodes):
-        j = i + 1
-        while j < len(nodes) and abs(nodes[j] - nodes[j - 1]) <= rtol * scale:
-            j += 1
-        if j - i > 1:
-            out[i:j] = np.mean(nodes[i:j])
-        i = j
-    return out, order
-
-
-def _hermite_divdiff(nodes, value, taylor, dd1=None):
-    """Top edge of the Newton divided-difference table for one function.
-
-    nodes must be sorted so that coincident entries are adjacent.
-    value(u) evaluates f, taylor(u, m) evaluates f^(m)(u)/m!, dd1(u, v) is an
-    optional cancellation-free first difference.  Returns the list
-    [f[u_0], f[u_0, u_1], ..., f[u_0 .. u_(N-1)]].
-    """
-    N = len(nodes)
-    col = [value(u) for u in nodes]
-    edge = [col[0]]
-    for m in range(1, N):
-        new = []
-        for i in range(N - m):
-            lo, hi = nodes[i], nodes[i + m]
-            if hi == lo:
-                new.append(taylor(lo, m))
-            elif m == 1 and dd1 is not None:
-                new.append(dd1(lo, hi))
-            else:
-                new.append((col[i + 1] - col[i]) / (hi - lo))
-        col = new
-        edge.append(col[0])
-    return edge
-
-
-def _expand(rule, start, m):
-    """{key: coefficient} of the m-th derivative of the term start.
-
-    A term is a key with coefficient; rule(*key) lists the (key, factor)
-    pairs whose sum is the derivative of that term.  The confluent columns
-    expand f^(m) this way before scaling it into the taylor input of
-    _hermite_divdiff.
-    """
-    terms = {start: 1.0}
-    for _ in range(m):
-        new = {}
-        for key, c in terms.items():
-            for nkey, f in rule(*key):
-                new[nkey] = new.get(nkey, 0.0) + f * c
-        terms = new
-    return terms
-
-
-def _alternant_ratio(nodes, rows):
-    """det[f_b(u_c)] / prod_(k<l)(u_l - u_k) via confluent divided differences.
-
-    rows is a list of (value, taylor, dd1) triples, one per matrix row.  The
-    ratio is invariant under any simultaneous reordering of the nodes, so the
-    nodes may be passed pre-sorted.
-    """
-    n = len(nodes)
-    M = np.empty((n, n), dtype=complex)
-    for b, (value, taylor, dd1) in enumerate(rows):
-        M[b, :] = _hermite_divdiff(nodes, value, taylor, dd1)
-    return complex(np.linalg.det(M))
-
-
-def _gen_binom(q, m):
-    """Generalized binomial coefficient q (q-1) ... (q-m+1) / m!."""
-    out = 1.0 + 0.0j
-    for i in range(m):
-        out *= (q - i) / (i + 1)
-    return out
-
-
-def _power_row(q):
-    """Row functions for f(u) = u^q on u > 0 with complex exponent q."""
-
-    def value(u):
-        return u ** q
+def _power_rows(q):
+    """taylor and dd1 of `confluent_alternant` for the rows
+    f_b(u) = u^(q_b) on u > 0, complex q."""
+    q = q[:, None]
 
     def taylor(u, m):
-        return _gen_binom(q, m) * u ** (q - m)
+        power = u[..., None, :] ** (q - m)
+        if m == 0:
+            return power
+        binom = 1.0
+        for i in range(m):
+            binom = binom * ((q - i) / (i + 1))
+        return binom * power
 
     def dd1(u, v):
+        u, v = u[..., None, :], v[..., None, :]
         return u ** q * _expm1c(q * np.log1p((v - u) / u)) / (v - u)
 
-    return value, taylor, dd1
+    return taylor, dd1
 
 
-def _exp_row(L):
-    """Row functions for f(sigma) = exp(sigma L) over complex nodes sigma."""
-
-    def value(sig):
-        return np.exp(sig * L)
+def _exp_rows(L):
+    """taylor and dd1 of `confluent_alternant` for the rows
+    f_c(sigma) = exp(sigma L_c) over complex nodes sigma; L has shape
+    (..., n)."""
+    L = L[..., :, None]
 
     def taylor(sig, m):
-        return np.exp(sig * L) * L ** m / factorial(m)
+        return np.exp(sig[..., None, :] * L) * L ** m / factorial(m)
 
     def dd1(s1, s2):
-        return np.exp(s1 * L) * _expm1c((s2 - s1) * L) / (s2 - s1)
+        d = (s2 - s1)[..., None, :]
+        return np.exp(s1[..., None, :] * L) * _expm1c(d * L) / d
 
-    return value, taylor, dd1
-
-
-def _pairwise_prod(v):
-    """prod_(k<l) (v_l - v_k) for a 1-d array, in the given order."""
-    out = 1.0 + 0.0j if np.iscomplexobj(v) else 1.0
-    for k in range(len(v)):
-        out = out * np.prod(v[k + 1:] - v[k])
-    return out
+    return taylor, dd1
 
 
-def _alternant_core(s: SphericalParameter, a: SingularSpectrum) -> complex:
-    """det[a_c^(s_b + n - 1)] / (Delta_n(a^2) Delta_n(s)).
+def _alternant(s: SphericalParameter, a, pref):
+    """pref det[a_c^(s_b + n - 1)] / (Delta_n(a^2) Delta_n(s)) for spectra a
+    of shape (..., n) in any entry order; shape a.shape[:-1], a complex for
+    a single spectrum.
 
     Delta_n(s) = prod_(k<l)(s_l - s_k) in the order the entries of s are
     given.  Coinciding entries of a (or of s) are resolved by confluent
-    divided-difference columns (rows); simultaneous degeneracy in both is
-    not supported.
+    columns; simultaneous degeneracy in both is not supported.  A single
+    spectrum is evaluated as a one-row stack, so that it takes the
+    arithmetic of a stacked one.
     """
     n = s.n
-    if a.n != n:
-        raise DomainError("s and a must have the same length")
-    if np.any(a.values <= 0):
+    a = sorted_spectra(a, n)
+    shape, a = a.shape[:-1], a.reshape(-1, n)
+    if (a <= 0).any():
         raise DomainError("closed form requires strictly positive a")
-    a_deg = a.is_degenerate
-    s_deg = s.is_degenerate
-    if a_deg and s_deg:
+    same = coincident(a)
+    if not s.is_degenerate:
+        # divided differences across u = a^2; f_b(u) = u^((s_b + n - 1)/2)
+        core = confluent_alternant(a * a, same,
+                                   *_power_rows((s.s + n - 1.0) / 2.0)) \
+            / vandermonde(s.s)
+    elif same.any():
         raise DomainError("simultaneous degeneracy in a and s unsupported")
-    if s_deg:
-        # divided differences across the s entries; rows are exponentials
-        # exp((s + n - 1) log a_c) and the ratio det/Delta(s) is invariant
-        # under the sort applied to s
-        nodes, _ = _snap_clusters(s.s, S_DEGENERACY_RTOL)
-        rows = [_exp_row(np.log(ac)) for ac in a.values]
-        # absorb the +n-1 shift: a^(s+n-1) = a^(n-1) exp(s log a)
-        M = np.empty((n, n), dtype=complex)
-        for b, ((value, taylor, dd1), ac) in enumerate(zip(rows, a.values)):
-            edge = _hermite_divdiff(list(nodes), value, taylor, dd1)
-            M[b, :] = np.asarray(edge) * ac ** (n - 1.0)
-        # rows of M are indexed by a_c: det[g_c(s_b)]^T = det[g_c(s_b)]
-        ratio = complex(np.linalg.det(M))
-        return ratio / _pairwise_prod(a.values.astype(complex) ** 2)
-    # divided differences across u = a^2; f_b(u) = u^((s_b + n - 1)/2)
-    u_nodes, _ = _snap_clusters(a.values ** 2, DEGENERACY_RTOL)
-    q = (s.s + n - 1.0) / 2.0
-    rows = [_power_row(qb) for qb in q]
-    ratio = _alternant_ratio(list(u_nodes), rows)
-    return ratio / _pairwise_prod(s.s)
+    else:
+        # divided differences across the sorted s, with
+        # a^(s + n - 1) = a^(n - 1) exp(s log a); det / Delta(s) is
+        # invariant under that sort
+        core = confluent_alternant(*s.nodes, *_exp_rows(np.log(a))) \
+            * np.prod(a, axis=-1) ** (n - 1.0) / vandermonde(a * a)
+    v = (pref * core).reshape(shape)
+    return complex(v) if v.ndim == 0 else v
 
 
 def _log_prefactor(n: int) -> float:
@@ -284,33 +192,17 @@ def _log_prefactor(n: int) -> float:
     return sum(j * np.log(2.0) + special.gammaln(j + 1) for j in range(n))
 
 
-def phi_closed(s, a) -> complex:
+def phi_closed(s, a):
     """Spherical function Phi(s; i a (x) tau_2) in closed form.
 
-    Degenerate spectra (in a or in s) are evaluated through the confluent
-    path; in particular the limit a -> (1, ..., 1) returns exactly 1.
+    a has shape (..., n), a stack of spectra in any entry order, or is a
+    SingularSpectrum; the result has shape a.shape[:-1] and is a complex
+    for a single spectrum.  Degenerate spectra (in a or in s) are evaluated
+    through confluent columns, row by row of the stack; in particular the
+    limit a -> (1, ..., 1) returns exactly 1.
     """
     s = _as_param(s)
-    a = SingularSpectrum.from_values(a)
-    core = _alternant_core(s, a)
-    return complex(np.exp(_log_prefactor(s.n)) * core)
-
-
-def _phi_closed_batch(s: SphericalParameter, spectra: np.ndarray) -> np.ndarray:
-    """phi_closed over a stack of non-degenerate spectra, direct formula.
-
-    Used by the Monte Carlo identity checks where degeneracy has measure
-    zero and MC noise dominates any near-cancellation error.
-    """
-    n = s.n
-    a = np.asarray(spectra, dtype=float)
-    loga = np.log(a)
-    p = s.s + n - 1.0
-    # powers[m, b, c] = a_c^(s_b + n - 1)
-    powers = np.exp(p[None, :, None] * loga[:, None, :])
-    dets = np.linalg.det(powers)
-    return np.exp(_log_prefactor(n)) * dets \
-        / (vandermonde_sq(a) * _pairwise_prod(s.s))
+    return _alternant(s, a, np.exp(_log_prefactor(s.n)))
 
 
 def _minor_exponent_check(s: SphericalParameter, a_min: float):
@@ -437,14 +329,14 @@ def factorization_check_phi(s, g, a, nsamples: int, rng):
     def lhs_block(k):
         y = ge @ _sandwich(k, x) @ ge.T
         y = (y - np.swapaxes(y, 1, 2)) / 2.0
-        return _phi_closed_batch(s, spectra_batch(y))[None]
+        return phi_closed(s, spectra_batch(y))[None]
 
     haar = partial(haar_orthogonal_batch, x.shape[0])
     mean, cov, N = _haar_moments((haar,), nsamples, rng, lhs_block)
     lhs = mean[0]
     lhs_se = np.sqrt(max(cov[0, 0].real, 0.0) / N)
     psi, psi_se = psi_montecarlo(s, ge, nsamples, rng)
-    phi = phi_closed(s, a)
+    phi = phi_closed(s, a.values)
     rhs = psi * phi
     se = np.sqrt(lhs_se ** 2 + (psi_se * abs(phi)) ** 2)
     z = zscore(lhs, rhs, se)
@@ -489,20 +381,12 @@ def _cn_delta(s) -> complex:
     return np.prod([float(factorial(2 * j)) for j in range(n)]) / den
 
 
-def fn_closed(s, a) -> complex:
-    """Auxiliary kernel f_n(s; i a (x) tau_2) = c_n(s) det[a^(s+n-1)]/Delta(a^2)."""
+def fn_closed(s, a):
+    """Auxiliary kernel f_n(s; i a (x) tau_2) = c_n(s) det[a^(s+n-1)]/Delta(a^2),
+    on spectra a of shape (..., n) as phi_closed."""
     s = _as_param(s)
-    a = SingularSpectrum.from_values(a)
-    # the core divides by Delta(s) through the confluent path
-    return complex(_cn_delta(s.s) * _alternant_core(s, a))
-
-
-def fn_limit(s) -> complex:
-    """lim_(a -> 1) f_n(s; i a (x) tau_2), through the confluent path."""
-    s = _as_param(s)
-    n = s.n
-    ones = SingularSpectrum(np.ones(n))
-    return fn_closed(s, ones)
+    # _alternant divides by Delta(s) through the confluent path
+    return _alternant(s, a, _cn_delta(s.s))
 
 
 def fn_recurrence(s, a) -> complex:
@@ -531,48 +415,49 @@ def fn_recurrence(s, a) -> complex:
     p = s_shift + (n - 1) - 1.0               # alternant exponents, size n-1
     # the Vandermonde of the inner spectrum cancels between the projection
     # density and the closed form of f_(n-1); what survives of it is c_(n-1)
-    c_factor = _cn_delta(s_shift) / _pairwise_prod(s_shift)
+    c_factor = _cn_delta(s_shift) / vandermonde(s_shift)
     moments, _ = quad(lambda x, ac, pl: (ac - x) * x ** pl,
                       0.0, av[None, :], av[None, :], p[:, None])
     integral = factorial(n - 1) * np.linalg.det(
         np.vstack([np.ones(n), moments]))
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
     det_a = float(np.prod(av))
-    vand = vandermonde_sq(a)
+    vand = vandermonde(av * av)
     norm = pref * det_a ** complex(s.s[-1] + n - 1) * c_factor / vand
     return complex(norm * integral)
 
 
 # Harish-Chandra integral over O(2n)
 
-def _cosh_row(x):
-    """Row functions for f(u) = cosh(x sqrt(u)) on u >= 0."""
-
-    def value(u):
-        return np.cosh(x * np.sqrt(u))
+def _cosh_rows(x):
+    """taylor and dd1 of `confluent_alternant` for the rows
+    f_i(u) = cosh(x_i sqrt(u)) on u >= 0."""
+    x = np.asarray(x)[:, None]
 
     def taylor(u, m):
-        if u == 0.0:
-            return x ** (2 * m) / float(factorial(2 * m))
+        r = np.sqrt(u)[..., None, :]
+        if m == 0:
+            return np.cosh(x * r)
         # represent d^m/du^m as a combination of terms (h, k): cosh (h = 0)
-        # or sinh (h = 1) of x r times r^(-k), with r = sqrt(u) and the
-        # differentiation rule d/du = (1/(2r)) d/dr
-        terms = _expand(lambda h, k: (((1 - h, k + 1), x / 2.0),
-                                      ((h, k + 2), -k / 2.0)),
-                        (0, 0), m)
-        r = np.sqrt(u)
+        # or sinh (h = 1) of x r times r^(-k), with the differentiation
+        # rule d/du = (1/(2r)) d/dr
+        terms = derivative_terms(lambda h, k: (((1 - h, k + 1), x / 2.0),
+                                               ((h, k + 2), -k / 2.0)),
+                                 (0, 0), m)
         cs = (np.cosh(x * r), np.sinh(x * r))
         out = 0.0
         for (h, k), c in terms.items():
-            out += c * cs[h] * r ** (-k)
-        return out / float(factorial(m))
+            out = out + c * cs[h] * r ** (-k)
+        return np.where(r == 0.0, x ** (2 * m) / float(factorial(2 * m)),
+                        out / float(factorial(m)))
 
     def dd1(u, v):
-        r1, r2 = np.sqrt(u), np.sqrt(v)
+        r1, r2 = np.sqrt(u)[..., None, :], np.sqrt(v)[..., None, :]
+        d = (v - u)[..., None, :]
         return 2.0 * np.sinh(x * (r1 + r2) / 2.0) \
-            * np.sinh(x * (v - u) / (2.0 * (r1 + r2))) / (v - u)
+            * np.sinh(x * d / (2.0 * (r1 + r2))) / d
 
-    return value, taylor, dd1
+    return taylor, dd1
 
 
 def harish_chandra_o2n(x, y) -> float:
@@ -590,18 +475,15 @@ def harish_chandra_o2n(x, y) -> float:
     if np.all(x.values == 0.0) or np.all(y.values == 0.0):
         return 1.0
     pref = np.prod([float(factorial(2 * k)) for k in range(n)])
-    if x.is_degenerate and y.is_degenerate:
-        raise DomainError("simultaneous degeneracy in x and y unsupported")
-    if x.is_degenerate:
-        x, y = y, x
+    same_x, same_y = coincident(x.values), coincident(y.values)
+    if same_x.any():
+        if same_y.any():
+            raise DomainError("simultaneous degeneracy in x and y unsupported")
+        x, y, same_y = y, x, same_x
     # divided differences across u = y^2; rows are cosh(x_i sqrt(u))
-    u_nodes, _ = _snap_clusters(y.values ** 2, DEGENERACY_RTOL)
-    rows = [_cosh_row(xi) for xi in x.values]
-    M = np.empty((n, n), dtype=float)
-    for b, (value, taylor, dd1) in enumerate(rows):
-        M[b, :] = _hermite_divdiff(list(u_nodes), value, taylor, dd1)
-    det_dd = float(np.linalg.det(M))
-    return pref * det_dd / float(_pairwise_prod(x.values ** 2).real)
+    det = confluent_alternant(y.values * y.values, same_y,
+                              *_cosh_rows(x.values))
+    return float(pref * det / vandermonde(x.values * x.values))
 
 
 def harish_chandra_o2n_mc(x, y, nsamples: int, rng):
@@ -638,7 +520,7 @@ def spherical_transform_poly(spec, s) -> complex:
             "transform parameter outside the Mellin strip of the weights")
     det = complex(np.linalg.det(M))
     pref = float(special.gamma(n + 1)) * np.exp(_log_prefactor(n))
-    return pref * spec.norm_constant * det / _pairwise_prod(s.s)
+    return pref * spec.norm_constant * det / vandermonde(s.s)
 
 
 def spherical_transform_factor(factor, s) -> complex:

@@ -79,9 +79,11 @@ def test_criterion_03_factorization_identities():
     checks = []
     g = np.diag([1.2, 0.8, 1.1, 0.9])
     gp = np.diag([0.7, 1.3, 1.0, 1.0])
-    _, _, z1 = sph.factorization_check_phi((2.0, 0.0), g, (1.0, 2.0),
+    # at s = (2, 0) both sides are constant in k; s = (4, 0) weights a
+    # proper minor, so the Haar averages vary
+    _, _, z1 = sph.factorization_check_phi((4.0, 0.0), g, (1.0, 2.0),
                                            N_LARGE, rng)
-    _, _, z2 = sph.factorization_check_psi((2.0, 0.0), g, gp, N_LARGE, rng)
+    _, _, z2 = sph.factorization_check_psi((4.0, 0.0), g, gp, N_LARGE, rng)
     checks.append((z1 < 3.0, f"phi factorization z={z1:.2f}"))
     checks.append((z2 < 3.0, f"psi factorization z={z2:.2f}"))
     # transform-side factorization with exact Mellin handles

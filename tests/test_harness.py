@@ -252,6 +252,23 @@ def test_cli_haar_suites_reject_zero_samples(tmp_path, capsys, suite):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("points", [
+    "[[1.0, 2.0], [1.0, 2.0, 3.0]]",
+    "[[1.0, 2.0, 3.0]]",
+    "[[1.0, 2.0], [0.0, 2.0]]",
+], ids=["ragged", "length-differs-from-s", "zero-entry"])
+def test_cli_spherical_bad_points_exit_two(tmp_path, capsys, points):
+    from antiprod.cli import main
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"params:\n  s: [4.0, 0.0]\n  a_points: {points}\n")
+    assert main(["spherical", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_quadrature_error_exits_two(tmp_path, monkeypatch, capsys):
     from antiprod import cli
     from antiprod.mellin import QuadratureError
@@ -272,6 +289,7 @@ def test_readme_library_sketch_runs():
     exec(compile(block, str(readme), "exec"), scope)
     assert scope["spectra"].shape == (100_000, 2)
     assert scope["density"].shape == (1000,)
+    assert scope["phi"].shape == (1000,)
     assert np.all(scope["density"] > 0.0)
     assert scope["kernel"].shape == (50, 50)
     assert np.all(np.isfinite(scope["kernel"]))

@@ -5,17 +5,19 @@ from hypothesis import given, settings, strategies as st
 from antiprod.linalg import (AntisymmetricMatrix, DomainError,
                              SingularSpectrum, _haar_columns, build_canonical,
                              haar_orthogonal_batch, singular_spectrum,
-                             spectra_batch, vandermonde_sq)
+                             spectra_batch, vandermonde)
 
 
 def test_vandermonde_examples():
-    assert vandermonde_sq(np.array([2.0])) == 1.0
-    assert vandermonde_sq(np.array([1.0, 3.0])) == 8.0
-    assert vandermonde_sq(np.array([1.0, 2.0, 4.0])) == 540.0
+    assert vandermonde(np.array([4.0])) == 1.0
+    assert vandermonde(np.array([1.0, 9.0])) == 8.0
+    assert vandermonde(np.array([1.0, 4.0, 16.0])) == 540.0
+    assert vandermonde(np.array([[1.0, 9.0], [9.0, 1.0]])).tolist() \
+        == [8.0, -8.0]
 
 
 def test_vandermonde_degenerate_is_zero():
-    assert vandermonde_sq(np.array([1.0, 1.0])) == 0.0
+    assert vandermonde(np.array([1.0, 1.0])) == 0.0
 
 
 def test_spectrum_validation():

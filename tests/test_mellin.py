@@ -204,3 +204,39 @@ def test_a_sigma_custom_has_no_derivatives():
         w.density_deriv(0.5, 1)
     with pytest.raises(DomainError):
         jpdf_degenerate([0.5, 1.2], w)
+
+
+def test_jacobi_density_and_derivatives_at_zero_are_their_limits():
+    # at nu = 0 the density (1 - a)^beta / B and its derivatives are
+    # smooth at a = 0, as the Ginibre ones are
+    for w in (jacobi_weight(0.0, 0.0, 1), jacobi_weight(0.0, 0.5, 2)):
+        assert w.density(0.0) == pytest.approx(w.density(1e-12), rel=1e-10)
+        for k in (1, 2, 3, 4):
+            at0, near = w.density_deriv(np.array([0.0, 1e-12]), k)
+            assert at0 == pytest.approx(near, rel=1e-10, abs=1e-9)
+    w = jacobi_weight(0.0, 0.0, 1)
+    assert w.density(0.0) == pytest.approx(3.0, rel=1e-15)
+    assert [w.density_deriv(np.array([0.0]), k)[0] for k in (1, 2, 3)] \
+        == pytest.approx([-6.0, 6.0, 0.0], rel=1e-15)
+
+
+def test_a_sigma_custom_mellin_runs_one_quadrature_per_s(monkeypatch):
+    from antiprod.kernels import kernel_fixed
+    from antiprod.mellin import WeightFunction
+    w = a_sigma_custom(lambda r: r.standard_normal((2, 2)),
+                       np.random.default_rng(6), nsamples=5_000)
+    # the same density with a Mellin transform that is never kept
+    plain = WeightFunction(
+        density=w.density, support=w.support, label="custom",
+        mellin=lambda s: mellin_numeric(w.density, s, support=w.support))
+    want = kernel_fixed(0.7, 0.9, [1.0, 2.0], plain, method="series")
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[1])
+        return mellin_numeric(*args, **kw)
+
+    monkeypatch.setattr(mellin, "mellin_numeric", counted)
+    got = kernel_fixed(0.7, 0.9, [1.0, 2.0], w, method="series")
+    assert len(calls) <= 2
+    assert got == want

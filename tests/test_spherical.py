@@ -3,7 +3,7 @@ import pytest
 
 from antiprod import spherical
 from antiprod.linalg import DomainError, SingularSpectrum
-from antiprod.spherical import (SphericalParameter, fn_closed, fn_limit,
+from antiprod.spherical import (SphericalParameter, fn_closed,
                                 fn_recurrence, harish_chandra_o2n,
                                 harish_chandra_o2n_mc, phi_closed,
                                 phi_montecarlo, psi_montecarlo,
@@ -116,13 +116,14 @@ def test_factorization_psi(s):
 
 
 def test_factorization_phi_negative_control(monkeypatch):
-    # the same draws against a right side with Phi at a scaled by 1.02
+    # the same draws against a right side with Phi at a scaled by 1.02;
+    # the left side evaluates Phi on stacks of spectra, which stay as they are
     g = np.diag([1.2, 0.8, 1.1, 0.9])
     args = ((4.0, 0.0), g, (1.0, 2.0), 100_000)
     _, _, z = factorization_check_phi(*args, np.random.default_rng(3))
     closed = spherical.phi_closed
     monkeypatch.setattr(spherical, "phi_closed",
-                        lambda s, a: closed(s, 1.02 * a.values))
+                        lambda s, a: closed(s, 1.02 * a if a.ndim == 1 else a))
     _, _, z_twin = factorization_check_phi(*args, np.random.default_rng(3))
     assert z < 4.0 and z_twin > 10.0
 
@@ -166,7 +167,7 @@ def test_fn_limit_closed_form():
     # prod (2j)!/j! / prod 2(s_k - s_l - 1)
     s = (4.0, 0.0)
     expect = (1.0 * 2.0) / (2.0 * 3.0)
-    assert fn_limit(s) == pytest.approx(expect, rel=1e-10)
+    assert fn_closed(s, (1.0, 1.0)) == pytest.approx(expect, rel=1e-10)
 
 
 def test_harish_chandra_n1():
@@ -185,11 +186,15 @@ def test_cosh_row_taylor_matches_mpmath(m):
     # taylor(u, m) = f^(m)(u) / m! for f(u) = cosh(x sqrt(u))
     import mpmath
     mpmath.mp.dps = 50
-    for x, u in ((0.7, 1.3), (2.5, 0.4), (1.1, 6.0)):
-        _, taylor, _ = spherical._cosh_row(x)
-        want = mpmath.diff(lambda v: mpmath.cosh(x * mpmath.sqrt(v)),
-                           mpmath.mpf(u), m) / mpmath.factorial(m)
-        assert taylor(u, m) == pytest.approx(float(want), rel=1e-11)
+    x, u = np.array([0.7, 2.5, 1.1]), np.array([1.3, 0.4, 6.0])
+    taylor, _ = spherical._cosh_rows(x)
+    got = taylor(u, m)          # got[i, c]: row x_i at node u_c
+    for i in range(3):
+        for c in range(3):
+            want = mpmath.diff(
+                lambda v: mpmath.cosh(x[i] * mpmath.sqrt(v)),
+                mpmath.mpf(u[c]), m) / mpmath.factorial(m)
+            assert got[i, c] == pytest.approx(float(want), rel=1e-11)
 
 
 def test_harish_chandra_zero_is_one():
