@@ -11,13 +11,21 @@ All densities are symmetric in the spectrum entries and integrate to 1
 over the full unordered box; the density of the ascending spectrum is n!
 times the value returned here.  Evaluators take spectra of shape (..., n)
 in any entry order, a stack of them at once, and return a float for a
-single spectrum.
+single spectrum; a NaN or inf density raises DomainError.
+
+LRU memos of at most MEMO entries keep what depends on the base or the
+factor alone: per tuple of base values its sorted values, coincidences
+and Delta(a^2); per (weight, n) log prod_j M A(2j - 1).  jpdf_fixed
+evaluates at spectra and base divided by the 2^e with max(at) / 2^e in
+[0.5, 1), then multiplies by 2^(-n e): exact, and finite at any scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -28,8 +36,8 @@ from .linalg import (DomainError, SingularSpectrum, coincident,
 from .mellin import ConvolvedDensity, WeightFunction
 
 __all__ = [
-    "PolynomialEnsembleSpec", "FixedBaseSpec",
-    "fixed_base_weights", "muttalib_borodin_weights", "degenerate_weights",
+    "PolynomialEnsembleSpec",
+    "fixed_base_weights", "muttalib_borodin_weights",
     "jpdf_fixed", "jpdf_degenerate",
     "product_weights", "convolve_ensemble", "corank2_jpdf",
 ]
@@ -60,7 +68,7 @@ class PolynomialEnsembleSpec:
             return B.real.copy()
         return B
 
-    @property
+    @cached_property
     def norm_constant(self) -> float:
         inv = float(special.gamma(self.n + 1)) \
             * float(np.linalg.det(self.bimoments).real)
@@ -68,50 +76,66 @@ class PolynomialEnsembleSpec:
             raise DomainError("weights are linearly dependent")
         return 1.0 / inv
 
-    @property
-    def support(self) -> tuple:
-        lo = min(w.support[0] for w in self.weights)
-        hi = max(w.support[1] for w in self.weights)
-        return (lo, hi)
-
     def density(self, a):
         """C_n[w] Delta_n(a^2) det[w_b(a_c)] for spectra a of shape (..., n);
         a float for a single spectrum."""
         a = sorted_spectra(a, self.n)
         W = np.stack([w(a) for w in self.weights], axis=-2)
         return _clamped(self.norm_constant * vandermonde(a * a)
-                        * np.linalg.det(W))
+                        * np.linalg.det(W), "PolynomialEnsembleSpec.density")
 
 
-def _clamped(val):
-    """A density stack clamped at 0; a float for a single value."""
+def _clamped(val, name: str):
+    """A density stack clamped at 0, a float for one value; NaN or inf
+    raises DomainError naming the density."""
+    if not np.isfinite(val).all():
+        raise DomainError(f"{name}: density is not finite")
     val = np.maximum(val, 0.0)
     return val if val.ndim else float(val)
 
 
-@dataclass(frozen=True)
-class FixedBaseSpec:
-    """Strictly positive, non-degenerate base spectrum a-tilde."""
-
-    atilde: SingularSpectrum
-
-    def __post_init__(self):
-        at = SingularSpectrum.from_values(self.atilde)
-        if np.any(at.values <= 0):
-            raise DomainError("fixed base must be invertible (all a > 0)")
-        object.__setattr__(self, "atilde", at)
-
-    @property
-    def n(self) -> int:
-        return self.atilde.n
+#: Entries kept by each memo of base records and factor norms.
+MEMO = 128
 
 
-def _as_fixed(atilde) -> FixedBaseSpec:
-    if isinstance(atilde, FixedBaseSpec):
-        return atilde
-    return FixedBaseSpec(atilde)
+class _FixedBase(NamedTuple):
+    """A base / 2^exp: read-only ascending values, flags of coinciding
+    neighbours, route "distinct", "partial" or "full", Delta(values^2)."""
+    values: np.ndarray
+    exp: int
+    same: np.ndarray
+    route: str
+    vdm: float
 
 
+def _fixed_base(atilde, scaled: bool = True) -> _FixedBase:
+    """The record of the base atilde, in any entry order, divided by the
+    power of two that brings its maximum into [0.5, 1) if scaled.  Raises
+    DomainError unless atilde is a nonempty vector of finite values > 0."""
+    if isinstance(atilde, SingularSpectrum):
+        atilde = atilde.values
+    v = np.asarray(atilde, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise DomainError("base must be a nonempty vector")
+    return _base_record(tuple(v.tolist()), scaled)
+
+
+@lru_cache(maxsize=MEMO)
+def _base_record(values: tuple, scaled: bool) -> _FixedBase:
+    v = np.sort(values)
+    if not (np.isfinite(v).all() and v[0] > 0):
+        raise DomainError("base must be finite and invertible (all a > 0)")
+    exp = int(np.frexp(v[-1])[1]) if scaled else 0
+    v = np.ldexp(v, -exp)
+    same = coincident(v)
+    v.setflags(write=False)
+    same.setflags(write=False)
+    route = "distinct" if not same.any() else \
+        "full" if same.all() else "partial"
+    return _FixedBase(v, exp, same, route, float(vandermonde(v * v)))
+
+
+@lru_cache(maxsize=MEMO)
 def _log_mellin_norm(factor: WeightFunction, n: int) -> float:
     """log prod_j M A(2j - 1) for j = 1..n (positive for a density)."""
     return sum(np.log(float(np.real(factor.mellin(2 * j - 1.0))))
@@ -121,10 +145,8 @@ def _log_mellin_norm(factor: WeightFunction, n: int) -> float:
 def fixed_base_weights(atilde, factor: WeightFunction) -> tuple:
     """Weights w_c(a) = (1/atilde_c) A(a / atilde_c) of the fixed-base
     polynomial ensemble, with exact Mellin atilde_c^(s-1) M A(s)."""
-    spec = _as_fixed(atilde)
     weights = []
-    for ac in spec.atilde.values:
-        ac = float(ac)
+    for ac in _fixed_base(atilde, scaled=False).values.tolist():
 
         def density(a, ac=ac):
             return factor.density(np.asarray(a) / ac) / ac
@@ -136,23 +158,6 @@ def fixed_base_weights(atilde, factor: WeightFunction) -> tuple:
         weights.append(WeightFunction(
             density=density, mellin=mellin,
             support=(lo * ac, hi * ac), label=f"fixed[{ac:g}]"))
-    return tuple(weights)
-
-
-def degenerate_weights(factor: WeightFunction, n: int) -> tuple:
-    """Weights w_c = (-a d/da)^(c-1) A with exact Mellin s^(c-1) M A(s)."""
-    weights = []
-    for c in range(1, n + 1):
-
-        def density(a, m=c - 1):
-            return factor.neg_xdx_pow(np.asarray(a, dtype=float), m)
-
-        def mellin(s, m=c - 1):
-            return complex(s) ** m * factor.mellin(s)
-
-        weights.append(WeightFunction(
-            density=density, mellin=mellin,
-            support=factor.support, label=f"deg[{c}]"))
     return tuple(weights)
 
 
@@ -225,23 +230,22 @@ def jpdf_fixed(a, atilde, factor: WeightFunction):
     partially degenerate atilde routes through confluent columns, a fully
     degenerate one through the scaled degenerate-limit density.
     """
-    spec = _as_fixed(atilde)
-    n = spec.n
-    a = sorted_spectra(a, n)
-    atv = spec.atilde.values
-    same = coincident(atv)
-    if same.size and same.all():
+    atv, e, same, route, vdm = _fixed_base(atilde)
+    n = atv.size
+    a = np.ldexp(sorted_spectra(a, n), -e)
+    if route == "full":
         lam = float(np.mean(atv))
-        return jpdf_degenerate(a / lam, factor) / lam ** n
-    logc = -special.gammaln(n + 1) - _log_mellin_norm(factor, n)
-    if same.any():
-        det = _confluent_fixed_det(a, atv, same, factor)
-        val = np.exp(logc) * vandermonde(a * a) * det
+        val = jpdf_degenerate(a / lam, factor) / lam ** n
     else:
-        W = factor.density(a[..., :, None] / atv) / atv
-        det = np.linalg.det(W)
-        val = np.exp(logc) * vandermonde(a * a) / vandermonde(atv * atv) * det
-    return _clamped(val)
+        logc = -special.gammaln(n + 1) - _log_mellin_norm(factor, n)
+        if route == "partial":
+            det = _confluent_fixed_det(a, atv, same, factor)
+            val = np.exp(logc) * vandermonde(a * a) * det
+        else:
+            W = factor.density(a[..., :, None] / atv) / atv
+            det = np.linalg.det(W)
+            val = np.exp(logc) * vandermonde(a * a) / vdm * det
+    return _clamped(np.ldexp(val, -n * e), "jpdf_fixed")
 
 
 def jpdf_degenerate(a, factor: WeightFunction):
@@ -260,7 +264,8 @@ def jpdf_degenerate(a, factor: WeightFunction):
     logc = -(n * (n - 1) / 2.0) * np.log(2.0) - special.gammaln(n + 1) \
         - _log_mellin_norm(factor, n)
     W = np.stack([factor.neg_xdx_pow(a, c) for c in range(n)], axis=-1)
-    return _clamped(np.exp(logc) * vandermonde(a * a) * np.linalg.det(W))
+    return _clamped(np.exp(logc) * vandermonde(a * a) * np.linalg.det(W),
+                    "jpdf_degenerate")
 
 
 def convolve_ensemble(base: PolynomialEnsembleSpec,
@@ -299,18 +304,18 @@ def corank2_jpdf(x, a):
                * det[row of ones; (a_k - x_j) Theta(a_k - x_j)].
     Leading axes of x (shape (..., n - 1)) are a batch of spectra.
     """
-    a = SingularSpectrum.from_values(a)
-    n = a.n
+    av, _, _, route, vdm = _fixed_base(a, scaled=False)
+    n = av.size
     if n < 2:
         raise DomainError("projection density needs n >= 2")
-    if a.is_degenerate:
+    if route != "distinct":
         raise DomainError("projection density requires distinct a")
     x = sorted_spectra(x, n - 1)
-    av = a.values
     D = np.empty(x.shape[:-1] + (n, n))
     D[..., 0, :] = 1.0
     diff = av - x[..., :, None]
     D[..., 1:, :] = np.where(diff > 0.0, diff, 0.0)
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
-    val = pref * vandermonde(x * x) / vandermonde(av * av) * np.linalg.det(D)
-    return _clamped(np.where(np.any(x < 0, axis=-1), 0.0, val))
+    val = pref * vandermonde(x * x) / vdm * np.linalg.det(D)
+    return _clamped(np.where(np.any(x < 0, axis=-1), 0.0, val),
+                    "corank2_jpdf")

@@ -93,10 +93,6 @@ class TestReport:
     wall_clock: float = 0.0
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _factor_from_params(params: dict):
     """(WeightFunction, sampler spec) from a config params mapping."""
     kind = params.get("factor", "ginibre")
@@ -183,7 +179,7 @@ def run_spectrum_experiment(config: ExperimentConfig) -> TestReport:
     factor, fspec = _factor_from_params(p)
     atilde = p.get("base", [1.0] * n)
     density, support = _pooled_marginal(atilde, factor)
-    rng = _rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     prod = ProductSpec(factors=(fspec,),
                        base=SingularSpectrum.from_values(atilde))
     samples = product_spectra_batch(prod, config.nsamples, rng).ravel()
@@ -209,7 +205,7 @@ def run_corank2_experiment(config: ExperimentConfig) -> TestReport:
     t0 = time.perf_counter()
     a = SingularSpectrum.from_values(config.params["a"])
     n = a.n
-    rng = _rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     x = build_canonical(a).entries
     vals = []
     haar = partial(haar_orthogonal_batch, 2 * n)
@@ -288,7 +284,7 @@ def prop45_distribution_check(nsamples: int = 100_000,
     scale, where the convolved density stays bounded at the origin.
     """
     t0 = time.perf_counter()
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     prod = ProductSpec(factors=(JacobiSpec(1, 1, 5),),
                        base=SingularSpectrum.from_values([1.0]))
     a = product_spectra_batch(prod, nsamples, rng).ravel()
@@ -328,7 +324,7 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
     """Closed-form spherical function versus Monte Carlo, factorization
     identities, the 2n-dimensional group integral and the recursion."""
     t0 = time.perf_counter()
-    rng = _rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     N = config.nsamples
     stats_d = {}
     notes = []

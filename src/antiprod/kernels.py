@@ -12,7 +12,7 @@ for the meromorphic-in-z^2 integrands that occur here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -218,28 +218,20 @@ def gram_biorth(base: PolynomialEnsembleSpec,
         _combo_weight(C[j], base.weights, label=f"q[{j}]") for j in range(n))
     sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde,
                        label=f"{mode}:{base.label}")
-    G = sys.gram_matrix()
-    off = float(np.max(np.abs(G - np.eye(n))))
-    return BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde,
-                        label=sys.label, gram_offdiag=off)
+    off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
+    return replace(sys, gram_offdiag=off)
 
 
 def _fixed_lagrange_coeffs(atv: np.ndarray) -> np.ndarray:
     """Row j: coefficients in u^2 of prod_{i != j}(a_i^2 - u^2)/(a_i^2 - a_j^2)."""
-    n = atv.size
     sq = atv * atv
-    D = np.empty((n, n))
-    for j in range(n):
-        poly = np.array([1.0])
-        denom = 1.0
-        for i in range(n):
-            if i == j:
-                continue
-            poly = npoly.polymul(poly, [sq[i], -1.0])
-            denom *= sq[i] - sq[j]
-        row = np.zeros(n)
-        row[: poly.size] = poly / denom
-        D[j] = row
+    D = np.zeros((sq.size, sq.size))
+    for j, sj in enumerate(sq):
+        poly, denom = np.array([1.0]), 1.0
+        for si in np.delete(sq, j):
+            poly = npoly.polymul(poly, [si, -1.0])
+            denom *= si - sj
+        D[j, : poly.size] = poly / denom
     return D
 
 
@@ -259,8 +251,7 @@ def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
     sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde,
                        factor=factor, label="fixed")
     off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
-    return BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde,
-                        factor=factor, label="fixed", gram_offdiag=off)
+    return replace(sys, gram_offdiag=off)
 
 
 def _unit_circle(m: int) -> np.ndarray:

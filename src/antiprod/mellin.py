@@ -124,7 +124,7 @@ class WeightFunction:
             c = [-k * ck - cl for k, (ck, cl)
                  in enumerate(zip(c + [0.0], [0.0] + c))]
         a = np.asarray(a, dtype=float)
-        out = np.zeros_like(a, dtype=float)
+        out = 0.0
         for k, ck in enumerate(c):
             if ck:
                 out = out + ck * a ** k * self.density_deriv(a, k)
@@ -135,18 +135,26 @@ def _log_beta(x, y):
     return special.loggamma(x) + special.loggamma(y) - special.loggamma(x + y)
 
 
+def _horner(x, c):
+    """sum_i c_i x^i, operation for operation as npp.polyval does it."""
+    out = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        out = ci + out * x
+    return out
+
+
 def _deriv_polys(step):
     """Polynomials P_(k+1) = step(P_k, k) from P_0 = 1, each cached on
-    first use as (j, c) with P_k(a) = a^j polyval(a, c): the lowest power
+    first use as (j, c) with P_k(a) = a^j _horner(a, c): the lowest power
     a^j is split off so that the caller folds it into its exponential, and
     a tiny a meets no 0 * inf.  A zero P_k (a polynomial density
     differentiated past its degree) is cached as (k, [0])."""
-    polys, table = [npp.Polynomial([1.0])], [(0, np.array([1.0]))]
+    polys, table = [npp.Polynomial([1.0])], [(0, (1.0,))]
 
     def split(k):
         while len(table) <= k:
             polys.append(step(polys[-1], len(polys) - 1))
-            coef = polys[-1].coef
+            coef = polys[-1].coef.tolist()
             j = next((i for i, v in enumerate(coef) if v), None)
             table.append((len(table), coef) if j is None else (j, coef[j:]))
         return table[k]
@@ -169,7 +177,7 @@ def ginibre_weight(nu: float) -> WeightFunction:
         a = np.asarray(a)
         if np.iscomplexobj(a):
             return a ** two_nu * np.exp(-a - lognorm)
-        a = a.astype(float)
+        a = a.astype(float, copy=False)
         out = np.zeros_like(a)
         pos = a > 0
         with np.errstate(divide="ignore", over="ignore"):
@@ -193,7 +201,7 @@ def ginibre_weight(nu: float) -> WeightFunction:
         a = np.asarray(a, dtype=float)
         out = np.zeros_like(a)
         pos = a > 0
-        out[pos] = npp.polyval(a[pos], c) \
+        out[pos] = _horner(a[pos], c) \
             * np.exp((two_nu - k + j) * np.log(a[pos]) - a[pos] - lognorm)
         if two_nu == 0.0:
             out[a == 0] = (-1.0) ** k * np.exp(-lognorm)
@@ -221,7 +229,7 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
         a = np.asarray(a)
         if np.iscomplexobj(a):
             return a ** two_nu * (1.0 - a) ** beta * np.exp(-lognorm)
-        a = a.astype(float)
+        a = a.astype(float, copy=False)
         out = np.zeros_like(a)
         ok = (a > 0) & (a < 1)
         with np.errstate(divide="ignore"):
@@ -246,7 +254,7 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
         a = np.asarray(a, dtype=float)
         out = np.zeros_like(a)
         ok = (a > 0) & (a < 1)
-        out[ok] = npp.polyval(a[ok], c) * np.exp(
+        out[ok] = _horner(a[ok], c) * np.exp(
             (two_nu - k + j) * np.log(a[ok]) + (beta - k) * np.log1p(-a[ok])
             - lognorm)
         if two_nu == 0.0:

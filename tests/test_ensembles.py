@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from antiprod import ensembles as ens
 from antiprod.ensembles import (PolynomialEnsembleSpec, corank2_jpdf,
-                                convolve_ensemble, degenerate_weights,
-                                fixed_base_weights, jpdf_degenerate,
-                                jpdf_fixed,
+                                convolve_ensemble, fixed_base_weights,
+                                jpdf_degenerate, jpdf_fixed,
                                 muttalib_borodin_weights, product_weights)
 from antiprod.linalg import DomainError
 from antiprod.mellin import ginibre_weight, jacobi_weight
@@ -114,13 +116,6 @@ def test_ensemble_spec_rejects_wrong_count():
         PolynomialEnsembleSpec(3, fixed_base_weights([1.0, 2.0], GW))
 
 
-def test_degenerate_weights_mellin():
-    w = degenerate_weights(GW, 3)
-    for c, wc in enumerate(w):
-        assert wc.mellin(3.0) == pytest.approx(3.0 ** c * GW.mellin(3.0),
-                                               rel=1e-12)
-
-
 def test_muttalib_borodin_weights_mellin():
     from antiprod.mellin import mellin_numeric
     w = muttalib_borodin_weights(0.5, 0.5, 2)
@@ -211,3 +206,124 @@ def test_stacked_densities_match_per_row_calls_bitwise(n, jacobi, kind, rows,
         assert all(type(v) is float for block in per_row for v in block)
         assert np.array_equal(stacked, per_row)
         assert f(a[:1, 0]).shape == (1,)
+
+
+@pytest.mark.parametrize("base", [[1.0, 1.0, 2.0], [1.0, 1.5, 2.0]],
+                         ids=["partial", "distinct"])
+def test_fixed_density_is_scale_safe(base):
+    # p(lam a | lam at) = lam^(-n) p(a | at): far from scale 1 the density
+    # stays finite and scales, where unscaled Vandermondes overflow
+    a, base = np.array([0.4, 1.1, 2.3]), np.array(base)
+    ref = jpdf_fixed(a, base, GW)
+    for k in (-100, -60, -35, -10, -1, 1, 10, 35, 60, 100):
+        lam = 10.0 ** k
+        val = jpdf_fixed(lam * a, lam * base, GW) * lam ** 3
+        assert val == pytest.approx(ref, rel=1e-13), k
+
+
+def test_non_finite_density_raises():
+    spec = PolynomialEnsembleSpec(2, fixed_base_weights([1.0, 2.0], GW))
+    for f, name in ((lambda: jpdf_fixed([np.nan, 1.0], [1.0, 2.0], GW),
+                     "jpdf_fixed"),
+                    (lambda: jpdf_fixed([np.inf, 1.0], [1.0, 2.0], GW),
+                     "jpdf_fixed"),
+                    (lambda: jpdf_degenerate([0.5, np.nan], GW),
+                     "jpdf_degenerate"),
+                    (lambda: corank2_jpdf([np.nan, 0.5], [1.0, 2.0, 3.0]),
+                     "corank2_jpdf"),
+                    (lambda: spec.density([np.nan, 1.0]),
+                     "PolynomialEnsembleSpec.density")):
+        with pytest.raises(DomainError, match=name), \
+                np.errstate(invalid="ignore"):
+            f()
+
+
+def _spectra(n, seed=3):
+    return np.random.default_rng(seed).uniform(0.05, 3.0, (6, n))
+
+
+def test_memo_alternating_calls_match_single_calls_bitwise():
+    bases = ([0.7, 1.9], [0.6, 0.6]), ([0.5, 1.2, 1.2], [0.8, 1.3, 3.0])
+    factors = (lambda: ginibre_weight(0.5), lambda: jacobi_weight(0.5, 1.0, 3))
+    single = {}
+    for pair in bases:
+        a = _spectra(len(pair[0]))
+        for base in pair:
+            for i, make in enumerate(factors):
+                ens._base_record.cache_clear()
+                single[tuple(base), i] = jpdf_fixed(a, base, make())
+    weights = [make() for make in factors]
+    for _ in range(2):
+        for pair in bases:
+            a = _spectra(len(pair[0]))
+            for i in (0, 1, 0, 1):
+                for base in (pair[i], pair[1 - i]):
+                    got = jpdf_fixed(a, base, weights[i])
+                    assert np.array_equal(got, single[tuple(base), i])
+
+
+@pytest.mark.parametrize("base", [[0.0, 1.0], [-1.0, 2.0], [np.nan, 1.0],
+                                  [1.0, np.inf], [1.0, 2.0, 3.0], [],
+                                  [[1.0, 2.0]]])
+def test_invalid_base_raises_on_every_call(base):
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            jpdf_fixed([0.5, 1.5], base, GW)
+    if base and np.ndim(base) == 1 and len(base) == 2:
+        with pytest.raises(DomainError):
+            corank2_jpdf([0.5], base)
+
+
+def test_base_record_is_read_only():
+    for scaled in (True, False):
+        rec = ens._fixed_base([2.0, 3.0, 3.0], scaled)
+        assert rec.route == "partial"
+        for arr in (rec.values, rec.same):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def test_fresh_weight_per_call_gives_identical_values():
+    a = _spectra(3)
+    for base in ([0.5, 1.2, 2.0], [0.5, 1.2, 1.2], [0.9, 0.9, 0.9]):
+        shared = ginibre_weight(0.5)
+        want = jpdf_fixed(a, base, shared)
+        for _ in range(2):
+            assert np.array_equal(jpdf_fixed(a, base, ginibre_weight(0.5)),
+                                  want)
+            assert np.array_equal(jpdf_fixed(a, base, shared), want)
+    want = jpdf_degenerate(a, ginibre_weight(0.5))
+    assert np.array_equal(jpdf_degenerate(a, ginibre_weight(0.5)), want)
+
+
+def test_memos_stay_bounded():
+    for k in range(1000):
+        jpdf_fixed([0.5, 1.5], [1.0, 2.0 + k / 1000.0], ginibre_weight(0.5))
+    for memo in (ens._base_record, ens._log_mellin_norm):
+        assert memo.cache_info().currsize <= ens.MEMO
+
+
+def test_factor_memo_follows_the_mellin_handle():
+    # a weight with another Mellin handle is another key
+    doubled = dataclasses.replace(GW, mellin=lambda s: 2.0 * GW.mellin(s))
+    want = np.log(GW.mellin(1.0).real * GW.mellin(3.0).real)
+    assert ens._log_mellin_norm(GW, 2) == pytest.approx(want)
+    assert ens._log_mellin_norm(doubled, 2) == pytest.approx(
+        want + 2.0 * np.log(2.0))
+
+
+def test_norm_constant_is_computed_once():
+    calls = []
+
+    def counted(w):
+        def mellin(s):
+            calls.append(s)
+            return w.mellin(s)
+        return dataclasses.replace(w, mellin=mellin)
+
+    spec = PolynomialEnsembleSpec(
+        2, tuple(counted(w) for w in fixed_base_weights([1.0, 2.0], GW)))
+    first = spec.density(_spectra(2))
+    assert len(calls) == 4
+    assert np.array_equal(spec.density(_spectra(2)), first)
+    assert len(calls) == 4
