@@ -8,13 +8,13 @@ __version__ = "0.1.0"
 from .linalg import (AntisymmetricMatrix, DomainError, SingularSpectrum,
                      build_canonical, haar_orthogonal_batch,
                      singular_spectrum, vandermonde)
-from .mellin import (WeightFunction, a_sigma, ginibre_weight, jacobi_weight,
-                     mellin_convolve, mellin_numeric)
+from .mellin import (WeightFunction, convolved_weight, ginibre_weight,
+                     jacobi_weight, mellin_convolve, mellin_numeric)
 from .spherical import (SphericalParameter, fn_closed, fn_recurrence,
                         harish_chandra_o2n, phi_closed, phi_montecarlo)
 from .ensembles import (PolynomialEnsembleSpec, corank2_jpdf,
                         fixed_base_weights, jpdf_degenerate, jpdf_fixed,
-                        muttalib_borodin_weights, product_weights)
+                        muttalib_borodin_weights)
 from .samplers import (GinibreSpec, JacobiSpec, ProductSpec,
                        build_product_batch, product_spectra_batch,
                        sample_induced_ginibre_batch,
@@ -28,13 +28,13 @@ __all__ = [
     "AntisymmetricMatrix", "DomainError", "SingularSpectrum",
     "build_canonical", "haar_orthogonal_batch", "singular_spectrum",
     "vandermonde",
-    "WeightFunction", "a_sigma", "ginibre_weight", "jacobi_weight",
+    "WeightFunction", "convolved_weight", "ginibre_weight", "jacobi_weight",
     "mellin_convolve", "mellin_numeric",
     "SphericalParameter", "fn_closed", "fn_recurrence",
     "harish_chandra_o2n", "phi_closed", "phi_montecarlo",
     "PolynomialEnsembleSpec", "corank2_jpdf", "fixed_base_weights",
     "jpdf_degenerate", "jpdf_fixed",
-    "muttalib_borodin_weights", "product_weights",
+    "muttalib_borodin_weights",
     "GinibreSpec", "JacobiSpec", "ProductSpec",
     "build_product_batch", "product_spectra_batch",
     "sample_induced_ginibre_batch", "sample_induced_jacobi_batch",

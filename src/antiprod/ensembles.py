@@ -3,8 +3,8 @@
 Every ensemble here is a polynomial ensemble: one squared-variable
 Vandermonde times a determinant of weight functions.  The module provides
 the generic evaluator, the fixed-base and fully degenerate closed forms of
-the factor-times-matrix product, the weight recursion for products of many
-factors, and the corank-2 projection density that drives the dimension
+the factor-times-matrix product, a factor convolved onto a polynomial
+ensemble, and the corank-2 projection density that drives the dimension
 recursion of the spherical module.
 
 All densities are symmetric in the spectrum entries and integrate to 1
@@ -14,10 +14,11 @@ in any entry order, a stack of them at once, and return a float for a
 single spectrum; a NaN or inf density raises DomainError.
 
 LRU memos of at most MEMO entries keep what depends on the base or the
-factor alone: per tuple of base values its sorted values, coincidences
-and Delta(a^2); per (weight, n) log prod_j M A(2j - 1).  jpdf_fixed
-evaluates at spectra and base divided by the 2^e with max(at) / 2^e in
-[0.5, 1), then multiplies by 2^(-n e): exact, and finite at any scale.
+factor alone: per tuple of base values one record of the sorted values
+divided by the 2^e with max / 2^e in [0.5, 1), their coincidences and
+Delta of their squares; per (weight, n) log prod_j M A(2j - 1).  The
+densities evaluate on it at spectra divided by 2^e and scale back by a
+power of 2^e: exact, and finite at any scale.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from scipy import special
 from .linalg import (DomainError, SingularSpectrum, coincident,
                      confluent_alternant, derivative_terms, sorted_spectra,
                      vandermonde)
-from .mellin import ConvolvedDensity, WeightFunction
+from .mellin import WeightFunction, convolved_weight
 
 __all__ = [
     "PolynomialEnsembleSpec",
     "fixed_base_weights", "muttalib_borodin_weights",
     "jpdf_fixed", "jpdf_degenerate",
-    "product_weights", "convolve_ensemble", "corank2_jpdf",
+    "convolve_ensemble", "corank2_jpdf",
 ]
 
 
@@ -108,24 +109,24 @@ class _FixedBase(NamedTuple):
     vdm: float
 
 
-def _fixed_base(atilde, scaled: bool = True) -> _FixedBase:
+def _fixed_base(atilde) -> _FixedBase:
     """The record of the base atilde, in any entry order, divided by the
-    power of two that brings its maximum into [0.5, 1) if scaled.  Raises
+    power of two that brings its maximum into [0.5, 1).  Raises
     DomainError unless atilde is a nonempty vector of finite values > 0."""
     if isinstance(atilde, SingularSpectrum):
         atilde = atilde.values
     v = np.asarray(atilde, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DomainError("base must be a nonempty vector")
-    return _base_record(tuple(v.tolist()), scaled)
+    return _base_record(tuple(v.tolist()))
 
 
 @lru_cache(maxsize=MEMO)
-def _base_record(values: tuple, scaled: bool) -> _FixedBase:
+def _base_record(values: tuple) -> _FixedBase:
     v = np.sort(values)
     if not (np.isfinite(v).all() and v[0] > 0):
         raise DomainError("base must be finite and invertible (all a > 0)")
-    exp = int(np.frexp(v[-1])[1]) if scaled else 0
+    exp = int(np.frexp(v[-1])[1])
     v = np.ldexp(v, -exp)
     same = coincident(v)
     v.setflags(write=False)
@@ -145,8 +146,9 @@ def _log_mellin_norm(factor: WeightFunction, n: int) -> float:
 def fixed_base_weights(atilde, factor: WeightFunction) -> tuple:
     """Weights w_c(a) = (1/atilde_c) A(a / atilde_c) of the fixed-base
     polynomial ensemble, with exact Mellin atilde_c^(s-1) M A(s)."""
+    base = _fixed_base(atilde)
     weights = []
-    for ac in _fixed_base(atilde, scaled=False).values.tolist():
+    for ac in np.ldexp(base.values, base.exp).tolist():
 
         def density(a, ac=ac):
             return factor.density(np.asarray(a) / ac) / ac
@@ -272,29 +274,10 @@ def convolve_ensemble(base: PolynomialEnsembleSpec,
                       factor: WeightFunction) -> PolynomialEnsembleSpec:
     """Polynomial ensemble of the product: weights A (*) w_b with exact
     Mellin products."""
-    weights = []
-    for w in base.weights:
-        conv = ConvolvedDensity(factor, w)
-        weights.append(WeightFunction(
-            density=conv, mellin=conv.mellin, support=conv.support,
-            label=f"{factor.label}(*){w.label}"))
-    return PolynomialEnsembleSpec(n=base.n, weights=tuple(weights),
-                                  label=f"{factor.label}(*){base.label}")
-
-
-def product_weights(base, factors) -> PolynomialEnsembleSpec:
-    """Iterated convolution of an ordered factor list onto a base ensemble.
-
-    base may be a PolynomialEnsembleSpec or a tuple of weights.  The Mellin
-    evaluators of the result are exact products of the factor Mellins with
-    the base Mellins; only the densities need quadrature.
-    """
-    if not isinstance(base, PolynomialEnsembleSpec):
-        base = PolynomialEnsembleSpec(n=len(base), weights=tuple(base))
-    spec = base
-    for factor in factors:
-        spec = convolve_ensemble(spec, factor)
-    return spec
+    return PolynomialEnsembleSpec(
+        n=base.n, weights=tuple(convolved_weight(factor, w)
+                                for w in base.weights),
+        label=f"{factor.label}(*){base.label}")
 
 
 def corank2_jpdf(x, a):
@@ -302,20 +285,21 @@ def corank2_jpdf(x, a):
 
     p(x | a) = [(2n-2)!/(n-1)!] Delta_(n-1)(x^2)/Delta_n(a^2)
                * det[row of ones; (a_k - x_j) Theta(a_k - x_j)].
-    Leading axes of x (shape (..., n - 1)) are a batch of spectra.
+    Leading axes of x (shape (..., n - 1)) are a batch of spectra.  The
+    density is homogeneous of degree -(n - 1) in (x, a).
     """
-    av, _, _, route, vdm = _fixed_base(a, scaled=False)
+    av, e, _, route, vdm = _fixed_base(a)
     n = av.size
     if n < 2:
         raise DomainError("projection density needs n >= 2")
     if route != "distinct":
         raise DomainError("projection density requires distinct a")
-    x = sorted_spectra(x, n - 1)
+    x = np.ldexp(sorted_spectra(x, n - 1), -e)
     D = np.empty(x.shape[:-1] + (n, n))
     D[..., 0, :] = 1.0
     diff = av - x[..., :, None]
     D[..., 1:, :] = np.where(diff > 0.0, diff, 0.0)
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
     val = pref * vandermonde(x * x) / vdm * np.linalg.det(D)
-    return _clamped(np.where(np.any(x < 0, axis=-1), 0.0, val),
-                    "corank2_jpdf")
+    return _clamped(np.ldexp(np.where(np.any(x < 0, axis=-1), 0.0, val),
+                             -(n - 1) * e), "corank2_jpdf")

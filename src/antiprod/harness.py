@@ -24,7 +24,7 @@ from scipy import special, stats
 from . import __version__
 from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
                      build_canonical, haar_orthogonal_batch, spectra_batch)
-from .mellin import (TAIL_CUT, ConvolvedDensity, WeightFunction,
+from .mellin import (TAIL_CUT, WeightFunction, convolved_weight,
                      ginibre_weight, jacobi_weight, mellin_convolve,
                      mellin_numeric, quad, quad_cumulative)
 from .ensembles import (PolynomialEnsembleSpec, corank2_jpdf, jpdf_fixed,
@@ -301,14 +301,9 @@ def prop45_distribution_check(nsamples: int = 100_000,
             1.5 * np.sqrt(np.maximum(1.0 - t, 0.0)), 0.0),
         mellin=lambda s: special.beta(s, 1.5) / special.beta(1.0, 1.5),
         support=(0.0, 1.0), label="beta(1,3/2)")
-    conv = ConvolvedDensity(b1, b2, y_lo=1e-10, y_hi=1.0)
-
-    def density(y):
-        y = np.asarray(y, dtype=float)
-        return 2.0 * y * np.asarray(conv(y * y), dtype=float)
-
+    conv = convolved_weight(b1, b2, y_lo=1e-10)
     rows, ks, chi2, pval, norm = _binned_comparison(
-        a, density, (0.0, 1.0), 50)
+        a, lambda y: 2.0 * y * conv(y * y), (0.0, 1.0), 50)
     passed = ks < 0.01 and abs(norm - 1.0) < 1e-6
     return TestReport(
         name="prop45-distribution-n1", passed=passed,

@@ -324,8 +324,9 @@ def kernel_fixed_contour(yprime: float, y: float, atilde,
     with z' on a circle around the origin and z on a union of small circles
     that encircle only the poles at a_1, ..., a_n.  Requires the factor
     density to be holomorphic near y / a_j; one that takes real arguments
-    only (a_sigma_custom) raises DomainError.  One (y', y) point per call:
-    the integrand alone has n_nodes x n x nodes_per_circle entries.
+    only (a_sigma_custom, convolved_weight) raises DomainError.  One
+    (y', y) point per call: the integrand alone has n_nodes x n x
+    nodes_per_circle entries.
     """
     at = SingularSpectrum.from_values(atilde)
     if at.is_degenerate:

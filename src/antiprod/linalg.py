@@ -20,7 +20,7 @@ import numpy as np
 #: callers must take the confluent (l'Hopital) evaluation paths.
 DEGENERACY_RTOL = 1e-8
 
-#: Relative mismatch allowed between the paired eigenvalues of x^T x.
+#: Gap allowed between paired eigenvalues of x^T x, relative to the largest.
 PAIRING_RTOL = 1e-8
 
 _TAU2_REAL = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -204,19 +204,19 @@ def singular_spectrum(x: AntisymmetricMatrix) -> SingularSpectrum:
     """Nonnegative values a_j such that the eigenvalues of x are {+/- i a_j}.
 
     Computed as square roots of the doubly degenerate eigenvalues of the
-    symmetric matrix x^T x, deduplicated by pairing sorted eigenvalues.
+    symmetric matrix x^T x, deduplicated by pairing sorted eigenvalues;
+    eigvalsh is accurate on the scale of the largest one, so pairs further
+    apart than PAIRING_RTOL times it raise SpectrumPairingError.
     """
     m = x.entries
     w = np.linalg.eigvalsh(m.T @ m)
     w = np.clip(w, 0.0, None)
     lo, hi = w[0::2], w[1::2]
-    scale = np.maximum(hi, 1e-300)
-    if np.any((hi - lo) / np.maximum(scale, np.max(w) * 1e-14) > PAIRING_RTOL * np.sqrt(np.maximum(scale, 1.0))):
-        # guard against an input that only looks antisymmetric
-        mism = np.max((hi - lo) / np.maximum(scale, 1e-300))
-        if mism > PAIRING_RTOL:
-            raise SpectrumPairingError(
-                f"eigenvalues of x^T x do not pair (relative mismatch {mism:.3e})")
+    mism = np.max(hi - lo)
+    if mism > PAIRING_RTOL * w[-1]:
+        raise SpectrumPairingError(
+            f"eigenvalues of x^T x do not pair (mismatch {mism / w[-1]:.3e} "
+            "of the largest)")
     return SingularSpectrum(np.sqrt((lo + hi) / 2.0))
 
 

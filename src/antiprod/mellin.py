@@ -11,9 +11,11 @@ closed forms downstream possible.
 A factor enters a product only through A and M A, so A is the same kind of
 object as the base weights w_c and the convolved weights A (*) w_c: each is
 one WeightFunction, a density on the half line with its Mellin handle, its
-support and a label.  The catalogued A also carry closed-form derivatives,
-which the degenerate-limit densities need; a weight without them raises
-DomainError when a derivative is asked for.
+support and a label.  convolved_weight(f, h) is that weight for f (*) h,
+so the factors of a product X_2 X_1 fold into the one factor A_2 (*) A_1,
+which every fixed-base formula takes unchanged.  The catalogued A also
+carry closed-form derivatives, which the degenerate-limit densities need;
+a weight without them raises DomainError when a derivative is asked for.
 
 Numeric integrals of the package go through quad: Gauss-Legendre panels
 evaluated on whole arrays of nodes, an error estimate from a lower-order
@@ -27,6 +29,7 @@ quadrature that cannot meet the gate raises QuadratureError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -37,8 +40,8 @@ from .linalg import DomainError
 
 __all__ = [
     "WeightFunction", "QuadratureError", "quad",
-    "quad_cumulative", "mellin_numeric", "mellin_convolve", "a_sigma",
-    "a_sigma_custom", "ginibre_weight", "jacobi_weight", "ConvolvedDensity",
+    "quad_cumulative", "mellin_numeric", "mellin_convolve",
+    "convolved_weight", "a_sigma_custom", "ginibre_weight", "jacobi_weight",
 ]
 
 #: Argument beyond which an exponentially decaying density is treated as zero.
@@ -53,6 +56,8 @@ GL_PANELS = 8
 QUAD_RTOL = 1e-10
 #: Panels per interval beyond which a quadrature stops bisecting.
 QUAD_LIMIT = 400
+#: Grid points per decade of a tabulated convolved density.
+CONV_PER_DECADE = 512
 
 _HIGH, _LOW = (np.polynomial.legendre.leggauss(k) for k in (GL_ORDER, GL_LOW))
 _GL_NODES = np.concatenate([_HIGH[0], _LOW[0]])
@@ -267,15 +272,6 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
                           support=(0.0, 1.0), label="jacobi", deriv=deriv)
 
 
-def a_sigma(kind: str, **params) -> WeightFunction:
-    """Catalogue lookup: kind 'ginibre' (nu) or 'jacobi' (nu, mu, n)."""
-    if kind == "ginibre":
-        return ginibre_weight(params["nu"])
-    if kind == "jacobi":
-        return jacobi_weight(params["nu"], params["mu"], params["n"])
-    raise DomainError(f"unknown factorizing weight kind {kind!r}")
-
-
 def a_sigma_custom(sampler2x2: Callable, rng, nsamples: int = 100_000,
                    bw_method=None) -> WeightFunction:
     """Determinant-modulus density of a custom 2x2 ensemble, estimated by MC.
@@ -439,63 +435,57 @@ def mellin_convolve(f: WeightFunction, h: WeightFunction, y):
     return float(val) if val.ndim == 0 else val
 
 
-class ConvolvedDensity:
-    """Mellin convolution of a factor density with a weight, tabulated once.
+def convolved_weight(f: WeightFunction, h: WeightFunction,
+                     y_lo: float = 1e-7) -> WeightFunction:
+    """f (*) h as one weight, with exact Mellin M f(s) M h(s), the product
+    of the supports and the label "f(*)h".
 
-    The convolution is evaluated by mellin_convolve on a geometric grid in
-    y (512 points per decade) and interpolated with a cubic spline in
-    log y.  Below the grid the density follows the power law fitted to the
-    first grid points; outside the support it is 0.
+    The density is mellin_convolve tabulated on the first call, on a
+    geometric grid of CONV_PER_DECADE points per decade from y_lo to
+    f.tail h.tail, and interpolated by a cubic spline in log y.  Below the
+    grid it follows the power law through the first grid points; outside
+    the support it is 0.  It takes real arguments only: the double-contour
+    kernel, which continues a density to complex ones, raises DomainError.
     """
+    y_hi = f.tail * h.tail
+    support = (f.support[0] * h.support[0], f.support[1] * h.support[1])
 
-    GRID_PER_DECADE = 512
-
-    def __init__(self, factor: WeightFunction, weight: WeightFunction,
-                 y_lo=None, y_hi=None):
-        self.factor = factor
-        self.weight = weight
-        (f_lo, f_hi), (w_lo, w_hi) = factor.support, weight.support
-        self.support = (f_lo * w_lo, f_hi * w_hi)
-        self._y_lo = 1e-7 if y_lo is None else y_lo
-        hi = factor.tail * weight.tail
-        self._y_hi = hi if y_hi is None else y_hi
-        self._spline = None
-
-    def _build(self):
+    @cache
+    def table():
         from scipy.interpolate import CubicSpline
-        ndec = np.log10(self._y_hi / self._y_lo)
-        ny = int(np.ceil(ndec * self.GRID_PER_DECADE)) + 1
-        logy = np.linspace(np.log(self._y_lo), np.log(self._y_hi), ny)
-        vals = np.maximum(
-            mellin_convolve(self.factor, self.weight, np.exp(logy)), 0.0)
-        self._grid_logy = logy
-        self._spline = CubicSpline(logy, vals)
+        ndec = np.log10(y_hi / y_lo)
+        ny = int(np.ceil(ndec * CONV_PER_DECADE)) + 1
+        logy = np.linspace(np.log(y_lo), np.log(y_hi), ny)
+        vals = np.maximum(mellin_convolve(f, h, np.exp(logy)), 0.0)
         # power-law continuation below the grid
         i0 = np.argmax(vals > 0)
         i1 = i0 + 8
+        law = None
         if vals[i0] > 0 and i1 < ny and vals[i1] > 0:
-            self._slope = (np.log(vals[i1]) - np.log(vals[i0])) \
+            slope = (np.log(vals[i1]) - np.log(vals[i0])) \
                 / (logy[i1] - logy[i0])
-            self._anchor = (logy[i0], vals[i0])
-        else:
-            self._anchor = None
+            law = (slope, logy[i0], vals[i0])
+        return logy[0], logy[-1], CubicSpline(logy, vals), law
 
-    def __call__(self, y):
-        if self._spline is None:
-            self._build()
+    def density(y):
+        if np.iscomplexobj(y):
+            raise DomainError("a convolved density has no analytic "
+                              "continuation to complex arguments")
+        first, last, spline, law = table()
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
-        inside = (y > 0) & (y < self.support[1])
+        inside = (y > 0) & (y < support[1])
         logy = np.where(y > 0, np.log(np.maximum(y, 1e-300)), 0.0)
-        on_grid = inside & (logy >= self._grid_logy[0]) \
-            & (logy <= self._grid_logy[-1])
-        out[on_grid] = np.maximum(self._spline(logy[on_grid]), 0.0)
-        below = inside & (logy < self._grid_logy[0])
-        if np.any(below) and self._anchor is not None:
-            l0, v0 = self._anchor
-            out[below] = v0 * np.exp(self._slope * (logy[below] - l0))
+        on_grid = inside & (logy >= first) & (logy <= last)
+        out[on_grid] = np.maximum(spline(logy[on_grid]), 0.0)
+        below = inside & (logy < first)
+        if np.any(below) and law is not None:
+            slope, l0, v0 = law
+            out[below] = v0 * np.exp(slope * (logy[below] - l0))
         return out if out.ndim else float(out)
 
-    def mellin(self, s):
-        """M[factor (*) weight](s) = M factor(s) M weight(s)."""
-        return self.factor.mellin(s) * self.weight.mellin(s)
+    def mellin(s):
+        return f.mellin(s) * h.mellin(s)
+
+    return WeightFunction(density=density, mellin=mellin, support=support,
+                          label=f"{f.label}(*){h.label}")

@@ -9,9 +9,11 @@ from antiprod import ensembles as ens
 from antiprod.ensembles import (PolynomialEnsembleSpec, corank2_jpdf,
                                 convolve_ensemble, fixed_base_weights,
                                 jpdf_degenerate, jpdf_fixed,
-                                muttalib_borodin_weights, product_weights)
+                                muttalib_borodin_weights)
+from antiprod.kernels import biorth_fixed, gram_biorth
 from antiprod.linalg import DomainError
-from antiprod.mellin import ginibre_weight, jacobi_weight
+from antiprod.mellin import convolved_weight, ginibre_weight, jacobi_weight
+from test_acceptance import _grid_mass
 
 GW = ginibre_weight(0.0)
 JW1 = jacobi_weight(0.0, 0.0, 1)
@@ -32,26 +34,10 @@ def test_degenerate_n1_jacobi_cubic():
                                                           rel=1e-10)
 
 
-def test_fixed_n2_normalizes():
-    val, err = integrate.dblquad(
-        lambda y, x: jpdf_fixed([x, y], [1.0, 2.0], GW),
-        0, 60, lambda x: x, lambda x: 60)
-    assert 2.0 * val == pytest.approx(1.0, abs=1e-6)
-
-
 def test_degenerate_n2_normalizes():
-    val, err = integrate.dblquad(
-        lambda y, x: jpdf_degenerate([x, y], GW),
-        0, 60, lambda x: x, lambda x: 60)
-    assert 2.0 * val == pytest.approx(1.0, abs=1e-6)
-
-
-def test_jacobi_fixed_n2_normalizes():
-    jw2 = jacobi_weight(0.0, 0.0, 2)
-    val, err = integrate.dblquad(
-        lambda y, x: jpdf_fixed([x, y], [0.5, 0.9], jw2),
-        0, 1, lambda x: x, lambda x: 1)
-    assert 2.0 * val == pytest.approx(1.0, abs=1e-6)
+    half_line = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+    mass = _grid_mass(lambda a: jpdf_degenerate(a, GW), 2, half_line)
+    assert mass == pytest.approx(1.0, abs=1e-6)
 
 
 def test_near_degenerate_base_matches_degenerate_limit():
@@ -124,11 +110,26 @@ def test_muttalib_borodin_weights_mellin():
         assert abs(num - wc.mellin(2.0)) / abs(wc.mellin(2.0)) < 1e-8
 
 
-def test_product_weights_mellin_is_product():
+def test_convolved_factor_mellin_is_product():
     base = PolynomialEnsembleSpec(1, fixed_base_weights([1.0], GW))
-    spec = product_weights(base, [GW, GW])
+    spec = convolve_ensemble(base, convolved_weight(GW, GW))
     expect = GW.mellin(3.0) ** 3
     assert spec.weights[0].mellin(3.0) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("inner, outer, base", [
+    (GW, GW, [1.0, 2.0]),
+    (jacobi_weight(0.0, 0.0, 2), ginibre_weight(0.5), [1.0, 2.0, 3.0])],
+    ids=["ginibre-ginibre-n2", "jacobi-ginibre-n3"])
+def test_convolved_factor_matches_twice_convolved_base(inner, outer, base):
+    # two factors as one weight A_2 (*) A_1 on the fixed base, against the
+    # base weights convolved with A_1 and then A_2 and biorthogonalized
+    # from their bimoments
+    y = np.linspace(0.05, 7.0, 60)
+    one = biorth_fixed(base, convolved_weight(outer, inner)).diagonal(y)
+    twice = PolynomialEnsembleSpec(len(base), fixed_base_weights(base, inner))
+    ref = gram_biorth(convolve_ensemble(twice, outer)).diagonal(y)
+    assert np.max(np.abs(one / ref - 1.0)) < 1e-10
 
 
 def test_fact_poly_n1_normalizes():
@@ -221,6 +222,18 @@ def test_fixed_density_is_scale_safe(base):
         assert val == pytest.approx(ref, rel=1e-13), k
 
 
+def test_corank2_density_is_scale_safe():
+    # p(lam x | lam a) = lam^(-(n-1)) p(x | a): far from scale 1 the density
+    # stays finite and scales, where unscaled Vandermondes overflow
+    x, a = np.array([0.7, 1.1]), np.array([0.5, 1.0, 2.0])
+    ref = corank2_jpdf(x, a)
+    assert ref > 0.0
+    for k in (-100, -60, -35, -10, -1, 1, 10, 35, 60, 100):
+        lam = 10.0 ** k
+        val = corank2_jpdf(lam * x, lam * a) * lam ** 2
+        assert val == pytest.approx(ref, rel=1e-13), k
+
+
 def test_non_finite_density_raises():
     spec = PolynomialEnsembleSpec(2, fixed_base_weights([1.0, 2.0], GW))
     for f, name in ((lambda: jpdf_fixed([np.nan, 1.0], [1.0, 2.0], GW),
@@ -275,12 +288,11 @@ def test_invalid_base_raises_on_every_call(base):
 
 
 def test_base_record_is_read_only():
-    for scaled in (True, False):
-        rec = ens._fixed_base([2.0, 3.0, 3.0], scaled)
-        assert rec.route == "partial"
-        for arr in (rec.values, rec.same):
-            with pytest.raises(ValueError):
-                arr[0] = 0
+    rec = ens._fixed_base([2.0, 3.0, 3.0])
+    assert rec.route == "partial"
+    for arr in (rec.values, rec.same):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_fresh_weight_per_call_gives_identical_values():

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from antiprod.harness import (SCHEMA_VERSION, ExperimentConfig, TestReport,
-                              _binned_comparison, emit_results,
+                              _binned_comparison, _factor_from_params,
+                              _pooled_marginal, emit_results,
                               prop45_distribution_check, run_corank2_experiment,
                               run_prop45_check, run_spectrum_experiment,
                               run_suite)
+from antiprod.mellin import convolved_weight, ginibre_weight
+from antiprod.samplers import ProductSpec, product_spectra_batch
 
 import antiprod
 
@@ -90,6 +93,30 @@ def test_spectrum_experiment_n3(tmp_path):
     rows = [list(json.loads(line).values()) for line in
             (tmp_path / "quick-n3.jsonl").read_text().splitlines()]
     assert len(rows) == len(rep.rows) and np.all(np.isfinite(rows))
+
+
+@pytest.mark.parametrize("inner, base", [
+    ({"factor": "ginibre", "nu": 0.0}, [1.0]),
+    ({"factor": "ginibre", "nu": 0.0}, [1.0, 2.0]),
+    ({"factor": "jacobi", "N": 2, "K1": 9}, [0.5, 0.9])],
+    ids=["ginibre-n1", "ginibre-n2", "jacobi-n2"])
+def test_two_factor_spectra_match_the_convolved_weight(inner, base):
+    # X_2 X_1 A X_1^T X_2^T with an outer Ginibre X_2 against the one
+    # factor A_2 (*) A_1 at the spectrum experiments' ks_tol; the twin
+    # moves the outer factor to nu + 1/4 and must fail
+    n = len(base)
+    a1, s1 = _factor_from_params(dict(inner, n=n))
+    a2, s2 = _factor_from_params({"factor": "ginibre", "n": n, "nu": 0.0})
+    samples = product_spectra_batch(ProductSpec((s1, s2), base), 40_000,
+                                    np.random.default_rng(3)).ravel()
+    ks_tol = 0.01 if n == 1 else 0.015
+
+    def ks(outer):
+        density, support = _pooled_marginal(base, convolved_weight(outer, a1))
+        return _binned_comparison(samples, density, support, 50)[1]
+
+    assert ks(a2) < ks_tol
+    assert ks(ginibre_weight(s2.nu + 0.25)) > ks_tol
 
 
 def test_corank2_experiment_quick():

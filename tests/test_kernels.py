@@ -10,7 +10,8 @@ from antiprod.kernels import (ContourError, ContourSpec,
                               gram_biorth, kernel_fixed, kernel_fixed_contour,
                               kernel_poly)
 from antiprod.linalg import DomainError
-from antiprod.mellin import ginibre_weight, jacobi_weight, mellin_convolve
+from antiprod.mellin import (convolved_weight, ginibre_weight, jacobi_weight,
+                             mellin_convolve)
 
 GW = ginibre_weight(0.0)
 
@@ -206,6 +207,14 @@ def test_custom_factor_double_contour_raises():
                                     method="series"))
     with pytest.raises(DomainError):
         kernel_fixed_contour(0.7, 0.9, [1.0, 2.0], w)
+
+
+def test_convolved_factor_double_contour_raises():
+    # a tabulated convolution has no continuation to complex arguments, and
+    # casting them to real would give a wrong kernel without an error
+    g = ginibre_weight(0.0)
+    with pytest.raises(DomainError):
+        kernel_fixed_contour(0.7, 0.9, [1.0, 2.0], convolved_weight(g, g))
 
 
 @given(yp=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=3),

@@ -60,6 +60,18 @@ def test_spectrum_invariant_under_conjugation():
     assert np.allclose(singular_spectrum(y).values, a.values, atol=1e-10)
 
 
+@pytest.mark.parametrize("values", [(1e-5, 1.0), (0.0, 1.0), (1e-4, 1e4)])
+def test_rotated_spectrum_with_a_tiny_entry_pairs(values):
+    # eigvalsh is accurate to a multiple of eps times the largest eigenvalue
+    # of x^T x, so the pair of a tiny entry may split by far more than the
+    # entry itself: the pairing check must be relative to the largest
+    a = SingularSpectrum.from_values(values)
+    x = build_canonical(a).entries
+    for k in haar_orthogonal_batch(4, 50, np.random.default_rng(21)):
+        back = singular_spectrum(AntisymmetricMatrix.from_raw(k @ x @ k.T))
+        assert np.max(np.abs(back.values - a.values)) < 1e-7 * a.values[-1]
+
+
 def test_spectra_batch_matches_scalar():
     rng = np.random.default_rng(9)
     a = SingularSpectrum.from_values([1.0, 2.0])

@@ -6,10 +6,9 @@ from scipy import special
 
 from antiprod import mellin
 from antiprod.linalg import DomainError
-from antiprod.mellin import (ConvolvedDensity, QuadratureError,
-                             a_sigma, a_sigma_custom, ginibre_weight,
-                             jacobi_weight, mellin_convolve, mellin_numeric,
-                             quad)
+from antiprod.mellin import (QuadratureError, a_sigma_custom,
+                             convolved_weight, ginibre_weight, jacobi_weight,
+                             mellin_convolve, mellin_numeric, quad)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
@@ -80,9 +79,11 @@ def test_mellin_convolution_factorizes():
 def test_convolved_density_matches_quadrature():
     f = ginibre_weight(0.0)
     h = jacobi_weight(0.0, 0.0, 1)
-    conv = ConvolvedDensity(f, h)
+    conv = convolved_weight(f, h)
     for y in (0.1, 0.7, 2.0, 5.0):
         assert conv(y) == pytest.approx(mellin_convolve(f, h, y), rel=1e-6)
+    assert (conv.support, conv.label) == ((0.0, np.inf), "ginibre(*)jacobi")
+    assert conv.mellin(3.0) == f.mellin(3.0) * h.mellin(3.0)
 
 
 def test_two_ginibre_convolution_is_meijer_g():
@@ -93,7 +94,7 @@ def test_two_ginibre_convolution_is_meijer_g():
     np.testing.assert_allclose(mellin_convolve(g, g, y), exact, rtol=1e-12)
     for yi, ei in zip(y, exact):
         assert mellin_convolve(g, g, yi) == pytest.approx(ei, rel=1e-12)
-    np.testing.assert_allclose(ConvolvedDensity(g, g)(y), exact, rtol=1e-9)
+    np.testing.assert_allclose(convolved_weight(g, g)(y), exact, rtol=1e-9)
 
 
 def test_quadrature_raises_on_nan_integrand():
@@ -151,11 +152,7 @@ def test_error_estimate_bounds_closed_form_error(monkeypatch):
     assert checks == 72
 
 
-def test_a_sigma_catalogue():
-    assert a_sigma("ginibre", nu=0.5).label == "ginibre"
-    assert a_sigma("jacobi", nu=0.0, mu=0.0, n=2).label == "jacobi"
-    with pytest.raises(DomainError):
-        a_sigma("wishart")
+def test_catalogue_rejects_parameters_outside_the_domain():
     with pytest.raises(DomainError):
         ginibre_weight(-0.6)
     with pytest.raises(DomainError):
