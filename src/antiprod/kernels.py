@@ -5,7 +5,9 @@ constructs the underlying bi-orthonormal pairs {p_j, q_j} and evaluates the
 correlation kernel both as the finite series sum_j p_j(y') q_j(y) and
 through its contour-integral representations.  One broadcasting evaluator,
 BiorthSystem.kernel, serves the diagonal and both single-contour kernels
-on whole grids of (y', y).  Contour integrals over
+on whole grids of (y', y); the double-contour kernel broadcasts as well,
+from a memoised frame of the nodes, weights and Cauchy matrix of each base
+and contour.  Contour integrals over
 circles are discretized by the trapezoid rule, which is spectrally accurate
 for the meromorphic-in-z^2 integrands that occur here.
 """
@@ -13,6 +15,8 @@ for the meromorphic-in-z^2 integrands that occur here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -313,28 +317,35 @@ def kernel_fixed(yprime, y, atilde, factor: WeightFunction,
     return sys.kernel(yprime, y, factor=factor, circle=circle)
 
 
-def kernel_fixed_contour(yprime: float, y: float, atilde,
-                         factor: WeightFunction,
-                         contour: ContourSpec | None = None) -> float:
-    """Double-contour form of the fixed-base kernel.
+#: Contour frames kept by the double-contour memo.  A frame of an n-entry
+#: base holds n_nodes x n nodes_per_circle complex entries: 2 MB at n = 2
+#: and the default node counts.
+FRAME_MEMO = 8
 
-    K_n(y', y) = (1/2 pi i) contour dz'/z' (1/pi i) contour dz
-                 chi(y'/z') A(y/z) / (z'^2 - z^2)
-                 * prod_i (a_i^2 - z'^2)/(a_i^2 - z^2),
-    with z' on a circle around the origin and z on a union of small circles
-    that encircle only the poles at a_1, ..., a_n.  Requires the factor
-    density to be holomorphic near y / a_j; one that takes real arguments
-    only (a_sigma_custom, convolved_weight) raises DomainError.  One
-    (y', y) point per call: the integrand alone has n_nodes x n x
-    nodes_per_circle entries.
-    """
-    at = SingularSpectrum.from_values(atilde)
+
+class _ContourFrame(NamedTuple):
+    """The point-free part of the double-contour kernel of one base: the
+    z'-nodes zp with num = prod_i (a_i^2 - zp^2), the pole-circle nodes z
+    (circle after circle) with trapezoid weights wts = (2 rho / nz) w /
+    prod_i (a_i^2 - z^2), and the Cauchy matrix 1 / (zp^2 - z^2) of shape
+    (zp.size, z.size); all read-only."""
+    n: int
+    zp: np.ndarray
+    num: np.ndarray
+    z: np.ndarray
+    wts: np.ndarray
+    cauchy: np.ndarray
+
+
+@lru_cache(maxsize=FRAME_MEMO)
+def _contour_frame(values: tuple, contour: ContourSpec) -> _ContourFrame:
+    """The frame of the ascending base values under contour; raises
+    DomainError for a degenerate base and ContourError when the circles
+    collide (lru_cache keeps no exception, so every call raises again)."""
+    at = SingularSpectrum(np.array(values))
     if at.is_degenerate:
         raise DomainError("fixed-base kernel requires a non-degenerate base")
     av = at.values
-    n = at.n
-    if contour is None:
-        contour = ContourSpec()
     # smallest spacing among the pole set {+/- a_j}: consecutive gaps and
     # the distance 2 a_min across the origin
     gaps = [2.0 * av[0]] + list(np.diff(av))
@@ -345,19 +356,54 @@ def kernel_fixed_contour(yprime: float, y: float, atilde,
         raise ContourError("z'-circle collides with the pole circles")
     nz = contour.nodes_per_circle
     w = _unit_circle(nz)
-    zpole = av[:, None] + rho * w[None, :]
-    zp = rprime * _unit_circle(contour.n_nodes)
     sq = av * av
-    chi_vals = chi_poly(factor, yprime / zp, 0, n - 1)
+    zp = rprime * _unit_circle(contour.n_nodes)
+    z = (av[:, None] + rho * w[None, :]).ravel()
     num = np.prod(sq[None, :] - (zp ** 2)[:, None], axis=1)
-    a_vals = factor.density(y / zpole)
-    den = np.prod(sq[None, None, :] - (zpole ** 2)[..., None], axis=-1)
-    frac = 1.0 / ((zp ** 2)[:, None, None] - (zpole ** 2)[None, :, :])
-    integrand = (chi_vals * num)[:, None, None] \
-        * (a_vals / den * w[None, :])[None, :, :] * frac
-    inner = (2.0 * rho / nz) * np.sum(integrand, axis=(1, 2))
-    val = np.mean(inner)
-    return _real_part(complex(val), "double contour")
+    den = np.prod(sq[None, :] - (z ** 2)[:, None], axis=1)
+    wts = (2.0 * rho / nz) * np.tile(w, at.n) / den
+    cauchy = 1.0 / ((zp ** 2)[:, None] - (z ** 2)[None, :])
+    for arr in (zp, num, z, wts, cauchy):
+        arr.setflags(write=False)
+    return _ContourFrame(at.n, zp, num, z, wts, cauchy)
+
+
+def kernel_fixed_contour(yprime, y, atilde, factor: WeightFunction,
+                         contour: ContourSpec | None = None):
+    """Double-contour form of the fixed-base kernel.
+
+    K_n(y', y) = (1/2 pi i) contour dz'/z' (1/pi i) contour dz
+                 chi(y'/z') A(y/z) / (z'^2 - z^2)
+                 * prod_i (a_i^2 - z'^2)/(a_i^2 - z^2),
+    with z' on a circle around the origin and z on a union of small circles
+    that encircle only the poles at a_1, ..., a_n.  Requires the factor
+    density to be holomorphic near y / a_j; one that takes real arguments
+    only (a_sigma_custom, convolved_weight) raises DomainError.
+
+    The nodes, weights and Cauchy matrix of the base and contour come from
+    an LRU memo of FRAME_MEMO frames (2 MB each at n = 2).  Per call A is
+    evaluated on y's own points and chi on y''s own points, each y is
+    contracted with the Cauchy matrix in one matrix-vector product and each
+    (y', y) pair over the z'-nodes in one dot product, so a grid
+    y'[:, None], y[None, :] costs memory in proportion to its own points,
+    never to its broadcast shape times the nodes.  y' and y broadcast
+    against each other; the result has their broadcast shape, a float for
+    scalars, and equals per-point calls bit for bit.
+    """
+    frame = _contour_frame(
+        tuple(SingularSpectrum.from_values(atilde).values.tolist()),
+        ContourSpec() if contour is None else contour)
+    yprime = np.asarray(yprime, dtype=float)
+    y = np.asarray(y, dtype=float)
+    g = factor.density(y[..., None] / frame.z) * frame.wts
+    inner = np.matmul(frame.cauchy, g[..., None])[..., 0]
+    h = chi_poly(factor, yprime[..., None] / frame.zp, 0, frame.n - 1) \
+        * frame.num
+    # n_nodes is a power of two, so the trapezoid mean divides exactly
+    val = np.matmul(h[..., None, :], inner[..., :, None])[..., 0, 0] \
+        / frame.zp.size
+    val = _real_part(val, "double contour")
+    return val if val.ndim else float(val)
 
 
 def correlation_Rk(points, kernel) -> float:

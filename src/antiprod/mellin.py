@@ -122,18 +122,23 @@ class WeightFunction:
         """((-a d/da)^m w)(a), the degenerate-limit column operator."""
         if m == 0:
             return self.density(a)
-        # (-a d/da) maps a^k w^(k) -> -k a^k w^(k) - a^(k+1) w^(k+1), so
-        # the expansion is sum_k c_k a^k w^(k)
-        c = [1.0]
-        for _ in range(m):
-            c = [-k * ck - cl for k, (ck, cl)
-                 in enumerate(zip(c + [0.0], [0.0] + c))]
         a = np.asarray(a, dtype=float)
         out = 0.0
-        for k, ck in enumerate(c):
+        for k, ck in enumerate(_neg_xdx_coeffs(m)):
             if ck:
                 out = out + ck * a ** k * self.density_deriv(a, k)
         return out
+
+
+@cache
+def _neg_xdx_coeffs(m: int) -> tuple:
+    """c_k with (-a d/da)^m w = sum_k c_k a^k w^(k): (-a d/da) maps
+    a^k w^(k) -> -k a^k w^(k) - a^(k+1) w^(k+1)."""
+    c = [1.0]
+    for _ in range(m):
+        c = [-k * ck - cl for k, (ck, cl)
+             in enumerate(zip(c + [0.0], [0.0] + c))]
+    return tuple(c)
 
 
 def _log_beta(x, y):
@@ -183,12 +188,12 @@ def ginibre_weight(nu: float) -> WeightFunction:
         if np.iscomplexobj(a):
             return a ** two_nu * np.exp(-a - lognorm)
         a = a.astype(float, copy=False)
-        out = np.zeros_like(a)
         pos = a > 0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[pos] = np.exp(two_nu * np.log(a[pos]) - a[pos] - lognorm)
+        t = np.where(pos, a, 1.0)
+        with np.errstate(over="ignore"):
+            out = np.where(pos, np.exp(two_nu * np.log(t) - t - lognorm), 0.0)
         if two_nu == 0.0:
-            out[a == 0] = np.exp(-lognorm)
+            out = np.where(a == 0, np.exp(-lognorm), out)
         return out if out.ndim else float(out)
 
     def mellin(s):
@@ -204,12 +209,12 @@ def ginibre_weight(nu: float) -> WeightFunction:
     def deriv(a, k):
         j, c = polys(k)
         a = np.asarray(a, dtype=float)
-        out = np.zeros_like(a)
         pos = a > 0
-        out[pos] = _horner(a[pos], c) \
-            * np.exp((two_nu - k + j) * np.log(a[pos]) - a[pos] - lognorm)
+        t = np.where(pos, a, 1.0)
+        out = np.where(pos, _horner(t, c) * np.exp(
+            (two_nu - k + j) * np.log(t) - t - lognorm), 0.0)
         if two_nu == 0.0:
-            out[a == 0] = (-1.0) ** k * np.exp(-lognorm)
+            out = np.where(a == 0, (-1.0) ** k * np.exp(-lognorm), out)
         return out
 
     return WeightFunction(density=density, mellin=mellin,
@@ -235,13 +240,12 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
         if np.iscomplexobj(a):
             return a ** two_nu * (1.0 - a) ** beta * np.exp(-lognorm)
         a = a.astype(float, copy=False)
-        out = np.zeros_like(a)
         ok = (a > 0) & (a < 1)
-        with np.errstate(divide="ignore"):
-            out[ok] = np.exp(two_nu * np.log(a[ok])
-                             + beta * np.log1p(-a[ok]) - lognorm)
+        t = np.where(ok, a, 0.5)
+        out = np.where(ok, np.exp(two_nu * np.log(t) + beta * np.log1p(-t)
+                                  - lognorm), 0.0)
         if two_nu == 0.0:
-            out[a == 0] = np.exp(-lognorm)
+            out = np.where(a == 0, np.exp(-lognorm), out)
         return out if out.ndim else float(out)
 
     def mellin(s):
@@ -257,15 +261,15 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
     def deriv(a, k):
         j, c = polys(k)
         a = np.asarray(a, dtype=float)
-        out = np.zeros_like(a)
         ok = (a > 0) & (a < 1)
-        out[ok] = _horner(a[ok], c) * np.exp(
-            (two_nu - k + j) * np.log(a[ok]) + (beta - k) * np.log1p(-a[ok])
-            - lognorm)
+        t = np.where(ok, a, 0.5)
+        out = np.where(ok, _horner(t, c) * np.exp(
+            (two_nu - k + j) * np.log(t) + (beta - k) * np.log1p(-t)
+            - lognorm), 0.0)
         if two_nu == 0.0:
             # the a -> 0+ limit of d^k/da^k (1 - a)^beta / B
-            out[a == 0] = (-1.0) ** k * special.poch(beta - k + 1.0, k) \
-                * np.exp(-lognorm)
+            out = np.where(a == 0, (-1.0) ** k * special.poch(beta - k + 1.0, k)
+                           * np.exp(-lognorm), out)
         return out
 
     return WeightFunction(density=density, mellin=mellin,

@@ -5,11 +5,12 @@ from scipy import integrate, optimize
 
 from antiprod.ensembles import (PolynomialEnsembleSpec, fixed_base_weights,
                                 jpdf_fixed, muttalib_borodin_weights)
+from antiprod import kernels
 from antiprod.kernels import (ContourError, ContourSpec,
                               biorth_fixed, chi_poly, correlation_Rk,
                               gram_biorth, kernel_fixed, kernel_fixed_contour,
                               kernel_poly)
-from antiprod.linalg import DomainError
+from antiprod.linalg import DomainError, SingularSpectrum
 from antiprod.mellin import (convolved_weight, ginibre_weight, jacobi_weight,
                              mellin_convolve)
 
@@ -116,14 +117,17 @@ def test_r2_nonnegative_at_random_pairs():
 
 
 def test_double_contour_collision_raises():
-    with pytest.raises(ContourError):
-        kernel_fixed_contour(0.5, 0.5, [1.0, 2.0], GW,
-                             contour=ContourSpec(radius=0.95, rho=0.25))
+    # the frame memo keeps no exception: a repeated call raises again
+    for _ in range(2):
+        with pytest.raises(ContourError):
+            kernel_fixed_contour(0.5, 0.5, [1.0, 2.0], GW,
+                                 contour=ContourSpec(radius=0.95, rho=0.25))
 
 
 def test_double_contour_rejects_degenerate_base():
-    with pytest.raises(DomainError):
-        kernel_fixed_contour(0.5, 0.5, [1.0, 1.0], GW)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            kernel_fixed_contour(0.5, 0.5, [1.0, 1.0], GW)
 
 
 def test_kernel_poly_methods_agree():
@@ -232,3 +236,63 @@ def test_kernels_on_a_grid_match_per_point_calls_bitwise(yp, y):
             per_point = [[K(a, b) for b in y] for a in yp]
             assert all(type(v) is float for row in per_point for v in row)
             assert np.array_equal(K(*grid), per_point)
+
+
+def _direct_double_contour(yp, y, base, w):
+    """The double-contour trapezoid sum over the full (z', z) node tensor,
+    default ContourSpec."""
+    contour = ContourSpec()
+    av = np.sort(np.asarray(base, dtype=float))
+    n = av.size
+    rho = 0.25 * min([2.0 * av[0]] + list(np.diff(av)))
+    rprime = 0.5 * (av[0] - rho)
+    circle = lambda m: np.exp(2j * np.pi * np.arange(m) / m)
+    nz = contour.nodes_per_circle
+    wz = circle(nz)
+    zpole = av[:, None] + rho * wz[None, :]
+    zp = rprime * circle(contour.n_nodes)
+    sq = av * av
+    num = np.prod(sq[None, :] - (zp ** 2)[:, None], axis=1)
+    den = np.prod(sq[None, None, :] - (zpole ** 2)[..., None], axis=-1)
+    frac = 1.0 / ((zp ** 2)[:, None, None] - (zpole ** 2)[None, :, :])
+    integrand = (chi_poly(w, yp / zp, 0, n - 1) * num)[:, None, None] \
+        * (w.density(y / zpole) / den * wz[None, :])[None, :, :] * frac
+    return np.mean((2.0 * rho / nz) * np.sum(integrand, axis=(1, 2))).real
+
+
+@pytest.mark.parametrize("w,base,pts", [
+    (ginibre_weight(0.5), [0.9, 1.8], [0.3, 0.8, 1.4, 2.6]),
+    (ginibre_weight(0.5), [1.0, 2.0, 3.0], [0.4, 1.1, 2.2, 3.5]),
+    (jacobi_weight(0.0, 0.0, 2), [0.5, 0.9], [0.05, 0.15, 0.3, 0.45]),
+])
+def test_double_contour_matches_the_direct_node_sum(w, base, pts):
+    pts = np.array(pts)
+    got = kernel_fixed_contour(pts[:, None], pts, base, w)
+    want = [[_direct_double_contour(a, b, base, w) for b in pts] for a in pts]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+@given(yp=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4),
+       y=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4))
+@settings(max_examples=15, deadline=None)
+def test_double_contour_on_a_grid_matches_per_point_calls_bitwise(yp, y):
+    at = [1.0, 2.0]
+    per_point = [[kernel_fixed_contour(a, b, at, GW) for b in y] for a in yp]
+    assert all(type(v) is float for row in per_point for v in row)
+    grid = kernel_fixed_contour(np.asarray(yp)[:, None], y, at, GW)
+    assert np.array_equal(grid, per_point)
+    assert np.array_equal(kernel_fixed_contour(y, y, at, GW),
+                          [kernel_fixed_contour(b, b, at, GW) for b in y])
+
+
+def test_double_contour_frame_is_shared_by_equal_bases():
+    kernels._contour_frame.cache_clear()
+    for base in ([0.9, 1.8], np.array([1.8, 0.9]),
+                 SingularSpectrum.from_values([0.9, 1.8])):
+        kernel_fixed_contour(0.4, 0.7, base, GW)
+    info = kernels._contour_frame.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    kernel_fixed_contour(0.4, 0.7, [0.9, 1.8], GW,
+                         contour=ContourSpec(n_nodes=128))
+    assert kernels._contour_frame.cache_info().currsize == 2
+

@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from antiprod import mellin
+from antiprod.mellin import _deriv_polys, _horner, _log_beta
 from antiprod.linalg import DomainError
 from antiprod.mellin import (QuadratureError, a_sigma_custom,
                              convolved_weight, ginibre_weight, jacobi_weight,
@@ -179,6 +180,96 @@ def test_replace_density_keeps_weight_fields():
             == (w.mellin, w.deriv, w.support, w.label)
         assert r(0.3) == 2.0 * w(0.3)
         assert r.density_deriv(0.3, 2) == w.density_deriv(0.3, 2)
+
+
+#: Zero, negative, subnormal, NaN, large and interior arguments.
+EDGE_ARGS = np.array([0.0, -0.0, -1.0, 5e-324, 1e-310, np.nan, 1e300, np.inf,
+                      0.3, 0.999, 1.0, 2.0])
+
+
+def _masked_ginibre(nu):
+    """Density and derivatives of ginibre_weight(nu), assigned through a
+    mask of the positive arguments."""
+    two_nu = 2.0 * nu
+    lognorm = special.loggamma(1.0 + two_nu)
+    x = np.polynomial.Polynomial([0.0, 1.0])
+    polys = _deriv_polys(lambda q, j: (two_nu - j) * q + x * q.deriv() - x * q)
+
+    def density(a):
+        out = np.zeros_like(a)
+        pos = a > 0
+        out[pos] = np.exp(two_nu * np.log(a[pos]) - a[pos] - lognorm)
+        if two_nu == 0.0:
+            out[a == 0] = np.exp(-lognorm)
+        return out
+
+    def deriv(a, k):
+        j, c = polys(k)
+        out = np.zeros_like(a)
+        pos = a > 0
+        out[pos] = _horner(a[pos], c) \
+            * np.exp((two_nu - k + j) * np.log(a[pos]) - a[pos] - lognorm)
+        if two_nu == 0.0:
+            out[a == 0] = (-1.0) ** k * np.exp(-lognorm)
+        return out
+
+    return density, deriv
+
+
+def _masked_jacobi(nu, mu, n):
+    """Density and derivatives of jacobi_weight(nu, mu, n), assigned
+    through a mask of the arguments in (0, 1)."""
+    two_nu, beta = 2.0 * nu, 2.0 * (mu + n)
+    lognorm = _log_beta(1.0 + two_nu, beta + 1.0)
+    x, one_m_x = np.polynomial.Polynomial([0.0, 1.0]), \
+        np.polynomial.Polynomial([1.0, -1.0])
+    polys = _deriv_polys(lambda r, j: (two_nu - j) * one_m_x * r
+                         - (beta - j) * x * r + x * one_m_x * r.deriv())
+
+    def density(a):
+        out = np.zeros_like(a)
+        ok = (a > 0) & (a < 1)
+        out[ok] = np.exp(two_nu * np.log(a[ok])
+                         + beta * np.log1p(-a[ok]) - lognorm)
+        if two_nu == 0.0:
+            out[a == 0] = np.exp(-lognorm)
+        return out
+
+    def deriv(a, k):
+        j, c = polys(k)
+        out = np.zeros_like(a)
+        ok = (a > 0) & (a < 1)
+        out[ok] = _horner(a[ok], c) * np.exp(
+            (two_nu - k + j) * np.log(a[ok]) + (beta - k) * np.log1p(-a[ok])
+            - lognorm)
+        if two_nu == 0.0:
+            out[a == 0] = (-1.0) ** k * special.poch(beta - k + 1.0, k) \
+                * np.exp(-lognorm)
+        return out
+
+    return density, deriv
+
+
+@pytest.mark.parametrize("w,ref", [
+    (ginibre_weight(nu), _masked_ginibre(nu)) for nu in (0.0, 0.5, -0.25)] + [
+    (jacobi_weight(*p), _masked_jacobi(*p))
+    for p in ((0.0, 0.0, 2), (0.5, 1.0, 2), (-0.25, 0.5, 1))])
+def test_catalogued_weights_match_the_masked_formulas_bitwise(w, ref):
+    density, deriv = ref
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(w.density(EDGE_ARGS), density(EDGE_ARGS))
+        for a in EDGE_ARGS:
+            assert np.array_equal(w.density(a), density(np.array([a]))[0],
+                                  equal_nan=True)
+        for k in (1, 2, 3):
+            np.testing.assert_array_equal(w.deriv(EDGE_ARGS, k),
+                                          deriv(EDGE_ARGS, k))
+
+
+def test_ginibre_density_overflow_is_silent():
+    # a^(2 nu) with 2 nu < 0 overflows at subnormal a
+    with np.errstate(all="raise"):
+        assert ginibre_weight(-0.49).density(5e-324) == np.inf
 
 
 def test_a_sigma_custom_recovers_exponential():
