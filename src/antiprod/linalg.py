@@ -20,18 +20,11 @@ import numpy as np
 #: callers must take the confluent (l'Hopital) evaluation paths.
 DEGENERACY_RTOL = 1e-8
 
-#: Gap allowed between paired eigenvalues of x^T x, relative to the largest.
-PAIRING_RTOL = 1e-8
-
 _TAU2_REAL = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class DomainError(ValueError):
     """Input outside the domain of an operation."""
-
-
-class SpectrumPairingError(ValueError):
-    """Eigenvalues of x^T x failed to pair up: x is not numerically antisymmetric."""
 
 
 @dataclass(frozen=True)
@@ -201,61 +194,76 @@ def build_canonical(a: SingularSpectrum) -> AntisymmetricMatrix:
 
 
 def singular_spectrum(x: AntisymmetricMatrix) -> SingularSpectrum:
-    """Nonnegative values a_j such that the eigenvalues of x are {+/- i a_j}.
-
-    Computed as square roots of the doubly degenerate eigenvalues of the
-    symmetric matrix x^T x, deduplicated by pairing sorted eigenvalues;
-    eigvalsh is accurate on the scale of the largest one, so pairs further
-    apart than PAIRING_RTOL times it raise SpectrumPairingError.
-    """
-    m = x.entries
-    w = np.linalg.eigvalsh(m.T @ m)
-    w = np.clip(w, 0.0, None)
-    lo, hi = w[0::2], w[1::2]
-    mism = np.max(hi - lo)
-    if mism > PAIRING_RTOL * w[-1]:
-        raise SpectrumPairingError(
-            f"eigenvalues of x^T x do not pair (mismatch {mism / w[-1]:.3e} "
-            "of the largest)")
-    return SingularSpectrum(np.sqrt((lo + hi) / 2.0))
+    """Nonnegative values a_j such that the eigenvalues of x are {+/- i a_j};
+    the one-matrix case of :func:`spectra_batch`."""
+    return SingularSpectrum(spectra_batch(x.entries[None])[0])
 
 
 def spectra_batch(mats: np.ndarray) -> np.ndarray:
-    """Singular spectra of a stack of antisymmetric matrices, shape (M, n).
+    """Singular spectra of a stack of antisymmetric matrices (M, 2n, 2n),
+    shape (M, n), ascending per row.
 
-    Vectorized counterpart of :func:`singular_spectrum` without the pairing
-    diagnostics; intended for Monte Carlo inner loops.
+    At n <= 2 the spectra are closed forms.  At n = 1 the value is |y_01|.
+    At n = 2, so(4) = su(2) + su(2) splits y into the 3-vectors
+    u = (y01 + y23, y02 - y13, y03 + y12) and
+    v = (y01 - y23, y02 + y13, y03 - y12) with |u| = a_1 + a_2 and
+    |v| = |a_1 - a_2|, so a_max = (|u| + |v|) / 2 carries no cancellation,
+    and a_min = |Pf y| / a_max with Pf y = y01 y23 - y02 y13 + y03 y12,
+    clamped to at most a_max (0 for a zero matrix).  The Pfaffian is taken
+    of y scaled by the power of two nearest a_max, so it neither overflows
+    nor underflows.  a_max is accurate to a few ulps and a_min to a few ulps
+    times the cancellation in Pf y, far better than the eps * a_max^2
+    absolute accuracy of the eigenvalues of y^T y.  At n >= 3 they are
+    square roots of the doubly degenerate eigenvalues of y^T y, each pair
+    averaged.  At every n, a matrix holding NaN or inf, or one whose
+    spectrum (at n >= 3, y^T y) overflows, raises DomainError.
     """
-    w = np.linalg.eigvalsh(mats.transpose(0, 2, 1) @ mats)
-    w = np.clip(w, 0.0, None)
-    return np.sqrt((w[:, 0::2] + w[:, 1::2]) / 2.0)
+    n = mats.shape[-1] // 2
+    if n == 1:
+        a = np.abs(mats[:, 0, 1:])
+    elif n == 2:
+        y01, y02, y03 = mats[:, 0, 1], mats[:, 0, 2], mats[:, 0, 3]
+        y12, y13, y23 = mats[:, 1, 2], mats[:, 1, 3], mats[:, 2, 3]
+        u = np.hypot(np.hypot(y01 + y23, y02 - y13), y03 + y12)
+        v = np.hypot(np.hypot(y01 - y23, y02 + y13), y03 - y12)
+        a_max = (u + v) / 2.0
+        # a_max = m 2^e with 1/2 <= m < 1; y 2^-e is exact, so its
+        # Pfaffian neither overflows nor underflows and rounds as Pf y does
+        m, e = np.frexp(a_max)
+        m = np.where(m > 0, m, 1.0)
+        s01, s02, s03, s12, s13, s23 = (
+            np.ldexp(y, -e) for y in (y01, y02, y03, y12, y13, y23))
+        pf = np.abs(s01 * s23 - s02 * s13 + s03 * s12)
+        a = np.stack([np.ldexp(np.minimum(pf / m, m), e), a_max], axis=-1)
+    else:
+        w = np.linalg.eigvalsh(_finite(mats.transpose(0, 2, 1) @ mats))
+        w = np.clip(w, 0.0, None)
+        a = np.sqrt((w[:, 0::2] + w[:, 1::2]) / 2.0)
+    return _finite(a)
 
 
-def _haar_columns(m: int, k: int, size: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Stack of `size` uniform m x k frames with orthonormal columns (the
-    first k columns of a Haar O(m) matrix), shape (size, m, k).
-
-    Thin QR factorization of standard Gaussian m x k matrices with the
-    R-diagonal fixed positive.
-    """
-    g = rng.standard_normal((size, m, k))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.einsum("sii->si", r))
-    d[d == 0.0] = 1.0
-    return q * d[:, None, :]
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a itself; DomainError if it holds NaN or inf."""
+    if not np.isfinite(a).all():
+        raise DomainError("spectra are not finite: a matrix holds NaN or "
+                          "inf, or its spectrum overflows")
+    return a
 
 
 def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `size` Haar O(m) matrices, shape (size, m, m).
 
-    The frames of :func:`_haar_columns` with k = m, followed by a uniform
-    +/-1 reflection of the first column so that both components of O(m)
-    are hit with probability 1/2 each.
+    QR factorization of standard Gaussian m x m matrices with the
+    R-diagonal fixed positive, followed by a uniform +/-1 reflection of the
+    first column so that both components of O(m) are hit with probability
+    1/2 each.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    q = _haar_columns(m, m, size, rng)
+    q, r = np.linalg.qr(rng.standard_normal((size, m, m)))
+    d = np.sign(np.einsum("sii->si", r))
+    d[d == 0.0] = 1.0
+    q = q * d[:, None, :]
     flip = rng.integers(0, 2, size=size) * 2 - 1
     q[:, :, 0] *= flip[:, None]
     return q

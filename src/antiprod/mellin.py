@@ -190,8 +190,7 @@ def ginibre_weight(nu: float) -> WeightFunction:
         a = a.astype(float, copy=False)
         pos = a > 0
         t = np.where(pos, a, 1.0)
-        with np.errstate(over="ignore"):
-            out = np.where(pos, np.exp(two_nu * np.log(t) - t - lognorm), 0.0)
+        out = np.where(pos, np.exp(two_nu * np.log(t) - t - lognorm), 0.0)
         if two_nu == 0.0:
             out = np.where(a == 0, np.exp(-lognorm), out)
         return out if out.ndim else float(out)

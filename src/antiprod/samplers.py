@@ -5,7 +5,10 @@ rectangular Gaussian (induced Ginibre) or a sub-block of a Haar orthogonal
 matrix (induced Jacobi).  It is drawn as g = R C, where C is an upper
 triangular matrix with C^T C equal in law to M^T M.  The two constructions
 have the same law: writing (M^T M)^(1/2) = Q C with Q orthogonal, R Q is
-Haar and independent of C, since R is Haar and independent of M.  Products
+Haar and independent of C, since R is Haar and independent of M.  M is
+never drawn: C is a Bartlett factor for the Ginibre factor and, for the
+Jacobi factor, the matrix-variate Beta triangle T_1 R^(-1) of two Bartlett
+factors, so a triangle costs O(n^3) per sample whatever K1 is.  Products
 are built as iterated sandwiches X_M ... X_1 A X_1^T ... X_M^T around a
 canonical antisymmetric base and exactly re-antisymmetrized to scrub
 floating-point drift.
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DomainError, SingularSpectrum, _haar_columns,
-                     build_canonical, haar_orthogonal_batch, spectra_batch)
+from .linalg import (DomainError, SingularSpectrum, build_canonical,
+                     haar_orthogonal_batch, spectra_batch)
 
 __all__ = [
     "GinibreSpec", "JacobiSpec", "ProductSpec",
@@ -115,33 +118,53 @@ class ProductSpec:
         return self.base.values
 
 
-def _ginibre_triangle(spec: GinibreSpec, size: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Bartlett factors C of 2(n + nu) x 2n standard Gaussians M, shape
-    (size, 2n, 2n): upper triangular with C_ii = sqrt(chi^2_{2(n+nu)-i})
-    for i < 2n and N(0, 1) entries above the diagonal, so that C^T C is
-    Wishart like M^T M."""
-    if not spec.samplable:
-        raise DomainError(
-            f"nu = {spec.nu} is an analytic-only parameter; direct sampling "
-            "needs a nonnegative integer")
-    k = 2 * spec.n
+def _bartlett(k: int, dof: int, size: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """Bartlett factors C of dof x k standard Gaussians M (dof >= k), shape
+    (size, k, k): upper triangular with C_ii = sqrt(chi^2_{dof-i}) for i < k
+    and N(0, 1) entries above the diagonal, so that C^T C is Wishart like
+    M^T M."""
     diag = np.arange(k)
     upper = np.triu_indices(k, 1)
     c = np.zeros((size, k, k))
-    c[:, diag, diag] = np.sqrt(
-        rng.chisquare(2 * (spec.n + int(spec.nu)) - diag, size=(size, k)))
+    c[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(size, k)))
     c[:, upper[0], upper[1]] = rng.standard_normal((size, upper[0].size))
     return c
 
 
+def _ginibre_triangle(spec: GinibreSpec, size: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Bartlett factors C of 2(n + nu) x 2n standard Gaussians M, shape
+    (size, 2n, 2n), so that C^T C is Wishart like M^T M."""
+    if not spec.samplable:
+        raise DomainError(
+            f"nu = {spec.nu} is an analytic-only parameter; direct sampling "
+            "needs a nonnegative integer")
+    return _bartlett(2 * spec.n, 2 * (spec.n + int(spec.nu)), size, rng)
+
+
 def _jacobi_triangle(spec: JacobiSpec, size: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """QR triangles C of the leading 2N x 2n sub-blocks M of Haar O(K1)
-    matrices, shape (size, 2n, 2n), so that C^T C = M^T M.  Only the first
-    2n columns of each Haar matrix are drawn, as a uniform K1 x 2n frame."""
-    m = _haar_columns(spec.K1, 2 * spec.n, size, rng)[:, : 2 * spec.N]
-    return np.linalg.qr(m, mode="r")
+    """Upper triangular C, shape (size, 2n, 2n), with C^T C equal in law to
+    M^T M for M the leading 2N x 2n sub-block of a Haar O(K1) matrix.
+
+    M^T M is matrix-variate Beta: with independent Bartlett factors T_1 of
+    2N and T_2 of K1 - 2N degrees of freedom and R the upper Cholesky
+    factor of T_1^T T_1 + T_2^T T_2, it has the law of
+    R^(-T) T_1^T T_1 R^(-1) (Muirhead 1982, Thm 3.3.1), so C = T_1 R^(-1).
+    The cost does not grow with K1.
+    """
+    k = 2 * spec.n
+    t1 = _bartlett(k, 2 * spec.N, size, rng)
+    t2 = _bartlett(k, spec.K1 - 2 * spec.N, size, rng)
+    r = np.linalg.cholesky(t1.transpose(0, 2, 1) @ t1
+                           + t2.transpose(0, 2, 1) @ t2).transpose(0, 2, 1)
+    # C R = T_1, solved column by column; only the upper triangle is nonzero
+    c = np.zeros_like(t1)
+    for j in range(k):
+        c[:, : j + 1, j] = (t1[:, : j + 1, j] - np.einsum(
+            "sik,sk->si", c[:, : j + 1, :j], r[:, :j, j])) / r[:, j, j, None]
+    return c
 
 
 def _triangle_batch(factor, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,9 +195,10 @@ def sample_induced_jacobi_batch(spec: JacobiSpec, size: int,
                                 rng: np.random.Generator) -> np.ndarray:
     """Stack of induced Jacobi matrices g = R (M^T M)^(1/2), shape (size, 2n, 2n).
 
-    M is the leading 2N x 2n sub-block of a Haar O(K1) matrix, and g = R C
-    with C the triangle of the QR factorization of M and R Haar O(2n).  All
-    singular values of g lie in [0, 1].
+    M is the leading 2N x 2n sub-block of a Haar O(K1) matrix.  It is not
+    drawn: g = R C with C^T C equal in law to M^T M (see
+    :func:`_jacobi_triangle`) and R Haar O(2n).  All singular values of g
+    lie in [0, 1].
     """
     return _factor_batch(spec, size, rng)
 

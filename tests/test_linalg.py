@@ -1,11 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from antiprod.linalg import (AntisymmetricMatrix, DomainError,
-                             SingularSpectrum, _haar_columns, build_canonical,
+                             SingularSpectrum, build_canonical,
                              haar_orthogonal_batch, singular_spectrum,
                              spectra_batch, vandermonde)
+from antiprod.samplers import GinibreSpec, ProductSpec, build_product_batch
 
 
 def test_vandermonde_examples():
@@ -62,9 +64,8 @@ def test_spectrum_invariant_under_conjugation():
 
 @pytest.mark.parametrize("values", [(1e-5, 1.0), (0.0, 1.0), (1e-4, 1e4)])
 def test_rotated_spectrum_with_a_tiny_entry_pairs(values):
-    # eigvalsh is accurate to a multiple of eps times the largest eigenvalue
-    # of x^T x, so the pair of a tiny entry may split by far more than the
-    # entry itself: the pairing check must be relative to the largest
+    # a rotated spectrum with a tiny entry is accurate on the scale of the
+    # largest entry
     a = SingularSpectrum.from_values(values)
     x = build_canonical(a).entries
     for k in haar_orthogonal_batch(4, 50, np.random.default_rng(21)):
@@ -73,16 +74,85 @@ def test_rotated_spectrum_with_a_tiny_entry_pairs(values):
 
 
 def test_spectra_batch_matches_scalar():
+    # against the imaginary parts of the eigenvalues of y, +/- i a_j
     rng = np.random.default_rng(9)
-    a = SingularSpectrum.from_values([1.0, 2.0])
-    x = build_canonical(a).entries
-    k = haar_orthogonal_batch(4, 16, rng)
+    for values in ([1.5], [1.0, 2.0], [0.5, 1.0, 2.0]):
+        x = build_canonical(SingularSpectrum.from_values(values)).entries
+        k = haar_orthogonal_batch(x.shape[0], 16, rng)
+        y = k @ x @ np.swapaxes(k, 1, 2)
+        y = (y - np.swapaxes(y, 1, 2)) / 2.0
+        batch = spectra_batch(y)
+        for i in range(16):
+            single = singular_spectrum(AntisymmetricMatrix(y[i]))
+            assert np.array_equal(batch[i], single.values)
+            ev = np.sort(np.abs(np.linalg.eigvals(y[i]).imag))[1::2]
+            assert np.allclose(batch[i], ev, atol=1e-10)
+
+
+def _mp_spectrum(y):
+    """Singular spectrum of the float matrix y from 40-digit eigenvalues of
+    y^T y."""
+    with mpmath.workdps(40):
+        m = mpmath.matrix(y.tolist())
+        w = sorted(mpmath.eigsy(m.T * m, eigvals_only=True))
+        return np.array([float(mpmath.sqrt((w[j] + w[j + 1]) / 2))
+                         for j in range(0, len(w), 2)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_spectra_closed_forms_match_mpmath(n):
+    # the worst-conditioned 1e-3 of 1e5 Ginibre products: a_min / a_max
+    # reaches 1e-8 here, where the eigenvalues of y^T y lose a_min entirely
+    # (their error is eps * a_max^2); the closed forms keep every entry
+    # within a few ulps of a_max
+    spec = ProductSpec(factors=(GinibreSpec(n, 0.0), GinibreSpec(n, 0.0)),
+                       base=np.arange(1.0, n + 1.0))
+    y = build_product_batch(spec, 100_000, np.random.default_rng(31))
+    a = spectra_batch(y)
+    worst = np.argsort(a[:, 0] / a[:, -1])[:100]
+    ref = np.array([_mp_spectrum(y[i]) for i in worst])
+    err = np.abs(a[worst] - ref) / ref[:, -1:]
+    assert np.max(err) < 4 * np.finfo(float).eps
+    if n == 2:
+        assert np.min(ref[:, 0] / ref[:, 1]) < 1e-6
+        assert np.max(np.abs(a[worst, 0] - ref[:, 0]) / ref[:, 0]) < 1e-8
+
+
+@pytest.mark.parametrize("values", [(1.0, 1.0), (0.0, 0.0), (0.0, 2.0)])
+def test_spectra_of_rotated_bases_are_ascending(values):
+    # a degenerate or zero entry must neither reorder a row nor give NaN
+    x = build_canonical(SingularSpectrum.from_values(values)).entries
+    k = haar_orthogonal_batch(4, 20_000, np.random.default_rng(22))
     y = k @ x @ np.swapaxes(k, 1, 2)
-    y = (y - np.swapaxes(y, 1, 2)) / 2.0
-    batch = spectra_batch(y)
-    for i in range(16):
-        single = singular_spectrum(AntisymmetricMatrix(y[i]))
-        assert np.allclose(batch[i], single.values, atol=1e-10)
+    a = spectra_batch((y - np.swapaxes(y, 1, 2)) / 2.0)
+    assert np.all(a[:, 0] <= a[:, 1])
+    assert np.max(np.abs(a - values)) <= 16 * np.finfo(float).eps * max(
+        values[1], 1.0)
+
+
+@pytest.mark.parametrize("values", [(0.5e160, 1e160), (0.5e-160, 1e-160),
+                                    (1e-10, 1e160)],
+                         ids=["large", "small", "spread"])
+def test_spectra_of_extreme_scales_are_accurate(values):
+    # products of entries near 1e160 overflow and near 1e-160 underflow; the
+    # Pfaffian of y scaled to a_max near 1 does neither
+    x = build_canonical(SingularSpectrum.from_values(values)).entries
+    k = haar_orthogonal_batch(4, 2000, np.random.default_rng(23))
+    y = k @ x @ np.swapaxes(k, 1, 2)
+    a = spectra_batch((y - np.swapaxes(y, 1, 2)) / 2.0)
+    eps = np.finfo(float).eps
+    assert np.all(a[:, 0] <= a[:, 1])
+    assert np.max(np.abs(a[:, 1] / values[1] - 1.0)) <= 16 * eps
+    # a_min is conditioned by a_max / a_min
+    assert np.max(np.abs(a[:, 0] - values[0])) <= 16 * eps * values[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectra_that_are_not_finite_raise(n):
+    x = build_canonical(SingularSpectrum.from_values(np.ones(n))).entries
+    for bad in (np.nan, np.inf):
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            spectra_batch(np.stack([x, x * bad]))
 
 
 def test_haar_batch_hits_both_components():
@@ -105,7 +175,7 @@ def test_haar_first_moment_is_zero():
 
 @pytest.mark.parametrize("m, k", [(2, 1), (5, 2), (9, 4), (41, 4), (41, 41)])
 def test_haar_columns_are_orthonormal(m, k):
-    q = _haar_columns(m, k, 50, np.random.default_rng(12))
+    q = haar_orthogonal_batch(m, 50, np.random.default_rng(12))[:, :, :k]
     assert q.shape == (50, m, k)
     gram = np.einsum("sji,sjk->sik", q, q)
     assert np.max(np.abs(gram - np.eye(k)[None])) < 1e-12

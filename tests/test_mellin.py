@@ -266,10 +266,13 @@ def test_catalogued_weights_match_the_masked_formulas_bitwise(w, ref):
                                           deriv(EDGE_ARGS, k))
 
 
-def test_ginibre_density_overflow_is_silent():
-    # a^(2 nu) with 2 nu < 0 overflows at subnormal a
-    with np.errstate(all="raise"):
-        assert ginibre_weight(-0.49).density(5e-324) == np.inf
+def test_catalogued_weights_warn_on_overflow():
+    # a^(2 nu - k) with 2 nu < 0 overflows at subnormal a; every catalogued
+    # density and derivative returns the infinity and warns
+    for w in (ginibre_weight(-0.49), jacobi_weight(-0.49, 0.0, 1)):
+        for f in (w.density, lambda a: w.deriv(a, 1)):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert np.isinf(f(5e-324))
 
 
 def test_a_sigma_custom_recovers_exponential():

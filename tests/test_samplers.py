@@ -5,7 +5,8 @@ from scipy import stats
 from antiprod.linalg import (DomainError, SingularSpectrum,
                              haar_orthogonal_batch, spectra_batch)
 from antiprod.samplers import (GinibreSpec, JacobiSpec, ProductSpec,
-                               _factor_batch, build_product_batch,
+                               _factor_batch, _jacobi_triangle,
+                               build_product_batch,
                                product_spectra_batch,
                                sample_induced_ginibre_batch,
                                sample_induced_jacobi_batch)
@@ -158,6 +159,41 @@ def test_ginibre_det_mean_is_bartlett(spec):
     expect = np.prod(2 * (spec.n + spec.nu) - np.arange(2 * spec.n))
     z = (d.mean() - expect) / (d.std(ddof=1) / np.sqrt(size))
     assert abs(z) < 4.0
+
+
+@pytest.mark.parametrize("spec", [JacobiSpec(1, 1, 4), JacobiSpec(2, 2, 8),
+                                  JacobiSpec(2, 2, 41)], ids=str)
+def test_jacobi_det_mean_is_beta(spec):
+    # M^T M is matrix-variate Beta, E det(M^T M) = prod_{i < 2n} (2N - i) / (K1 - i)
+    size = 40_000
+    c = _jacobi_triangle(spec, size, np.random.default_rng(16))
+    d = np.linalg.det(np.swapaxes(c, 1, 2) @ c)
+    i = np.arange(2 * spec.n)
+    expect = np.prod((2 * spec.N - i) / (spec.K1 - i))
+    z = (d.mean() - expect) / (d.std(ddof=1) / np.sqrt(size))
+    assert abs(z) < 4.0
+
+
+@pytest.mark.parametrize("spec", [JacobiSpec(1, 1, 4), JacobiSpec(2, 2, 8),
+                                  JacobiSpec(2, 3, 10), JacobiSpec(2, 2, 41)],
+                         ids=str)
+def test_jacobi_triangle_is_an_upper_contraction(spec):
+    c = _jacobi_triangle(spec, 5000, np.random.default_rng(17))
+    assert np.array_equal(c, np.triu(c))
+    assert np.max(np.linalg.svd(c, compute_uv=False)) <= 1.0 + 1e-12
+
+
+def test_small_n_spectra_call_no_qr_or_eigvalsh(monkeypatch):
+    # a single factor needs no Haar rotation, so neither LAPACK call remains
+    def fail(*args, **kwargs):
+        raise AssertionError("LAPACK call on the sampling path")
+
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    for n in (1, 2):
+        spec = ProductSpec(factors=(JacobiSpec(n, n, 4 * n + 1),))
+        a = product_spectra_batch(spec, 50, np.random.default_rng(18))
+        assert a.shape == (50, n)
 
 
 # The spectra-only path skips the outermost rotation R_M, the last draw of
