@@ -250,20 +250,43 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+#: L(p)[i, j] = _QUAT_SIGNS[0, i, j] p[i ^ j] is the matrix of x -> p x on
+#: quaternions x = (x_0, x_1, x_2, x_3) = x_0 + x_1 i + x_2 j + x_3 k, and
+#: R(q)[i, j] = _QUAT_SIGNS[1, i, j] q[i ^ j] that of x -> x q.
+_QUAT_INDEX = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+_QUAT_SIGNS = np.array([[[1, -1, -1, -1], [1, 1, -1, 1],
+                         [1, 1, 1, -1], [1, -1, 1, 1]],
+                        [[1, -1, -1, -1], [1, 1, 1, -1],
+                         [1, -1, 1, 1], [1, 1, -1, 1]]], dtype=float)
+
+
 def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `size` Haar O(m) matrices, shape (size, m, m).
 
-    QR factorization of standard Gaussian m x m matrices with the
-    R-diagonal fixed positive, followed by a uniform +/-1 reflection of the
-    first column so that both components of O(m) are hit with probability
-    1/2 each.
+    At m = 4, SO(4) = (S^3 x S^3) / {+/-1}: for independent uniform unit
+    quaternions p and q, the rotation x -> p x q of the quaternions is Haar
+    on SO(4) (Mebius 2005, "A matrix-based proof of the quaternion
+    representation theorem for four-dimensional rotations").  p and q are
+    normalized standard Gaussian 4-vectors, drawn as one (size, 2, 4) array,
+    and the matrix is L(p) R(q) of the left and right multiplications: no
+    QR.  At every other m, QR factorization of standard Gaussian m x m
+    matrices with the R-diagonal fixed positive.  Either is followed by a
+    uniform +/-1 reflection of the first column so that both components of
+    O(m) are hit with probability 1/2 each.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    q, r = np.linalg.qr(rng.standard_normal((size, m, m)))
-    d = np.sign(np.einsum("sii->si", r))
-    d[d == 0.0] = 1.0
-    q = q * d[:, None, :]
+    if m == 4:
+        g = rng.standard_normal((size, 2, 4))
+        g /= np.sqrt(np.einsum("sij,sij->si", g, g))[..., None]
+        lr = np.take(g, _QUAT_INDEX, axis=-1)
+        lr *= _QUAT_SIGNS
+        q = lr[:, 0] @ lr[:, 1]
+    else:
+        q, r = np.linalg.qr(rng.standard_normal((size, m, m)))
+        d = np.sign(np.einsum("sii->si", r))
+        d[d == 0.0] = 1.0
+        q = q * d[:, None, :]
     flip = rng.integers(0, 2, size=size) * 2 - 1
     q[:, :, 0] *= flip[:, None]
     return q

@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from antiprod.linalg import (AntisymmetricMatrix, DomainError,
                              SingularSpectrum, build_canonical,
@@ -181,18 +182,81 @@ def test_haar_columns_are_orthonormal(m, k):
     assert np.max(np.abs(gram - np.eye(k)[None])) < 1e-12
 
 
-@pytest.mark.parametrize("m", [2, 4, 41])
-def test_haar_batch_stream_is_unchanged(m):
-    # the recipe every Haar Monte Carlo estimate has been drawn with:
+def _flip_column_0(k, rng):
+    flip = rng.integers(0, 2, size=len(k)) * 2 - 1
+    k[:, :, 0] *= flip[:, None]
+    return k
+
+
+def _qr_recipe(m, size, rng):
     # Gaussian, QR, R-diagonal signs fixed positive, column-0 flip
+    q, r = np.linalg.qr(rng.standard_normal((size, m, m)))
+    d = np.sign(np.einsum("sii->si", r))
+    d[d == 0.0] = 1.0
+    return _flip_column_0(q * d[:, None, :], rng)
+
+
+def _left(p):
+    # x -> p x on quaternions x_0 + x_1 i + x_2 j + x_3 k
+    a, b, c, d = np.moveaxis(p, -1, 0)
+    return np.stack([a, -b, -c, -d, b, a, -d, c, c, d, a, -b, d, -c, b, a],
+                    axis=-1).reshape(-1, 4, 4)
+
+
+def _right(q):
+    # x -> x q
+    a, b, c, d = np.moveaxis(q, -1, 0)
+    return np.stack([a, -b, -c, -d, b, a, d, -c, c, -d, a, b, d, c, -b, a],
+                    axis=-1).reshape(-1, 4, 4)
+
+
+def _unit_quaternions(size, rng):
+    g = rng.standard_normal((size, 2, 4))
+    return g / np.sqrt(np.einsum("sij,sij->si", g, g))[..., None]
+
+
+@pytest.mark.parametrize("m", [2, 41])
+def test_haar_batch_stream_is_unchanged(m):
+    # the recipe every Haar Monte Carlo estimate at m != 4 is drawn with
     for seed in (0, 13):
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((30, m, m))
-        q, r = np.linalg.qr(g)
-        d = np.sign(np.einsum("sii->si", r))
-        d[d == 0.0] = 1.0
-        q = q * d[:, None, :]
-        flip = rng.integers(0, 2, size=30) * 2 - 1
-        q[:, :, 0] *= flip[:, None]
+        q = _qr_recipe(m, 30, np.random.default_rng(seed))
         got = haar_orthogonal_batch(m, 30, np.random.default_rng(seed))
         assert np.array_equal(got, q)
+
+
+def test_haar_o4_stream_is_pinned():
+    # two unit quaternions p, q per draw, k = L(p) R(q), column-0 flip
+    for seed in (0, 13):
+        rng = np.random.default_rng(seed)
+        u = _unit_quaternions(30, rng)
+        k = _flip_column_0(_left(u[:, 0]) @ _right(u[:, 1]), rng)
+        got = haar_orthogonal_batch(4, 30, np.random.default_rng(seed))
+        assert np.array_equal(got, k)
+
+
+def _o4_law(k, ref):
+    """KS p-values of tr k, k_11 and k_23 against the reference draws ref,
+    and the z of E (tr k)^2 = 1, exact for Haar O(m) at m >= 2."""
+    def stats(q):
+        return np.trace(q, axis1=1, axis2=2), q[:, 0, 0], q[:, 1, 2]
+
+    sk = stats(k)
+    p = [ks_2samp(a, b).pvalue for a, b in zip(sk, stats(ref))]
+    t2 = sk[0] ** 2
+    z = (t2.mean() - 1.0) / (t2.std() / np.sqrt(t2.size))
+    return p, z
+
+
+def test_haar_o4_law_matches_qr():
+    ref = _qr_recipe(4, 100_000, np.random.default_rng(41))
+    k = haar_orthogonal_batch(4, 100_000, np.random.default_rng(42))
+    p, z = _o4_law(k, ref)
+    assert min(p) > 1e-3 and abs(z) < 4.0
+    # twin: a left-isoclinic rotation L(p) alone.  Each of its columns is
+    # uniform on S^3, as a Haar column is, so single entries such as k_11
+    # cannot tell it apart; its trace 4 p_0 (2 p_0 when flipped) can, with
+    # E (tr k)^2 = 5/2
+    rng = np.random.default_rng(42)
+    twin = _flip_column_0(_left(_unit_quaternions(100_000, rng)[:, 0]), rng)
+    p_twin, z_twin = _o4_law(twin, ref)
+    assert p_twin[0] < 1e-10 and z_twin > 20.0

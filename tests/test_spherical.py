@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from antiprod import spherical
+from antiprod.harness import ExperimentConfig, run_corank2_experiment
 from antiprod.linalg import DomainError, SingularSpectrum
 from antiprod.spherical import (SphericalParameter, fn_closed,
                                 fn_recurrence, harish_chandra_o2n,
@@ -144,6 +145,27 @@ def test_factorization_psi_negative_control(monkeypatch):
     monkeypatch.setattr(spherical, "psi_montecarlo", scaled)
     _, _, z_twin = factorization_check_psi(*args, np.random.default_rng(4))
     assert z < 4.0 and z_twin > 10.0
+
+
+def test_n2_haar_monte_carlo_calls_no_qr(monkeypatch):
+    # Haar O(4) is drawn from two unit quaternions, so no estimator at
+    # n = 2 factors a matrix
+    def fail(*args, **kwargs):
+        raise AssertionError("QR on an n = 2 Haar path")
+
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    rng = np.random.default_rng(19)
+    g = np.diag([1.2, 0.8, 1.1, 0.9])
+    gp = np.diag([0.7, 1.3, 1.0, 1.0])
+    assert np.isfinite(harish_chandra_o2n_mc((0.5, 1.0), (0.8, 1.6), 300,
+                                             rng)[0])
+    assert np.isfinite(factorization_check_phi((4.0, 0.0), g, (1.0, 2.0),
+                                               300, rng)[2])
+    assert np.isfinite(factorization_check_psi((4.0, 0.0), g, gp, 300,
+                                               rng)[2])
+    rep = run_corank2_experiment(ExperimentConfig(
+        kind="corank2", params={"a": [1.0, 2.0]}, nsamples=300, seed=19))
+    assert rep.nsamples == 300 and np.isfinite(rep.statistics["ks"])
 
 
 def test_fn_recurrence_matches_closed():

@@ -10,8 +10,11 @@ a temporary directory and removed afterwards.  The
 runs are appended to ``--out`` (created if missing) and its ``summary`` is
 recomputed from all the runs it holds: per workload and end-to-end metric
 of ``BENCHMARK.json``, each side's median and quartiles and the number of
-pairs the change wins, ties counting for neither; traced runs
-(``--trace 1``) give per-side medians of the per-layer metrics.  Keys of
+pairs the change wins, ties counting for neither, and per side the
+failed over attempted operations and the number of runs that printed
+``correct: false``; traced runs (``--trace 1``) give per-side medians of
+the per-layer metrics.  After ``--out`` is written, the exit status is 1
+if any run it holds is incorrect.  Keys of
 ``--out`` other than ``command``, ``sides``, ``runs`` and ``summary`` are
 kept as they are, so notes written there survive later invocations.
 
@@ -82,12 +85,12 @@ def summarize(runs: list, end_to_end: list) -> dict:
                  and r["trace"] == 0]
         traced = [r for r in runs if r["workload"] == workload
                   and r["trace"] == 1]
+        summary[workload] = out = {}
         if plain:
             by_pair = {}
             for r in plain:
                 by_pair.setdefault(r["pair"], {})[r["side"]] = r
             pairs = [p for p in by_pair.values() if len(p) == 2]
-            out = {}
             for metric in end_to_end:
                 name, sign = metric["name"], (1 if metric["better"] == "lower"
                                               else -1)
@@ -103,7 +106,10 @@ def summarize(runs: list, end_to_end: list) -> dict:
                     sum(r["failed"] for r in plain if r["side"] == side),
                     sum(r["attempted"] for r in plain if r["side"] == side))
                 for side in SIDES}
-            summary[workload] = out
+        out["incorrect_runs"] = {
+            side: sum(not r["correct"] for r in plain + traced
+                      if r["side"] == side)
+            for side in SIDES}
         if traced:
             summary[f"{workload}_traced_medians"] = {
                 side: {k: float(np.median([r["metrics"][k] for r in traced
@@ -153,6 +159,11 @@ def main(argv=None) -> int:
         # written after every pair, so an interrupted series keeps its pairs
         doc["summary"] = summarize(runs, BENCHMARK["end_to_end"])
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    incorrect = sum(not r["correct"] for r in runs)
+    if incorrect:
+        print(f"error: {incorrect} run(s) in {args.out} printed "
+              "correct: false", file=sys.stderr)
+        return 1
     return 0
 
 
