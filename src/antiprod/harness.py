@@ -49,6 +49,20 @@ SCHEMA_VERSION = "antiprod/1"
 #: Panels, uniform in log y, of the cdf table behind a binned comparison.
 CDF_PANELS = 8192
 
+#: Gates of run_spherical_suite, each reported beside its statistics: every
+#: Monte Carlo z-score, |Phi - 1| at the a -> 1 limits, the n = 1 group
+#: integral against cosh, and the f_n recursion relative to the closed form.
+SPHERICAL_Z_MAX = 3.0
+PHI_LIMIT_TOL = 1e-8
+HC_N1_TOL = 1e-12
+FN_RTOL = 1e-6
+
+#: Default gates of run_corank2_experiment, each overridden by the config
+#: tolerance named in brackets: |norm - 1| of the projection density
+#: ("norm") and the least chi-square p-value ("chi2_pvalue").
+CORANK2_NORM_TOL = 1e-10
+CORANK2_PVALUE_MIN = 1e-3
+
 @dataclass
 class ExperimentConfig:
     """Resolved description of one experiment run."""
@@ -223,13 +237,14 @@ def run_corank2_experiment(config: ExperimentConfig) -> TestReport:
     # the projection density is piecewise polynomial; integrate each cell
     cells = np.concatenate([[1e-12], a.values])
     norm = float(np.sum(quad(density, cells[:-1], cells[1:])[0]))
-    norm_tol = config.tol("norm", 1e-10)
-    p_min = config.tol("chi2_pvalue", 1e-3)
+    norm_tol = config.tol("norm", CORANK2_NORM_TOL)
+    p_min = config.tol("chi2_pvalue", CORANK2_PVALUE_MIN)
     passed = abs(norm - 1.0) < norm_tol and pval > p_min
     return TestReport(
         name=config.label or f"corank2-n{n}", passed=passed,
         statistics={"ks": ks, "chi2": chi2, "chi2_pvalue": pval,
-                    "norm": norm, "pvalue_min": p_min},
+                    "norm": norm, "norm_tol": norm_tol,
+                    "pvalue_min": p_min},
         rows=rows, nsamples=config.nsamples, config=config.resolved(),
         wall_clock=time.perf_counter() - t0)
 
@@ -315,13 +330,19 @@ def prop45_distribution_check(nsamples: int = 100_000,
         wall_clock=time.perf_counter() - t0)
 
 
+def _short(x: float) -> str:
+    """x in %g form without a padded exponent: 1e-8, not 1e-08."""
+    return f"{x:g}".replace("e-0", "e-")
+
+
 def run_spherical_suite(config: ExperimentConfig) -> TestReport:
     """Closed-form spherical function versus Monte Carlo, factorization
     identities, the 2n-dimensional group integral and the recursion."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     N = config.nsamples
-    stats_d = {}
+    stats_d = {"z_max": SPHERICAL_Z_MAX, "phi_limit_tol": PHI_LIMIT_TOL,
+               "hc_n1_tol": HC_N1_TOL, "fn_rtol": FN_RTOL}
     notes = []
     ok = True
 
@@ -338,18 +359,18 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
         mc, se = sph.phi_montecarlo(s, a, N, rng)
         z = sph.zscore(mc, closed, se)
         stats_d[f"phi_z_{i}"] = z
-        ok &= z < 3.0
+        ok &= z < SPHERICAL_Z_MAX
 
     # a -> 1 normalization, exact limit plus MC confirmation at n=2
     for n in (1, 2, 3, 4):
         s = tuple(2.0 * (n - j) for j in range(1, n + 1))
         lim = sph.phi_closed(s, tuple([1.0] * n))
         stats_d[f"phi_limit_n{n}"] = abs(lim - 1.0)
-        ok &= abs(lim - 1.0) < 1e-8
+        ok &= abs(lim - 1.0) < PHI_LIMIT_TOL
     mc, se = sph.phi_montecarlo((2.0, 0.0), (1.0, 1.0), N, rng)
     z = sph.zscore(mc, 1.0, se)
     stats_d["phi_limit_mc_z"] = z
-    ok &= z < 3.0
+    ok &= z < SPHERICAL_Z_MAX
 
     # factorization identities with induced Ginibre factors
     from .samplers import sample_induced_ginibre_batch
@@ -360,18 +381,18 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
     _, _, z2 = sph.factorization_check_psi((4.0, 0.0), g[0], g[1], N, rng)
     stats_d["factorization_phi_z"] = z1
     stats_d["factorization_psi_z"] = z2
-    ok &= z1 < 3.0 and z2 < 3.0
+    ok &= z1 < SPHERICAL_Z_MAX and z2 < SPHERICAL_Z_MAX
 
     # group integral: n=1 is the two-component O(2) average (cosh), n=2 MC
     x1, y1 = (0.7,), (1.3,)
     exact = float(np.cosh(x1[0] * y1[0]))
     stats_d["hc_n1_err"] = abs(sph.harish_chandra_o2n(x1, y1) - exact)
-    ok &= stats_d["hc_n1_err"] < 1e-12
+    ok &= stats_d["hc_n1_err"] < HC_N1_TOL
     closed = sph.harish_chandra_o2n((0.5, 1.0), (0.8, 1.6))
     mc, se = sph.harish_chandra_o2n_mc((0.5, 1.0), (0.8, 1.6), N, rng)
     z = sph.zscore(mc, closed, se)
     stats_d["hc_n2_z"] = z
-    ok &= z < 3.0
+    ok &= z < SPHERICAL_Z_MAX
 
     # recursion versus closed form
     rec_pts = config.params.get("fn_points", [
@@ -383,9 +404,11 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
         clo = sph.fn_closed(s, a)
         rel = abs(rec - clo) / max(abs(clo), 1e-300)
         stats_d[f"fn_rel_{i}"] = rel
-        ok &= rel < 1e-6
+        ok &= rel < FN_RTOL
 
-    notes.append("z thresholds 3.0; limits 1e-8; recursion 1e-6 relative")
+    notes.append(f"z thresholds {SPHERICAL_Z_MAX}; limits "
+                 f"{_short(PHI_LIMIT_TOL)}; recursion {_short(FN_RTOL)} "
+                 "relative")
     return TestReport(
         name=config.label or "spherical-suite", passed=bool(ok),
         statistics=stats_d, nsamples=N, config=config.resolved(),
@@ -430,12 +453,11 @@ def run_kernel_suite(config: ExperimentConfig) -> TestReport:
         r2d = max(abs(correlation_Rk([y0, y0], ker)) for y0 in pts)
         stats_d[f"{label}_r2_diag"] = r2d
         ok &= r2d < 1e-10
-    # the polynomial-base Gram constructions of the criterion examples
+    # the polynomial-base Gram construction of the criterion examples
     mb = PolynomialEnsembleSpec(2, muttalib_borodin_weights(0.0, 0.0, 2))
-    for mode in ("triangular", "dual_weights"):
-        g = gram_biorth(mb, mode=mode)
-        stats_d[f"mb_gram_{mode}"] = g.gram_offdiag
-        ok &= g.gram_offdiag < 1e-8
+    g = gram_biorth(mb)
+    stats_d["mb_gram_triangular"] = g.gram_offdiag
+    ok &= g.gram_offdiag < 1e-8
     return TestReport(
         name=config.label or "kernel-suite", passed=bool(ok),
         statistics=stats_d, config=config.resolved(),

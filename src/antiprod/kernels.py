@@ -4,8 +4,9 @@ The singular-value densities of ensembles.py are determinantal; this module
 constructs the underlying bi-orthonormal pairs {p_j, q_j} and evaluates the
 correlation kernel both as the finite series sum_j p_j(y') q_j(y) and
 through its contour-integral representations.  One broadcasting evaluator,
-BiorthSystem.kernel, serves the diagonal and both single-contour kernels
-on whole grids of (y', y); the double-contour kernel broadcasts as well,
+BiorthSystem.kernel, serves the diagonal, both series kernels and the
+single-contour form of kernel_fixed on whole grids of (y', y); the
+double-contour kernel broadcasts as well,
 from a memoised frame of the nodes, weights and Cauchy matrix of each base
 and contour.  Contour integrals over
 circles are discretized by the trapezoid rule, which is spectrally accurate
@@ -190,14 +191,11 @@ def _combo_weight(coeffs: np.ndarray, weights: tuple, label: str) -> WeightFunct
                           support=(lo, hi), label=label)
 
 
-def gram_biorth(base: PolynomialEnsembleSpec,
-                mode: str = "triangular") -> BiorthSystem:
+def gram_biorth(base: PolynomialEnsembleSpec) -> BiorthSystem:
     """Bi-orthonormal system of a polynomial ensemble from its bimoments.
 
-    mode 'triangular' builds p_j even of degree 2j (Gram-Schmidt order) and
-    re-expresses the duals q_j in the matching basis; mode 'dual_weights'
-    keeps q_j = w_(j+1) raw and puts the full inverse-bimoment coefficients
-    into the p_j.  Both modes give the same kernel.
+    p_j is even of degree 2j (Gram-Schmidt order), and the duals q_j are
+    re-expressed in the matching basis of the base weights.
     """
     n = base.n
     B = np.real(base.bimoments)
@@ -205,23 +203,17 @@ def gram_biorth(base: PolynomialEnsembleSpec,
     if cond > COND_MAX:
         raise DomainError(
             f"bimoment matrix condition number {cond:.2e} exceeds {COND_MAX:g}")
-    if mode == "dual_weights":
-        D = np.linalg.inv(B)
-        C = np.eye(n)
-    elif mode == "triangular":
-        D = np.zeros((n, n))
-        for j in range(n):
-            sub = B[: j + 1, : j + 1].T
-            e = np.zeros(j + 1)
-            e[j] = 1.0
-            D[j, : j + 1] = np.linalg.solve(sub, e)
-        C = np.linalg.inv(D @ B).T
-    else:
-        raise DomainError(f"unknown gram_biorth mode {mode!r}")
+    D = np.zeros((n, n))
+    for j in range(n):
+        sub = B[: j + 1, : j + 1].T
+        e = np.zeros(j + 1)
+        e[j] = 1.0
+        D[j, : j + 1] = np.linalg.solve(sub, e)
+    C = np.linalg.inv(D @ B).T
     qtilde = tuple(
         _combo_weight(C[j], base.weights, label=f"q[{j}]") for j in range(n))
     sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde,
-                       label=f"{mode}:{base.label}")
+                       label=f"gram:{base.label}")
     off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
     return replace(sys, gram_offdiag=off)
 
@@ -284,20 +276,17 @@ def _circle(method: str, contour: ContourSpec | None, radius: float):
     return radius, contour.n_nodes
 
 
-def kernel_poly(yprime, y, base: BiorthSystem, factor: WeightFunction,
-                contour: ContourSpec | None = None, method: str = "contour"):
+def kernel_poly(yprime, y, base: BiorthSystem, factor: WeightFunction):
     """Correlation kernel of one factor applied to a polynomial-ensemble base.
 
-    K_n(y', y) = sum_j p_j(y') q_j(y) with p_j the chi-contour transform of
-    the base polynomial ptilde_j and q_j the Mellin convolution of the
-    factor density with the base dual qtilde_j.  method 'contour' evaluates
-    the z-integral by trapezoid circle average (radius 1 by default),
-    'series' by its residues.  y' and y broadcast against each other (y
-    positive); the result has their broadcast shape, a float for scalars.
+    K_n(y', y) = sum_j p_j(y') q_j(y) with p_j the chi transform of the
+    base polynomial ptilde_j, summed by its residues, and q_j the Mellin
+    convolution of the factor density with the base dual qtilde_j.  y' and
+    y broadcast against each other (y positive); the result has their
+    broadcast shape, a float for scalars.
     """
-    circle = _circle(method, contour, 1.0)
     q = [mellin_convolve(factor, w, y) for w in base.qtilde]
-    return base.kernel(yprime, y, q=q, factor=factor, circle=circle)
+    return base.kernel(yprime, y, q=q, factor=factor)
 
 
 def kernel_fixed(yprime, y, atilde, factor: WeightFunction,
@@ -378,7 +367,7 @@ def kernel_fixed_contour(yprime, y, atilde, factor: WeightFunction,
     with z' on a circle around the origin and z on a union of small circles
     that encircle only the poles at a_1, ..., a_n.  Requires the factor
     density to be holomorphic near y / a_j; one that takes real arguments
-    only (a_sigma_custom, convolved_weight) raises DomainError.
+    only (convolved_weight) raises DomainError.
 
     The nodes, weights and Cauchy matrix of the base and contour come from
     an LRU memo of FRAME_MEMO frames (2 MB each at n = 2).  Per call A is

@@ -34,14 +34,14 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
-from scipy import special, stats
+from scipy import special
 
 from .linalg import DomainError
 
 __all__ = [
     "WeightFunction", "QuadratureError", "quad",
     "quad_cumulative", "mellin_numeric", "mellin_convolve",
-    "convolved_weight", "a_sigma_custom", "ginibre_weight", "jacobi_weight",
+    "convolved_weight", "ginibre_weight", "jacobi_weight",
 ]
 
 #: Argument beyond which an exponentially decaying density is treated as zero.
@@ -87,8 +87,8 @@ class WeightFunction:
         of the density.
     support : (lo, hi)
     label : str
-        Name used in ensemble labels; the catalogue sets "ginibre",
-        "jacobi" or "custom".
+        Name used in ensemble labels; the catalogue sets "ginibre" or
+        "jacobi".
     deriv : callable, optional
         (a, k) -> w^(k)(a) for k >= 1, where closed forms exist.
     """
@@ -273,57 +273,6 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
 
     return WeightFunction(density=density, mellin=mellin,
                           support=(0.0, 1.0), label="jacobi", deriv=deriv)
-
-
-def a_sigma_custom(sampler2x2: Callable, rng, nsamples: int = 100_000,
-                   bw_method=None) -> WeightFunction:
-    """Determinant-modulus density of a custom 2x2 ensemble, estimated by MC.
-
-    sampler2x2(rng) must return one 2x2 real matrix draw.  The density of
-    |det z| is estimated with a Gaussian kernel density in log |det z|;
-    intended for exploratory factors only.  The Mellin transform is by
-    quadrature, run once per s, and the weight has no derivatives, so the
-    degenerate and confluent densities, which need them, raise
-    DomainError.  The density
-    takes real arguments only: the double-contour kernel, which continues
-    it to complex ones, raises DomainError as well.
-    """
-    dets = np.empty(nsamples)
-    for i in range(nsamples):
-        z = sampler2x2(rng)
-        dets[i] = abs(z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0])
-    dets = dets[dets > 0]
-    span = np.log(dets.max() / dets.min())
-    if dets.size / max(span / np.log(10.0), 1.0) < 1e3:
-        import warnings
-        warnings.warn("custom factor under-resolved: fewer than 1e3 "
-                      "effective samples per decade")
-    kde = stats.gaussian_kde(np.log(dets), bw_method=bw_method)
-    lo, hi = dets.min() * 0.5, dets.max() * 2.0
-
-    def density(a):
-        if np.iscomplexobj(a):
-            raise DomainError("a custom factor density has no analytic "
-                              "continuation to complex arguments")
-        a = np.asarray(a, dtype=float)
-        out = np.zeros_like(a)
-        ok = (a >= lo) & (a <= hi)
-        # density of a from the kde of log a
-        out[ok] = kde(np.log(a[ok])) / a[ok]
-        return out if out.ndim else float(out)
-
-    values = {}
-
-    def mellin(s):
-        # the quadrature is the costly part, and the kernels ask for the
-        # same few s again and again
-        s = complex(s)
-        if s not in values:
-            values[s] = mellin_numeric(density, s, support=(lo, hi))
-        return values[s]
-
-    return WeightFunction(density=density, mellin=mellin,
-                          support=(lo, hi), label="custom")
 
 
 def _gl_panels(f, a, b):

@@ -7,9 +7,9 @@ from scipy import special
 from antiprod import mellin
 from antiprod.mellin import _deriv_polys, _horner, _log_beta
 from antiprod.linalg import DomainError
-from antiprod.mellin import (QuadratureError, a_sigma_custom,
-                             convolved_weight, ginibre_weight, jacobi_weight,
-                             mellin_convolve, mellin_numeric, quad)
+from antiprod.mellin import (QuadratureError, convolved_weight,
+                             ginibre_weight, jacobi_weight, mellin_convolve,
+                             mellin_numeric, quad)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
@@ -275,21 +275,13 @@ def test_catalogued_weights_warn_on_overflow():
                 assert np.isinf(f(5e-324))
 
 
-def test_a_sigma_custom_recovers_exponential():
-    rng = np.random.default_rng(2)
-    w = a_sigma_custom(lambda r: r.standard_normal((2, 2)), rng,
-                       nsamples=50_000)
-    grid = np.linspace(0.2, 2.5, 12)
-    ref = np.exp(-grid)
-    est = np.array([float(w.density(g)) for g in grid])
-    assert np.max(np.abs(est - ref)) < 0.05
-
-
-def test_a_sigma_custom_has_no_derivatives():
+def test_convolved_weight_has_no_derivatives():
+    # a weight without closed-form derivatives keeps its density as the
+    # 0-th derivative and refuses every higher one, and with it the
+    # degenerate-limit density
     from antiprod.ensembles import jpdf_degenerate
-    w = a_sigma_custom(lambda r: r.standard_normal((2, 2)),
-                       np.random.default_rng(5), nsamples=20_000)
-    assert w.label == "custom"
+    w = convolved_weight(ginibre_weight(0.0), ginibre_weight(0.0))
+    assert w.deriv is None
     assert w.density_deriv(0.5, 0) == w.density(0.5)
     with pytest.raises(DomainError):
         w.density_deriv(0.5, 1)
@@ -309,25 +301,3 @@ def test_jacobi_density_and_derivatives_at_zero_are_their_limits():
     assert w.density(0.0) == pytest.approx(3.0, rel=1e-15)
     assert [w.density_deriv(np.array([0.0]), k)[0] for k in (1, 2, 3)] \
         == pytest.approx([-6.0, 6.0, 0.0], rel=1e-15)
-
-
-def test_a_sigma_custom_mellin_runs_one_quadrature_per_s(monkeypatch):
-    from antiprod.kernels import kernel_fixed
-    from antiprod.mellin import WeightFunction
-    w = a_sigma_custom(lambda r: r.standard_normal((2, 2)),
-                       np.random.default_rng(6), nsamples=5_000)
-    # the same density with a Mellin transform that is never kept
-    plain = WeightFunction(
-        density=w.density, support=w.support, label="custom",
-        mellin=lambda s: mellin_numeric(w.density, s, support=w.support))
-    want = kernel_fixed(0.7, 0.9, [1.0, 2.0], plain, method="series")
-    calls = []
-
-    def counted(*args, **kw):
-        calls.append(args[1])
-        return mellin_numeric(*args, **kw)
-
-    monkeypatch.setattr(mellin, "mellin_numeric", counted)
-    got = kernel_fixed(0.7, 0.9, [1.0, 2.0], w, method="series")
-    assert len(calls) <= 2
-    assert got == want

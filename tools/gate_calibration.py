@@ -5,11 +5,12 @@
 Runs ``run_suite("spherical")`` and ``run_suite("corank2")`` at seeds
 0, ..., K - 1 with the CLI default of 100 000 samples, and prints one
 markdown table: per report and statistic, the share of seeds at which the
-statistic passes its gate, and its quartiles over the seeds.  The gates
-are those of ``harness.run_spherical_suite`` and
-``harness.run_corank2_experiment``; a statistic without a gate of its own
-shows ``-``.  A report's ``passed`` row is the share of seeds at which the
-whole report passes.  The package imported is the one on ``PYTHONPATH``,
+statistic passes its gate, and its quartiles over the seeds.  Each gate is
+read from the report itself, where ``harness.run_spherical_suite`` and
+``harness.run_corank2_experiment`` record it beside the statistics it
+judges; a statistic without a gate of its own shows ``-``.  A report's
+``passed`` row is the share of seeds at which the whole report passes.
+The package imported is the one on ``PYTHONPATH``,
 so pointing it at another tree's ``src`` calibrates that tree.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from operator import gt, lt
 
 import numpy as np
 
@@ -25,23 +27,24 @@ from antiprod.harness import run_suite
 
 SUITES = ("spherical", "corank2")
 
-#: (statistic pattern, gate as text, test of a value v in a report's stats)
+#: (statistic pattern, key of its gate in the report's statistics, gate as
+#: a format of the gate value, test of a value v against the gate value g)
 GATES = [
-    (r".*_z(_\d+)?", "z < 3", lambda v, stats: v < 3.0),
-    (r"phi_limit_n\d+", "< 1e-8", lambda v, stats: v < 1e-8),
-    (r"hc_n1_err", "< 1e-12", lambda v, stats: v < 1e-12),
-    (r"fn_rel_\d+", "< 1e-6", lambda v, stats: v < 1e-6),
-    (r"chi2_pvalue", "> pvalue_min",
-     lambda v, stats: v > stats["pvalue_min"]),
-    (r"norm", "abs(v - 1) < 1e-10", lambda v, stats: abs(v - 1.0) < 1e-10),
+    (r".*_z(_\d+)?", "z_max", "z < {:g}", lt),
+    (r"phi_limit_n\d+", "phi_limit_tol", "< {:g}", lt),
+    (r"hc_n1_err", "hc_n1_tol", "< {:g}", lt),
+    (r"fn_rel_\d+", "fn_rtol", "< {:g}", lt),
+    (r"chi2_pvalue", "pvalue_min", "> {:g}", gt),
+    (r"norm", "norm_tol", "abs(v - 1) < {:g}", lambda v, g: abs(v - 1.0) < g),
 ]
 
 
 def _gate(name: str):
-    for pattern, text, test in GATES:
+    """(key, text, test) of the gate of statistic name, or None."""
+    for pattern, key, text, test in GATES:
         if re.fullmatch(pattern, name):
-            return text, test
-    return "-", None
+            return key, text, test
+    return None
 
 
 def calibrate(seeds, nsamples: int = 100_000) -> dict:
@@ -70,9 +73,15 @@ def table(results: dict) -> str:
             if key == "passed":
                 continue
             values = [v for v, _ in pairs]
-            text, test = _gate(key)
-            rate = ("-" if test is None else "{}/{}".format(
-                sum(bool(test(v, st)) for v, st in pairs), len(pairs)))
+            gate = _gate(key)
+            if gate is None:
+                text = rate = "-"
+            else:
+                gkey, fmt, test = gate
+                text = fmt.format(pairs[0][1][gkey])
+                rate = "{}/{}".format(
+                    sum(bool(test(v, st[gkey])) for v, st in pairs),
+                    len(pairs))
             q1, med, q3 = np.percentile(values, [25, 50, 75])
             lines.append(f"| {name} | {key} | {text} | {rate} | "
                          f"{q1:.3g} | {med:.3g} | {q3:.3g} |")
