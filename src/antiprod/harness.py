@@ -19,7 +19,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import __version__
 from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
@@ -129,7 +129,9 @@ def _binned_comparison(samples: np.ndarray, density, support, bins: int,
     Returns (rows, ks, chi2_stat, chi2_pvalue, norm) where rows are
     (bin_lo, bin_hi, empirical fraction, analytic fraction, zscore) and
     norm is the quadrature mass of the density (should be 1).  The cdf
-    table has a grid point on each of the kinks of the density.
+    table has a grid point on each of the kinks of the density.  Bins
+    expecting fewer than 5 samples merge into their left neighbor (the
+    last into the one before it); DomainError if fewer than two remain.
     """
     lo, hi = support
     hi_eff = min(hi, max(float(np.max(samples)) * 1.25, 1.0))
@@ -164,10 +166,19 @@ def _binned_comparison(samples: np.ndarray, density, support, bins: int,
             cts.append(int(counts[i]))
             exps.append(float(expected[i]))
             spans.append((edges[i], edges[i + 1]))
+    if len(exps) > 1 and exps[-1] < 5.0:
+        ct, ex, (_, span_hi) = cts.pop(), exps.pop(), spans.pop()
+        cts[-1] += ct
+        exps[-1] += ex
+        spans[-1] = (spans[-1][0], span_hi)
+    if len(exps) < 2:
+        raise DomainError(
+            f"chi-square needs two bins that expect 5 samples each; N = {N} "
+            f"samples in bins = {bins} leave {len(exps)}")
     cts, exps = np.asarray(cts, dtype=float), np.asarray(exps)
     z = (cts - exps) / np.sqrt(exps)
     chi2 = float(np.sum(z * z))
-    pval = float(stats.chi2.sf(chi2, len(cts) - 1))
+    pval = float(special.chdtrc(len(cts) - 1, chi2))
     rows = [(s[0], s[1], ct / N, ex / N, zz)
             for s, ct, ex, zz in zip(spans, cts, exps, z)]
     return rows, ks, chi2, pval, norm

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from antiprod.harness import (SCHEMA_VERSION, ExperimentConfig, TestReport,
                               _binned_comparison, _factor_from_params,
@@ -13,6 +14,7 @@ from antiprod.harness import (SCHEMA_VERSION, ExperimentConfig, TestReport,
                               prop45_distribution_check, run_corank2_experiment,
                               run_prop45_check, run_spectrum_experiment,
                               run_suite)
+from antiprod.linalg import DomainError
 from antiprod.mellin import convolved_weight, ginibre_weight
 from antiprod.samplers import ProductSpec, product_spectra_batch
 
@@ -22,6 +24,18 @@ import antiprod
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [str(Path(antiprod.__file__).parents[1])]
     + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+def test_import_loads_only_scipy_special():
+    # a fresh interpreter: the CLI's cold start pays for no scipy subpackage
+    # beyond special (convolved_weight imports interpolate when called)
+    heavy = ["scipy.stats", "scipy.integrate", "scipy.interpolate",
+             "scipy.optimize"]
+    code = ("import sys, json, antiprod, antiprod.cli; "
+            f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out) == []
+
 
 def test_prop45_identity_and_negative_control():
     rep = run_prop45_check(0.5, 1.0, 2)
@@ -124,6 +138,35 @@ def test_corank2_experiment_quick():
                            nsamples=20_000, seed=4, label="quick-corank2")
     rep = run_corank2_experiment(cfg)
     assert rep.passed, rep.statistics
+    # the p-value, bit for bit, from scipy.stats as an independent reference
+    chi2, df = rep.statistics["chi2"], len(rep.rows) - 1
+    assert df == cfg.bins - 1
+    assert rep.statistics["chi2_pvalue"] == stats.chi2.sf(chi2, df)
+
+
+def test_binned_comparison_merges_an_underpopulated_last_bin():
+    # 17 samples in 5 bins expect 3.4 each: the forward merge leaves
+    # (6.8, 6.8, 3.4), and the last merges into its left neighbor
+    samples = np.random.default_rng(2).exponential(size=17)
+    rows, ks, chi2, pval, norm = _binned_comparison(
+        samples, lambda y: np.exp(-y), (0.0, np.inf), 5)
+    rows = np.array(rows)
+    assert rows[:, 3] * 17 == pytest.approx([6.8, 10.2])
+    assert rows[0, 0] == 0.0 and rows[0, 1] == rows[1, 0]
+    assert rows[:, 2].sum() == pytest.approx(1.0)
+    assert pval == stats.chi2.sf(chi2, 1)
+
+
+def test_corank2_with_too_few_samples_for_two_bins_raises(tmp_path, capsys):
+    # N = 4 merges all 50 bins into one; chi-square has no degrees of freedom
+    cfg = ExperimentConfig(kind="corank2", params={"a": [1.0, 2.0]},
+                           nsamples=4, seed=0)
+    with pytest.raises(DomainError, match=r"N = 4 .* bins = 50"):
+        run_corank2_experiment(cfg)
+    from antiprod.cli import main
+    assert main(["verify", "--suite", "corank2", "--samples", "4",
+                 "--out", str(tmp_path)]) == 2
+    assert "error: chi-square needs two bins" in capsys.readouterr().err
 
 
 def test_emit_results_formats(tmp_path):
