@@ -32,8 +32,8 @@ import numpy as np
 from scipy import special
 
 from .linalg import (DomainError, SingularSpectrum, coincident,
-                     confluent_alternant, derivative_terms, sorted_spectra,
-                     vandermonde)
+                     confluent_alternant, derivative_terms, det,
+                     sorted_spectra, vandermonde)
 from .mellin import WeightFunction, convolved_weight
 
 __all__ = [
@@ -72,7 +72,7 @@ class PolynomialEnsembleSpec:
     @cached_property
     def norm_constant(self) -> float:
         inv = float(special.gamma(self.n + 1)) \
-            * float(np.linalg.det(self.bimoments).real)
+            * float(det(self.bimoments).real)
         if inv == 0.0:
             raise DomainError("weights are linearly dependent")
         return 1.0 / inv
@@ -83,7 +83,7 @@ class PolynomialEnsembleSpec:
         a = sorted_spectra(a, self.n)
         W = np.stack([w(a) for w in self.weights], axis=-2)
         return _clamped(self.norm_constant * vandermonde(a * a)
-                        * np.linalg.det(W), "PolynomialEnsembleSpec.density")
+                        * det(W), "PolynomialEnsembleSpec.density")
 
 
 def _clamped(val, name: str):
@@ -241,12 +241,11 @@ def jpdf_fixed(a, atilde, factor: WeightFunction):
     else:
         logc = -special.gammaln(n + 1) - _log_mellin_norm(factor, n)
         if route == "partial":
-            det = _confluent_fixed_det(a, atv, same, factor)
-            val = np.exp(logc) * vandermonde(a * a) * det
+            val = np.exp(logc) * vandermonde(a * a) \
+                * _confluent_fixed_det(a, atv, same, factor)
         else:
             W = factor.density(a[..., :, None] / atv) / atv
-            det = np.linalg.det(W)
-            val = np.exp(logc) * vandermonde(a * a) / vdm * det
+            val = np.exp(logc) * vandermonde(a * a) / vdm * det(W)
     return _clamped(np.ldexp(val, -n * e), "jpdf_fixed")
 
 
@@ -266,7 +265,7 @@ def jpdf_degenerate(a, factor: WeightFunction):
     logc = -(n * (n - 1) / 2.0) * np.log(2.0) - special.gammaln(n + 1) \
         - _log_mellin_norm(factor, n)
     W = np.stack([factor.neg_xdx_pow(a, c) for c in range(n)], axis=-1)
-    return _clamped(np.exp(logc) * vandermonde(a * a) * np.linalg.det(W),
+    return _clamped(np.exp(logc) * vandermonde(a * a) * det(W),
                     "jpdf_degenerate")
 
 
@@ -300,6 +299,6 @@ def corank2_jpdf(x, a):
     diff = av - x[..., :, None]
     D[..., 1:, :] = np.where(diff > 0.0, diff, 0.0)
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
-    val = pref * vandermonde(x * x) / vdm * np.linalg.det(D)
+    val = pref * vandermonde(x * x) / vdm * det(D)
     return _clamped(np.ldexp(np.where(np.any(x < 0, axis=-1), 0.0, val),
                              -(n - 1) * e), "corank2_jpdf")

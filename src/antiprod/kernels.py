@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .linalg import DomainError, SingularSpectrum
+from .linalg import DomainError, SingularSpectrum, det
 from .mellin import WeightFunction, mellin_convolve
 from .ensembles import PolynomialEnsembleSpec, fixed_base_weights
 
@@ -403,4 +403,4 @@ def correlation_Rk(points, kernel) -> float:
     y[None, :]).
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    return float(np.linalg.det(kernel(pts[:, None], pts[None, :])))
+    return float(det(kernel(pts[:, None], pts[None, :])))

@@ -125,6 +125,22 @@ def vandermonde(v):
     return out
 
 
+def det(m):
+    """Determinant of each matrix of a stack m (..., k, k), leading axes
+    broadcast as in np.linalg.det, and a scalar for a single matrix.
+
+    1 x 1 and 2 x 2 matrices are closed forms (m00 m11 - m01 m10 at
+    k = 2), which skip LAPACK's per-matrix LU; every other k is
+    np.linalg.det.  The package computes every determinant here.
+    """
+    m = np.asarray(m)
+    if m.shape[-2:] == (1, 1):
+        return m[..., 0, 0].copy()[()]      # a scalar for one matrix
+    if m.shape[-2:] == (2, 2):
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return np.linalg.det(m)
+
+
 def confluent_alternant(nodes, same, taylor, dd1=None):
     """det[f_b(u_c)] / prod_(k<l) (u_l - u_k) for each stack entry of nodes.
 
@@ -164,7 +180,7 @@ def confluent_alternant(nodes, same, taylor, dd1=None):
             if eq.any():
                 col = np.where(eq[..., None, :], taylor(lo, m), col)
             edge.append(col[..., 0])
-    return np.linalg.det(np.stack(edge, axis=-1))
+    return det(np.stack(edge, axis=-1))
 
 
 def derivative_terms(rule, start, m: int) -> dict:
@@ -259,6 +275,10 @@ _QUAT_SIGNS = np.array([[[1, -1, -1, -1], [1, 1, -1, 1],
                         [[1, -1, -1, -1], [1, 1, 1, -1],
                          [1, -1, 1, 1], [1, 1, -1, 1]]], dtype=float)
 
+#: Draws per chunk of the products L(p) R(q) at m = 4; bounds the
+#: (chunk, 2, 4, 4) stack of the two factors to 512 KB.
+_O4_CHUNK = 2048
+
 
 def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `size` Haar O(m) matrices, shape (size, m, m).
@@ -268,20 +288,23 @@ def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.nda
     on SO(4) (Mebius 2005, "A matrix-based proof of the quaternion
     representation theorem for four-dimensional rotations").  p and q are
     normalized standard Gaussian 4-vectors, drawn as one (size, 2, 4) array,
-    and the matrix is L(p) R(q) of the left and right multiplications: no
-    QR.  At every other m, QR factorization of standard Gaussian m x m
-    matrices with the R-diagonal fixed positive.  Either is followed by a
-    uniform +/-1 reflection of the first column so that both components of
-    O(m) are hit with probability 1/2 each.
+    and the matrix is L(p) R(q) of the left and right multiplications,
+    formed in chunks of _O4_CHUNK draws: no QR.  At every other m, QR
+    factorization of standard Gaussian m x m matrices with the R-diagonal
+    fixed positive.  Either is followed by a uniform +/-1 reflection of the
+    first column so that both components of O(m) are hit with probability
+    1/2 each.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
     if m == 4:
         g = rng.standard_normal((size, 2, 4))
         g /= np.sqrt(np.einsum("sij,sij->si", g, g))[..., None]
-        lr = np.take(g, _QUAT_INDEX, axis=-1)
-        lr *= _QUAT_SIGNS
-        q = lr[:, 0] @ lr[:, 1]
+        q = np.empty((size, 4, 4))
+        for lo in range(0, size, _O4_CHUNK):
+            lr = np.take(g[lo:lo + _O4_CHUNK], _QUAT_INDEX, axis=-1)
+            lr *= _QUAT_SIGNS
+            np.matmul(lr[:, 0], lr[:, 1], out=q[lo:lo + _O4_CHUNK])
     else:
         q, r = np.linalg.qr(rng.standard_normal((size, m, m)))
         d = np.sign(np.einsum("sii->si", r))

@@ -46,8 +46,8 @@ from scipy import special
 
 from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
                      build_canonical, coincident, confluent_alternant,
-                     derivative_terms, haar_orthogonal_batch, sorted_spectra,
-                     spectra_batch, vandermonde)
+                     derivative_terms, det, haar_orthogonal_batch,
+                     sorted_spectra, spectra_batch, vandermonde)
 from .mellin import quad
 
 __all__ = [
@@ -238,6 +238,29 @@ def _frame_draw(s: SphericalParameter):
     return lambda size, rng: rng.standard_normal((size, 2 * s.n, p))
 
 
+#: Rounding allowance of a minor in `_frame_minor_power`, relative to the
+#: bound on the magnitude of its terms.
+MINOR_RTOL = 1e-10
+
+
+def _log_minor(r, m, gram=None):
+    """log of the minors r of k^T m k, floored at 1e-300: det m for gram
+    None, else Gram ratios over the Gram stack g_2j^T g_2j.  DomainError
+    where r is below -MINOR_RTOL times the bound of `_frame_minor_power`,
+    which is computed only when some r < 0."""
+    if np.any(r < 0):
+        size = m.shape[-1] if gram is None else gram.shape[-1]
+        bound = np.linalg.norm(m, axis=(-2, -1)) ** size
+        if gram is not None:
+            bound = bound * np.prod(np.diagonal(gram, axis1=-2, axis2=-1),
+                                    axis=-1) / det(gram)
+        if np.any(r < -MINOR_RTOL * bound):
+            raise DomainError(
+                "a principal minor of k^T m k is negative beyond rounding: "
+                "m is neither positive semidefinite nor antisymmetric")
+    return np.log(np.maximum(r, 1e-300))
+
+
 def _frame_minor_power(g, m, exponents):
     """prod_j det((k^T m k)[:2j, :2j])^(e_j) over a stack of Gaussian g.
 
@@ -245,17 +268,28 @@ def _frame_minor_power(g, m, exponents):
     Q = g R^-1 of g.  Since
     (Q^T m Q)[:2j, :2j] = R_2j^-T g_2j^T m g_2j R_2j^-1, each proper minor
     is the Gram ratio det(g_2j^T m g_2j) / det(g_2j^T g_2j) of the leading
-    2j columns, and the full minor is det m.  Leading axes of m broadcast
-    against the stack.
+    2j columns, and the full minor is det m, however many columns g has.
+    Leading axes of m broadcast against the stack.  Both Gram stacks are products with a contiguous
+    copy of g^T, for which numpy's stacked matmul takes its fast loop, and
+    their 2 x 2 minors are the closed forms of `linalg.det`.
+
+    The minors are >= 0 in exact arithmetic when m is positive
+    semidefinite or antisymmetric (an even principal minor of an
+    antisymmetric matrix is a squared Pfaffian).  A term of det m is at
+    most |m|^(2n) in magnitude (|m| the Frobenius norm), and one of
+    det(g_2j^T m g_2j) at most |m|^(2j) prod_a (g_2j^T g_2j)_aa, which
+    over det(g_2j^T g_2j) bounds the Gram ratio's.  A minor below
+    -MINOR_RTOL times its bound raises DomainError; the rest are floored
+    at 1e-300 for the log, which takes zeros and rounding.
     """
-    gt = np.swapaxes(g, -1, -2)
+    gt = np.ascontiguousarray(np.swapaxes(g, -1, -2))
     num, den = gt @ m @ g, gt @ g
-    logf = exponents[-1] * np.log(np.maximum(np.linalg.det(m), 1e-300))
-    for j, e in enumerate(exponents[:g.shape[-1] // 2], start=1):
+    logf = exponents[-1] * _log_minor(det(m), m)
+    for j, e in enumerate(exponents[:-1][:g.shape[-1] // 2], start=1):
         if e != 0:
-            r = np.linalg.det(num[..., :2 * j, :2 * j]) \
-                / np.linalg.det(den[..., :2 * j, :2 * j])
-            logf = logf + e * np.log(np.maximum(r, 1e-300))
+            gram = den[..., :2 * j, :2 * j]
+            r = det(num[..., :2 * j, :2 * j]) / det(gram)
+            logf = logf + e * _log_minor(r, m, gram)
     return np.exp(np.broadcast_to(logf, num.shape[:-2]))
 
 
@@ -418,8 +452,7 @@ def fn_recurrence(s, a) -> complex:
     c_factor = _cn_delta(s_shift) / vandermonde(s_shift)
     moments, _ = quad(lambda x, ac, pl: (ac - x) * x ** pl,
                       0.0, av[None, :], av[None, :], p[:, None])
-    integral = factorial(n - 1) * np.linalg.det(
-        np.vstack([np.ones(n), moments]))
+    integral = factorial(n - 1) * det(np.vstack([np.ones(n), moments]))
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
     det_a = float(np.prod(av))
     vand = vandermonde(av * av)
@@ -481,9 +514,9 @@ def harish_chandra_o2n(x, y) -> float:
             raise DomainError("simultaneous degeneracy in x and y unsupported")
         x, y, same_y = y, x, same_x
     # divided differences across u = y^2; rows are cosh(x_i sqrt(u))
-    det = confluent_alternant(y.values * y.values, same_y,
+    alt = confluent_alternant(y.values * y.values, same_y,
                               *_cosh_rows(x.values))
-    return float(pref * det / vandermonde(x.values * x.values))
+    return float(pref * alt / vandermonde(x.values * x.values))
 
 
 def harish_chandra_o2n_mc(x, y, nsamples: int, rng):
@@ -518,9 +551,8 @@ def spherical_transform_poly(spec, s) -> complex:
     if not np.all(np.isfinite(M)):
         raise DomainError(
             "transform parameter outside the Mellin strip of the weights")
-    det = complex(np.linalg.det(M))
     pref = float(special.gamma(n + 1)) * np.exp(_log_prefactor(n))
-    return pref * spec.norm_constant * det / vandermonde(s.s)
+    return pref * spec.norm_constant * complex(det(M)) / vandermonde(s.s)
 
 
 def spherical_transform_factor(factor, s) -> complex:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from antiprod.linalg import (AntisymmetricMatrix, DomainError,
-                             SingularSpectrum, build_canonical,
+                             SingularSpectrum, build_canonical, det,
                              haar_orthogonal_batch, singular_spectrum,
                              spectra_batch, vandermonde)
 from antiprod.samplers import GinibreSpec, ProductSpec, build_product_batch
@@ -21,6 +23,55 @@ def test_vandermonde_examples():
 
 def test_vandermonde_degenerate_is_zero():
     assert vandermonde(np.array([1.0, 1.0])) == 0.0
+
+
+def _det_stack(k, shape, dtype, rng):
+    """Well-conditioned k x k matrices of the given stack shape."""
+    m = 2.0 * np.eye(k) + 0.5 * rng.standard_normal(shape + (k, k))
+    if dtype is complex:
+        m = m + 0.5j * rng.standard_normal(shape + (k, k))
+    return m
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_det_matches_lapack(k, dtype):
+    rng = np.random.default_rng(k)
+    m = _det_stack(k, (200,), dtype, rng)
+    got = det(m)
+    assert got.shape == (200,) and got.dtype == np.dtype(dtype)
+    np.testing.assert_allclose(got, np.linalg.det(m), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_det_of_one_matrix_is_a_scalar(k):
+    m = _det_stack(k, (), float, np.random.default_rng(5))
+    got = det(m)
+    assert np.ndim(got) == 0 and isinstance(got, np.floating)
+    assert got == pytest.approx(np.linalg.det(m), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_det_takes_broadcast_stacks(k):
+    rng = np.random.default_rng(6)
+    row = _det_stack(k, (1, 5), complex, rng)
+    m = np.broadcast_to(row, (3, 5, k, k))      # zero stride on axis 0
+    got = det(m)
+    assert got.shape == (3, 5)
+    np.testing.assert_allclose(got, np.broadcast_to(np.linalg.det(row),
+                                                    (3, 5)), rtol=1e-14)
+    # a transposed (non-contiguous) stack
+    mt = np.swapaxes(_det_stack(k, (4, 2), float, rng), 0, 1)
+    np.testing.assert_allclose(det(mt), np.linalg.det(mt), rtol=1e-14)
+
+
+def test_det_is_the_only_lapack_determinant():
+    # every determinant of the package goes through linalg.det, whose
+    # 2 x 2 closed form the Monte Carlo loops rely on
+    src = Path(__file__).parents[1] / "src" / "antiprod"
+    calls = {p.name: p.read_text().count("np.linalg.det(")
+             for p in src.glob("*.py")}
+    assert calls.pop("linalg.py") == 1 and not any(calls.values())
 
 
 def test_spectrum_validation():

@@ -3,7 +3,7 @@ import pytest
 
 from antiprod import spherical
 from antiprod.harness import ExperimentConfig, run_corank2_experiment
-from antiprod.linalg import DomainError, SingularSpectrum
+from antiprod.linalg import DomainError, SingularSpectrum, build_canonical
 from antiprod.spherical import (SphericalParameter, fn_closed,
                                 fn_recurrence, harish_chandra_o2n,
                                 harish_chandra_o2n_mc, phi_closed,
@@ -79,6 +79,75 @@ def test_gram_ratio_minors_match_qr_frame(n, kind):
         want.append(np.prod([complex(np.linalg.det(y[:2 * j, :2 * j]))
                              ** e[j - 1] for j in range(1, n + 1)]))
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("s", [(4.0, 0.0), (8.0, 2.0, 0.0), (8.0, 4.0, 0.0)],
+                         ids=["s40", "s820", "s840"])
+@pytest.mark.parametrize("kind", ["canonical", "gram"])
+def test_frame_minor_power_matches_full_qr_frame(s, kind):
+    # k from the QR of a full 2n x 2n Gaussian, its minors by LAPACK.  The
+    # estimators draw at most the leading 2n - 2 columns of the Gaussian;
+    # the full frame must count det m once.  s = (8, 2, 0) weights the
+    # 2 x 2 minor and det m (e = (2, 0, 1)), s = (8, 4, 0) the 4 x 4 minor
+    # too (e = (1, 1, 1))
+    n = len(s)
+    e = SphericalParameter(s).exponents
+    rng = np.random.default_rng(30 + n)
+    if kind == "canonical":
+        m = build_canonical(SingularSpectrum(np.linspace(0.6, 2.0, n))).entries
+    else:
+        h = rng.standard_normal((2 * n, 2 * n))
+        m = h @ h.T
+    g = rng.standard_normal((50, 2 * n, 2 * n))
+    k, r = np.linalg.qr(g)
+    k = k * np.sign(np.einsum("sii->si", r))[:, None, :]
+    y = np.swapaxes(k, 1, 2) @ m @ k
+    want = np.prod([np.linalg.det(y[:, :2 * j, :2 * j]) ** e[j - 1]
+                    for j in range(1, n + 1)], axis=0)
+    # against 40-digit mpmath on these draws the QR route errs by up to
+    # 6.9e-13 relative and the Gram ratios by 3.3e-13 (canonical, s840)
+    for p in (2 * n - 2, 2 * n):
+        got = spherical._frame_minor_power(g[..., :p], m, e)
+        np.testing.assert_allclose(got, want, rtol=2e-12)
+
+
+def test_frame_minor_power_rejects_indefinite_m():
+    g = np.random.default_rng(7).standard_normal((200, 4, 2))
+    e = np.array([1.0, 0.5])
+    # det m = 1, but m has compressions to 2-frames of either sign
+    with pytest.raises(DomainError, match="beyond rounding"):
+        spherical._frame_minor_power(g, np.diag([-1.0, -1.0, 1.0, 1.0]), e)
+    # det m = -1 with every proper minor unweighted
+    with pytest.raises(DomainError, match="beyond rounding"):
+        spherical._frame_minor_power(g[..., :0], np.diag([-1.0, 1.0, 1.0, 1.0]),
+                                     np.array([0.0, 0.5]))
+    # twins: minors that vanish in exact arithmetic, and whose computed
+    # values may have either sign, are rounding and read 0
+    h = np.random.default_rng(8).standard_normal((4, 3))
+    v = h[:, :1]
+    for m in (h @ h.T, v @ v.T):
+        assert np.all(spherical._frame_minor_power(g, m, e) < 1e-100)
+
+
+def test_monte_carlo_minors_need_no_lapack_per_draw(monkeypatch):
+    # every minor of the benchmarked estimators is 2 x 2, or det m of one
+    # matrix per weighted m; LAPACK sees no stack of draws
+    sizes = []
+    lapack = np.linalg.det
+
+    def counted(m):
+        sizes.append(np.size(m) // m.shape[-1] ** 2)
+        return lapack(m)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    rng = np.random.default_rng(9)
+    g = np.diag([1.2, 0.8, 1.1, 0.9])
+    phi_montecarlo((4.0, 0.0), (1.0, 2.0), 500, rng)
+    phi_montecarlo((6.0, 2.0, 0.0), (0.8, 1.5, 2.2), 500, rng)
+    psi_montecarlo((4.0, 0.0), g, 500, rng)
+    harish_chandra_o2n_mc((0.5, 1.0), (0.8, 1.6), 500, rng)
+    factorization_check_phi((4.0, 0.0), g, (1.0, 2.0), 500, rng)
+    assert sizes and max(sizes) <= 2
 
 
 def test_phi_montecarlo_rejects_outside_domain():
