@@ -124,8 +124,11 @@ def _cmd_verify(args, cfg) -> int:
     reports = run_suite(suite, seed=args.seed, nsamples=args.samples)
     emit_results(reports, args.out, fmt=args.format)
     for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"{status} {rep.name}")
+        if rep.passed:
+            print(f"PASS {rep.name}")
+        else:
+            failed = ", ".join(str(c) for c in rep.checks if not c.passed)
+            print(f"FAIL {rep.name}: {failed}")
     return 0 if all(r.passed for r in reports) else 1
 
 

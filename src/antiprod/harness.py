@@ -1,7 +1,9 @@
 """Experiment orchestration: Monte Carlo versus analytic comparisons.
 
 Every experiment is described by an ExperimentConfig and produces a
-TestReport with the statistics, per-bin tables and a pass/fail verdict.
+TestReport with the statistics, per-bin tables and a list of Checks, each
+one statistic against one named gate constant; the report passes exactly
+when all of its checks pass.
 Spectrum experiments compare pooled Monte Carlo spectra with the kernel
 diagonal K_n(y, y) / n of the fixed-base product ensemble.
 Reports are emitted as CSV or JSON-lines tables plus a plain-text summary;
@@ -36,7 +38,7 @@ from .samplers import (GinibreSpec, JacobiSpec, ProductSpec,
 from . import spherical as sph
 
 __all__ = [
-    "SCHEMA_VERSION", "ExperimentConfig", "TestReport",
+    "SCHEMA_VERSION", "ExperimentConfig", "Check", "TestReport",
     "run_spectrum_experiment", "run_corank2_experiment",
     "run_prop45_check", "prop45_distribution_check",
     "run_spherical_suite", "run_kernel_suite", "run_mellin_suite",
@@ -49,19 +51,39 @@ SCHEMA_VERSION = "antiprod/1"
 #: Panels, uniform in log y, of the cdf table behind a binned comparison.
 CDF_PANELS = 8192
 
-#: Gates of run_spherical_suite, each reported beside its statistics: every
-#: Monte Carlo z-score, |Phi - 1| at the a -> 1 limits, the n = 1 group
-#: integral against cosh, and the f_n recursion relative to the closed form.
+#: Gates: the bound of each Check, one constant per gated quantity.
+#: Binned spectrum comparisons (run_spectrum_experiment at n = 1 and above,
+#: prop45_distribution_check): the KS distance and |norm - 1|.
+KS_N1_TOL = 0.01
+KS_TOL = 0.015
+NORM_TOL = 1e-6
+#: run_corank2_experiment: |norm - 1| of the projection density and the
+#: least chi-square p-value.
+CORANK2_NORM_TOL = 1e-10
+CORANK2_PVALUE_MIN = 1e-3
+#: run_prop45_check: the spread of the log ratio over PROP45_SGRID, and the
+#: least spread of the perturbed negative control.
+PROP45_TOL = 1e-10
+PROP45_PERTURBED_MIN = 1e-2
+PROP45_SGRID = np.linspace(1.0, 5.0, 20)
+#: run_spherical_suite: every Monte Carlo z-score, |Phi - 1| at the a -> 1
+#: limits, the n = 1 group integral against cosh, and the f_n recursion
+#: relative to the closed form.
 SPHERICAL_Z_MAX = 3.0
 PHI_LIMIT_TOL = 1e-8
 HC_N1_TOL = 1e-12
 FN_RTOL = 1e-6
+#: run_kernel_suite: off-diagonal Gram entries, |trace - n|, the kernel
+#: routes against the series, the one-point function against the jPDF
+#: marginal, and R_2 on the diagonal.
+KERNEL_GRAM_TOL = 1e-8
+KERNEL_TRACE_TOL = 1e-6
+KERNEL_ROUTE_TOL = 1e-7
+KERNEL_R1_TOL = 1e-5
+KERNEL_R2_TOL = 1e-10
+#: run_mellin_suite: relative error of the quadrature transforms.
+MELLIN_RTOL = 1e-8
 
-#: Default gates of run_corank2_experiment, each overridden by the config
-#: tolerance named in brackets: |norm - 1| of the projection density
-#: ("norm") and the least chi-square p-value ("chi2_pvalue").
-CORANK2_NORM_TOL = 1e-10
-CORANK2_PVALUE_MIN = 1e-3
 
 @dataclass
 class ExperimentConfig:
@@ -72,17 +94,11 @@ class ExperimentConfig:
     nsamples: int = 100_000
     seed: int = 0
     bins: int = 50
-    tolerances: dict = field(default_factory=dict)
     label: str = ""
 
     def __post_init__(self):
         if self.seed is None:
             raise DomainError("seed is mandatory")
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise DomainError("tolerances must be positive")
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
 
     def resolved(self) -> dict:
         d = asdict(self)
@@ -91,20 +107,53 @@ class ExperimentConfig:
         return d
 
 
+@dataclass(frozen=True)
+class Check:
+    """One gate: the value of a statistic against its bound."""
+
+    name: str
+    value: float
+    bound: float
+    comparison: str = "<"
+
+    def __post_init__(self):
+        if self.comparison not in ("<", ">"):
+            raise DomainError(f"unknown comparison {self.comparison!r}")
+
+    @property
+    def passed(self) -> bool:
+        if self.comparison == "<":
+            return bool(self.value < self.bound)
+        return bool(self.value > self.bound)
+
+    def __str__(self) -> str:
+        return (f"{self.name} = {self.value:.4g} "
+                f"(gate {self.comparison} {self.bound:g})")
+
+
 @dataclass
 class TestReport:
-    """Statistics, per-bin table and verdict of one experiment."""
+    """Statistics, per-bin table and checks of one experiment; it passes
+    exactly when every check passes."""
 
     __test__ = False  # not a pytest collectible
 
     name: str
-    passed: bool
-    statistics: dict
+    statistics: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     nsamples: int = 0
     config: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
     wall_clock: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def check(self, name: str, value: float, bound: float):
+        """Record value as statistic name, gated by value < bound."""
+        self.statistics[name] = value
+        self.checks.append(Check(name, value, bound))
 
 
 def _factor_from_params(params: dict):
@@ -213,13 +262,13 @@ def run_spectrum_experiment(config: ExperimentConfig) -> TestReport:
     lo, hi = support
     norm = float(quad(density, max(lo, 1e-12),
                       hi if np.isfinite(hi) else TAIL_CUT)[0])
-    ks_tol = config.tol("ks", 0.01 if n == 1 else 0.015)
-    passed = ks < ks_tol and abs(norm - 1.0) < config.tol("norm", 1e-6)
-    stats_d = {"ks": ks, "ks_tol": ks_tol, "chi2": chi2,
-               "chi2_pvalue": pval, "norm": norm}
     return TestReport(
         name=config.label or f"spectrum-{p.get('factor', 'ginibre')}-n{n}",
-        passed=passed, statistics=stats_d, rows=rows,
+        statistics={"ks": ks, "chi2": chi2, "chi2_pvalue": pval,
+                    "norm": norm},
+        checks=[Check("ks", ks, KS_N1_TOL if n == 1 else KS_TOL),
+                Check("norm_err", abs(norm - 1.0), NORM_TOL)],
+        rows=rows,
         nsamples=config.nsamples, config=config.resolved(),
         wall_clock=time.perf_counter() - t0)
 
@@ -248,14 +297,12 @@ def run_corank2_experiment(config: ExperimentConfig) -> TestReport:
     # the projection density is piecewise polynomial; integrate each cell
     cells = np.concatenate([[1e-12], a.values])
     norm = float(np.sum(quad(density, cells[:-1], cells[1:])[0]))
-    norm_tol = config.tol("norm", CORANK2_NORM_TOL)
-    p_min = config.tol("chi2_pvalue", CORANK2_PVALUE_MIN)
-    passed = abs(norm - 1.0) < norm_tol and pval > p_min
     return TestReport(
-        name=config.label or f"corank2-n{n}", passed=passed,
+        name=config.label or f"corank2-n{n}",
         statistics={"ks": ks, "chi2": chi2, "chi2_pvalue": pval,
-                    "norm": norm, "norm_tol": norm_tol,
-                    "pvalue_min": p_min},
+                    "norm": norm},
+        checks=[Check("norm_err", abs(norm - 1.0), CORANK2_NORM_TOL),
+                Check("chi2_pvalue", pval, CORANK2_PVALUE_MIN, ">")],
         rows=rows, nsamples=config.nsamples, config=config.resolved(),
         wall_clock=time.perf_counter() - t0)
 
@@ -276,25 +323,21 @@ def _prop45_log_ratio(s, nu, mu, n, perturb=False):
     return real - cplx
 
 
-def run_prop45_check(nu: float, mu: float, nparam: int, sgrid=None,
-                     perturb: bool = False,
-                     tolerance: float = 1e-10) -> TestReport:
-    """s-independence of the real-versus-complex Mellin factor ratio."""
+def run_prop45_check(nu: float, mu: float, nparam: int,
+                     perturb: bool = False) -> TestReport:
+    """s-independence of the real-versus-complex Mellin factor ratio; the
+    perturbed negative control passes when the ratio visibly varies."""
     t0 = time.perf_counter()
-    if sgrid is None:
-        sgrid = np.linspace(1.0, 5.0, 20)
-    sgrid = np.asarray(sgrid, dtype=float)
-    if np.any(sgrid + nu <= 0):
+    if np.any(PROP45_SGRID + nu <= 0):
         raise DomainError("Gamma pole on the s grid")
-    vals = _prop45_log_ratio(sgrid, nu, mu, nparam, perturb=perturb)
+    vals = _prop45_log_ratio(PROP45_SGRID, nu, mu, nparam, perturb=perturb)
     dev = float(np.max(np.abs(vals - np.mean(vals))))
-    passed = (dev > 1e-2) if perturb else (dev < tolerance)
     return TestReport(
         name=f"prop45-nu{nu:g}-mu{mu:g}-n{nparam}"
              + ("-perturbed" if perturb else ""),
-        passed=passed,
-        statistics={"max_deviation": dev, "tolerance": tolerance,
-                    "perturbed": float(perturb)},
+        statistics={"max_deviation": dev},
+        checks=[Check("max_deviation", dev, PROP45_PERTURBED_MIN, ">")
+                if perturb else Check("max_deviation", dev, PROP45_TOL)],
         config={"nu": nu, "mu": mu, "n": nparam, "schema": SCHEMA_VERSION},
         wall_clock=time.perf_counter() - t0)
 
@@ -330,20 +373,15 @@ def prop45_distribution_check(nsamples: int = 100_000,
     conv = convolved_weight(b1, b2, y_lo=1e-10)
     rows, ks, chi2, pval, norm = _binned_comparison(
         a, lambda y: 2.0 * y * conv(y * y), (0.0, 1.0), 50)
-    passed = ks < 0.01 and abs(norm - 1.0) < 1e-6
     return TestReport(
-        name="prop45-distribution-n1", passed=passed,
-        statistics={"ks": ks, "ks_tol": 0.01, "norm": norm,
-                    "chi2_pvalue": pval},
+        name="prop45-distribution-n1",
+        statistics={"ks": ks, "norm": norm, "chi2_pvalue": pval},
+        checks=[Check("ks", ks, KS_N1_TOL),
+                Check("norm_err", abs(norm - 1.0), NORM_TOL)],
         rows=rows, nsamples=nsamples,
         config={"seed": seed, "nsamples": nsamples,
                 "schema": SCHEMA_VERSION},
         wall_clock=time.perf_counter() - t0)
-
-
-def _short(x: float) -> str:
-    """x in %g form without a padded exponent: 1e-8, not 1e-08."""
-    return f"{x:g}".replace("e-0", "e-")
 
 
 def run_spherical_suite(config: ExperimentConfig) -> TestReport:
@@ -352,36 +390,27 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
     t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     N = config.nsamples
-    stats_d = {"z_max": SPHERICAL_Z_MAX, "phi_limit_tol": PHI_LIMIT_TOL,
-               "hc_n1_tol": HC_N1_TOL, "fn_rtol": FN_RTOL}
-    notes = []
-    ok = True
+    rep = TestReport(name=config.label or "spherical-suite", nsamples=N,
+                     config=config.resolved())
 
     # closed form vs MC on the convergence-domain grid
-    points = config.params.get("phi_points", [
-        ((2.0, 0.0), (1.0, 2.0)),
-        ((3.0, 1.0), (1.0, 2.0)),
-        ((2.5, 0.5), (0.5, 1.5)),
-        ((4.0, 0.0), (1.0, 1.5)),
-        ((2.0, 0.0), (2.0, 3.0)),
-    ])
+    points = [((2.0, 0.0), (1.0, 2.0)),
+              ((3.0, 1.0), (1.0, 2.0)),
+              ((2.5, 0.5), (0.5, 1.5)),
+              ((4.0, 0.0), (1.0, 1.5)),
+              ((2.0, 0.0), (2.0, 3.0))]
     for i, (s, a) in enumerate(points):
         closed = sph.phi_closed(s, a)
         mc, se = sph.phi_montecarlo(s, a, N, rng)
-        z = sph.zscore(mc, closed, se)
-        stats_d[f"phi_z_{i}"] = z
-        ok &= z < SPHERICAL_Z_MAX
+        rep.check(f"phi_z_{i}", sph.zscore(mc, closed, se), SPHERICAL_Z_MAX)
 
     # a -> 1 normalization, exact limit plus MC confirmation at n=2
     for n in (1, 2, 3, 4):
         s = tuple(2.0 * (n - j) for j in range(1, n + 1))
         lim = sph.phi_closed(s, tuple([1.0] * n))
-        stats_d[f"phi_limit_n{n}"] = abs(lim - 1.0)
-        ok &= abs(lim - 1.0) < PHI_LIMIT_TOL
+        rep.check(f"phi_limit_n{n}", abs(lim - 1.0), PHI_LIMIT_TOL)
     mc, se = sph.phi_montecarlo((2.0, 0.0), (1.0, 1.0), N, rng)
-    z = sph.zscore(mc, 1.0, se)
-    stats_d["phi_limit_mc_z"] = z
-    ok &= z < SPHERICAL_Z_MAX
+    rep.check("phi_limit_mc_z", sph.zscore(mc, 1.0, se), SPHERICAL_Z_MAX)
 
     # factorization identities with induced Ginibre factors
     from .samplers import sample_induced_ginibre_batch
@@ -390,47 +419,34 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
     _, _, z1 = sph.factorization_check_phi((4.0, 0.0), g[0], (1.0, 2.0),
                                            N, rng)
     _, _, z2 = sph.factorization_check_psi((4.0, 0.0), g[0], g[1], N, rng)
-    stats_d["factorization_phi_z"] = z1
-    stats_d["factorization_psi_z"] = z2
-    ok &= z1 < SPHERICAL_Z_MAX and z2 < SPHERICAL_Z_MAX
+    rep.check("factorization_phi_z", z1, SPHERICAL_Z_MAX)
+    rep.check("factorization_psi_z", z2, SPHERICAL_Z_MAX)
 
     # group integral: n=1 is the two-component O(2) average (cosh), n=2 MC
     x1, y1 = (0.7,), (1.3,)
     exact = float(np.cosh(x1[0] * y1[0]))
-    stats_d["hc_n1_err"] = abs(sph.harish_chandra_o2n(x1, y1) - exact)
-    ok &= stats_d["hc_n1_err"] < HC_N1_TOL
+    rep.check("hc_n1_err", abs(sph.harish_chandra_o2n(x1, y1) - exact),
+              HC_N1_TOL)
     closed = sph.harish_chandra_o2n((0.5, 1.0), (0.8, 1.6))
     mc, se = sph.harish_chandra_o2n_mc((0.5, 1.0), (0.8, 1.6), N, rng)
-    z = sph.zscore(mc, closed, se)
-    stats_d["hc_n2_z"] = z
-    ok &= z < SPHERICAL_Z_MAX
+    rep.check("hc_n2_z", sph.zscore(mc, closed, se), SPHERICAL_Z_MAX)
 
     # recursion versus closed form
-    rec_pts = config.params.get("fn_points", [
-        ((2.0, 0.0), (1.0, 2.0)),
-        ((3.0, 1.0), (1.0, 2.0)),
-    ])
-    for i, (s, a) in enumerate(rec_pts):
+    for i, (s, a) in enumerate([((2.0, 0.0), (1.0, 2.0)),
+                                ((3.0, 1.0), (1.0, 2.0))]):
         rec = sph.fn_recurrence(s, a)
         clo = sph.fn_closed(s, a)
-        rel = abs(rec - clo) / max(abs(clo), 1e-300)
-        stats_d[f"fn_rel_{i}"] = rel
-        ok &= rel < FN_RTOL
-
-    notes.append(f"z thresholds {SPHERICAL_Z_MAX}; limits "
-                 f"{_short(PHI_LIMIT_TOL)}; recursion {_short(FN_RTOL)} "
-                 "relative")
-    return TestReport(
-        name=config.label or "spherical-suite", passed=bool(ok),
-        statistics=stats_d, nsamples=N, config=config.resolved(),
-        notes=notes, wall_clock=time.perf_counter() - t0)
+        rep.check(f"fn_rel_{i}", abs(rec - clo) / max(abs(clo), 1e-300),
+                  FN_RTOL)
+    rep.wall_clock = time.perf_counter() - t0
+    return rep
 
 
 def run_kernel_suite(config: ExperimentConfig) -> TestReport:
     """Gram, trace, series-versus-contour and correlation consistency."""
     t0 = time.perf_counter()
-    stats_d = {}
-    ok = True
+    rep = TestReport(name=config.label or "kernel-suite",
+                     config=config.resolved())
     gw = ginibre_weight(0.0)
     jw = jacobi_weight(0.0, 0.0, 2)
     # pts stay inside the double-contour holomorphy domain (y < a_min for
@@ -440,47 +456,39 @@ def run_kernel_suite(config: ExperimentConfig) -> TestReport:
     for label, fac, at, hi, pts in cases:
         pts = np.array(pts)
         sysf = biorth_fixed(at, fac)
-        stats_d[f"{label}_gram"] = sysf.gram_offdiag
-        ok &= sysf.gram_offdiag < 1e-8
+        rep.check(f"{label}_gram", sysf.gram_offdiag, KERNEL_GRAM_TOL)
         ker = lambda yp, y: kernel_fixed(yp, y, at, fac, method="series",
                                          system=sysf)
         tr, _ = quad(sysf.diagonal, 1e-9, hi)
-        stats_d[f"{label}_trace_err"] = abs(tr - 2.0)
-        ok &= abs(tr - 2.0) < 1e-6
+        rep.check(f"{label}_trace_err", abs(tr - 2.0), KERNEL_TRACE_TOL)
         series = ker(pts[:, None], pts)
         sc = float(np.max(np.abs(
             kernel_fixed(pts[:, None], pts, at, fac, system=sysf) - series)))
         dc = float(np.max(np.abs(
             kernel_fixed_contour(pts[:, None], pts, at, fac) - series)))
-        stats_d[f"{label}_series_vs_contour"] = sc
-        stats_d[f"{label}_double_contour"] = dc
-        ok &= sc < 1e-7 and dc < 1e-7
+        rep.check(f"{label}_series_vs_contour", sc, KERNEL_ROUTE_TOL)
+        rep.check(f"{label}_double_contour", dc, KERNEL_ROUTE_TOL)
         marg, _ = quad(lambda x, y0: jpdf_fixed(
             np.stack(np.broadcast_arrays(y0, x), axis=-1), at, fac),
             1e-9, hi, pts)
         r1_sup = float(np.max(np.abs(sysf.diagonal(pts) - 2.0 * marg)))
-        stats_d[f"{label}_r1_sup"] = r1_sup
-        ok &= r1_sup < 1e-5
+        rep.check(f"{label}_r1_sup", r1_sup, KERNEL_R1_TOL)
         r2d = max(abs(correlation_Rk([y0, y0], ker)) for y0 in pts)
-        stats_d[f"{label}_r2_diag"] = r2d
-        ok &= r2d < 1e-10
+        rep.check(f"{label}_r2_diag", r2d, KERNEL_R2_TOL)
     # the polynomial-base Gram construction of the criterion examples
     mb = PolynomialEnsembleSpec(2, muttalib_borodin_weights(0.0, 0.0, 2))
-    g = gram_biorth(mb)
-    stats_d["mb_gram_triangular"] = g.gram_offdiag
-    ok &= g.gram_offdiag < 1e-8
-    return TestReport(
-        name=config.label or "kernel-suite", passed=bool(ok),
-        statistics=stats_d, config=config.resolved(),
-        wall_clock=time.perf_counter() - t0)
+    rep.check("mb_gram_triangular", gram_biorth(mb).gram_offdiag,
+              KERNEL_GRAM_TOL)
+    rep.wall_clock = time.perf_counter() - t0
+    return rep
 
 
 def run_mellin_suite(config: ExperimentConfig) -> TestReport:
     """Closed-form Mellin transforms versus quadrature, plus the transform
     factorization under Mellin convolution."""
     t0 = time.perf_counter()
-    stats_d = {}
-    ok = True
+    rep = TestReport(name=config.label or "mellin-suite",
+                     config=config.resolved())
     worst = 0.0
     for nu in (0.0, 0.5, 1.0):
         for mu in (0.0, 0.5, 1.0):
@@ -488,8 +496,7 @@ def run_mellin_suite(config: ExperimentConfig) -> TestReport:
                                                jacobi_weight(nu, mu, 2))):
                 worst = max(worst, abs(mellin_numeric(w, s) - w.mellin(s))
                             / abs(w.mellin(s)))
-    stats_d["closed_form_rel"] = worst
-    ok &= worst < 1e-8
+    rep.check("closed_form_rel", worst, MELLIN_RTOL)
     # M[f (*) h](s) = M f(s) M h(s) by quadrature on the convolved density
     f = ginibre_weight(0.5)
     h = jacobi_weight(0.0, 0.0, 1)
@@ -499,12 +506,9 @@ def run_mellin_suite(config: ExperimentConfig) -> TestReport:
                              support=(0.0, f.tail))
         rhs = f.mellin(s) * h.mellin(s)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    stats_d["factorization_rel"] = worst
-    ok &= worst < 1e-8
-    return TestReport(
-        name=config.label or "mellin-suite", passed=bool(ok),
-        statistics=stats_d, config=config.resolved(),
-        wall_clock=time.perf_counter() - t0)
+    rep.check("factorization_rel", worst, MELLIN_RTOL)
+    rep.wall_clock = time.perf_counter() - t0
+    return rep
 
 
 def run_suite(name: str, seed: int = 0, nsamples: int = 100_000):
@@ -586,8 +590,9 @@ def emit_results(reports, out_dir, fmt: str = "csv"):
     CSV tables carry the header bin_lo,bin_hi,empirical,analytic,zscore;
     JSON-lines tables one object per bin.  A table with a non-finite value
     raises DomainError.  Summaries embed the schema identifier, package
-    version, resolved config and statistics.  Output bytes depend only on
-    the report contents, never on wall-clock.
+    version, verdict, resolved config, statistics (%.17g) and one line per
+    check: value (%.17g), comparison and bound (shortest round-trip form).
+    Output bytes depend only on the report contents, never on wall-clock.
     """
     out = Path(out_dir)
     paths = []
@@ -606,8 +611,9 @@ def emit_results(reports, out_dir, fmt: str = "csv"):
                                           default=str)]
         for key in sorted(rep.statistics):
             slines.append(f"stat {key}: {float(rep.statistics[key]):.17g}")
-        for note in rep.notes:
-            slines.append(f"note: {note}")
+        for c in rep.checks:
+            slines.append(f"check {c.name}: {float(c.value):.17g} "
+                          f"{c.comparison} {float(c.bound)!r}")
         summary.write_text("\n".join(slines) + "\n")
         paths.append(summary)
     return paths

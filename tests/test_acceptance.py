@@ -183,7 +183,7 @@ def test_criterion_06_fixed_jpdfs():
         rep = run_spectrum_experiment(cfg)
         checks.append((rep.passed,
                        f"{label}: ks={rep.statistics['ks']:.4f} "
-                       f"(tol {rep.statistics['ks_tol']}) "
+                       f"(tol {rep.checks[0].bound}) "
                        f"norm={rep.statistics['norm']:.8f}"))
     _verdict(6, "fixed-base jPDFs", checks)
 

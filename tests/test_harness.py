@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from antiprod.harness import (SCHEMA_VERSION, ExperimentConfig, TestReport,
-                              _binned_comparison, _factor_from_params,
-                              _pooled_marginal, emit_results,
-                              prop45_distribution_check, run_corank2_experiment,
-                              run_prop45_check, run_spectrum_experiment,
-                              run_suite)
+from antiprod import harness
+from antiprod.harness import (SCHEMA_VERSION, Check, ExperimentConfig,
+                              TestReport, _binned_comparison,
+                              _factor_from_params, _pooled_marginal,
+                              emit_results, prop45_distribution_check,
+                              run_corank2_experiment, run_prop45_check,
+                              run_spectrum_experiment, run_suite)
 from antiprod.linalg import DomainError
 from antiprod.mellin import convolved_weight, ginibre_weight
 from antiprod.samplers import ProductSpec, product_spectra_batch
@@ -101,7 +102,7 @@ def test_spectrum_experiment_n3(tmp_path):
                            nsamples=20_000, seed=5, label="quick-n3")
     rep = run_spectrum_experiment(cfg)
     assert rep.passed, rep.statistics
-    assert rep.statistics["ks_tol"] == 0.015
+    assert rep.checks[0] == Check("ks", rep.statistics["ks"], harness.KS_TOL)
     # every table value is finite, so the report can be written
     emit_results([rep], tmp_path, fmt="jsonlines")
     rows = [list(json.loads(line).values()) for line in
@@ -123,7 +124,7 @@ def test_two_factor_spectra_match_the_convolved_weight(inner, base):
     a2, s2 = _factor_from_params({"factor": "ginibre", "n": n, "nu": 0.0})
     samples = product_spectra_batch(ProductSpec((s1, s2), base), 40_000,
                                     np.random.default_rng(3)).ravel()
-    ks_tol = 0.01 if n == 1 else 0.015
+    ks_tol = harness.KS_N1_TOL if n == 1 else harness.KS_TOL
 
     def ks(outer):
         density, support = _pooled_marginal(base, convolved_weight(outer, a1))
@@ -191,7 +192,7 @@ def test_emit_results_deterministic(tmp_path):
 
 def test_emit_results_rejects_non_finite_rows(tmp_path):
     from antiprod.linalg import DomainError
-    rep = TestReport(name="bad", passed=True, statistics={},
+    rep = TestReport(name="bad", statistics={},
                      rows=[(0.0, 1.0, 0.5, 0.5, 0.0),
                            (1.0, np.inf, 0.5, 0.5, 0.0)])
     for fmt in ("csv", "jsonlines"):
@@ -201,13 +202,81 @@ def test_emit_results_rejects_non_finite_rows(tmp_path):
 
 
 def test_empty_rows_csv_is_header_only(tmp_path):
-    rep = TestReport(name="empty", passed=True, statistics={"x": 1.0},
+    rep = TestReport(name="empty", statistics={"x": 1.0},
                      rows=[], nsamples=0,
-                     config=ExperimentConfig(kind="none"), notes="")
+                     config=ExperimentConfig(kind="none"))
     paths = emit_results([rep], tmp_path, fmt="csv")
     table = [p for p in paths if str(p).endswith(".csv")][0]
     lines = Path(table).read_text().strip().splitlines()
     assert lines == ["bin_lo,bin_hi,empirical,analytic,zscore"]
+
+
+def _spectrum(n):
+    base = [1.0, 2.0][:n]
+    return run_spectrum_experiment(ExperimentConfig(
+        kind="spectrum", params={"factor": "ginibre", "n": n, "base": base},
+        nsamples=2000, seed=0))
+
+
+def _small(run):
+    return run(ExperimentConfig(kind="gate", params={"a": [1.0, 2.0]},
+                                nsamples=2000, seed=0))
+
+
+#: Each gate constant of the harness, its comparison, and a report it gates.
+GATE_REPORTS = {
+    "KS_N1_TOL": ("<", lambda: _spectrum(1)),
+    "KS_TOL": ("<", lambda: _spectrum(2)),
+    "NORM_TOL": ("<", lambda: _spectrum(2)),
+    "CORANK2_NORM_TOL": ("<", lambda: _small(run_corank2_experiment)),
+    "CORANK2_PVALUE_MIN": (">", lambda: _small(run_corank2_experiment)),
+    "PROP45_TOL": ("<", lambda: run_prop45_check(0.0, 0.0, 1)),
+    "PROP45_PERTURBED_MIN": (
+        ">", lambda: run_prop45_check(0.0, 0.0, 1, perturb=True)),
+    **{name: ("<", lambda: _small(harness.run_spherical_suite)) for name in
+       ("SPHERICAL_Z_MAX", "PHI_LIMIT_TOL", "HC_N1_TOL", "FN_RTOL")},
+    **{name: ("<", lambda: _small(harness.run_kernel_suite)) for name in
+       ("KERNEL_GRAM_TOL", "KERNEL_TRACE_TOL", "KERNEL_ROUTE_TOL",
+        "KERNEL_R1_TOL", "KERNEL_R2_TOL")},
+    "MELLIN_RTOL": ("<", lambda: _small(harness.run_mellin_suite)),
+}
+
+
+def test_every_gate_constant_is_exercised():
+    gates = {k for k in vars(harness)
+             if k.isupper() and k.endswith(("TOL", "_MIN", "_MAX"))}
+    assert gates == set(GATE_REPORTS)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_REPORTS))
+def test_an_unmeetable_gate_fails_its_report(name, monkeypatch):
+    # no value is below -inf or above +inf
+    comparison, report = GATE_REPORTS[name]
+    bound = -np.inf if comparison == "<" else np.inf
+    monkeypatch.setattr(harness, name, bound)
+    rep = report()
+    gated = [c for c in rep.checks if c.bound == bound]
+    assert not rep.passed
+    assert gated and all(c.comparison == comparison and not c.passed
+                         for c in gated)
+
+
+def test_cli_fail_line_names_the_failing_checks(tmp_path, monkeypatch,
+                                                capsys):
+    from antiprod.cli import main
+    argv = ["verify", "--suite", "corank2", "--samples", "20000",
+            "--seed", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "PASS corank2-n2\n"
+    monkeypatch.setattr(harness, "CORANK2_NORM_TOL", 0.0)
+    assert main(argv) == 1
+    summary = (tmp_path / "corank2-n2.summary.txt").read_text().splitlines()
+    assert "passed: False" in summary
+    norm = next(line for line in summary if line.startswith("stat norm:"))
+    norm_err = abs(float(norm.split()[-1]) - 1.0)
+    assert capsys.readouterr().out == (
+        f"FAIL corank2-n2: norm_err = {norm_err:.4g} (gate < 0)\n")
+    assert f"check norm_err: {norm_err:.17g} < 0.0" in summary
 
 
 def test_cli_verify_prop45_exit_zero(tmp_path):

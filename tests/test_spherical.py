@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from antiprod import spherical
 from antiprod.harness import ExperimentConfig, run_corank2_experiment
@@ -328,3 +329,41 @@ def test_transform_rejects_out_of_strip_parameter():
     base = PolynomialEnsembleSpec(2, muttalib_borodin_weights(0.0, 0.0, 2))
     with pytest.raises(DomainError):
         spherical_transform_poly(base, (2.0, 0.0))
+
+
+def _sinhc(z):
+    return np.sinh(z) / z if z != 0.0 else 1.0
+
+
+@given(a1=st.floats(0.2, 3.0), ratio=st.floats(1.001, 5.0),
+       s2_re=st.floats(-1.0, 3.0), s2_im=st.floats(-3.0, 3.0),
+       gap=st.floats(2.0, 8.0), gap_im=st.floats(-3.0, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_phi_n2_is_a_trapezoidal_moment(a1, ratio, s2_re, s2_im, gap,
+                                        gap_im):
+    # a uniform 2-plane in R^4 is a pair of uniform directions on S^2, one
+    # per su(2) of so(4), so the weighted minor is ((a1 + a2) U +
+    # (a1 - a2) V)^2 / 4 with U, V uniform on [-1, 1]; its moment of order
+    # p = 2 e_1 is elementary (this float form cancels as a2 -> a1)
+    a2 = a1 * ratio
+    s2 = complex(s2_re, s2_im)
+    s1 = s2 + complex(gap, gap_im)
+    e1, e2 = SphericalParameter(np.array([s1, s2])).exponents
+    p = 2.0 * e1
+    ref = (2.0 * (a2 ** (p + 2) - a1 ** (p + 2))
+           / ((p + 2) * (a2 ** 2 - a1 ** 2)) * (a1 * a2) ** (2.0 * e2))
+    assert abs(phi_closed((s1, s2), (a1, a2)) - ref) <= 1e-12 * abs(ref)
+
+
+@given(x1=st.floats(0.05, 2.0), xr=st.floats(1.001, 5.0),
+       y1=st.floats(0.05, 2.0), yr=st.floats(1.001, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_group_integral_n2_splits_over_su2_pairs(x1, xr, y1, yr):
+    # k = L(p) R(q) rotates the self-dual and anti-self-dual parts of X
+    # independently; the reflection coset flips the sign of y_1
+    x2, y2 = x1 * xr, y1 * yr
+    ref = 0.0
+    for sy in (y1, -y1):
+        a, b = (x1 + x2) * (sy + y2) / 2.0, (x1 - x2) * (sy - y2) / 2.0
+        ref += _sinhc(a) * _sinhc(b) / 2.0
+    assert abs(harish_chandra_o2n((x1, x2), (y1, y2)) - ref) <= 1e-12 * ref

@@ -6,20 +6,19 @@ Runs ``run_suite("spherical")`` and ``run_suite("corank2")`` at seeds
 0, ..., K - 1 with the CLI default of 100 000 samples, and prints one
 markdown table: per report and statistic, the share of seeds at which the
 statistic passes its gate, and its quartiles over the seeds.  Each gate is
-read from the report itself, where ``harness.run_spherical_suite`` and
-``harness.run_corank2_experiment`` record it beside the statistics it
-judges; a statistic without a gate of its own shows ``-``.  A report's
-``passed`` row is the share of seeds at which the whole report passes.
-The package imported is the one on ``PYTHONPATH``,
-so pointing it at another tree's ``src`` calibrates that tree.
+the bound and comparison of the report's own check of that statistic (a
+``harness.Check``); a statistic without a check of its own shows ``-``,
+and a check of a derived value (such as ``norm_err``, |norm - 1|) has a
+row of its own.  A report's ``passed`` row is the share of seeds at which
+the whole report passes.  The package imported is the one on
+``PYTHONPATH``, so pointing it at another tree's ``src`` calibrates that
+tree.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
-from operator import gt, lt
 
 import numpy as np
 
@@ -27,38 +26,23 @@ from antiprod.harness import run_suite
 
 SUITES = ("spherical", "corank2")
 
-#: (statistic pattern, key of its gate in the report's statistics, gate as
-#: a format of the gate value, test of a value v against the gate value g)
-GATES = [
-    (r".*_z(_\d+)?", "z_max", "z < {:g}", lt),
-    (r"phi_limit_n\d+", "phi_limit_tol", "< {:g}", lt),
-    (r"hc_n1_err", "hc_n1_tol", "< {:g}", lt),
-    (r"fn_rel_\d+", "fn_rtol", "< {:g}", lt),
-    (r"chi2_pvalue", "pvalue_min", "> {:g}", gt),
-    (r"norm", "norm_tol", "abs(v - 1) < {:g}", lambda v, g: abs(v - 1.0) < g),
-]
-
-
-def _gate(name: str):
-    """(key, text, test) of the gate of statistic name, or None."""
-    for pattern, key, text, test in GATES:
-        if re.fullmatch(pattern, name):
-            return key, text, test
-    return None
-
 
 def calibrate(seeds, nsamples: int = 100_000) -> dict:
     """{report name: {"passed": [bool per seed],
-    statistic: [value per seed], ...}} over the suites of SUITES."""
+    statistic: [(value, its Check or None) per seed], ...}} over the
+    suites of SUITES."""
     out = {}
     for seed in seeds:
         for suite in SUITES:
             for rep in run_suite(suite, seed=seed, nsamples=nsamples):
                 rows = out.setdefault(rep.name, {"passed": []})
                 rows["passed"].append(rep.passed)
+                checks = {c.name: c for c in rep.checks}
                 for key, value in rep.statistics.items():
                     rows.setdefault(key, []).append(
-                        (float(value), rep.statistics))
+                        (float(value), checks.pop(key, None)))
+                for c in checks.values():
+                    rows.setdefault(c.name, []).append((float(c.value), c))
     return out
 
 
@@ -73,15 +57,13 @@ def table(results: dict) -> str:
             if key == "passed":
                 continue
             values = [v for v, _ in pairs]
-            gate = _gate(key)
-            if gate is None:
+            check = pairs[0][1]
+            if check is None:
                 text = rate = "-"
             else:
-                gkey, fmt, test = gate
-                text = fmt.format(pairs[0][1][gkey])
-                rate = "{}/{}".format(
-                    sum(bool(test(v, st[gkey])) for v, st in pairs),
-                    len(pairs))
+                text = f"{check.comparison} {check.bound:g}"
+                rate = "{}/{}".format(sum(c.passed for _, c in pairs),
+                                      len(pairs))
             q1, med, q3 = np.percentile(values, [25, 50, 75])
             lines.append(f"| {name} | {key} | {text} | {rate} | "
                          f"{q1:.3g} | {med:.3g} | {q3:.3g} |")
