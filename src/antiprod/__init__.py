@@ -19,7 +19,7 @@ from .samplers import (GinibreSpec, JacobiSpec, ProductSpec,
                        build_product_batch, product_spectra_batch,
                        sample_induced_ginibre_batch,
                        sample_induced_jacobi_batch)
-from .kernels import (BiorthSystem, ContourSpec, biorth_fixed, chi_poly,
+from .kernels import (BiorthSystem, biorth_fixed, chi_poly,
                       correlation_Rk, gram_biorth, kernel_fixed,
                       kernel_fixed_contour, kernel_poly)
 
@@ -38,7 +38,7 @@ __all__ = [
     "GinibreSpec", "JacobiSpec", "ProductSpec",
     "build_product_batch", "product_spectra_batch",
     "sample_induced_ginibre_batch", "sample_induced_jacobi_batch",
-    "BiorthSystem", "ContourSpec", "biorth_fixed", "chi_poly",
+    "BiorthSystem", "biorth_fixed", "chi_poly",
     "correlation_Rk", "gram_biorth", "kernel_fixed",
     "kernel_fixed_contour", "kernel_poly",
 ]

@@ -16,7 +16,8 @@ single spectrum; a NaN or inf density raises DomainError.
 LRU memos of at most MEMO entries keep what depends on the base or the
 factor alone: per tuple of base values one record of the sorted values
 divided by the 2^e with max / 2^e in [0.5, 1), their coincidences and
-Delta of their squares; per (weight, n) log prod_j M A(2j - 1).  The
+Delta of their squares; per (weight, n) log prod_j M A(2j - 1) and the
+log normalization of the degenerate-limit density.  The
 densities evaluate on it at spectra divided by 2^e and scale back by a
 power of 2^e: exact, and finite at any scale.
 """
@@ -54,7 +55,6 @@ class PolynomialEnsembleSpec:
 
     n: int
     weights: tuple
-    label: str = "poly"
 
     def __post_init__(self):
         if len(self.weights) != self.n:
@@ -141,6 +141,15 @@ def _log_mellin_norm(factor: WeightFunction, n: int) -> float:
     """log prod_j M A(2j - 1) for j = 1..n (positive for a density)."""
     return sum(np.log(float(np.real(factor.mellin(2 * j - 1.0))))
                for j in range(1, n + 1))
+
+
+@lru_cache(maxsize=MEMO)
+def _log_degenerate_norm(factor: WeightFunction, n: int) -> float:
+    """log of 1 / (2^(n(n-1)/2) n! prod_(j<n) j! prod_j M A(2j - 1)); the
+    log of prod_(j<n) j! is exactly 0.0 at n <= 2."""
+    superfactorial = np.prod([float(factorial(j)) for j in range(n)])
+    return -(n * (n - 1) / 2.0) * np.log(2.0) - special.gammaln(n + 1) \
+        - _log_mellin_norm(factor, n) - np.log(superfactorial)
 
 
 def fixed_base_weights(atilde, factor: WeightFunction) -> tuple:
@@ -252,8 +261,12 @@ def jpdf_fixed(a, atilde, factor: WeightFunction):
 def jpdf_degenerate(a, factor: WeightFunction):
     """Limit atilde -> (1,...,1) of the fixed-base density.
 
-    p(a) = [1 / (2^(n(n-1)/2) n! prod_j M A(2j-1))] Delta(a^2)
-           * det[(-a_b d/da_b)^(c-1) A(a_b)].
+    p(a) = [1 / (2^(n(n-1)/2) n! prod_(j<n) j! prod_j M A(2j-1))]
+           * Delta(a^2) det[(-a_b d/da_b)^(c-1) A(a_b)].
+
+    The confluent columns of the limit are (1/(c-1)!) d^(c-1)/du^(c-1)
+    of t^(-1) A(a/t) at u = t^2 = 1, which equal
+    (-a d/da)^(c-1) A(a) / (2^(c-1) (c-1)!) up to earlier columns.
 
     a has shape (..., n), a stack of spectra in any entry order; the result
     has shape a.shape[:-1], and is a float for a single spectrum.  For
@@ -262,8 +275,7 @@ def jpdf_degenerate(a, factor: WeightFunction):
     """
     a = sorted_spectra(a)
     n = a.shape[-1]
-    logc = -(n * (n - 1) / 2.0) * np.log(2.0) - special.gammaln(n + 1) \
-        - _log_mellin_norm(factor, n)
+    logc = _log_degenerate_norm(factor, n)
     W = np.stack([factor.neg_xdx_pow(a, c) for c in range(n)], axis=-1)
     return _clamped(np.exp(logc) * vandermonde(a * a) * det(W),
                     "jpdf_degenerate")
@@ -275,8 +287,7 @@ def convolve_ensemble(base: PolynomialEnsembleSpec,
     Mellin products."""
     return PolynomialEnsembleSpec(
         n=base.n, weights=tuple(convolved_weight(factor, w)
-                                for w in base.weights),
-        label=f"{factor.label}(*){base.label}")
+                                for w in base.weights))
 
 
 def corank2_jpdf(x, a):

@@ -26,9 +26,9 @@ from scipy import special
 from . import __version__
 from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
                      build_canonical, haar_orthogonal_batch, spectra_batch)
-from .mellin import (TAIL_CUT, WeightFunction, convolved_weight,
-                     ginibre_weight, jacobi_weight, mellin_convolve,
-                     mellin_numeric, quad, quad_cumulative)
+from .mellin import (TAIL_CUT, convolved_weight, ginibre_weight,
+                     jacobi_weight, mellin_convolve, mellin_numeric, quad,
+                     quad_cumulative)
 from .ensembles import (PolynomialEnsembleSpec, corank2_jpdf, jpdf_fixed,
                         muttalib_borodin_weights)
 from .kernels import (biorth_fixed, correlation_Rk, gram_biorth,
@@ -50,6 +50,9 @@ SCHEMA_VERSION = "antiprod/1"
 
 #: Panels, uniform in log y, of the cdf table behind a binned comparison.
 CDF_PANELS = 8192
+
+#: Equal-probability bins of every binned comparison.
+BINS = 50
 
 #: Gates: the bound of each Check, one constant per gated quantity.
 #: Binned spectrum comparisons (run_spectrum_experiment at n = 1 and above,
@@ -89,12 +92,9 @@ MELLIN_RTOL = 1e-8
 class ExperimentConfig:
     """Resolved description of one experiment run."""
 
-    kind: str
     params: dict = field(default_factory=dict)
     nsamples: int = 100_000
     seed: int = 0
-    bins: int = 50
-    label: str = ""
 
     def __post_init__(self):
         if self.seed is None:
@@ -171,9 +171,9 @@ def _factor_from_params(params: dict):
     raise DomainError(f"unknown factor kind {kind!r}")
 
 
-def _binned_comparison(samples: np.ndarray, density, support, bins: int,
-                       kinks=()):
-    """Equal-probability binning of samples under an analytic density.
+def _binned_comparison(samples: np.ndarray, density, support, kinks=()):
+    """Equal-probability binning of samples into BINS bins under an
+    analytic density.
 
     Returns (rows, ks, chi2_stat, chi2_pvalue, norm) where rows are
     (bin_lo, bin_hi, empirical fraction, analytic fraction, zscore) and
@@ -193,7 +193,7 @@ def _binned_comparison(samples: np.ndarray, density, support, bins: int,
     norm = float(c[-1])
     cdf = c / norm
     # inverse CDF at equal-probability levels
-    levels = np.linspace(0.0, 1.0, bins + 1)
+    levels = np.linspace(0.0, 1.0, BINS + 1)
     edges = np.interp(levels, cdf, x)
     edges[0] = lo
     edges[-1] = hi_eff
@@ -203,10 +203,10 @@ def _binned_comparison(samples: np.ndarray, density, support, bins: int,
     ks = float(np.max(np.maximum(np.arange(1, N + 1) / N - f_at,
                                  f_at - np.arange(N) / N)))
     counts, _ = np.histogram(samples, bins=edges)
-    expected = np.full(bins, N / bins)
+    expected = np.full(BINS, N / BINS)
     # merge underpopulated bins into their left neighbor before chi-square
     cts, exps, spans = [], [], []
-    for i in range(bins):
+    for i in range(BINS):
         if exps and exps[-1] < 5.0:
             cts[-1] += counts[i]
             exps[-1] += expected[i]
@@ -223,7 +223,7 @@ def _binned_comparison(samples: np.ndarray, density, support, bins: int,
     if len(exps) < 2:
         raise DomainError(
             f"chi-square needs two bins that expect 5 samples each; N = {N} "
-            f"samples in bins = {bins} leave {len(exps)}")
+            f"samples in bins = {BINS} leave {len(exps)}")
     cts, exps = np.asarray(cts, dtype=float), np.asarray(exps)
     z = (cts - exps) / np.sqrt(exps)
     chi2 = float(np.sum(z * z))
@@ -257,13 +257,12 @@ def run_spectrum_experiment(config: ExperimentConfig) -> TestReport:
     prod = ProductSpec(factors=(fspec,),
                        base=SingularSpectrum.from_values(atilde))
     samples = product_spectra_batch(prod, config.nsamples, rng).ravel()
-    rows, ks, chi2, pval, _ = _binned_comparison(
-        samples, density, support, config.bins)
+    rows, ks, chi2, pval, _ = _binned_comparison(samples, density, support)
     lo, hi = support
     norm = float(quad(density, max(lo, 1e-12),
                       hi if np.isfinite(hi) else TAIL_CUT)[0])
     return TestReport(
-        name=config.label or f"spectrum-{p.get('factor', 'ginibre')}-n{n}",
+        name=f"spectrum-{p.get('factor', 'ginibre')}-n{n}",
         statistics={"ks": ks, "chi2": chi2, "chi2_pvalue": pval,
                     "norm": norm},
         checks=[Check("ks", ks, KS_N1_TOL if n == 1 else KS_TOL),
@@ -293,12 +292,12 @@ def run_corank2_experiment(config: ExperimentConfig) -> TestReport:
         return corank2_jpdf(np.asarray(v)[..., None], a)
 
     rows, ks, chi2, pval, _ = _binned_comparison(
-        samples, density, (0.0, float(a.values[-1])), config.bins, a.values)
+        samples, density, (0.0, float(a.values[-1])), a.values)
     # the projection density is piecewise polynomial; integrate each cell
     cells = np.concatenate([[1e-12], a.values])
     norm = float(np.sum(quad(density, cells[:-1], cells[1:])[0]))
     return TestReport(
-        name=config.label or f"corank2-n{n}",
+        name=f"corank2-n{n}",
         statistics={"ks": ks, "chi2": chi2, "chi2_pvalue": pval,
                     "norm": norm},
         checks=[Check("norm_err", abs(norm - 1.0), CORANK2_NORM_TOL),
@@ -348,31 +347,20 @@ def prop45_distribution_check(nsamples: int = 100_000,
 
     The squared singular value of the real Jacobi product (N=1, K1=5) must
     match the product of independent Beta(1/2, 3/2) and Beta(1, 3/2)
-    variables; the comparator density is a quadrature Mellin convolution of
-    the two Beta densities.  The comparison runs on the singular-value
-    scale, where the convolved density stays bounded at the origin.
+    variables, the n = 1 Jacobi weights of (nu, mu) = (-1/4, -3/4) and
+    (0, -3/4); the comparator density is a quadrature Mellin convolution of
+    the two.  The comparison runs on the singular-value scale, where the
+    convolved density stays bounded at the origin.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     prod = ProductSpec(factors=(JacobiSpec(1, 1, 5),),
                        base=SingularSpectrum.from_values([1.0]))
     a = product_spectra_batch(prod, nsamples, rng).ravel()
-    b1 = WeightFunction(
-        density=lambda t: np.where(
-            (t > 0) & (t < 1),
-            np.sqrt(np.maximum(1.0 - t, 0.0) / np.maximum(t, 1e-300))
-            / special.beta(0.5, 1.5), 0.0),
-        mellin=lambda s: special.beta(s - 0.5, 1.5) / special.beta(0.5, 1.5),
-        support=(0.0, 1.0), label="beta(1/2,3/2)")
-    b2 = WeightFunction(
-        density=lambda t: np.where(
-            (t > 0) & (t < 1),
-            1.5 * np.sqrt(np.maximum(1.0 - t, 0.0)), 0.0),
-        mellin=lambda s: special.beta(s, 1.5) / special.beta(1.0, 1.5),
-        support=(0.0, 1.0), label="beta(1,3/2)")
-    conv = convolved_weight(b1, b2, y_lo=1e-10)
+    conv = convolved_weight(jacobi_weight(-0.25, -0.75, 1),
+                            jacobi_weight(0.0, -0.75, 1), y_lo=1e-10)
     rows, ks, chi2, pval, norm = _binned_comparison(
-        a, lambda y: 2.0 * y * conv(y * y), (0.0, 1.0), 50)
+        a, lambda y: 2.0 * y * conv(y * y), (0.0, 1.0))
     return TestReport(
         name="prop45-distribution-n1",
         statistics={"ks": ks, "norm": norm, "chi2_pvalue": pval},
@@ -390,7 +378,7 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
     t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     N = config.nsamples
-    rep = TestReport(name=config.label or "spherical-suite", nsamples=N,
+    rep = TestReport(name="spherical-suite", nsamples=N,
                      config=config.resolved())
 
     # closed form vs MC on the convergence-domain grid
@@ -445,8 +433,7 @@ def run_spherical_suite(config: ExperimentConfig) -> TestReport:
 def run_kernel_suite(config: ExperimentConfig) -> TestReport:
     """Gram, trace, series-versus-contour and correlation consistency."""
     t0 = time.perf_counter()
-    rep = TestReport(name=config.label or "kernel-suite",
-                     config=config.resolved())
+    rep = TestReport(name="kernel-suite", config=config.resolved())
     gw = ginibre_weight(0.0)
     jw = jacobi_weight(0.0, 0.0, 2)
     # pts stay inside the double-contour holomorphy domain (y < a_min for
@@ -487,8 +474,7 @@ def run_mellin_suite(config: ExperimentConfig) -> TestReport:
     """Closed-form Mellin transforms versus quadrature, plus the transform
     factorization under Mellin convolution."""
     t0 = time.perf_counter()
-    rep = TestReport(name=config.label or "mellin-suite",
-                     config=config.resolved())
+    rep = TestReport(name="mellin-suite", config=config.resolved())
     worst = 0.0
     for nu in (0.0, 0.5, 1.0):
         for mu in (0.0, 0.5, 1.0):
@@ -515,20 +501,17 @@ def run_suite(name: str, seed: int = 0, nsamples: int = 100_000):
     """Named verification suite -> list of TestReports."""
     reports = []
     if name in ("spectrum", "all", "quick"):
-        for params, label in [
-            ({"factor": "ginibre", "n": 1, "nu": 0.0, "base": [1.0]},
-             "spectrum-ginibre-n1"),
-            ({"factor": "jacobi", "n": 1, "N": 1, "K1": 5, "base": [1.0]},
-             "spectrum-jacobi-n1"),
-            ({"factor": "ginibre", "n": 2, "nu": 0.0, "base": [1.0, 2.0]},
-             "spectrum-ginibre-n2"),
+        for params in [
+            {"factor": "ginibre", "n": 1, "nu": 0.0, "base": [1.0]},
+            {"factor": "jacobi", "n": 1, "N": 1, "K1": 5, "base": [1.0]},
+            {"factor": "ginibre", "n": 2, "nu": 0.0, "base": [1.0, 2.0]},
         ]:
-            cfg = ExperimentConfig(kind="spectrum-vs-jpdf", params=params,
-                                   nsamples=nsamples, seed=seed, label=label)
+            cfg = ExperimentConfig(params=params, nsamples=nsamples,
+                                   seed=seed)
             reports.append(run_spectrum_experiment(cfg))
     if name in ("corank2", "all", "quick"):
-        cfg = ExperimentConfig(kind="corank2", params={"a": [1.0, 2.0]},
-                               nsamples=nsamples, seed=seed)
+        cfg = ExperimentConfig(params={"a": [1.0, 2.0]}, nsamples=nsamples,
+                               seed=seed)
         reports.append(run_corank2_experiment(cfg))
     if name in ("prop45", "all", "quick"):
         reports.append(run_prop45_check(0.0, 0.0, 1))
@@ -537,15 +520,12 @@ def run_suite(name: str, seed: int = 0, nsamples: int = 100_000):
         if name != "quick":
             reports.append(prop45_distribution_check(nsamples, seed))
     if name in ("mellin", "all", "quick"):
-        reports.append(run_mellin_suite(
-            ExperimentConfig(kind="mellin-closed-forms", seed=seed)))
+        reports.append(run_mellin_suite(ExperimentConfig(seed=seed)))
     if name in ("kernels", "all"):
-        reports.append(run_kernel_suite(
-            ExperimentConfig(kind="kernel-consistency", seed=seed)))
+        reports.append(run_kernel_suite(ExperimentConfig(seed=seed)))
     if name in ("spherical", "all"):
-        cfg = ExperimentConfig(kind="spherical-identity",
-                               nsamples=nsamples, seed=seed)
-        reports.append(run_spherical_suite(cfg))
+        reports.append(run_spherical_suite(
+            ExperimentConfig(nsamples=nsamples, seed=seed)))
     if not reports:
         raise DomainError(f"unknown suite {name!r}")
     return reports

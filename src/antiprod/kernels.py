@@ -6,11 +6,15 @@ correlation kernel both as the finite series sum_j p_j(y') q_j(y) and
 through its contour-integral representations.  One broadcasting evaluator,
 BiorthSystem.kernel, serves the diagonal, both series kernels and the
 single-contour form of kernel_fixed on whole grids of (y', y); the
-double-contour kernel broadcasts as well,
-from a memoised frame of the nodes, weights and Cauchy matrix of each base
-and contour.  Contour integrals over
-circles are discretized by the trapezoid rule, which is spectrally accurate
-for the meromorphic-in-z^2 integrands that occur here.
+double-contour kernel broadcasts as well, from a memoised frame of the
+nodes, weights and Cauchy matrix of each base.  Contour integrals over
+circles are discretized by the trapezoid rule with N_NODES nodes per
+circle, which is spectrally accurate for the meromorphic-in-z^2 integrands
+that occur here.  The circles are fixed by the base: the z-circle of
+kernel_fixed has radius 0.5 min_j a_j; the double contour puts circles of
+radius rho, a quarter of the smallest gap among the poles +/- a_j, around
+the a_j, and its z'-circle has radius 0.5 (min_j a_j - rho), so
+r' + rho <= 0.75 min_j a_j and the circles never meet.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .mellin import WeightFunction, mellin_convolve
 from .ensembles import PolynomialEnsembleSpec, fixed_base_weights
 
 __all__ = [
-    "BiorthSystem", "ContourSpec", "ContourError",
+    "BiorthSystem", "ContourError",
     "chi_poly", "gram_biorth", "biorth_fixed",
     "kernel_poly", "kernel_fixed", "kernel_fixed_contour",
     "correlation_Rk",
@@ -39,34 +43,13 @@ IMAG_TOL = 1e-9
 #: Bimoment condition number above which a Gram construction is rejected.
 COND_MAX = 1e12
 
+#: Trapezoid nodes on each contour circle; a power of two, so that the
+#: trapezoid mean divides exactly.
+N_NODES = 256
+
 
 class ContourError(ArithmeticError):
     """Contour discretization failed its convergence or reality check."""
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Discretized circles for the kernel contour integrals.
-
-    radius is the z-circle around the origin (None picks 0.5 min_j a_j from
-    context); n_nodes must be a power of two >= 64.  rho and
-    nodes_per_circle configure the union-of-circles contour around the
-    poles a_j used by the double-contour kernel.
-    """
-
-    radius: float | None = None
-    n_nodes: int = 256
-    rho: float | None = None
-    nodes_per_circle: int = 256
-
-    def __post_init__(self):
-        for m in (self.n_nodes, self.nodes_per_circle):
-            if m < 64 or m & (m - 1) != 0:
-                raise DomainError("node counts must be powers of two >= 64")
-        if self.radius is not None and self.radius <= 0:
-            raise DomainError("contour radius must be positive")
-        if self.rho is not None and self.rho <= 0:
-            raise DomainError("pole-circle radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -83,7 +66,6 @@ class BiorthSystem:
     ptilde_coeffs: np.ndarray
     qtilde: tuple
     factor: WeightFunction | None = None
-    label: str = "biorth"
     gram_offdiag: float | None = None
 
     def _p_coeffs(self, factor) -> np.ndarray:
@@ -96,40 +78,39 @@ class BiorthSystem:
                          for i in range(self.n)])
         return self.ptilde_coeffs * minv[None, :]
 
-    def p(self, yprime, factor=None, circle=None) -> np.ndarray:
+    def p(self, yprime, factor=None, radius=None) -> np.ndarray:
         """p_j(y') for j = 0, ..., n-1, shape (n,) + y'.shape.
 
         p_j is the chi transform of ptilde_j under factor (default the
         attached one): the residue series sum_i ptilde_ji y'^(2i) /
-        M A(2i + 1), or, with circle = (radius, n_nodes), the trapezoid
-        average of chi(z) ptilde_j(y'/z) over that z-circle.
+        M A(2i + 1), or, given a radius, the N_NODES-point trapezoid
+        average of chi(z) ptilde_j(y'/z) over the z-circle of that radius.
         """
         yprime = np.asarray(yprime, dtype=float)
         factor = self.factor if factor is None else factor
-        if circle is None:
+        if radius is None:
             # float_power squares through libm pow, as the scalar y ** 2 of
             # Python does, so a grid and a point agree bit for bit (y * y
             # can differ)
             u = np.float_power(yprime, 2)
             return npoly.polyval(u, self._p_coeffs(factor).T)
-        radius, n_nodes = circle
-        z = radius * _unit_circle(n_nodes)
+        z = radius * _unit_circle(N_NODES)
         u = (yprime[..., None] / z) ** 2
-        vals = np.mean(chi_poly(factor, z, 0, self.n - 1)
+        vals = np.mean(chi_poly(factor, z, self.n)
                        * npoly.polyval(u, self.ptilde_coeffs.T), axis=-1)
         return _real_part(vals, "z-contour")
 
-    def kernel(self, yprime, y, q=None, factor=None, circle=None):
+    def kernel(self, yprime, y, q=None, factor=None, radius=None):
         """K_n(y', y) = sum_j p_j(y') q_j(y), broadcasting y' against y.
 
         q holds the values q_j(y) (default the duals qtilde_j at y); factor
-        and circle choose the p_j as in p.  A float for scalar y', y.
+        and radius choose the p_j as in p.  A float for scalar y', y.
         """
         y = np.asarray(y, dtype=float)
         if q is None:
             q = [w.density(y) for w in self.qtilde]
         out = 0.0
-        for pj, qj in zip(self.p(yprime, factor, circle), q):
+        for pj, qj in zip(self.p(yprime, factor, radius), q):
             out = out + pj * qj
         return out if np.ndim(out) else float(out)
 
@@ -154,15 +135,15 @@ class BiorthSystem:
         return G
 
 
-def chi_poly(factor: WeightFunction, z, m1: int = 0, m2: int = 0):
-    """chi_{m1,m2}(z) = sum_{j=m1}^{m2} z^(2j) / M A(2j + 1).
+def chi_poly(factor: WeightFunction, z, n: int):
+    """chi_n(z) = sum_{j=0}^{n-1} z^(2j) / M A(2j + 1).
 
     Terms with infinite Mellin value are dropped (their reciprocal is 0).
     """
-    if m1 > m2:
-        raise DomainError("need m1 <= m2")
-    coeffs = np.zeros(m2 + 1, dtype=complex)
-    for j in range(m1, m2 + 1):
+    if n < 1:
+        raise DomainError("need n >= 1")
+    coeffs = np.zeros(n, dtype=complex)
+    for j in range(n):
         m = factor.mellin(2 * j + 1)
         if np.isfinite(m) and m != 0:
             coeffs[j] = 1.0 / m
@@ -212,8 +193,7 @@ def gram_biorth(base: PolynomialEnsembleSpec) -> BiorthSystem:
     C = np.linalg.inv(D @ B).T
     qtilde = tuple(
         _combo_weight(C[j], base.weights, label=f"q[{j}]") for j in range(n))
-    sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde,
-                       label=f"gram:{base.label}")
+    sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde)
     off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
     return replace(sys, gram_offdiag=off)
 
@@ -244,8 +224,7 @@ def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
     n = at.n
     qtilde = fixed_base_weights(at, factor)     # rejects a base value <= 0
     D = _fixed_lagrange_coeffs(at.values)
-    sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde,
-                       factor=factor, label="fixed")
+    sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde, factor=factor)
     off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
     return replace(sys, gram_offdiag=off)
 
@@ -263,19 +242,6 @@ def _real_part(val, what: str):
     return val.real
 
 
-def _circle(method: str, contour: ContourSpec | None, radius: float):
-    """(radius, n_nodes) of the z-circle for method 'contour', None for
-    'series'; radius is the default when contour leaves it open."""
-    if method == "series":
-        return None
-    if method != "contour":
-        raise DomainError(f"unknown kernel method {method!r}")
-    contour = ContourSpec() if contour is None else contour
-    if contour.radius is not None:
-        radius = contour.radius
-    return radius, contour.n_nodes
-
-
 def kernel_poly(yprime, y, base: BiorthSystem, factor: WeightFunction):
     """Correlation kernel of one factor applied to a polynomial-ensemble base.
 
@@ -290,32 +256,33 @@ def kernel_poly(yprime, y, base: BiorthSystem, factor: WeightFunction):
 
 
 def kernel_fixed(yprime, y, atilde, factor: WeightFunction,
-                 contour: ContourSpec | None = None,
                  method: str = "contour",
                  system: BiorthSystem | None = None):
     """Correlation kernel of the fixed-base product ensemble.
 
-    Sum-over-j form with the Lagrange-type polynomials in (y'/z)^2; the
-    z-contour encircles only the origin, default radius 0.5 min_j a_j.
+    Sum-over-j form with the Lagrange-type polynomials in (y'/z)^2: method
+    "contour" averages them over the z-circle of radius 0.5 min_j a_j,
+    which encircles only the origin, and "series" sums their residues.
     y' and y broadcast against each other; the result has their broadcast
     shape, a float for scalars.
     """
+    if method not in ("series", "contour"):
+        raise DomainError(f"unknown kernel method {method!r}")
     at = SingularSpectrum.from_values(atilde)
     sys = system if system is not None else biorth_fixed(at, factor)
-    circle = _circle(method, contour, 0.5 * float(at.values[0]))
-    return sys.kernel(yprime, y, factor=factor, circle=circle)
+    radius = 0.5 * float(at.values[0]) if method == "contour" else None
+    return sys.kernel(yprime, y, factor=factor, radius=radius)
 
 
 #: Contour frames kept by the double-contour memo.  A frame of an n-entry
-#: base holds n_nodes x n nodes_per_circle complex entries: 2 MB at n = 2
-#: and the default node counts.
+#: base holds N_NODES x n N_NODES complex entries: 2 MB at n = 2.
 FRAME_MEMO = 8
 
 
 class _ContourFrame(NamedTuple):
     """The point-free part of the double-contour kernel of one base: the
     z'-nodes zp with num = prod_i (a_i^2 - zp^2), the pole-circle nodes z
-    (circle after circle) with trapezoid weights wts = (2 rho / nz) w /
+    (circle after circle) with trapezoid weights wts = (2 rho / N_NODES) w /
     prod_i (a_i^2 - z^2), and the Cauchy matrix 1 / (zp^2 - z^2) of shape
     (zp.size, z.size); all read-only."""
     n: int
@@ -327,38 +294,31 @@ class _ContourFrame(NamedTuple):
 
 
 @lru_cache(maxsize=FRAME_MEMO)
-def _contour_frame(values: tuple, contour: ContourSpec) -> _ContourFrame:
-    """The frame of the ascending base values under contour; raises
-    DomainError for a degenerate base and ContourError when the circles
-    collide (lru_cache keeps no exception, so every call raises again)."""
+def _contour_frame(values: tuple) -> _ContourFrame:
+    """The frame of the ascending base values; raises DomainError for a
+    degenerate base (lru_cache keeps no exception, so every call raises
+    again)."""
     at = SingularSpectrum(np.array(values))
     if at.is_degenerate:
         raise DomainError("fixed-base kernel requires a non-degenerate base")
     av = at.values
     # smallest spacing among the pole set {+/- a_j}: consecutive gaps and
     # the distance 2 a_min across the origin
-    gaps = [2.0 * av[0]] + list(np.diff(av))
-    rho = contour.rho if contour.rho is not None else 0.25 * min(gaps)
-    rprime = contour.radius if contour.radius is not None \
-        else 0.5 * (av[0] - rho)
-    if rprime <= 0 or rprime + rho >= av[0]:
-        raise ContourError("z'-circle collides with the pole circles")
-    nz = contour.nodes_per_circle
-    w = _unit_circle(nz)
+    rho = 0.25 * min([2.0 * av[0]] + list(np.diff(av)))
+    w = _unit_circle(N_NODES)
     sq = av * av
-    zp = rprime * _unit_circle(contour.n_nodes)
+    zp = 0.5 * (av[0] - rho) * w
     z = (av[:, None] + rho * w[None, :]).ravel()
     num = np.prod(sq[None, :] - (zp ** 2)[:, None], axis=1)
     den = np.prod(sq[None, :] - (z ** 2)[:, None], axis=1)
-    wts = (2.0 * rho / nz) * np.tile(w, at.n) / den
+    wts = (2.0 * rho / N_NODES) * np.tile(w, at.n) / den
     cauchy = 1.0 / ((zp ** 2)[:, None] - (z ** 2)[None, :])
     for arr in (zp, num, z, wts, cauchy):
         arr.setflags(write=False)
     return _ContourFrame(at.n, zp, num, z, wts, cauchy)
 
 
-def kernel_fixed_contour(yprime, y, atilde, factor: WeightFunction,
-                         contour: ContourSpec | None = None):
+def kernel_fixed_contour(yprime, y, atilde, factor: WeightFunction):
     """Double-contour form of the fixed-base kernel.
 
     K_n(y', y) = (1/2 pi i) contour dz'/z' (1/pi i) contour dz
@@ -369,7 +329,7 @@ def kernel_fixed_contour(yprime, y, atilde, factor: WeightFunction,
     density to be holomorphic near y / a_j; one that takes real arguments
     only (convolved_weight) raises DomainError.
 
-    The nodes, weights and Cauchy matrix of the base and contour come from
+    The nodes, weights and Cauchy matrix of the base come from
     an LRU memo of FRAME_MEMO frames (2 MB each at n = 2).  Per call A is
     evaluated on y's own points and chi on y''s own points, each y is
     contracted with the Cauchy matrix in one matrix-vector product and each
@@ -380,15 +340,13 @@ def kernel_fixed_contour(yprime, y, atilde, factor: WeightFunction,
     scalars, and equals per-point calls bit for bit.
     """
     frame = _contour_frame(
-        tuple(SingularSpectrum.from_values(atilde).values.tolist()),
-        ContourSpec() if contour is None else contour)
+        tuple(SingularSpectrum.from_values(atilde).values.tolist()))
     yprime = np.asarray(yprime, dtype=float)
     y = np.asarray(y, dtype=float)
     g = factor.density(y[..., None] / frame.z) * frame.wts
     inner = np.matmul(frame.cauchy, g[..., None])[..., 0]
-    h = chi_poly(factor, yprime[..., None] / frame.zp, 0, frame.n - 1) \
-        * frame.num
-    # n_nodes is a power of two, so the trapezoid mean divides exactly
+    h = chi_poly(factor, yprime[..., None] / frame.zp, frame.n) * frame.num
+    # N_NODES is a power of two, so the trapezoid mean divides exactly
     val = np.matmul(h[..., None, :], inner[..., :, None])[..., 0, 0] \
         / frame.zp.size
     val = _real_part(val, "double contour")

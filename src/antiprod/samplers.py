@@ -90,12 +90,13 @@ class ProductSpec:
     """Ordered factor list around a fixed antisymmetric base spectrum.
 
     base None means the canonical identity spectrum a = (1, ..., 1); an
-    empty factor list makes the product the base matrix itself.
+    empty factor list makes the product the base matrix itself.  The block
+    count n is inferred from the factors and the base, which must agree.
     """
 
     factors: tuple = ()
     base: SingularSpectrum | None = None
-    n: int = field(default=0)
+    n: int = field(init=False)
 
     def __post_init__(self):
         ns = {f.n for f in self.factors}
@@ -103,12 +104,10 @@ class ProductSpec:
             base = SingularSpectrum.from_values(self.base)
             object.__setattr__(self, "base", base)
             ns.add(base.n)
-        if self.n > 0:
-            ns.add(self.n)
         if len(ns) > 1:
             raise DomainError(f"inconsistent block counts {sorted(ns)}")
         if not ns:
-            raise DomainError("cannot infer n: give factors, base, or n")
+            raise DomainError("cannot infer n: give factors or a base")
         object.__setattr__(self, "n", ns.pop())
 
     @property

@@ -128,8 +128,8 @@ def test_criterion_05_corank2_projection():
         want = 2.0 * (a2 - xv) / (a2 ** 2 - a1 ** 2)
         checks.append((abs(got - want) < 1e-12,
                        f"outer piece at {xv}: {got}"))
-    cfg = ExperimentConfig(kind="corank2", params={"a": [1.0, 2.0]},
-                           nsamples=N_MED, seed=105, bins=50)
+    cfg = ExperimentConfig(params={"a": [1.0, 2.0]}, nsamples=N_MED,
+                           seed=105)
     rep = run_corank2_experiment(cfg)
     checks.append((abs(rep.statistics["norm"] - 1.0) < 1e-10,
                    f"norm {rep.statistics['norm']}"))
@@ -178,8 +178,7 @@ def test_criterion_06_fixed_jpdfs():
              ({"factor": "jacobi", "n": 2, "N": 2, "K1": 9,
                "base": [0.5, 0.9]}, "jacobi n=2")]
     for params, label in cases:
-        cfg = ExperimentConfig(kind="spectrum-vs-jpdf", params=params,
-                               nsamples=N_MED, seed=106, label=label)
+        cfg = ExperimentConfig(params=params, nsamples=N_MED, seed=106)
         rep = run_spectrum_experiment(cfg)
         checks.append((rep.passed,
                        f"{label}: ks={rep.statistics['ks']:.4f} "
@@ -208,8 +207,7 @@ def test_criterion_07_degenerate_limit():
 
 
 def test_criterion_08_kernel_suite():
-    rep = run_kernel_suite(ExperimentConfig(kind="kernel-consistency",
-                                            seed=108))
+    rep = run_kernel_suite(ExperimentConfig(seed=108))
     checks = [(rep.passed,
                "; ".join(f"{k}={v:.3g}" for k, v in rep.statistics.items()))]
     _verdict(8, "kernel suite", checks)

@@ -40,6 +40,21 @@ def test_degenerate_n2_normalizes():
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fully_degenerate_densities_normalize(n):
+    # A(a) = (1 - a)^(2n) makes both densities polynomials of degree
+    # <= 4n - 2 in each entry on [0, 1], where the 10-point Gauss-Legendre
+    # product rule is exact; one stacked call per density
+    x, w = np.polynomial.legendre.leggauss(10)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    grid = np.stack(np.meshgrid(*[x] * n, indexing="ij"), axis=-1)
+    jw = jacobi_weight(0.0, 0.0, n)
+    for dens in (jpdf_degenerate(grid, jw), jpdf_fixed(grid, [1.0] * n, jw)):
+        for _ in range(n):
+            dens = dens @ w
+        assert abs(dens - 1.0) < 1e-12
+
+
 def test_near_degenerate_base_matches_degenerate_limit():
     pts = [(0.5, 1.5), (1.0, 2.0), (0.3, 0.9), (2.0, 3.5), (0.1, 4.0)]
     for x, y in pts:

@@ -32,6 +32,12 @@ def test_calibration_table_runs_on_two_seeds():
     assert gates[("corank2-n2", "chi2_pvalue")][0] == "> 0.001"
     assert gates[("corank2-n2", "ks")] == ("-", "-")
     assert gates[("corank2-n2", "passed")][0] == "report"
+    for name, ks_gate in (("spectrum-ginibre-n1", "< 0.01"),
+                          ("spectrum-jacobi-n1", "< 0.01"),
+                          ("spectrum-ginibre-n2", "< 0.015")):
+        assert gates[(name, "ks")][0] == ks_gate
+        assert gates[(name, "norm_err")] == ("< 1e-06", "2/2")
+        assert gates[(name, "norm")] == ("-", "-")
 
 
 def test_calibration_reads_the_gates_of_the_harness(monkeypatch):

@@ -57,8 +57,8 @@ def test_binned_comparison_on_exact_samples():
     rng = np.random.default_rng(0)
     samples = rng.exponential(size=50_000)
     rows, ks, chi2, pval, norm = _binned_comparison(
-        samples, lambda y: np.exp(-y), (0.0, np.inf), 50)
-    assert len(rows) == 50
+        samples, lambda y: np.exp(-y), (0.0, np.inf))
+    assert len(rows) == harness.BINS == 50
     assert ks < 0.01
     assert pval > 1e-3
     # norm comes from the truncated comparison grid, so only 1e-5 here
@@ -69,7 +69,7 @@ def test_binned_comparison_last_bin_is_finite_with_same_counts():
     rng = np.random.default_rng(0)
     samples = rng.exponential(size=50_000)
     rows, *_ = _binned_comparison(samples, lambda y: np.exp(-y),
-                                  (0.0, np.inf), 50)
+                                  (0.0, np.inf))
     rows = np.array(rows)
     assert np.all(np.isfinite(rows))
     # the counts are those of the same bins with an inf last edge
@@ -82,31 +82,30 @@ def test_binned_comparison_detects_mismatch():
     rng = np.random.default_rng(1)
     samples = rng.exponential(size=50_000) * 1.3
     rows, ks, chi2, pval, norm = _binned_comparison(
-        samples, lambda y: np.exp(-y), (0.0, np.inf), 50)
+        samples, lambda y: np.exp(-y), (0.0, np.inf))
     assert ks > 0.05 or pval < 1e-6
 
 
 def test_spectrum_experiment_quick():
-    cfg = ExperimentConfig(kind="spectrum",
-                           params={"factor": "ginibre", "n": 1, "nu": 0.0,
+    cfg = ExperimentConfig(params={"factor": "ginibre", "n": 1, "nu": 0.0,
                                    "base": [1.0]},
-                           nsamples=20_000, seed=3, label="quick-n1")
+                           nsamples=20_000, seed=3)
     rep = run_spectrum_experiment(cfg)
     assert rep.passed, rep.statistics
 
 
 def test_spectrum_experiment_n3(tmp_path):
-    cfg = ExperimentConfig(kind="spectrum",
-                           params={"factor": "ginibre", "n": 3, "nu": 0.0,
+    cfg = ExperimentConfig(params={"factor": "ginibre", "n": 3, "nu": 0.0,
                                    "base": [1.0, 2.0, 3.0]},
-                           nsamples=20_000, seed=5, label="quick-n3")
+                           nsamples=20_000, seed=5)
     rep = run_spectrum_experiment(cfg)
     assert rep.passed, rep.statistics
     assert rep.checks[0] == Check("ks", rep.statistics["ks"], harness.KS_TOL)
     # every table value is finite, so the report can be written
     emit_results([rep], tmp_path, fmt="jsonlines")
-    rows = [list(json.loads(line).values()) for line in
-            (tmp_path / "quick-n3.jsonl").read_text().splitlines()]
+    table = tmp_path / "spectrum-ginibre-n3.jsonl"
+    rows = [list(json.loads(line).values())
+            for line in table.read_text().splitlines()]
     assert len(rows) == len(rep.rows) and np.all(np.isfinite(rows))
 
 
@@ -128,40 +127,39 @@ def test_two_factor_spectra_match_the_convolved_weight(inner, base):
 
     def ks(outer):
         density, support = _pooled_marginal(base, convolved_weight(outer, a1))
-        return _binned_comparison(samples, density, support, 50)[1]
+        return _binned_comparison(samples, density, support)[1]
 
     assert ks(a2) < ks_tol
     assert ks(ginibre_weight(s2.nu + 0.25)) > ks_tol
 
 
 def test_corank2_experiment_quick():
-    cfg = ExperimentConfig(kind="corank2", params={"a": [1.0, 2.0]},
-                           nsamples=20_000, seed=4, label="quick-corank2")
+    cfg = ExperimentConfig(params={"a": [1.0, 2.0]}, nsamples=20_000,
+                           seed=4)
     rep = run_corank2_experiment(cfg)
     assert rep.passed, rep.statistics
     # the p-value, bit for bit, from scipy.stats as an independent reference
     chi2, df = rep.statistics["chi2"], len(rep.rows) - 1
-    assert df == cfg.bins - 1
+    assert df == harness.BINS - 1
     assert rep.statistics["chi2_pvalue"] == stats.chi2.sf(chi2, df)
 
 
 def test_binned_comparison_merges_an_underpopulated_last_bin():
-    # 17 samples in 5 bins expect 3.4 each: the forward merge leaves
-    # (6.8, 6.8, 3.4), and the last merges into its left neighbor
-    samples = np.random.default_rng(2).exponential(size=17)
+    # 120 samples in 50 bins expect 2.4 each: the forward merge leaves 16
+    # triples (7.2) and a pair (4.8), which merges into its left neighbor
+    samples = np.random.default_rng(2).exponential(size=120)
     rows, ks, chi2, pval, norm = _binned_comparison(
-        samples, lambda y: np.exp(-y), (0.0, np.inf), 5)
+        samples, lambda y: np.exp(-y), (0.0, np.inf))
     rows = np.array(rows)
-    assert rows[:, 3] * 17 == pytest.approx([6.8, 10.2])
+    assert rows[:, 3] * 120 == pytest.approx([7.2] * 15 + [12.0])
     assert rows[0, 0] == 0.0 and rows[0, 1] == rows[1, 0]
     assert rows[:, 2].sum() == pytest.approx(1.0)
-    assert pval == stats.chi2.sf(chi2, 1)
+    assert pval == stats.chi2.sf(chi2, 15)
 
 
 def test_corank2_with_too_few_samples_for_two_bins_raises(tmp_path, capsys):
     # N = 4 merges all 50 bins into one; chi-square has no degrees of freedom
-    cfg = ExperimentConfig(kind="corank2", params={"a": [1.0, 2.0]},
-                           nsamples=4, seed=0)
+    cfg = ExperimentConfig(params={"a": [1.0, 2.0]}, nsamples=4, seed=0)
     with pytest.raises(DomainError, match=r"N = 4 .* bins = 50"):
         run_corank2_experiment(cfg)
     from antiprod.cli import main
@@ -204,7 +202,7 @@ def test_emit_results_rejects_non_finite_rows(tmp_path):
 def test_empty_rows_csv_is_header_only(tmp_path):
     rep = TestReport(name="empty", statistics={"x": 1.0},
                      rows=[], nsamples=0,
-                     config=ExperimentConfig(kind="none"))
+                     config=ExperimentConfig())
     paths = emit_results([rep], tmp_path, fmt="csv")
     table = [p for p in paths if str(p).endswith(".csv")][0]
     lines = Path(table).read_text().strip().splitlines()
@@ -214,12 +212,12 @@ def test_empty_rows_csv_is_header_only(tmp_path):
 def _spectrum(n):
     base = [1.0, 2.0][:n]
     return run_spectrum_experiment(ExperimentConfig(
-        kind="spectrum", params={"factor": "ginibre", "n": n, "base": base},
+        params={"factor": "ginibre", "n": n, "base": base},
         nsamples=2000, seed=0))
 
 
 def _small(run):
-    return run(ExperimentConfig(kind="gate", params={"a": [1.0, 2.0]},
+    return run(ExperimentConfig(params={"a": [1.0, 2.0]},
                                 nsamples=2000, seed=0))
 
 
@@ -441,7 +439,7 @@ def test_exact_spherical_gate_fails_on_a_wrong_closed_form(monkeypatch):
     closed = spherical.phi_closed
     monkeypatch.setattr(spherical, "phi_closed",
                         lambda s, a: 1.02 * closed(s, a))
-    rep = harness.run_spherical_suite(ExperimentConfig(
-        kind="spherical-identity", nsamples=2000, seed=0))
+    rep = harness.run_spherical_suite(ExperimentConfig(nsamples=2000,
+                                                       seed=0))
     assert not rep.passed
     assert rep.statistics["phi_z_0"] == np.inf

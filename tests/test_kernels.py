@@ -6,8 +6,7 @@ from scipy import integrate, optimize
 from antiprod.ensembles import (PolynomialEnsembleSpec, fixed_base_weights,
                                 jpdf_fixed, muttalib_borodin_weights)
 from antiprod import kernels
-from antiprod.kernels import (ContourError, ContourSpec,
-                              biorth_fixed, chi_poly, correlation_Rk,
+from antiprod.kernels import (biorth_fixed, chi_poly, correlation_Rk,
                               gram_biorth, kernel_fixed, kernel_fixed_contour,
                               kernel_poly)
 from antiprod.linalg import DomainError, SingularSpectrum
@@ -18,20 +17,11 @@ GW = ginibre_weight(0.0)
 
 
 def test_chi_examples():
-    # m1 = m2 = 0 keeps only the constant term 1 / M A(1) = 1
-    assert chi_poly(GW, 0.7, 0, 0) == pytest.approx(1.0, rel=1e-14)
+    # n = 1 keeps only the constant term 1 / M A(1) = 1
+    assert chi_poly(GW, 0.7, 1) == pytest.approx(1.0, rel=1e-14)
     # next term divides z^2 by M A(3) = Gamma(3) = 2
     z = 0.6
-    assert chi_poly(GW, z, 0, 1) == pytest.approx(1.0 + z * z / 2.0,
-                                                  rel=1e-14)
-
-
-def test_contour_spec_validation():
-    with pytest.raises(DomainError):
-        ContourSpec(n_nodes=100)
-    with pytest.raises(DomainError):
-        ContourSpec(n_nodes=32)
-    ContourSpec(n_nodes=64, nodes_per_circle=128)
+    assert chi_poly(GW, z, 2) == pytest.approx(1.0 + z * z / 2.0, rel=1e-14)
 
 
 def test_fixed_gram_is_identity():
@@ -114,15 +104,8 @@ def test_r2_nonnegative_at_random_pairs():
         assert correlation_Rk(pts, K) > -1e-10
 
 
-def test_double_contour_collision_raises():
-    # the frame memo keeps no exception: a repeated call raises again
-    for _ in range(2):
-        with pytest.raises(ContourError):
-            kernel_fixed_contour(0.5, 0.5, [1.0, 2.0], GW,
-                                 contour=ContourSpec(radius=0.95, rho=0.25))
-
-
 def test_double_contour_rejects_degenerate_base():
+    # the frame memo keeps no exception: a repeated call raises again
     for _ in range(2):
         with pytest.raises(DomainError):
             kernel_fixed_contour(0.5, 0.5, [1.0, 1.0], GW)
@@ -244,24 +227,23 @@ def test_kernels_on_a_grid_match_per_point_calls_bitwise(yp, y):
 
 def _direct_double_contour(yp, y, base, w):
     """The double-contour trapezoid sum over the full (z', z) node tensor,
-    default ContourSpec."""
-    contour = ContourSpec()
+    N_NODES nodes on every circle."""
+    m = kernels.N_NODES
     av = np.sort(np.asarray(base, dtype=float))
     n = av.size
     rho = 0.25 * min([2.0 * av[0]] + list(np.diff(av)))
     rprime = 0.5 * (av[0] - rho)
     circle = lambda m: np.exp(2j * np.pi * np.arange(m) / m)
-    nz = contour.nodes_per_circle
-    wz = circle(nz)
+    wz = circle(m)
     zpole = av[:, None] + rho * wz[None, :]
-    zp = rprime * circle(contour.n_nodes)
+    zp = rprime * circle(m)
     sq = av * av
     num = np.prod(sq[None, :] - (zp ** 2)[:, None], axis=1)
     den = np.prod(sq[None, None, :] - (zpole ** 2)[..., None], axis=-1)
     frac = 1.0 / ((zp ** 2)[:, None, None] - (zpole ** 2)[None, :, :])
-    integrand = (chi_poly(w, yp / zp, 0, n - 1) * num)[:, None, None] \
+    integrand = (chi_poly(w, yp / zp, n) * num)[:, None, None] \
         * (w.density(y / zpole) / den * wz[None, :])[None, :, :] * frac
-    return np.mean((2.0 * rho / nz) * np.sum(integrand, axis=(1, 2))).real
+    return np.mean((2.0 * rho / m) * np.sum(integrand, axis=(1, 2))).real
 
 
 @pytest.mark.parametrize("w,base,pts", [
@@ -296,7 +278,6 @@ def test_double_contour_frame_is_shared_by_equal_bases():
         kernel_fixed_contour(0.4, 0.7, base, GW)
     info = kernels._contour_frame.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    kernel_fixed_contour(0.4, 0.7, [0.9, 1.8], GW,
-                         contour=ContourSpec(n_nodes=128))
+    kernel_fixed_contour(0.4, 0.7, [0.9, 1.7], GW)
     assert kernels._contour_frame.cache_info().currsize == 2
 

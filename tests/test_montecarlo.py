@@ -150,8 +150,8 @@ def test_cdf_table_is_gated_and_puts_a_grid_point_on_each_kink():
 
     samples = np.linspace(0.05, 1.95, 200)
     with pytest.raises(QuadratureError):
-        harness._binned_comparison(samples, density, (0.0, 2.0), 5)
-    norm = harness._binned_comparison(samples, density, (0.0, 2.0), 5,
+        harness._binned_comparison(samples, density, (0.0, 2.0))
+    norm = harness._binned_comparison(samples, density, (0.0, 2.0),
                                       a.values)[-1]
     assert norm == pytest.approx(1.0, abs=1e-10)
 
@@ -166,7 +166,7 @@ def test_corank2_samples_partial_block(monkeypatch):
 
     monkeypatch.setattr(harness, "_binned_comparison", spy)
     harness.run_corank2_experiment(harness.ExperimentConfig(
-        kind="corank2", params={"a": list(A)}, nsamples=NS, seed=6, bins=5))
+        params={"a": list(A)}, nsamples=NS, seed=6))
     k = naive_draws(np.random.default_rng(6), (haar,))[0]
     x = build_canonical(linalg.SingularSpectrum.from_values(A)).entries
     # the corank-2 block of a 4 x 4 antisymmetric matrix is [[0, b], [-b, 0]]

@@ -234,7 +234,7 @@ def test_n2_haar_monte_carlo_calls_no_qr(monkeypatch):
     assert np.isfinite(factorization_check_psi((4.0, 0.0), g, gp, 300,
                                                rng)[2])
     rep = run_corank2_experiment(ExperimentConfig(
-        kind="corank2", params={"a": [1.0, 2.0]}, nsamples=300, seed=19))
+        params={"a": [1.0, 2.0]}, nsamples=300, seed=19))
     assert rep.nsamples == 300 and np.isfinite(rep.statistics["ks"])
 
 
@@ -320,6 +320,45 @@ def test_transform_factorizes_under_convolution():
         rhs = spherical_transform_factor(gw, sv) \
             * spherical_transform_poly(base, sv)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+#: (s', base) per n for the sampled transform identity.
+TRANSFORM_POINTS = {1: ((1.0,), (1.5,)),
+                    2: ((3.0, 0.0), (1.0, 2.0)),
+                    3: ((5.0, 2.0, 0.0), (1.0, 2.0, 3.0))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["ginibre", "ginibre2", "jacobi"])
+def test_spherical_transform_on_sampled_products(kind, n):
+    # E Phi(s'; a) = prod_i S_Psi[A_i](s) Phi(s'; a~), s = s' + (2n - 1),
+    # over 100 000 sampled products of the base a~; the twin evaluates Phi
+    # at s' + 0.1 on the samples only and must fail.  Phi is heavy-tailed:
+    # over seeds 0-19 the Ginibre^2 twin at n = 3 reads z = 1.8-8.5, too
+    # weak to gate, while every other twin reads z >= 7.8
+    from antiprod.mellin import ginibre_weight, jacobi_weight
+    from antiprod.samplers import (GinibreSpec, JacobiSpec, ProductSpec,
+                                   product_spectra_batch)
+    from antiprod.spherical import spherical_transform_factor
+    sp, base = TRANSFORM_POINTS[n]
+    ginibre = (GinibreSpec(n, 0.0), ginibre_weight(0.0))
+    factors = {"ginibre": [ginibre], "ginibre2": [ginibre, ginibre],
+               "jacobi": [(JacobiSpec(n, n, 4 * n + 1),
+                           jacobi_weight(0.0, 0.0, n))]}[kind]
+    nsamples = 100_000
+    a = product_spectra_batch(ProductSpec(tuple(f for f, _ in factors), base),
+                              nsamples, np.random.default_rng(0))
+    s = tuple(x + 2 * n - 1 for x in sp)
+    rhs = np.prod([spherical_transform_factor(w, s) for _, w in factors]) \
+        * phi_closed(sp, base)
+
+    def z(shift):
+        phi = phi_closed(tuple(x + shift for x in sp), a).real
+        return abs(phi.mean() - rhs.real) / (phi.std() / np.sqrt(nsamples))
+
+    assert z(0.0) < 4.0
+    if (kind, n) != ("ginibre2", 3):
+        assert z(0.1) > 5.0
 
 
 def test_transform_rejects_out_of_strip_parameter():

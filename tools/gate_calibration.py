@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python3 tools/gate_calibration.py --seeds 20
 
-Runs ``run_suite("spherical")`` and ``run_suite("corank2")`` at seeds
+Runs ``run_suite(suite)`` for each suite of ``SUITES`` (the spherical
+suite, the corank-2 projection and the three spectrum reports) at seeds
 0, ..., K - 1 with the CLI default of 100 000 samples, and prints one
 markdown table: per report and statistic, the share of seeds at which the
 statistic passes its gate, and its quartiles over the seeds.  Each gate is
@@ -24,7 +25,7 @@ import numpy as np
 
 from antiprod.harness import run_suite
 
-SUITES = ("spherical", "corank2")
+SUITES = ("spherical", "corank2", "spectrum")
 
 
 def calibrate(seeds, nsamples: int = 100_000) -> dict:
