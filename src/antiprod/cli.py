@@ -18,11 +18,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .linalg import DomainError, SingularSpectrum
-from .harness import (SCHEMA_VERSION, emit_results, run_suite,
-                      _factor_from_params, _pooled_marginal, _write_rows)
+from .linalg import DomainError
+from .harness import (SCHEMA_VERSION, emit_results, product_from_params,
+                      run_suite, _pooled_marginal, _write_rows)
 from .mellin import QuadratureError
-from .samplers import ProductSpec, product_spectra_batch
+from .samplers import product_spectra_batch
 
 
 def _load_config(path) -> dict:
@@ -45,17 +45,20 @@ def _write_table(out_dir, name: str, header: list, rows, fmt: str,
     return path
 
 
-def _cmd_sample(args, cfg) -> int:
+def _product(cfg):
+    """(params, product) of a config; params records the n and base used."""
     params = cfg.get("params", {})
-    n = int(params.get("n", 1))
-    params.setdefault("n", n)
-    _, fspec = _factor_from_params(params)
-    base = params.get("base", [1.0] * n)
-    prod = ProductSpec(factors=(fspec,),
-                       base=SingularSpectrum.from_values(base))
+    prod = product_from_params(params)
+    params.setdefault("n", prod.n)
+    params.setdefault("base", prod.base_values.tolist())
+    return params, prod
+
+
+def _cmd_sample(args, cfg) -> int:
+    params, prod = _product(cfg)
     rng = np.random.default_rng(args.seed)
     spectra = product_spectra_batch(prod, args.samples, rng)
-    header = [f"a_{j + 1}" for j in range(n)]
+    header = [f"a_{j + 1}" for j in range(prod.n)]
     _write_table(args.out, "spectra", header, spectra, args.format,
                  {"command": "sample", "params": params,
                   "seed": args.seed, "samples": args.samples})
@@ -70,13 +73,9 @@ def _grid(params: dict, default_hi: float):
 
 
 def _cmd_jpdf(args, cfg) -> int:
-    params = cfg.get("params", {})
-    n = int(params.get("n", 1))
-    params.setdefault("n", n)
-    factor, _ = _factor_from_params(params)
-    density, support = _pooled_marginal(params.get("base", [1.0] * n), factor)
-    hi = support[1] if np.isfinite(support[1]) else 10.0
-    grid = _grid(params, hi)
+    params, prod = _product(cfg)
+    density, support = _pooled_marginal(prod)
+    grid = _grid(params, support[1] if np.isfinite(support[1]) else 10.0)
     rows = np.column_stack([grid, density(grid)])
     _write_table(args.out, "jpdf", ["y", "density"], rows, args.format,
                  {"command": "jpdf", "params": params})
@@ -85,13 +84,9 @@ def _cmd_jpdf(args, cfg) -> int:
 
 def _cmd_kernel(args, cfg) -> int:
     from .kernels import biorth_fixed
-    params = cfg.get("params", {})
-    n = int(params.get("n", 2))
-    params.setdefault("n", n)
-    factor, _ = _factor_from_params(params)
-    base = params.get("base", [1.0, 2.0])
-    system = biorth_fixed(base, factor)
-    grid = _grid(params, factor.tail * max(base))
+    params, prod = _product(cfg)
+    system = biorth_fixed(prod.base_values, prod.weight)
+    grid = _grid(params, prod.weight.tail * prod.base_values[-1])
     rows = np.column_stack([grid, system.diagonal(grid)])
     _write_table(args.out, "kernel", ["y", "K"], rows, args.format,
                  {"command": "kernel", "params": params,

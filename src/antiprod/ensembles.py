@@ -166,9 +166,8 @@ def fixed_base_weights(atilde, factor: WeightFunction) -> tuple:
             return ac ** (complex(s) - 1.0) * factor.mellin(s)
 
         lo, hi = factor.support
-        weights.append(WeightFunction(
-            density=density, mellin=mellin,
-            support=(lo * ac, hi * ac), label=f"fixed[{ac:g}]"))
+        weights.append(WeightFunction(density=density, mellin=mellin,
+                                      support=(lo * ac, hi * ac)))
     return tuple(weights)
 
 
@@ -196,9 +195,8 @@ def muttalib_borodin_weights(nu: float, mu: float, n: int) -> tuple:
                           + special.loggamma(expo + 1.0)
                           - special.loggamma(s + pw + expo + 1.0))
 
-        weights.append(WeightFunction(
-            density=density, mellin=mellin, support=(0.0, 1.0),
-            label=f"mb[{b}]"))
+        weights.append(WeightFunction(density=density, mellin=mellin,
+                                      support=(0.0, 1.0)))
     return tuple(weights)
 
 

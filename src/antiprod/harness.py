@@ -25,7 +25,8 @@ from scipy import special
 
 from . import __version__
 from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
-                     build_canonical, haar_orthogonal_batch, spectra_batch)
+                     antisymmetrized, build_canonical, haar_orthogonal_batch,
+                     sandwich, spectra_batch)
 from .mellin import (TAIL_CUT, convolved_weight, ginibre_weight,
                      jacobi_weight, mellin_convolve, mellin_numeric, quad,
                      quad_cumulative)
@@ -39,8 +40,8 @@ from . import spherical as sph
 
 __all__ = [
     "SCHEMA_VERSION", "ExperimentConfig", "Check", "TestReport",
-    "run_spectrum_experiment", "run_corank2_experiment",
-    "run_prop45_check", "prop45_distribution_check",
+    "product_from_params", "run_spectrum_experiment",
+    "run_corank2_experiment", "run_prop45_check", "prop45_distribution_check",
     "run_spherical_suite", "run_kernel_suite", "run_mellin_suite",
     "run_suite", "emit_results",
 ]
@@ -156,19 +157,22 @@ class TestReport:
         self.checks.append(Check(name, value, bound))
 
 
-def _factor_from_params(params: dict):
-    """(WeightFunction, sampler spec) from a config params mapping."""
+def product_from_params(params: dict) -> ProductSpec:
+    """The product of a config params mapping: one `factor` (ginibre with
+    `nu`, or jacobi with `N` and `K1`) around `base`.  n is `n`, else the
+    length of `base`, else 1; base defaults to ones, N to n and K1 to
+    2 (n + N) + 1.  ProductSpec rejects an n that disagrees with the base."""
+    base = params.get("base")
+    n = int(params.get("n", 1 if base is None else len(base)))
     kind = params.get("factor", "ginibre")
-    n = int(params["n"])
     if kind == "ginibre":
-        nu = float(params.get("nu", 0.0))
-        return ginibre_weight(nu), GinibreSpec(n, nu)
-    if kind == "jacobi":
+        factor = GinibreSpec(n, float(params.get("nu", 0.0)))
+    elif kind == "jacobi":
         N = int(params.get("N", n))
-        K1 = int(params.get("K1", 2 * (n + N) + 1))
-        spec = JacobiSpec(n, N, K1)
-        return jacobi_weight(spec.nu, spec.mu, n), spec
-    raise DomainError(f"unknown factor kind {kind!r}")
+        factor = JacobiSpec(n, N, int(params.get("K1", 2 * (n + N) + 1)))
+    else:
+        raise DomainError(f"unknown factor kind {kind!r}")
+    return ProductSpec((factor,), [1.0] * n if base is None else base)
 
 
 def _binned_comparison(samples: np.ndarray, density, support, kinks=()):
@@ -233,15 +237,15 @@ def _binned_comparison(samples: np.ndarray, density, support, kinks=()):
     return rows, ks, chi2, pval, norm
 
 
-def _pooled_marginal(atilde, factor):
-    """Density of one pooled spectrum entry of the fixed-base product, the
-    kernel diagonal K_n(y, y) / n, and its support."""
-    system = biorth_fixed(atilde, factor)
+def _pooled_marginal(prod: ProductSpec):
+    """Density of one pooled spectrum entry of the product, the kernel
+    diagonal K_n(y, y) / n of its base and weight, and its support."""
+    system = biorth_fixed(prod.base_values, prod.weight)
 
     def density(y):
         return system.diagonal(y) / system.n
 
-    return density, (0.0, factor.support[1] * max(atilde))
+    return density, (0.0, prod.weight.support[1] * prod.base_values[-1])
 
 
 def run_spectrum_experiment(config: ExperimentConfig) -> TestReport:
@@ -249,23 +253,19 @@ def run_spectrum_experiment(config: ExperimentConfig) -> TestReport:
     kernel diagonal K_n(y, y) / n of the fixed-base product ensemble."""
     t0 = time.perf_counter()
     p = config.params
-    n = int(p["n"])
-    factor, fspec = _factor_from_params(p)
-    atilde = p.get("base", [1.0] * n)
-    density, support = _pooled_marginal(atilde, factor)
+    prod = product_from_params(p)
+    density, support = _pooled_marginal(prod)
     rng = np.random.default_rng(config.seed)
-    prod = ProductSpec(factors=(fspec,),
-                       base=SingularSpectrum.from_values(atilde))
     samples = product_spectra_batch(prod, config.nsamples, rng).ravel()
     rows, ks, chi2, pval, _ = _binned_comparison(samples, density, support)
     lo, hi = support
     norm = float(quad(density, max(lo, 1e-12),
                       hi if np.isfinite(hi) else TAIL_CUT)[0])
     return TestReport(
-        name=f"spectrum-{p.get('factor', 'ginibre')}-n{n}",
+        name=f"spectrum-{p.get('factor', 'ginibre')}-n{prod.n}",
         statistics={"ks": ks, "chi2": chi2, "chi2_pvalue": pval,
                     "norm": norm},
-        checks=[Check("ks", ks, KS_N1_TOL if n == 1 else KS_TOL),
+        checks=[Check("ks", ks, KS_N1_TOL if prod.n == 1 else KS_TOL),
                 Check("norm_err", abs(norm - 1.0), NORM_TOL)],
         rows=rows,
         nsamples=config.nsamples, config=config.resolved(),
@@ -283,8 +283,7 @@ def run_corank2_experiment(config: ExperimentConfig) -> TestReport:
     vals = []
     haar = partial(haar_orthogonal_batch, 2 * n)
     for (k,) in _haar_blocks((haar,), config.nsamples, rng):
-        y = k @ x @ np.swapaxes(k, 1, 2)
-        y = (y - np.swapaxes(y, 1, 2)) / 2.0
+        y = antisymmetrized(sandwich(k, x))
         vals.append(spectra_batch(y[:, :-2, :-2]))
     samples = np.concatenate(vals).ravel()
 
@@ -354,8 +353,8 @@ def prop45_distribution_check(nsamples: int = 100_000,
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    prod = ProductSpec(factors=(JacobiSpec(1, 1, 5),),
-                       base=SingularSpectrum.from_values([1.0]))
+    prod = product_from_params({"factor": "jacobi", "n": 1, "N": 1, "K1": 5,
+                                "base": [1.0]})
     a = product_spectra_batch(prod, nsamples, rng).ravel()
     conv = convolved_weight(jacobi_weight(-0.25, -0.75, 1),
                             jacobi_weight(0.0, -0.75, 1), y_lo=1e-10)

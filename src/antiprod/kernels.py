@@ -152,7 +152,7 @@ def chi_poly(factor: WeightFunction, z, n: int):
     return val if np.ndim(val) else complex(val)
 
 
-def _combo_weight(coeffs: np.ndarray, weights: tuple, label: str) -> WeightFunction:
+def _combo_weight(coeffs: np.ndarray, weights: tuple) -> WeightFunction:
     """Linear combination of weights as one WeightFunction with exact Mellin."""
     active = [(float(c), w) for c, w in zip(coeffs, weights) if c != 0.0]
     lo = min(w.support[0] for _, w in active)
@@ -168,8 +168,7 @@ def _combo_weight(coeffs: np.ndarray, weights: tuple, label: str) -> WeightFunct
     def mellin(s):
         return sum(c * w.mellin(s) for c, w in active)
 
-    return WeightFunction(density=density, mellin=mellin,
-                          support=(lo, hi), label=label)
+    return WeightFunction(density=density, mellin=mellin, support=(lo, hi))
 
 
 def gram_biorth(base: PolynomialEnsembleSpec) -> BiorthSystem:
@@ -191,8 +190,7 @@ def gram_biorth(base: PolynomialEnsembleSpec) -> BiorthSystem:
         e[j] = 1.0
         D[j, : j + 1] = np.linalg.solve(sub, e)
     C = np.linalg.inv(D @ B).T
-    qtilde = tuple(
-        _combo_weight(C[j], base.weights, label=f"q[{j}]") for j in range(n))
+    qtilde = tuple(_combo_weight(C[j], base.weights) for j in range(n))
     sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde)
     off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
     return replace(sys, gram_offdiag=off)

@@ -81,8 +81,7 @@ class AntisymmetricMatrix:
     @classmethod
     def from_raw(cls, m) -> "AntisymmetricMatrix":
         """Antisymmetrize (m - m^T)/2 to scrub floating-point asymmetry."""
-        m = np.asarray(m, dtype=float)
-        return cls((m - m.T) / 2.0)
+        return cls(antisymmetrized(np.asarray(m, dtype=float)))
 
     @property
     def dim(self) -> int:
@@ -91,6 +90,16 @@ class AntisymmetricMatrix:
     @property
     def n(self) -> int:
         return self.dim // 2
+
+
+def sandwich(k, m):
+    """k m k^T for each matrix k of a stack, leading axes broadcast."""
+    return k @ m @ np.swapaxes(k, -1, -2)
+
+
+def antisymmetrized(y):
+    """(y - y^T) / 2 for each matrix of a stack: scrubs rounding asymmetry."""
+    return (y - np.swapaxes(y, -1, -2)) / 2.0
 
 
 def sorted_spectra(a, n=None) -> np.ndarray:

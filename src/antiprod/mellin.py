@@ -10,8 +10,8 @@ closed forms downstream possible.
 
 A factor enters a product only through A and M A, so A is the same kind of
 object as the base weights w_c and the convolved weights A (*) w_c: each is
-one WeightFunction, a density on the half line with its Mellin handle, its
-support and a label.  convolved_weight(f, h) is that weight for f (*) h,
+one WeightFunction, a density on the half line with its Mellin handle and
+its support.  convolved_weight(f, h) is that weight for f (*) h,
 so the factors of a product X_2 X_1 fold into the one factor A_2 (*) A_1,
 which every fixed-base formula takes unchanged.  The catalogued A also
 carry closed-form derivatives, which the degenerate-limit densities need;
@@ -86,9 +86,6 @@ class WeightFunction:
         s -> M w(s), exact where a closed form exists, otherwise quadrature
         of the density.
     support : (lo, hi)
-    label : str
-        Name used in ensemble labels; the catalogue sets "ginibre" or
-        "jacobi".
     deriv : callable, optional
         (a, k) -> w^(k)(a) for k >= 1, where closed forms exist.
     """
@@ -96,7 +93,6 @@ class WeightFunction:
     density: Callable
     mellin: Callable
     support: tuple
-    label: str = "w"
     deriv: Callable = None
 
     def __call__(self, a):
@@ -114,8 +110,7 @@ class WeightFunction:
         if k == 0:
             return self.density(a)
         if self.deriv is None:
-            raise DomainError(
-                f"{self.label} weight has no closed-form derivatives")
+            raise DomainError("weight has no closed-form derivatives")
         return self.deriv(a, k)
 
     def neg_xdx_pow(self, a, m: int):
@@ -217,7 +212,7 @@ def ginibre_weight(nu: float) -> WeightFunction:
         return out
 
     return WeightFunction(density=density, mellin=mellin,
-                          support=(0.0, np.inf), label="ginibre", deriv=deriv)
+                          support=(0.0, np.inf), deriv=deriv)
 
 
 def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
@@ -272,7 +267,7 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
         return out
 
     return WeightFunction(density=density, mellin=mellin,
-                          support=(0.0, 1.0), label="jacobi", deriv=deriv)
+                          support=(0.0, 1.0), deriv=deriv)
 
 
 def _gl_panels(f, a, b):
@@ -389,8 +384,8 @@ def mellin_convolve(f: WeightFunction, h: WeightFunction, y):
 
 def convolved_weight(f: WeightFunction, h: WeightFunction,
                      y_lo: float = 1e-7) -> WeightFunction:
-    """f (*) h as one weight, with exact Mellin M f(s) M h(s), the product
-    of the supports and the label "f(*)h".
+    """f (*) h as one weight, with exact Mellin M f(s) M h(s) and the
+    product of the supports.
 
     The density is mellin_convolve tabulated on the first call, on a
     geometric grid of CONV_PER_DECADE points per decade from y_lo to
@@ -439,5 +434,4 @@ def convolved_weight(f: WeightFunction, h: WeightFunction,
     def mellin(s):
         return f.mellin(s) * h.mellin(s)
 
-    return WeightFunction(density=density, mellin=mellin, support=support,
-                          label=f"{f.label}(*){h.label}")
+    return WeightFunction(density=density, mellin=mellin, support=support)

@@ -8,7 +8,8 @@ have the same law: writing (M^T M)^(1/2) = Q C with Q orthogonal, R Q is
 Haar and independent of C, since R is Haar and independent of M.  M is
 never drawn: C is a Bartlett factor for the Ginibre factor and, for the
 Jacobi factor, the matrix-variate Beta triangle T_1 R^(-1) of two Bartlett
-factors, so a triangle costs O(n^3) per sample whatever K1 is.  Products
+factors, so a triangle costs O(n^3) per sample whatever K1 is.  Each
+factor spec draws its own triangle and carries its weight A.  Products
 are built as iterated sandwiches X_M ... X_1 A X_1^T ... X_M^T around a
 canonical antisymmetric base and exactly re-antisymmetrized to scrub
 floating-point drift.
@@ -25,11 +26,15 @@ rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .linalg import (DomainError, SingularSpectrum, build_canonical,
-                     haar_orthogonal_batch, spectra_batch)
+from .linalg import (DomainError, SingularSpectrum, antisymmetrized,
+                     build_canonical, haar_orthogonal_batch, sandwich,
+                     spectra_batch)
+from .mellin import (WeightFunction, convolved_weight, ginibre_weight,
+                     jacobi_weight)
 
 __all__ = [
     "GinibreSpec", "JacobiSpec", "ProductSpec",
@@ -58,6 +63,19 @@ class GinibreSpec:
     def samplable(self) -> bool:
         return self.nu >= 0 and float(self.nu).is_integer()
 
+    @cached_property
+    def weight(self) -> WeightFunction:
+        return ginibre_weight(self.nu)
+
+    def triangle(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Bartlett factors C of 2(n + nu) x 2n standard Gaussians M, shape
+        (size, 2n, 2n), so that C^T C is Wishart like M^T M."""
+        if not self.samplable:
+            raise DomainError(
+                f"nu = {self.nu} is an analytic-only parameter; direct "
+                "sampling needs a nonnegative integer")
+        return _bartlett(2 * self.n, 2 * (self.n + int(self.nu)), size, rng)
+
 
 @dataclass(frozen=True)
 class JacobiSpec:
@@ -84,10 +102,36 @@ class JacobiSpec:
     def mu(self) -> float:
         return (self.K1 - 2 * self.n - 2 * self.N - 1) / 2.0
 
+    @cached_property
+    def weight(self) -> WeightFunction:
+        return jacobi_weight(self.nu, self.mu, self.n)
+
+    def triangle(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Upper triangular C, shape (size, 2n, 2n), with C^T C equal in law
+        to M^T M for M the leading 2N x 2n sub-block of a Haar O(K1) matrix.
+
+        M^T M is matrix-variate Beta: with independent Bartlett factors T_1
+        of 2N and T_2 of K1 - 2N degrees of freedom and R the upper Cholesky
+        factor of T_1^T T_1 + T_2^T T_2, it has the law of
+        R^(-T) T_1^T T_1 R^(-1) (Muirhead 1982, Thm 3.3.1), so
+        C = T_1 R^(-1).  The cost does not grow with K1.
+        """
+        k = 2 * self.n
+        t1 = _bartlett(k, 2 * self.N, size, rng)
+        t2 = _bartlett(k, self.K1 - 2 * self.N, size, rng)
+        r = np.linalg.cholesky(t1.transpose(0, 2, 1) @ t1
+                               + t2.transpose(0, 2, 1) @ t2).transpose(0, 2, 1)
+        # C R = T_1, solved column by column; only the upper triangle is set
+        c = np.zeros_like(t1)
+        for j in range(k):
+            c[:, : j + 1, j] = (t1[:, : j + 1, j] - np.einsum(
+                "sik,sk->si", c[:, : j + 1, :j], r[:, :j, j])) / r[:, j, j, None]
+        return c
+
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """Ordered factor list around a fixed antisymmetric base spectrum.
+    """Factors X_1, ..., X_M, innermost first, around a fixed base spectrum.
 
     base None means the canonical identity spectrum a = (1, ..., 1); an
     empty factor list makes the product the base matrix itself.  The block
@@ -116,6 +160,15 @@ class ProductSpec:
             return np.ones(self.n)
         return self.base.values
 
+    @cached_property
+    def weight(self) -> WeightFunction:
+        """A_M (*) ... (*) A_1, folded as convolved_weight(A_2, A_1); one
+        factor's product has that factor's weight object itself."""
+        if not self.factors:
+            raise DomainError("a product without factors has no weight")
+        return reduce(lambda inner, f: convolved_weight(f.weight, inner),
+                      self.factors[1:], self.factors[0].weight)
+
 
 def _bartlett(k: int, dof: int, size: int,
               rng: np.random.Generator) -> np.ndarray:
@@ -131,52 +184,9 @@ def _bartlett(k: int, dof: int, size: int,
     return c
 
 
-def _ginibre_triangle(spec: GinibreSpec, size: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Bartlett factors C of 2(n + nu) x 2n standard Gaussians M, shape
-    (size, 2n, 2n), so that C^T C is Wishart like M^T M."""
-    if not spec.samplable:
-        raise DomainError(
-            f"nu = {spec.nu} is an analytic-only parameter; direct sampling "
-            "needs a nonnegative integer")
-    return _bartlett(2 * spec.n, 2 * (spec.n + int(spec.nu)), size, rng)
-
-
-def _jacobi_triangle(spec: JacobiSpec, size: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Upper triangular C, shape (size, 2n, 2n), with C^T C equal in law to
-    M^T M for M the leading 2N x 2n sub-block of a Haar O(K1) matrix.
-
-    M^T M is matrix-variate Beta: with independent Bartlett factors T_1 of
-    2N and T_2 of K1 - 2N degrees of freedom and R the upper Cholesky
-    factor of T_1^T T_1 + T_2^T T_2, it has the law of
-    R^(-T) T_1^T T_1 R^(-1) (Muirhead 1982, Thm 3.3.1), so C = T_1 R^(-1).
-    The cost does not grow with K1.
-    """
-    k = 2 * spec.n
-    t1 = _bartlett(k, 2 * spec.N, size, rng)
-    t2 = _bartlett(k, spec.K1 - 2 * spec.N, size, rng)
-    r = np.linalg.cholesky(t1.transpose(0, 2, 1) @ t1
-                           + t2.transpose(0, 2, 1) @ t2).transpose(0, 2, 1)
-    # C R = T_1, solved column by column; only the upper triangle is nonzero
-    c = np.zeros_like(t1)
-    for j in range(k):
-        c[:, : j + 1, j] = (t1[:, : j + 1, j] - np.einsum(
-            "sik,sk->si", c[:, : j + 1, :j], r[:, :j, j])) / r[:, j, j, None]
-    return c
-
-
-def _triangle_batch(factor, size: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(factor, GinibreSpec):
-        return _ginibre_triangle(factor, size, rng)
-    if isinstance(factor, JacobiSpec):
-        return _jacobi_triangle(factor, size, rng)
-    raise DomainError(f"unknown factor spec {type(factor).__name__}")
-
-
 def _factor_batch(factor, size: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of factors g = R C: the triangle C is drawn first, then R."""
-    c = _triangle_batch(factor, size, rng)
+    c = factor.triangle(size, rng)
     return haar_orthogonal_batch(2 * factor.n, size, rng) @ c
 
 
@@ -196,7 +206,7 @@ def sample_induced_jacobi_batch(spec: JacobiSpec, size: int,
 
     M is the leading 2N x 2n sub-block of a Haar O(K1) matrix.  It is not
     drawn: g = R C with C^T C equal in law to M^T M (see
-    :func:`_jacobi_triangle`) and R Haar O(2n).  All singular values of g
+    :meth:`JacobiSpec.triangle`) and R Haar O(2n).  All singular values of g
     lie in [0, 1].
     """
     return _factor_batch(spec, size, rng)
@@ -214,14 +224,9 @@ def _product_core(spec: ProductSpec, size: int,
         (size, 2 * spec.n, 2 * spec.n))
     for i, factor in enumerate(spec.factors):
         r = haar_orthogonal_batch(2 * spec.n, size, rng) if i else None
-        c = _triangle_batch(factor, size, rng)
-        g = c if r is None else c @ r
-        y = g @ y @ g.transpose(0, 2, 1)
+        c = factor.triangle(size, rng)
+        y = sandwich(c if r is None else c @ r, y)
     return y
-
-
-def _antisymmetrized(y: np.ndarray) -> np.ndarray:
-    return (y - y.transpose(0, 2, 1)) / 2.0
 
 
 def build_product_batch(spec: ProductSpec, size: int,
@@ -235,9 +240,8 @@ def build_product_batch(spec: ProductSpec, size: int,
     """
     y = _product_core(spec, size, rng)
     if spec.factors:
-        r = haar_orthogonal_batch(2 * spec.n, size, rng)
-        y = r @ y @ r.transpose(0, 2, 1)
-    return _antisymmetrized(y)
+        y = sandwich(haar_orthogonal_batch(2 * spec.n, size, rng), y)
+    return antisymmetrized(y)
 
 
 def product_spectra_batch(spec: ProductSpec, size: int,
@@ -251,5 +255,5 @@ def product_spectra_batch(spec: ProductSpec, size: int,
     :func:`build_product_batch`, at a fixed seed both use the same random
     numbers and their spectra agree to rounding.
     """
-    return spectra_batch(_antisymmetrized(_product_core(spec, size, rng)))
+    return spectra_batch(antisymmetrized(_product_core(spec, size, rng)))
 

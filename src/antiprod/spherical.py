@@ -45,9 +45,10 @@ import numpy as np
 from scipy import special
 
 from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
-                     build_canonical, coincident, confluent_alternant,
-                     derivative_terms, det, haar_orthogonal_batch,
-                     sorted_spectra, spectra_batch, vandermonde)
+                     antisymmetrized, build_canonical, coincident,
+                     confluent_alternant, derivative_terms, det,
+                     haar_orthogonal_batch, sandwich, sorted_spectra,
+                     spectra_batch, vandermonde)
 from .mellin import quad
 
 __all__ = [
@@ -224,11 +225,6 @@ def zscore(x, ref, se) -> float:
     return 0.0 if diff <= 1e-12 * abs(ref) else np.inf
 
 
-def _sandwich(k, m):
-    """k m k^T for each matrix k of a stack."""
-    return k @ m @ np.swapaxes(k, 1, 2)
-
-
 def _frame_draw(s: SphericalParameter):
     """Draw callable of `_haar_moments`: stacks of standard Gaussian
     2n x p matrices, p = 2 max{j < n : e_j != 0} (0 when only the full
@@ -284,7 +280,8 @@ def _frame_minor_power(g, m, exponents):
     """
     gt = np.ascontiguousarray(np.swapaxes(g, -1, -2))
     num, den = gt @ m @ g, gt @ g
-    logf = exponents[-1] * _log_minor(det(m), m)
+    e_full = exponents[-1]    # an unweighted det m is not computed
+    logf = e_full * (_log_minor(det(m), m) if e_full else 0.0)
     for j, e in enumerate(exponents[:-1][:g.shape[-1] // 2], start=1):
         if e != 0:
             gram = den[..., :2 * j, :2 * j]
@@ -361,8 +358,7 @@ def factorization_check_phi(s, g, a, nsamples: int, rng):
     x = build_canonical(a).entries
 
     def lhs_block(k):
-        y = ge @ _sandwich(k, x) @ ge.T
-        y = (y - np.swapaxes(y, 1, 2)) / 2.0
+        y = antisymmetrized(ge @ sandwich(k, x) @ ge.T)
         return phi_closed(s, spectra_batch(y))[None]
 
     haar = partial(haar_orthogonal_batch, x.shape[0])
@@ -382,15 +378,21 @@ def factorization_check_psi(s, g, gprime, nsamples: int, rng):
 
     The left side is a double Haar average (one k from the identity, one
     from Psi itself), estimated per sample with a Haar draw k and a
-    Gaussian frame for Psi.  Returns (lhs, rhs, zscore)."""
+    Gaussian frame for Psi.  The full minor det m = det(g)^2 det(g' g'^T)
+    is the same for every k, so its factor is computed once and the
+    frames weigh only the proper minors.  Returns (lhs, rhs, zscore)."""
     s = _as_param(s)
     ge = np.asarray(g, dtype=float)
     gpe = np.asarray(gprime, dtype=float)
     inner = gpe @ gpe.T
+    e = s.exponents
+    full = np.exp(e[-1] * _log_minor(det(ge) ** 2 * det(inner),
+                                     ge @ inner @ ge.T))
+    proper = np.append(e[:-1], 0.0)
 
     def lhs_block(k, f):
-        return _frame_minor_power(f, ge @ _sandwich(k, inner) @ ge.T,
-                                  s.exponents)[None]
+        return full * _frame_minor_power(
+            f, ge @ sandwich(k, inner) @ ge.T, proper)[None]
 
     haar = partial(haar_orthogonal_batch, ge.shape[0])
     mean, cov, N = _haar_moments((haar, _frame_draw(s)), nsamples, rng,
@@ -527,7 +529,7 @@ def harish_chandra_o2n_mc(x, y, nsamples: int, rng):
     Y = build_canonical(y).entries
 
     def block(k):
-        return np.exp(np.einsum("ij,sji->s", X, _sandwich(k, Y)) / 2.0)[None]
+        return np.exp(np.einsum("ij,sji->s", X, sandwich(k, Y)) / 2.0)[None]
 
     haar = partial(haar_orthogonal_batch, X.shape[0])
     mean, cov, N = _haar_moments((haar,), nsamples, rng, block)

@@ -11,13 +11,12 @@ from scipy import stats
 from antiprod import harness
 from antiprod.harness import (SCHEMA_VERSION, Check, ExperimentConfig,
                               TestReport, _binned_comparison,
-                              _factor_from_params, _pooled_marginal,
-                              emit_results, prop45_distribution_check,
+                              _pooled_marginal, emit_results,
+                              prop45_distribution_check, product_from_params,
                               run_corank2_experiment, run_prop45_check,
                               run_spectrum_experiment, run_suite)
 from antiprod.linalg import DomainError
-from antiprod.mellin import convolved_weight, ginibre_weight
-from antiprod.samplers import ProductSpec, product_spectra_batch
+from antiprod.samplers import GinibreSpec, ProductSpec, product_spectra_batch
 
 import antiprod
 
@@ -115,22 +114,22 @@ def test_spectrum_experiment_n3(tmp_path):
     ({"factor": "jacobi", "N": 2, "K1": 9}, [0.5, 0.9])],
     ids=["ginibre-n1", "ginibre-n2", "jacobi-n2"])
 def test_two_factor_spectra_match_the_convolved_weight(inner, base):
-    # X_2 X_1 A X_1^T X_2^T with an outer Ginibre X_2 against the one
-    # factor A_2 (*) A_1 at the spectrum experiments' ks_tol; the twin
-    # moves the outer factor to nu + 1/4 and must fail
+    # X_2 X_1 A X_1^T X_2^T with an outer Ginibre X_2 against the product's
+    # one weight A_2 (*) A_1 at the spectrum experiments' ks_tol; the twin
+    # moves the outer factor to nu = 1/4 and must fail
     n = len(base)
-    a1, s1 = _factor_from_params(dict(inner, n=n))
-    a2, s2 = _factor_from_params({"factor": "ginibre", "n": n, "nu": 0.0})
+    s1 = product_from_params(dict(inner, base=base)).factors[0]
+    s2 = GinibreSpec(n, 0.0)
     samples = product_spectra_batch(ProductSpec((s1, s2), base), 40_000,
                                     np.random.default_rng(3)).ravel()
     ks_tol = harness.KS_N1_TOL if n == 1 else harness.KS_TOL
 
     def ks(outer):
-        density, support = _pooled_marginal(base, convolved_weight(outer, a1))
+        density, support = _pooled_marginal(ProductSpec((s1, outer), base))
         return _binned_comparison(samples, density, support)[1]
 
-    assert ks(a2) < ks_tol
-    assert ks(ginibre_weight(s2.nu + 0.25)) > ks_tol
+    assert ks(s2) < ks_tol
+    assert ks(GinibreSpec(n, 0.25)) > ks_tol
 
 
 def test_corank2_experiment_quick():
@@ -329,6 +328,55 @@ def test_cli_jpdf_n3(tmp_path):
     assert rows.shape == (200, 2)
     assert np.all(np.isfinite(rows))
     assert np.all(rows[:, 1] >= 0.0)
+
+
+@pytest.mark.parametrize("command", ["jpdf", "kernel"])
+@pytest.mark.parametrize("base", [[0.5, 0.9], [0.3, 0.6, 0.9]],
+                         ids=["n2", "n3"])
+def test_cli_n_defaults_to_the_base_length(tmp_path, command, base):
+    # a Jacobi config without n writes the table of n = len(base)
+    from antiprod.cli import main
+    tables = []
+    for k, n_line in enumerate(["", f"  n: {len(base)}\n"]):
+        cfg = tmp_path / f"cfg{k}.yaml"
+        cfg.write_text("schema: antiprod/1\nparams:\n  factor: jacobi\n"
+                       f"{n_line}  base: {base}\n")
+        out = tmp_path / f"out{k}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append((out / f"{command}.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("command", ["sample", "jpdf", "kernel"])
+def test_cli_n_disagreeing_with_the_base_exits_two(tmp_path, capsys,
+                                                   command):
+    from antiprod.cli import main
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema: antiprod/1\nparams:\n  factor: jacobi\n  n: 1\n"
+                   "  base: [0.5, 0.9]\n")
+    assert main([command, "--config", str(cfg), "--samples", "10", "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "inconsistent block counts [1, 2]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "jpdf", "kernel"])
+@pytest.mark.parametrize("params, resolved", [
+    (None, (1, [1.0])), ("  base: [1.0, 2.0]\n", (2, [1.0, 2.0]))],
+    ids=["no-config", "base-only"])
+def test_cli_meta_records_the_resolved_n_and_base(tmp_path, command, params,
+                                                  resolved):
+    # without a config every command reads n = 1 and the base (1,); kernel
+    # keeps no defaults of its own
+    from antiprod.cli import main
+    argv = [command, "--samples", "10", "--out", str(tmp_path / "out")]
+    if params is not None:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("schema: antiprod/1\nparams:\n" + params)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    name = "spectra" if command == "sample" else command
+    meta = json.loads((tmp_path / "out" / f"{name}.meta.json").read_text())
+    assert (meta["params"]["n"], meta["params"]["base"]) == resolved
 
 
 def test_cli_table_rejects_non_finite_rows(tmp_path):

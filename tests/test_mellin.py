@@ -83,7 +83,7 @@ def test_convolved_density_matches_quadrature():
     conv = convolved_weight(f, h)
     for y in (0.1, 0.7, 2.0, 5.0):
         assert conv(y) == pytest.approx(mellin_convolve(f, h, y), rel=1e-6)
-    assert (conv.support, conv.label) == ((0.0, np.inf), "ginibre(*)jacobi")
+    assert conv.support == (0.0, np.inf)
     assert conv.mellin(3.0) == f.mellin(3.0) * h.mellin(3.0)
 
 
@@ -176,8 +176,7 @@ def test_density_deriv_finite_at_tiny_argument(w):
 def test_replace_density_keeps_weight_fields():
     for w in (ginibre_weight(0.5), jacobi_weight(0.0, 0.5, 2)):
         r = dataclasses.replace(w, density=lambda a: 2.0 * w.density(a))
-        assert (r.mellin, r.deriv, r.support, r.label) \
-            == (w.mellin, w.deriv, w.support, w.label)
+        assert (r.mellin, r.deriv, r.support) == (w.mellin, w.deriv, w.support)
         assert r(0.3) == 2.0 * w(0.3)
         assert r.density_deriv(0.3, 2) == w.density_deriv(0.3, 2)
 

@@ -4,8 +4,9 @@ from scipy import stats
 
 from antiprod.linalg import (DomainError, SingularSpectrum,
                              haar_orthogonal_batch, spectra_batch)
+from antiprod.mellin import ginibre_weight, jacobi_weight
 from antiprod.samplers import (GinibreSpec, JacobiSpec, ProductSpec,
-                               _factor_batch, _jacobi_triangle,
+                               _factor_batch,
                                build_product_batch,
                                product_spectra_batch,
                                sample_induced_ginibre_batch,
@@ -77,6 +78,27 @@ def test_product_spec_inference():
         ProductSpec(factors=(GinibreSpec(2, 0.0),), base=[1.0])
     with pytest.raises(DomainError):
         ProductSpec()
+
+
+def test_product_weight_folds_its_factors_weights():
+    # one factor: the product's weight is its factor's, with the catalogue's
+    # density and Mellin values bitwise; two: the fold A_2 (*) A_1, whose
+    # Mellin transform is the product of the factors'
+    y = np.array([0.0, 1e-3, 0.3, 0.99, 2.0, 7.5])
+    s = np.array([1.0, 2.5 + 0.5j, 4.0])
+    for spec, catalogued in ((GinibreSpec(2, 1.0), ginibre_weight(1.0)),
+                             (JacobiSpec(2, 3, 12), jacobi_weight(1.0, 0.5, 2))):
+        w = ProductSpec((spec,)).weight
+        assert w is spec.weight
+        assert np.array_equal(w.density(y), catalogued.density(y))
+        assert np.array_equal(w.mellin(s), catalogued.mellin(s))
+    inner, outer = JacobiSpec(2, 2, 9), GinibreSpec(2, 0.0)
+    w = ProductSpec((inner, outer)).weight
+    assert w.support == (0.0, np.inf)
+    assert np.array_equal(w.mellin(s),
+                          outer.weight.mellin(s) * inner.weight.mellin(s))
+    with pytest.raises(DomainError):
+        ProductSpec(base=[1.0]).weight
 
 
 def test_empty_product_is_base():
@@ -166,7 +188,7 @@ def test_ginibre_det_mean_is_bartlett(spec):
 def test_jacobi_det_mean_is_beta(spec):
     # M^T M is matrix-variate Beta, E det(M^T M) = prod_{i < 2n} (2N - i) / (K1 - i)
     size = 40_000
-    c = _jacobi_triangle(spec, size, np.random.default_rng(16))
+    c = spec.triangle(size, np.random.default_rng(16))
     d = np.linalg.det(np.swapaxes(c, 1, 2) @ c)
     i = np.arange(2 * spec.n)
     expect = np.prod((2 * spec.N - i) / (spec.K1 - i))
@@ -178,7 +200,7 @@ def test_jacobi_det_mean_is_beta(spec):
                                   JacobiSpec(2, 3, 10), JacobiSpec(2, 2, 41)],
                          ids=str)
 def test_jacobi_triangle_is_an_upper_contraction(spec):
-    c = _jacobi_triangle(spec, 5000, np.random.default_rng(17))
+    c = spec.triangle(5000, np.random.default_rng(17))
     assert np.array_equal(c, np.triu(c))
     assert np.max(np.linalg.svd(c, compute_uv=False)) <= 1.0 + 1e-12
 

@@ -148,6 +148,7 @@ def test_monte_carlo_minors_need_no_lapack_per_draw(monkeypatch):
     psi_montecarlo((4.0, 0.0), g, 500, rng)
     harish_chandra_o2n_mc((0.5, 1.0), (0.8, 1.6), 500, rng)
     factorization_check_phi((4.0, 0.0), g, (1.0, 2.0), 500, rng)
+    factorization_check_psi((4.0, 0.0), g, g[::-1], 500, rng)
     assert sizes and max(sizes) <= 2
 
 
@@ -336,21 +337,18 @@ def test_spherical_transform_on_sampled_products(kind, n):
     # at s' + 0.1 on the samples only and must fail.  Phi is heavy-tailed:
     # over seeds 0-19 the Ginibre^2 twin at n = 3 reads z = 1.8-8.5, too
     # weak to gate, while every other twin reads z >= 7.8
-    from antiprod.mellin import ginibre_weight, jacobi_weight
     from antiprod.samplers import (GinibreSpec, JacobiSpec, ProductSpec,
                                    product_spectra_batch)
     from antiprod.spherical import spherical_transform_factor
     sp, base = TRANSFORM_POINTS[n]
-    ginibre = (GinibreSpec(n, 0.0), ginibre_weight(0.0))
-    factors = {"ginibre": [ginibre], "ginibre2": [ginibre, ginibre],
-               "jacobi": [(JacobiSpec(n, n, 4 * n + 1),
-                           jacobi_weight(0.0, 0.0, n))]}[kind]
+    ginibre = GinibreSpec(n, 0.0)
+    factors = {"ginibre": (ginibre,), "ginibre2": (ginibre, ginibre),
+               "jacobi": (JacobiSpec(n, n, 4 * n + 1),)}[kind]
+    prod = ProductSpec(factors, base)
     nsamples = 100_000
-    a = product_spectra_batch(ProductSpec(tuple(f for f, _ in factors), base),
-                              nsamples, np.random.default_rng(0))
+    a = product_spectra_batch(prod, nsamples, np.random.default_rng(0))
     s = tuple(x + 2 * n - 1 for x in sp)
-    rhs = np.prod([spherical_transform_factor(w, s) for _, w in factors]) \
-        * phi_closed(sp, base)
+    rhs = spherical_transform_factor(prod.weight, s) * phi_closed(sp, base)
 
     def z(shift):
         phi = phi_closed(tuple(x + shift for x in sp), a).real
