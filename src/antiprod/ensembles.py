@@ -163,11 +163,12 @@ def fixed_base_weights(atilde, factor: WeightFunction) -> tuple:
             return factor.density(np.asarray(a) / ac) / ac
 
         def mellin(s, ac=ac):
-            return ac ** (complex(s) - 1.0) * factor.mellin(s)
+            return ac ** (np.asarray(s, complex) - 1.0) * factor.mellin(s)
 
         lo, hi = factor.support
         weights.append(WeightFunction(density=density, mellin=mellin,
-                                      support=(lo * ac, hi * ac)))
+                                      support=(lo * ac, hi * ac),
+                                      edge=factor.edge))
     return tuple(weights)
 
 
@@ -190,13 +191,13 @@ def muttalib_borodin_weights(nu: float, mu: float, n: int) -> tuple:
             return out if out.ndim else float(out)
 
         def mellin(s, pw=pw):
-            s = complex(s)
+            s = np.asarray(s, dtype=complex)
             return np.exp(special.loggamma(s + pw)
                           + special.loggamma(expo + 1.0)
                           - special.loggamma(s + pw + expo + 1.0))
 
         weights.append(WeightFunction(density=density, mellin=mellin,
-                                      support=(0.0, 1.0)))
+                                      support=(0.0, 1.0), edge=-pw))
     return tuple(weights)
 
 

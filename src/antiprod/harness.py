@@ -357,7 +357,7 @@ def prop45_distribution_check(nsamples: int = 100_000,
                                 "base": [1.0]})
     a = product_spectra_batch(prod, nsamples, rng).ravel()
     conv = convolved_weight(jacobi_weight(-0.25, -0.75, 1),
-                            jacobi_weight(0.0, -0.75, 1), y_lo=1e-10)
+                            jacobi_weight(0.0, -0.75, 1))
     rows, ks, chi2, pval, norm = _binned_comparison(
         a, lambda y: 2.0 * y * conv(y * y), (0.0, 1.0))
     return TestReport(

@@ -168,7 +168,8 @@ def _combo_weight(coeffs: np.ndarray, weights: tuple) -> WeightFunction:
     def mellin(s):
         return sum(c * w.mellin(s) for c, w in active)
 
-    return WeightFunction(density=density, mellin=mellin, support=(lo, hi))
+    return WeightFunction(density=density, mellin=mellin, support=(lo, hi),
+                          edge=max(w.edge for _, w in active))
 
 
 def gram_biorth(base: PolynomialEnsembleSpec) -> BiorthSystem:

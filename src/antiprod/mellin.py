@@ -10,12 +10,15 @@ closed forms downstream possible.
 
 A factor enters a product only through A and M A, so A is the same kind of
 object as the base weights w_c and the convolved weights A (*) w_c: each is
-one WeightFunction, a density on the half line with its Mellin handle and
-its support.  convolved_weight(f, h) is that weight for f (*) h,
-so the factors of a product X_2 X_1 fold into the one factor A_2 (*) A_1,
-which every fixed-base formula takes unchanged.  The catalogued A also
-carry closed-form derivatives, which the degenerate-limit densities need;
-a weight without them raises DomainError when a derivative is asked for.
+one WeightFunction, a density on the half line with its Mellin handle, its
+support and the left edge of its Mellin strip.  convolved_weight(f, h) is
+that weight for f (*) h, with handle M f M h and a density tabulated once
+in log y by one FFT of that handle (by mellin_convolve on a bounded
+support), so the factors of a product X_2 X_1 fold into the one factor
+A_2 (*) A_1, which every fixed-base formula takes unchanged.  The
+catalogued A also carry closed-form derivatives, which the degenerate-limit
+densities need; a weight without them raises DomainError when a derivative
+is asked for.
 
 Numeric integrals of the package go through quad: Gauss-Legendre panels
 evaluated on whole arrays of nodes, an error estimate from a lower-order
@@ -56,8 +59,9 @@ GL_PANELS = 8
 QUAD_RTOL = 1e-10
 #: Panels per interval beyond which a quadrature stops bisecting.
 QUAD_LIMIT = 400
-#: Grid points per decade of a tabulated convolved density.
-CONV_PER_DECADE = 512
+#: Points and step in Im s of the fold table's FFT on the line Re s = c;
+#: its step in log y is 2 pi / (FOLD_N FOLD_DT).
+FOLD_N, FOLD_DT = 4096, 0.05
 
 _HIGH, _LOW = (np.polynomial.legendre.leggauss(k) for k in (GL_ORDER, GL_LOW))
 _GL_NODES = np.concatenate([_HIGH[0], _LOW[0]])
@@ -86,6 +90,8 @@ class WeightFunction:
         s -> M w(s), exact where a closed form exists, otherwise quadrature
         of the density.
     support : (lo, hi)
+    edge : float
+        Left end of the Mellin strip, Re s > edge: w(a) ~ a^(-edge) at 0.
     deriv : callable, optional
         (a, k) -> w^(k)(a) for k >= 1, where closed forms exist.
     """
@@ -93,6 +99,7 @@ class WeightFunction:
     density: Callable
     mellin: Callable
     support: tuple
+    edge: float
     deriv: Callable = None
 
     def __call__(self, a):
@@ -212,7 +219,7 @@ def ginibre_weight(nu: float) -> WeightFunction:
         return out
 
     return WeightFunction(density=density, mellin=mellin,
-                          support=(0.0, np.inf), deriv=deriv)
+                          support=(0.0, np.inf), edge=-two_nu, deriv=deriv)
 
 
 def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
@@ -267,7 +274,7 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
         return out
 
     return WeightFunction(density=density, mellin=mellin,
-                          support=(0.0, 1.0), deriv=deriv)
+                          support=(0.0, 1.0), edge=-two_nu, deriv=deriv)
 
 
 def _gl_panels(f, a, b):
@@ -382,56 +389,55 @@ def mellin_convolve(f: WeightFunction, h: WeightFunction, y):
     return float(val) if val.ndim == 0 else val
 
 
-def convolved_weight(f: WeightFunction, h: WeightFunction,
-                     y_lo: float = 1e-7) -> WeightFunction:
-    """f (*) h as one weight, with exact Mellin M f(s) M h(s) and the
-    product of the supports.
-
-    The density is mellin_convolve tabulated on the first call, on a
-    geometric grid of CONV_PER_DECADE points per decade from y_lo to
-    f.tail h.tail, and interpolated by a cubic spline in log y.  Below the
-    grid it follows the power law through the first grid points; outside
-    the support it is 0.  It takes real arguments only: the double-contour
-    kernel, which continues a density to complex ones, raises DomainError.
+def convolved_weight(f: WeightFunction, h: WeightFunction) -> WeightFunction:
+    """f (*) h as one weight: exact Mellin M f M h, the product of the
+    supports, the larger strip edge, and a density read from one table on
+    u_0 + j du, u = log y, du = 2 pi / (FOLD_N FOLD_DT), by the 8-point
+    Lagrange rule, one-sided at the table's ends.  An unbounded support
+    makes the table one FFT, f(e^u) e^(cu) = (1/2 pi) int M(c + it) e^(-itu)
+    dt by the trapezoid rule at t = k FOLD_DT on Re s = c = edge + 1/2, kept
+    where it stands above its rounding and wrapped tail; a bounded one ends
+    it there, FOLD_N / 2 steps of mellin_convolve.  The density is 0 outside
+    the support and above the table; below it, at complex arguments (the
+    double-contour kernel) and on a non-finite FFT it raises DomainError.
     """
-    y_hi = f.tail * h.tail
     support = (f.support[0] * h.support[0], f.support[1] * h.support[1])
-
-    @cache
-    def table():
-        from scipy.interpolate import CubicSpline
-        ndec = np.log10(y_hi / y_lo)
-        ny = int(np.ceil(ndec * CONV_PER_DECADE)) + 1
-        logy = np.linspace(np.log(y_lo), np.log(y_hi), ny)
-        vals = np.maximum(mellin_convolve(f, h, np.exp(logy)), 0.0)
-        # power-law continuation below the grid
-        i0 = np.argmax(vals > 0)
-        i1 = i0 + 8
-        law = None
-        if vals[i0] > 0 and i1 < ny and vals[i1] > 0:
-            slope = (np.log(vals[i1]) - np.log(vals[i0])) \
-                / (logy[i1] - logy[i0])
-            law = (slope, logy[i0], vals[i0])
-        return logy[0], logy[-1], CubicSpline(logy, vals), law
-
-    def density(y):
-        if np.iscomplexobj(y):
-            raise DomainError("a convolved density has no analytic "
-                              "continuation to complex arguments")
-        first, last, spline, law = table()
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        inside = (y > 0) & (y < support[1])
-        logy = np.where(y > 0, np.log(np.maximum(y, 1e-300)), 0.0)
-        on_grid = inside & (logy >= first) & (logy <= last)
-        out[on_grid] = np.maximum(spline(logy[on_grid]), 0.0)
-        below = inside & (logy < first)
-        if np.any(below) and law is not None:
-            slope, l0, v0 = law
-            out[below] = v0 * np.exp(slope * (logy[below] - l0))
-        return out if out.ndim else float(out)
+    edge, du = max(f.edge, h.edge), 2.0 * np.pi / (FOLD_N * FOLD_DT)
 
     def mellin(s):
         return f.mellin(s) * h.mellin(s)
 
-    return WeightFunction(density=density, mellin=mellin, support=support)
+    @cache
+    def table():
+        if np.isfinite(support[1]):
+            u = np.log(support[1]) + du * np.arange(-FOLD_N // 2, 1)
+            return u[0], mellin_convolve(f, h, np.exp(u))
+        c, u = edge + 0.5, du * np.arange(-FOLD_N // 2, FOLD_N // 2)
+        t = FOLD_DT * np.arange(FOLD_N // 2 + 1)
+        m = mellin(c + 1j * t) * FOLD_DT / (2 * np.pi)
+        g = np.fft.fftshift(np.fft.hfft(m, FOLD_N))
+        # the left tail decays as e^((c - edge) u) and wraps onto the top
+        j = np.flatnonzero(np.abs(g) > abs(g[0]) * np.exp((u - u[-1]) / 2)
+                           + FOLD_N * np.finfo(float).eps * np.abs(m).sum())
+        if not np.isfinite(g).all():
+            raise DomainError("the Mellin product is not finite on Re s = c")
+        return u[j[0]], (g * np.exp(-c * u))[j[0]:j[-1] + 1]
+
+    def density(y):
+        if np.iscomplexobj(y):
+            raise DomainError("a convolved density takes real arguments only")
+        u0, vals = table()
+        y = np.asarray(y, dtype=float)
+        x = (np.log(np.where(y > 0, y, np.inf)) - u0) / du
+        if np.any(x < 0):
+            raise DomainError("argument below the convolved density's table")
+        on = (x <= vals.size - 1) & (y < support[1])
+        x = np.where(on, x, 0.0)
+        i = np.clip(np.floor(x).astype(int) - 3, 0, vals.size - 8)
+        out = np.where(on, sum(vals[i + m] * np.prod(
+            [(x - i - k) / (m - k) for k in range(8) if k != m], axis=0)
+            for m in range(8)), 0.0)
+        return out if out.ndim else float(out)
+
+    return WeightFunction(density=density, mellin=mellin, support=support,
+                          edge=edge)

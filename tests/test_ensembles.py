@@ -125,6 +125,23 @@ def test_muttalib_borodin_weights_mellin():
         assert abs(num - wc.mellin(2.0)) / abs(wc.mellin(2.0)) < 1e-8
 
 
+def test_weights_state_their_strip_edge_and_take_arrays_of_s():
+    # each constructor states the left edge of its Mellin strip (a fold and
+    # a combination take the largest of their parts'), and every Mellin
+    # handle evaluates an array of s as it does each point
+    from antiprod.kernels import _combo_weight
+    mb = muttalib_borodin_weights(0.25, 0.5, 3)
+    fixed = fixed_base_weights([1.0, 2.0], jacobi_weight(0.5, 0.0, 2))
+    combo = _combo_weight(np.array([1.0, 0.0, 2.0]), mb)
+    fold = convolved_weight(ginibre_weight(0.5), fixed[1])
+    assert [w.edge for w in mb] == [-0.5, -1.5, -2.5]
+    assert [w.edge for w in fixed] == [-1.0, -1.0]
+    assert (combo.edge, fold.edge) == (-0.5, -1.0)
+    s = np.array([1.0, 2.5 + 0.5j, 4.0])
+    for w in (*mb, *fixed, combo, fold):
+        np.testing.assert_array_equal(w.mellin(s), [w.mellin(x) for x in s])
+
+
 def test_convolved_factor_mellin_is_product():
     base = PolynomialEnsembleSpec(1, fixed_base_weights([1.0], GW))
     spec = convolve_ensemble(base, convolved_weight(GW, GW))

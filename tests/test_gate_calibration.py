@@ -38,6 +38,7 @@ def test_calibration_table_runs_on_two_seeds():
         assert gates[(name, "ks")][0] == ks_gate
         assert gates[(name, "norm_err")] == ("< 1e-06", "2/2")
         assert gates[(name, "norm")] == ("-", "-")
+    assert gates[("prop45-distribution-n1", "ks")][0] == "< 0.01"
 
 
 def test_calibration_reads_the_gates_of_the_harness(monkeypatch):

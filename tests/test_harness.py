@@ -27,10 +27,15 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 def test_import_loads_only_scipy_special():
     # a fresh interpreter: the CLI's cold start pays for no scipy subpackage
-    # beyond special (convolved_weight imports interpolate when called)
+    # beyond special, and neither does a fold, unbounded (Ginibre^2, by FFT)
+    # or bounded (the prop45 pair, by quadrature)
     heavy = ["scipy.stats", "scipy.integrate", "scipy.interpolate",
              "scipy.optimize"]
     code = ("import sys, json, antiprod, antiprod.cli; "
+            "from antiprod.mellin import (convolved_weight as c, "
+            "ginibre_weight as g, jacobi_weight as j); "
+            "c(g(0.0), g(0.0))(0.5); "
+            "c(j(-0.25, -0.75, 1), j(0.0, -0.75, 1))(0.5); "
             f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
                          check=True, capture_output=True, text=True).stdout

@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -10,6 +11,7 @@ from antiprod.linalg import DomainError
 from antiprod.mellin import (QuadratureError, convolved_weight,
                              ginibre_weight, jacobi_weight, mellin_convolve,
                              mellin_numeric, quad)
+from antiprod.samplers import GinibreSpec, JacobiSpec, ProductSpec
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
@@ -98,6 +100,106 @@ def test_two_ginibre_convolution_is_meijer_g():
     np.testing.assert_allclose(convolved_weight(g, g)(y), exact, rtol=1e-9)
 
 
+def _fold_meijer_g(factors, y):
+    """Density of the fold of catalogued weights, given as (nu, beta) with
+    beta = 2 (mu + n) for a Jacobi factor and None for a Ginibre one, at
+    30 digits: the Meijer G-function whose Mellin transform is
+    prod Gamma(s + 2 nu) / prod_Jacobi Gamma(s + 2 nu + beta + 1), times
+    the normalizations of the factors."""
+    with mpmath.workdps(30):
+        a, b, c = [], [], mpmath.mpf(1)
+        for nu, beta in factors:
+            b.append(2 * nu)
+            if beta is None:
+                c /= mpmath.gamma(1 + 2 * nu)
+            else:
+                a.append(2 * nu + beta + 1)
+                c *= mpmath.gamma(beta + 1) / mpmath.beta(1 + 2 * nu, beta + 1)
+        return np.array([float(c * mpmath.meijerg([[], a], [b, []], yi))
+                         for yi in y])
+
+
+@pytest.mark.parametrize("weight, factors", [
+    (lambda: convolved_weight(ginibre_weight(0.0), ginibre_weight(0.0)),
+     [(0.0, None)] * 2),
+    (lambda: ProductSpec((GinibreSpec(1),) * 3).weight, [(0.0, None)] * 3),
+    (lambda: convolved_weight(ginibre_weight(0.5), ginibre_weight(1.0)),
+     [(0.5, None), (1.0, None)]),
+    (lambda: convolved_weight(jacobi_weight(0.0, 0.0, 2), ginibre_weight(0.5)),
+     [(0.0, 4.0), (0.5, None)]),
+    (lambda: ProductSpec((JacobiSpec(2, 2, 9), GinibreSpec(2),
+                          GinibreSpec(2))).weight,
+     [(0.0, 4.0), (0.0, None), (0.0, None)])],
+    ids=["ginibre2", "ginibre3", "ginibre-half-one", "jacobi-ginibre-half",
+         "jacobi-ginibre2"])
+def test_fft_fold_matches_meijer_g(weight, factors):
+    # relative 1e-9 where the density is above 1e-8 of its largest value on
+    # the points, absolute 1e-10 of that value elsewhere; y = 1e-12 lies
+    # far below the grid of a tabulated quadrature
+    y = np.logspace(-12, np.log10(20.0), 60)
+    exact = _fold_meijer_g(factors, y)
+    err, top = np.abs(weight()(y) - exact), np.max(np.abs(exact))
+    big = np.abs(exact) > 1e-8 * top
+    assert np.all(err[big] <= 1e-9 * np.abs(exact[big]))
+    assert np.all(err[~big] <= 1e-10 * top)
+
+
+@pytest.mark.parametrize("f, h, factors", [
+    (jacobi_weight(-0.25, -0.75, 1), jacobi_weight(0.0, -0.75, 1),
+     [(-0.25, 0.5), (0.0, 0.5)]),
+    (jacobi_weight(0.0, 0.0, 2), jacobi_weight(0.0, 0.5, 2),
+     [(0.0, 4.0), (0.0, 5.0)])], ids=["prop45", "jacobi-jacobi"])
+def test_bounded_fold_matches_meijer_g(f, h, factors):
+    # from twenty decades below the support end to 1e-6 short of it
+    y = np.concatenate([np.logspace(-20, -0.3, 50),
+                        1.0 - np.logspace(-1, -6, 10)])
+    exact = _fold_meijer_g(factors, y)
+    err = np.abs(convolved_weight(f, h)(y) - exact)
+    assert np.all(err <= 1e-9 * np.abs(exact) + 1e-11)
+
+
+@pytest.mark.parametrize("nu1, nu2", [(0.5, 1.0), (1.0, 1.0)])
+def test_fft_fold_reads_no_rounding_where_its_density_vanishes(nu1, nu2):
+    # a strip edge below 0 puts c = edge + 1/2 below 0, and e^(-cu) blows
+    # the FFT's rounding up at large y: the table stops where the FFT
+    # resolves the density, and reads 0 above
+    y = np.logspace(0, 27, 200)
+    exact = 2.0 * y ** (nu1 + nu2) * special.kv(
+        2 * (nu1 - nu2), 2.0 * np.sqrt(y)) / special.gamma(1 + 2 * nu1) \
+        / special.gamma(1 + 2 * nu2)
+    got = convolved_weight(ginibre_weight(nu1), ginibre_weight(nu2))(y)
+    assert np.max(np.abs(got - exact)) <= 1e-8 * np.max(exact)
+
+
+@pytest.mark.parametrize("g", [ginibre_weight(0.5), jacobi_weight(0.0, 0.0, 1)],
+                         ids=["fft", "quadrature"])
+def test_fold_of_a_signed_weight_keeps_its_sign(g):
+    # nothing clamps a fold: a negated weight folds to the negated density
+    h = jacobi_weight(0.0, 0.5, 1)
+    neg = dataclasses.replace(h, density=lambda a: -h.density(a),
+                              mellin=lambda s: -h.mellin(s))
+    y = np.logspace(-8, np.log10(0.9), 40)
+    want = -convolved_weight(g, h)(y)
+    assert np.all(want < 0)
+    np.testing.assert_array_equal(convolved_weight(g, neg)(y), want)
+
+
+def test_fold_raises_where_its_table_has_no_value():
+    # inside the support but below the table there is no value to read, nor
+    # anywhere when the Mellin product is not finite; outside the support
+    # the density is 0
+    g = ginibre_weight(0.0)
+    w = convolved_weight(g, g)
+    with pytest.raises(DomainError):
+        w(1e-30)
+    with pytest.raises(DomainError):
+        w(np.array([1e-30, 0.5]))
+    assert w(np.array([0.0, -1.0, np.inf])).tolist() == [0.0, 0.0, 0.0]
+    bad = dataclasses.replace(g, mellin=lambda s: np.full(np.shape(s), np.nan))
+    with pytest.raises(DomainError):
+        convolved_weight(g, bad)(0.5)
+
+
 def test_quadrature_raises_on_nan_integrand():
     with pytest.raises(QuadratureError) as info:
         quad(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
@@ -176,7 +278,8 @@ def test_density_deriv_finite_at_tiny_argument(w):
 def test_replace_density_keeps_weight_fields():
     for w in (ginibre_weight(0.5), jacobi_weight(0.0, 0.5, 2)):
         r = dataclasses.replace(w, density=lambda a: 2.0 * w.density(a))
-        assert (r.mellin, r.deriv, r.support) == (w.mellin, w.deriv, w.support)
+        assert (r.mellin, r.deriv, r.support, r.edge) \
+            == (w.mellin, w.deriv, w.support, w.edge)
         assert r(0.3) == 2.0 * w(0.3)
         assert r.density_deriv(0.3, 2) == w.density_deriv(0.3, 2)
 

@@ -3,17 +3,17 @@
     PYTHONPATH=src python3 tools/gate_calibration.py --seeds 20
 
 Runs ``run_suite(suite)`` for each suite of ``SUITES`` (the spherical
-suite, the corank-2 projection and the three spectrum reports) at seeds
-0, ..., K - 1 with the CLI default of 100 000 samples, and prints one
-markdown table: per report and statistic, the share of seeds at which the
-statistic passes its gate, and its quartiles over the seeds.  Each gate is
-the bound and comparison of the report's own check of that statistic (a
-``harness.Check``); a statistic without a check of its own shows ``-``,
-and a check of a derived value (such as ``norm_err``, |norm - 1|) has a
-row of its own.  A report's ``passed`` row is the share of seeds at which
-the whole report passes.  The package imported is the one on
-``PYTHONPATH``, so pointing it at another tree's ``src`` calibrates that
-tree.
+suite, the corank-2 projection, the three spectrum reports and the prop45
+reports with their sampled distribution) at seeds 0, ..., K - 1 with the
+CLI default of 100 000 samples, and prints one markdown table: per report
+and statistic, the share of seeds at which the statistic passes its gate,
+and its quartiles over the seeds.  Each gate is the bound and comparison
+of the report's own check of that statistic (a ``harness.Check``); a
+statistic without a check of its own shows ``-``, and a check of a derived
+value (such as ``norm_err``, |norm - 1|) has a row of its own.  A report's
+``passed`` row is the share of seeds at which the whole report passes.
+The package imported is the one on ``PYTHONPATH``, so pointing it at
+another tree's ``src`` calibrates that tree.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from antiprod.harness import run_suite
 
-SUITES = ("spherical", "corank2", "spectrum")
+SUITES = ("spherical", "corank2", "spectrum", "prop45")
 
 
 def calibrate(seeds, nsamples: int = 100_000) -> dict:
