@@ -17,14 +17,13 @@ import json
 import time
 from itertools import product
 from dataclasses import dataclass, field, asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy import special
 
 from . import __version__
-from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
+from .linalg import (MC_BLOCK, DomainError, SingularSpectrum, _mc_stack,
                      antisymmetrized, build_canonical, haar_orthogonal_batch,
                      sandwich, spectra_batch)
 from .mellin import (TAIL_CUT, convolved_weight, ginibre_weight,
@@ -280,12 +279,12 @@ def run_corank2_experiment(config: ExperimentConfig) -> TestReport:
     n = a.n
     rng = np.random.default_rng(config.seed)
     x = build_canonical(a).entries
-    vals = []
-    haar = partial(haar_orthogonal_batch, 2 * n)
-    for (k,) in _haar_blocks((haar,), config.nsamples, rng):
-        y = antisymmetrized(sandwich(k, x))
-        vals.append(spectra_batch(y[:, :-2, :-2]))
-    samples = np.concatenate(vals).ravel()
+
+    def projected(block, rng):
+        k = haar_orthogonal_batch(2 * n, block, rng)
+        return spectra_batch(antisymmetrized(sandwich(k, x))[:, :-2, :-2])
+
+    samples = _mc_stack(projected, config.nsamples, (n - 1,), rng).ravel()
 
     def density(v):
         return corank2_jpdf(np.asarray(v)[..., None], a)
@@ -534,7 +533,9 @@ def _write_rows(out_dir, name: str, header: list, rows, fmt: str) -> Path:
     """Write rows as name.csv (%.17g values) or name.jsonl (one sorted-key
     object per row); refuses a table with a NaN or inf value unwritten.
 
-    Each format has one line template applied to the whole table at once.
+    Each format has one line template, applied to MC_BLOCK rows at a time
+    and written into one open file, so the text in memory stays bounded
+    and the bytes are those of the template applied to the whole table.
     The jsonlines template spells each value with %r, which is the
     float.__repr__ spelling of json, so the bytes are those of
     json.dumps(row, sort_keys=True).
@@ -548,18 +549,22 @@ def _write_rows(out_dir, name: str, header: list, rows, fmt: str) -> Path:
         raise DomainError(f"non-finite values in the {name} table")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    order = list(range(len(header)))
     if fmt == "csv":
         path = out / f"{name}.csv"
         head = ",".join(header) + "\n"
         line = ",".join(["%.17g"] * len(header)) + "\n"
     else:
         path = out / f"{name}.jsonl"
-        order = sorted(range(len(header)), key=header.__getitem__)
-        values = values[:, order]
+        order.sort(key=header.__getitem__)
         head = ""
         line = "{" + ", ".join(f"{json.dumps(header[j])}: %r"
                                for j in order) + "}\n"
-    path.write_text(head + (line * len(values)) % tuple(values.ravel().tolist()))
+    with path.open("w") as f:
+        f.write(head)
+        for lo in range(0, len(values), MC_BLOCK):
+            block = values[lo:lo + MC_BLOCK, order]
+            f.write((line * len(block)) % tuple(block.ravel().tolist()))
     return path
 
 

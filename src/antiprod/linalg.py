@@ -284,11 +284,6 @@ _QUAT_SIGNS = np.array([[[1, -1, -1, -1], [1, 1, -1, 1],
                         [[1, -1, -1, -1], [1, 1, 1, -1],
                          [1, -1, 1, 1], [1, 1, -1, 1]]], dtype=float)
 
-#: Draws per chunk of the products L(p) R(q) at m = 4; bounds the
-#: (chunk, 2, 4, 4) stack of the two factors to 512 KB.
-_O4_CHUNK = 2048
-
-
 def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `size` Haar O(m) matrices, shape (size, m, m).
 
@@ -297,8 +292,8 @@ def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.nda
     on SO(4) (Mebius 2005, "A matrix-based proof of the quaternion
     representation theorem for four-dimensional rotations").  p and q are
     normalized standard Gaussian 4-vectors, drawn as one (size, 2, 4) array,
-    and the matrix is L(p) R(q) of the left and right multiplications,
-    formed in chunks of _O4_CHUNK draws: no QR.  At every other m, QR
+    and the matrix is L(p) R(q) of the left and right multiplications, one
+    stacked product: no QR.  At every other m, QR
     factorization of standard Gaussian m x m matrices with the R-diagonal
     fixed positive.  Either is followed by a uniform +/-1 reflection of the
     first column so that both components of O(m) are hit with probability
@@ -309,11 +304,9 @@ def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.nda
     if m == 4:
         g = rng.standard_normal((size, 2, 4))
         g /= np.sqrt(np.einsum("sij,sij->si", g, g))[..., None]
-        q = np.empty((size, 4, 4))
-        for lo in range(0, size, _O4_CHUNK):
-            lr = np.take(g[lo:lo + _O4_CHUNK], _QUAT_INDEX, axis=-1)
-            lr *= _QUAT_SIGNS
-            np.matmul(lr[:, 0], lr[:, 1], out=q[lo:lo + _O4_CHUNK])
+        lr = np.take(g, _QUAT_INDEX, axis=-1)
+        lr *= _QUAT_SIGNS
+        q = lr[:, 0] @ lr[:, 1]
     else:
         q, r = np.linalg.qr(rng.standard_normal((size, m, m)))
         d = np.sign(np.einsum("sii->si", r))
@@ -324,18 +317,34 @@ def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.nda
     return q
 
 
-#: Haar matrices per block of the Monte Carlo loops; bounds their memory.
-_HAAR_BLOCK = 100_000
+#: Samples per block of every Monte Carlo stream (`_mc_blocks`).  At
+#: 4 096 a (block, 8, 8) stack is 2 MB, so each block's temporaries stay
+#: small enough to be reused between blocks rather than mapped and faulted
+#: in anew, and memory does not grow with the sample count.
+MC_BLOCK = 4096
 
 
-def _haar_blocks(draws, nsamples: int, rng: np.random.Generator):
-    """Yield, for each block of min(_HAAR_BLOCK, remaining) samples until
-    nsamples are drawn, the tuple of draw(block, rng) over the callables of
-    `draws`, called in order; `partial(haar_orthogonal_batch, m)` draws
-    Haar O(m) stacks."""
+def _mc_blocks(draws, nsamples: int, rng: np.random.Generator):
+    """For each block of min(MC_BLOCK, remaining) samples until nsamples
+    are drawn, the tuple of draw(block, rng) over the callables of `draws`,
+    called in order; `partial(haar_orthogonal_batch, m)` draws Haar O(m)
+    stacks.  The product samplers and every Monte Carlo estimator of the
+    package draw through here, so a result depends on its seed, its
+    sample count and MC_BLOCK only.
+    DomainError at once if nsamples < 1."""
     if nsamples < 1:
-        raise DomainError("nsamples must be >= 1")
-    for done in range(0, nsamples, _HAAR_BLOCK):
-        block = min(_HAAR_BLOCK, nsamples - done)
-        yield tuple(draw(block, rng) for draw in draws)
+        raise DomainError(f"nsamples must be >= 1, got {nsamples}")
+    return (tuple(draw(min(MC_BLOCK, nsamples - lo), rng) for draw in draws)
+            for lo in range(0, nsamples, MC_BLOCK))
 
+
+def _mc_stack(draw, nsamples: int, shape, rng: np.random.Generator):
+    """The draw(block, rng) of each block of `_mc_blocks`, stacked into one
+    preallocated array of shape (nsamples, *shape)."""
+    blocks = _mc_blocks((draw,), nsamples, rng)
+    out = np.empty((nsamples, *shape))
+    lo = 0
+    for (x,) in blocks:
+        out[lo:lo + len(x)] = x
+        lo += len(x)
+    return out

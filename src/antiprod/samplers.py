@@ -17,22 +17,25 @@ floating-point drift.
 The singular spectrum is invariant under orthogonal conjugation, so the
 outermost rotation R_M of a product cannot change it:
 :func:`product_spectra_batch` skips it, while every inner rotation changes
-the law and stays.  Each factor draws C before R, and R_M is drawn last, so
-at a fixed seed :func:`product_spectra_batch` and the spectra of
-:func:`build_product_batch` use the same random numbers and agree to
-rounding.
+the law and stays.  Each factor draws C before R.  Both functions draw
+the product up to R_M block by block through the one Monte Carlo stream of
+`linalg` (`MC_BLOCK` samples a block), and :func:`build_product_batch`
+draws every R_M after that, so at a fixed seed :func:`product_spectra_batch`
+and the spectra of :func:`build_product_batch` use the same random numbers
+and agree to rounding.  A stack depends on the seed, its size and
+MC_BLOCK only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
-from .linalg import (DomainError, SingularSpectrum, antisymmetrized,
-                     build_canonical, haar_orthogonal_batch, sandwich,
-                     spectra_batch)
+from .linalg import (DomainError, SingularSpectrum, _mc_stack,
+                     antisymmetrized, build_canonical, haar_orthogonal_batch,
+                     sandwich, spectra_batch)
 from .mellin import (WeightFunction, convolved_weight, ginibre_weight,
                      jacobi_weight)
 
@@ -217,8 +220,6 @@ def _product_core(spec: ProductSpec, size: int,
     """The product up to its outermost rotation,
     C_M R_(M-1) C_(M-1) ... R_1 C_1 A C_1^T R_1^T ... C_M^T, shape
     (size, 2n, 2n), with the draws in the order C_1, R_1, ..., C_M."""
-    if size < 1:
-        raise DomainError(f"sample count must be >= 1, got {size}")
     y = np.broadcast_to(
         build_canonical(SingularSpectrum.from_values(spec.base_values)).entries,
         (size, 2 * spec.n, 2 * spec.n))
@@ -229,19 +230,30 @@ def _product_core(spec: ProductSpec, size: int,
     return y
 
 
+def _check_size(size: int):
+    if size < 1:
+        raise DomainError(f"sample count must be >= 1, got {size}")
+
+
 def build_product_batch(spec: ProductSpec, size: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Stack of product matrices X_M ... X_1 A X_1^T ... X_M^T, shape
     (size, 2n, 2n), exactly antisymmetrized.
 
-    The outermost rotation R_M is drawn last, after every triangle; its
-    conjugation leaves the singular spectrum unchanged, so at a fixed seed
-    the spectra agree to rounding with :func:`product_spectra_batch`.
+    The products up to R_M are drawn block by block through the Monte Carlo
+    stream (`linalg.MC_BLOCK` samples a block), exactly as
+    :func:`product_spectra_batch` draws them, and the outermost rotations
+    R_M are drawn after all of them.  Their conjugation leaves the singular
+    spectrum unchanged, so at a fixed seed the spectra agree to rounding
+    with :func:`product_spectra_batch`.
     """
-    y = _product_core(spec, size, rng)
+    _check_size(size)
+    k = 2 * spec.n
+    y = _mc_stack(partial(_product_core, spec), size, (k, k), rng)
     if spec.factors:
-        y = sandwich(haar_orthogonal_batch(2 * spec.n, size, rng), y)
-    return antisymmetrized(y)
+        r = _mc_stack(partial(haar_orthogonal_batch, k), size, (k, k), rng)
+        y = antisymmetrized(sandwich(r, y))
+    return y
 
 
 def product_spectra_batch(spec: ProductSpec, size: int,
@@ -249,11 +261,18 @@ def product_spectra_batch(spec: ProductSpec, size: int,
     """Singular spectra of a stack of products X_M ... X_1 A X_1^T ... X_M^T,
     shape (size, n), ascending per row.
 
-    The spectrum is invariant under orthogonal conjugation, so the
-    outermost Haar rotation R_M is neither drawn nor applied; every inner
-    rotation changes the law and stays.  Since R_M is the last draw of
-    :func:`build_product_batch`, at a fixed seed both use the same random
-    numbers and their spectra agree to rounding.
+    The products are drawn and reduced to spectra block by block through
+    the Monte Carlo stream (`linalg.MC_BLOCK` samples a block), and the
+    spectra fill one preallocated array, so memory beyond the output does
+    not grow with size.  The spectrum is invariant under orthogonal
+    conjugation, so the outermost Haar rotation R_M is neither drawn nor
+    applied; every inner rotation changes the law and stays.  Since
+    :func:`build_product_batch` draws every R_M after the rest, at a fixed
+    seed both use the same random numbers and their spectra agree to
+    rounding.
     """
-    return spectra_batch(antisymmetrized(_product_core(spec, size, rng)))
-
+    _check_size(size)
+    return _mc_stack(
+        lambda block, rng: spectra_batch(
+            antisymmetrized(_product_core(spec, block, rng))),
+        size, (spec.n,), rng)

@@ -44,7 +44,7 @@ from math import factorial
 import numpy as np
 from scipy import special
 
-from .linalg import (DomainError, SingularSpectrum, _haar_blocks,
+from .linalg import (DomainError, SingularSpectrum, _mc_blocks,
                      antisymmetrized, build_canonical, coincident,
                      confluent_alternant, derivative_terms, det,
                      haar_orthogonal_batch, sandwich, sorted_spectra,
@@ -299,7 +299,7 @@ def _haar_moments(draws, nsamples, rng, block_fn):
     over the N samples.
     """
     S1 = S2 = N = 0
-    for stacks in _haar_blocks(draws, nsamples, rng):
+    for stacks in _mc_blocks(draws, nsamples, rng):
         F = block_fn(*stacks)
         S1 = S1 + F.sum(axis=1)
         S2 = S2 + F @ F.conj().T

@@ -418,6 +418,24 @@ def test_cli_table_bytes_match_per_value_spelling(tmp_path):
         assert (tmp_path / f"t{k}.jsonl").read_text() == jsonl
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+def test_write_rows_in_blocks_matches_one_template(tmp_path, fmt):
+    # three full blocks of rows and a partial one, against the template
+    # applied to the whole table at once
+    from antiprod.linalg import MC_BLOCK
+    header = ["b", "a", "c"]
+    rows = np.random.default_rng(9).standard_normal((3 * MC_BLOCK + 5, 3))
+    rows[::97] *= 1e-300
+    path = harness._write_rows(tmp_path, "t", header, rows, fmt)
+    if fmt == "csv":
+        head, line, values = "b,a,c\n", "%.17g,%.17g,%.17g\n", rows
+    else:
+        head, line = "", '{"a": %r, "b": %r, "c": %r}\n'
+        values = rows[:, [1, 0, 2]]
+    want = head + (line * len(rows)) % tuple(values.ravel().tolist())
+    assert path.read_bytes() == want.encode()
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--samples", "0"],
     ["sample", "--samples", "-5"],

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
-from antiprod.linalg import (AntisymmetricMatrix, DomainError,
+from antiprod.linalg import (MC_BLOCK, AntisymmetricMatrix, DomainError,
                              SingularSpectrum, build_canonical, det,
                              haar_orthogonal_batch, singular_spectrum,
                              spectra_batch, vandermonde)
-from antiprod.samplers import GinibreSpec, ProductSpec, build_product_batch
+from antiprod.samplers import (GinibreSpec, ProductSpec, build_product_batch,
+                               product_spectra_batch)
+from antiprod.spherical import phi_montecarlo
 
 
 def test_vandermonde_examples():
@@ -311,3 +314,32 @@ def test_haar_o4_law_matches_qr():
     twin = _flip_column_0(_left(_unit_quaternions(100_000, rng)[:, 0]), rng)
     p_twin, z_twin = _o4_law(twin, ref)
     assert p_twin[0] < 1e-10 and z_twin > 20.0
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that tracemalloc (which numpy reports its buffers to)
+    sees during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_PRODUCT = ProductSpec((GinibreSpec(4, 1.0),), [0.5, 1.0, 1.5, 2.0])
+
+
+@pytest.mark.parametrize("run, row_bytes", [
+    (lambda size: product_spectra_batch(_PRODUCT, size,
+                                        np.random.default_rng(3)), 4 * 8),
+    (lambda size: phi_montecarlo((4.0, 0.0), (1.0, 2.0), size,
+                                 np.random.default_rng(3)), 0),
+], ids=["product_spectra", "phi_montecarlo"])
+def test_monte_carlo_memory_does_not_grow_with_samples(run, row_bytes):
+    # every Monte Carlo path draws in blocks of MC_BLOCK, so beyond its
+    # output the peak is the same at 2 and at 8 blocks
+    run(16)
+    small, large = (_traced_peak(lambda: run(k * MC_BLOCK))
+                    - k * MC_BLOCK * row_bytes for k in (2, 8))
+    assert large <= 1.25 * small

@@ -1,20 +1,26 @@
-"""The Haar Monte Carlo estimators against a naive loop, on a partial block.
+"""The Monte Carlo stream against a naive loop, on a partial block.
 
 The block size is patched to 7 and 20 samples are drawn, so every estimator
-runs two full blocks and one partial block.  The reference draws the same
-Haar stacks and Gaussian stacks block by block, then evaluates the
-integrands sample by sample through independent formulas: the minor
-estimators take the Haar matrix k of each Gaussian stack from its own QR
-factorization and the principal minors of k^T m k.
+and both product samplers run two full blocks and one partial block.  The
+reference draws the same Haar stacks, Gaussian stacks and products block by
+block, then evaluates the integrands sample by sample through independent
+formulas: the minor estimators take the Haar matrix k of each Gaussian
+stack from its own QR factorization and the principal minors of k^T m k.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from antiprod import harness, linalg
 from antiprod.ensembles import corank2_jpdf
-from antiprod.linalg import build_canonical, haar_orthogonal_batch
+from antiprod.linalg import (antisymmetrized, build_canonical,
+                             haar_orthogonal_batch, spectra_batch)
 from antiprod.mellin import QuadratureError
+from antiprod.samplers import (GinibreSpec, JacobiSpec, ProductSpec,
+                               _product_core, build_product_batch,
+                               product_spectra_batch)
 from antiprod.spherical import (SphericalParameter, factorization_check_phi,
                                 factorization_check_psi,
                                 harish_chandra_o2n_mc, phi_closed,
@@ -30,7 +36,7 @@ A = (1.0, 2.0)
 
 @pytest.fixture(autouse=True)
 def small_block(monkeypatch):
-    monkeypatch.setattr(linalg, "_HAAR_BLOCK", BLOCK)
+    monkeypatch.setattr(linalg, "MC_BLOCK", BLOCK)
 
 
 def naive_draws(rng, draws):
@@ -172,3 +178,24 @@ def test_corank2_samples_partial_block(monkeypatch):
     # the corank-2 block of a 4 x 4 antisymmetric matrix is [[0, b], [-b, 0]]
     want = np.abs(sandwich(k, x)[:, 0, 1])
     np.testing.assert_allclose(seen[0], want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("nfactors", [1, 2])
+def test_product_samplers_partial_block(n, nfactors):
+    spec = ProductSpec((GinibreSpec(n, 1.0), JacobiSpec(n, n, 4 * n + 1))
+                       [:nfactors], np.linspace(0.5, 2.0, n))
+    a = product_spectra_batch(spec, NS, np.random.default_rng(8))
+    y = build_product_batch(spec, NS, np.random.default_rng(8))
+    # the products up to R_M, block by block, then every R_M
+    rng = np.random.default_rng(8)
+    core = naive_draws(rng, (partial(_product_core, spec),))[0]
+    r = naive_draws(rng, (partial(haar_orthogonal_batch, 2 * n),))[0]
+    want = antisymmetrized(core)
+    np.testing.assert_allclose(a, spectra_batch(want), rtol=1e-12)
+    np.testing.assert_allclose(y, antisymmetrized(linalg.sandwich(r, core)),
+                               rtol=1e-12, atol=1e-12 * np.abs(y).max())
+    # both samplers see the same random numbers: spectra agree to rounding
+    full = spectra_batch(y)
+    scale = np.max(full * full, axis=1, keepdims=True)
+    assert np.max(np.abs(a * a - full * full) / scale) < 1e-10
