@@ -16,17 +16,21 @@ single spectrum; a NaN or inf density raises DomainError.
 LRU memos of at most MEMO entries keep what depends on the base or the
 factor alone: per tuple of base values one record of the sorted values
 divided by the 2^e with max / 2^e in [0.5, 1), their coincidences and
-Delta of their squares; per (weight, n) log prod_j M A(2j - 1) and the
-log normalization of the degenerate-limit density.  The
-densities evaluate on it at spectra divided by 2^e and scale back by a
-power of 2^e: exact, and finite at any scale.
+Delta of their squares; per (weight, n), a weight keyed by all its
+fields and so by its Mellin handle, log prod_j M A(2j - 1) and the two
+normalizations as final floats, 1 / (n! prod_j M A(2j - 1)) of
+jpdf_fixed and 1 / (2^(n(n-1)/2) n! prod_(j<n) j! prod_j M A(2j - 1)) of
+jpdf_degenerate.  After the first call per base and (weight, n), a call
+evaluates neither n! nor a Mellin transform.  The densities evaluate on
+the base record at spectra divided by 2^e and scale back by a power of
+2^e: exact, and finite at any scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial
+from math import factorial, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -89,10 +93,13 @@ class PolynomialEnsembleSpec:
 def _clamped(val, name: str):
     """A density stack clamped at 0, a float for one value; NaN or inf
     raises DomainError naming the density."""
-    if not np.isfinite(val).all():
-        raise DomainError(f"{name}: density is not finite")
-    val = np.maximum(val, 0.0)
-    return val if val.ndim else float(val)
+    if np.ndim(val) == 0:
+        val = float(val)
+        if isfinite(val):
+            return max(0.0, val)    # 0.0 at -0.0, as np.maximum gives
+    elif np.isfinite(val).all():
+        return np.maximum(val, 0.0)
+    raise DomainError(f"{name}: density is not finite")
 
 
 #: Entries kept by each memo of base records and factor norms.
@@ -144,12 +151,21 @@ def _log_mellin_norm(factor: WeightFunction, n: int) -> float:
 
 
 @lru_cache(maxsize=MEMO)
-def _log_degenerate_norm(factor: WeightFunction, n: int) -> float:
-    """log of 1 / (2^(n(n-1)/2) n! prod_(j<n) j! prod_j M A(2j - 1)); the
-    log of prod_(j<n) j! is exactly 0.0 at n <= 2."""
+def _fixed_norm(factor: WeightFunction, n: int) -> float:
+    """1 / (n! prod_j M A(2j - 1)), the constant of jpdf_fixed."""
+    return float(np.exp(-special.gammaln(n + 1)
+                        - _log_mellin_norm(factor, n)))
+
+
+@lru_cache(maxsize=MEMO)
+def _degenerate_norm(factor: WeightFunction, n: int) -> float:
+    """1 / (2^(n(n-1)/2) n! prod_(j<n) j! prod_j M A(2j - 1)), the
+    constant of jpdf_degenerate, through its log; the log of
+    prod_(j<n) j! is exactly 0.0 at n <= 2."""
     superfactorial = np.prod([float(factorial(j)) for j in range(n)])
-    return -(n * (n - 1) / 2.0) * np.log(2.0) - special.gammaln(n + 1) \
-        - _log_mellin_norm(factor, n) - np.log(superfactorial)
+    return float(np.exp(-(n * (n - 1) / 2.0) * np.log(2.0)
+                        - special.gammaln(n + 1) - _log_mellin_norm(factor, n)
+                        - np.log(superfactorial)))
 
 
 def fixed_base_weights(atilde, factor: WeightFunction) -> tuple:
@@ -207,7 +223,7 @@ def _confluent_fixed_det(a: np.ndarray, atv: np.ndarray, same: np.ndarray,
     entries that same flags, for spectra a of shape (..., n).
 
     The nodes are u = t^2; derivatives with respect to u are assembled
-    from closed-form density derivatives through d/du = (1/(2t)) d/dt.
+    from one derivative jet of the density through d/du = (1/(2t)) d/dt.
     """
     a = a[..., :, None]
 
@@ -221,9 +237,10 @@ def _confluent_fixed_det(a: np.ndarray, atv: np.ndarray, same: np.ndarray,
         terms = derivative_terms(lambda p, k: (((p + 2, k), -0.5 * p),
                                                ((p + 3, k + 1), -0.5 * a)),
                                  (1, 0), m)
+        d = factor.derivatives(a / t, m)
         out = 0.0
         for (p, k), c in terms.items():
-            out = out + c * t ** (-p) * factor.density_deriv(a / t, k)
+            out = out + c * t ** (-p) * d[..., k]
         return out / float(factorial(m))
 
     return confluent_alternant(atv * atv, same, taylor)
@@ -246,14 +263,12 @@ def jpdf_fixed(a, atilde, factor: WeightFunction):
     if route == "full":
         lam = float(np.mean(atv))
         val = jpdf_degenerate(a / lam, factor) / lam ** n
+    elif route == "partial":
+        val = _fixed_norm(factor, n) * vandermonde(a * a) \
+            * _confluent_fixed_det(a, atv, same, factor)
     else:
-        logc = -special.gammaln(n + 1) - _log_mellin_norm(factor, n)
-        if route == "partial":
-            val = np.exp(logc) * vandermonde(a * a) \
-                * _confluent_fixed_det(a, atv, same, factor)
-        else:
-            W = factor.density(a[..., :, None] / atv) / atv
-            val = np.exp(logc) * vandermonde(a * a) / vdm * det(W)
+        W = factor.density(a[..., :, None] / atv) / atv
+        val = _fixed_norm(factor, n) * vandermonde(a * a) / vdm * det(W)
     return _clamped(np.ldexp(val, -n * e), "jpdf_fixed")
 
 
@@ -269,15 +284,13 @@ def jpdf_degenerate(a, factor: WeightFunction):
 
     a has shape (..., n), a stack of spectra in any entry order; the result
     has shape a.shape[:-1], and is a float for a single spectrum.  For
-    n >= 2 the factor needs closed-form derivatives; one without them
-    raises DomainError.
+    n >= 2 the columns come from one derivative jet of the factor; a
+    factor without one raises DomainError.
     """
     a = sorted_spectra(a)
     n = a.shape[-1]
-    logc = _log_degenerate_norm(factor, n)
-    W = np.stack([factor.neg_xdx_pow(a, c) for c in range(n)], axis=-1)
-    return _clamped(np.exp(logc) * vandermonde(a * a) * det(W),
-                    "jpdf_degenerate")
+    return _clamped(_degenerate_norm(factor, n) * vandermonde(a * a)
+                    * det(factor.neg_xdx(a, n - 1)), "jpdf_degenerate")
 
 
 def convolve_ensemble(base: PolynomialEnsembleSpec,

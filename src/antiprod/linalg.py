@@ -104,10 +104,11 @@ def antisymmetrized(y):
 
 def sorted_spectra(a, n=None) -> np.ndarray:
     """Spectra a of shape (..., n), each sorted ascending; a SingularSpectrum
-    is one spectrum."""
+    or a scalar is one spectrum."""
     if isinstance(a, SingularSpectrum):
         a = a.values
-    a = np.sort(np.atleast_1d(np.asarray(a, dtype=float)), axis=-1)
+    a = np.asarray(a, dtype=float)
+    a = np.sort(a if a.ndim else a[None], axis=-1)
     if n is not None and a.shape[-1] != n:
         raise DomainError(f"spectra of length {n} expected, "
                           f"got length {a.shape[-1]}")
@@ -126,11 +127,13 @@ def coincident(v) -> np.ndarray:
 
 def vandermonde(v):
     """prod_(k<l) (v_l - v_k) over the last axis of v, in the given order;
-    1 for n = 1, and a scalar for a single vector."""
+    the float 1.0 for n = 1, which broadcasts against any stack, and a
+    scalar for a single vector."""
     v = np.asarray(v)
     out = 1.0
-    for k in range(v.shape[-1]):
-        out = out * (v[..., k + 1:] - v[..., k, None]).prod(axis=-1)
+    for k in range(v.shape[-1] - 1):
+        out = out * np.multiply.reduce(v[..., k + 1:] - v[..., k, None],
+                                       axis=-1)
     return out
 
 

@@ -16,9 +16,11 @@ that weight for f (*) h, with handle M f M h and a density tabulated once
 in log y by one FFT of that handle (by mellin_convolve on a bounded
 support), so the factors of a product X_2 X_1 fold into the one factor
 A_2 (*) A_1, which every fixed-base formula takes unchanged.  The
-catalogued A also carry closed-form derivatives, which the degenerate-limit
-densities need; a weight without them raises DomainError when a derivative
-is asked for.
+catalogued A also carry a closed-form derivative jet, every order up to m
+from one log and one exp, which the degenerate-limit densities need; a
+weight without one raises DomainError when a derivative is asked for.
+Where every argument lies inside its open support, a catalogued density
+or jet is evaluated without masks.
 
 Numeric integrals of the package go through quad: Gauss-Legendre panels
 evaluated on whole arrays of nodes, an error estimate from a lower-order
@@ -92,15 +94,17 @@ class WeightFunction:
     support : (lo, hi)
     edge : float
         Left end of the Mellin strip, Re s > edge: w(a) ~ a^(-edge) at 0.
-    deriv : callable, optional
-        (a, k) -> w^(k)(a) for k >= 1, where closed forms exist.
+    jet : callable, optional
+        (a, m) -> the derivatives w^(k)(a) for k = 0, ..., m as one array
+        of shape a.shape + (m + 1,), where closed forms exist.  Its column
+        0 equals the density bit for bit.
     """
 
     density: Callable
     mellin: Callable
     support: tuple
     edge: float
-    deriv: Callable = None
+    jet: Callable = None
 
     def __call__(self, a):
         return self.density(a)
@@ -111,24 +115,29 @@ class WeightFunction:
         hi = self.support[1]
         return hi if np.isfinite(hi) else TAIL_CUT
 
-    def density_deriv(self, a, k: int):
-        """k-th derivative of the density; the catalogued weights give 0
-        wherever their density is 0 by support."""
-        if k == 0:
-            return self.density(a)
-        if self.deriv is None:
+    def derivatives(self, a, m: int):
+        """w^(k)(a) for k = 0, ..., m, shape a.shape + (m + 1,): the jet, or
+        the density alone at m = 0 for a weight without one, which raises
+        DomainError at m >= 1."""
+        if self.jet is not None:
+            return self.jet(a, m)
+        if m:
             raise DomainError("weight has no closed-form derivatives")
-        return self.deriv(a, k)
+        return np.asarray(self.density(a))[..., None]
 
-    def neg_xdx_pow(self, a, m: int):
-        """((-a d/da)^m w)(a), the degenerate-limit column operator."""
-        if m == 0:
-            return self.density(a)
+    def neg_xdx(self, a, m: int):
+        """((-a d/da)^c w)(a) for c = 0, ..., m, shape a.shape + (m + 1,):
+        the degenerate-limit columns, all read from one jet."""
         a = np.asarray(a, dtype=float)
-        out = 0.0
-        for k, ck in enumerate(_neg_xdx_coeffs(m)):
-            if ck:
-                out = out + ck * a ** k * self.density_deriv(a, k)
+        d = self.derivatives(a, m)
+        out = np.empty(d.shape)
+        out[..., 0] = d[..., 0]
+        for c in range(1, m + 1):
+            col = 0.0
+            for k, ck in enumerate(_neg_xdx_coeffs(c)):
+                if ck:
+                    col = col + ck * a ** k * d[..., k]
+            out[..., c] = col
         return out
 
 
@@ -174,27 +183,55 @@ def _deriv_polys(step):
     return split
 
 
+def _jet_table(polys, m: int):
+    """The split-off powers j_k of the P_k of `_deriv_polys`, k = 0, ...,
+    m, and their coefficients c as the columns of one array (max len c,
+    m + 1), padded with zeros at the top: one _horner pass evaluates every
+    order, and leading zeros leave each result unchanged bit for bit."""
+    rows = [polys(k) for k in range(m + 1)]
+    C = np.zeros((max(len(c) for _, c in rows), m + 1))
+    for k, (_, c) in enumerate(rows):
+        C[:len(c), k] = c
+    return [j for j, _ in rows], C
+
+
+def _on_support(f, support, at0, a):
+    """f(a) at real arguments a inside the open support: f runs on a as
+    it is when every argument lies inside, otherwise through masks, which
+    read 0 outside the support, NaN at NaN, and at0 at a = 0 when at0 is
+    not None.  Both routes do the same arithmetic inside the support, so
+    their values agree bit for bit."""
+    lo, hi = support
+    if a.size and lo < np.minimum.reduce(a, axis=None) \
+            and np.maximum.reduce(a, axis=None) < hi:
+        return f(a)
+    ok = (a > lo) & (a < hi)
+    out = np.where(ok, f(np.where(ok, a, 0.5)),
+                   np.where(np.isnan(a), np.nan, 0.0))
+    return out if at0 is None else np.where(a == 0, at0, out)
+
+
 def ginibre_weight(nu: float) -> WeightFunction:
     """Determinant-modulus density of the induced real Ginibre factor.
 
     A(a) = a^(2 nu) e^(-a) / Gamma(1 + 2 nu) on (0, inf), with exact Mellin
-    transform Gamma(s + 2 nu) / Gamma(1 + 2 nu).
+    transform Gamma(s + 2 nu) / Gamma(1 + 2 nu).  A and its derivatives
+    read 0 outside the support and at +inf, NaN at NaN.
     """
     if nu <= -0.5:
         raise DomainError("ginibre weight requires nu > -1/2")
     two_nu = 2.0 * nu
     lognorm = special.loggamma(1.0 + two_nu)
+    support = (0.0, np.inf)
+    # A(0) = 1 / Gamma(1), finite only at 2 nu = 0
+    w0 = np.exp(-lognorm) if two_nu == 0.0 else None
 
     def density(a):
         a = np.asarray(a)
         if np.iscomplexobj(a):
             return a ** two_nu * np.exp(-a - lognorm)
-        a = a.astype(float, copy=False)
-        pos = a > 0
-        t = np.where(pos, a, 1.0)
-        out = np.where(pos, np.exp(two_nu * np.log(t) - t - lognorm), 0.0)
-        if two_nu == 0.0:
-            out = np.where(a == 0, np.exp(-lognorm), out)
+        out = _on_support(lambda t: np.exp(two_nu * np.log(t) - t - lognorm),
+                          support, w0, a.astype(float, copy=False))
         return out if out.ndim else float(out)
 
     def mellin(s):
@@ -207,26 +244,31 @@ def ginibre_weight(nu: float) -> WeightFunction:
     x = npp.Polynomial([0.0, 1.0])
     polys = _deriv_polys(lambda q, j: (two_nu - j) * q + x * q.deriv() - x * q)
 
-    def deriv(a, k):
-        j, c = polys(k)
-        a = np.asarray(a, dtype=float)
-        pos = a > 0
-        t = np.where(pos, a, 1.0)
-        out = np.where(pos, _horner(t, c) * np.exp(
-            (two_nu - k + j) * np.log(t) - t - lognorm), 0.0)
-        if two_nu == 0.0:
-            out = np.where(a == 0, (-1.0) ** k * np.exp(-lognorm), out)
-        return out
+    @cache
+    def table(m):
+        """Exponents 2 nu - k + j_k, the padded coefficients, and at 2 nu
+        = 0 the values (-1)^k A(0) at a = 0."""
+        js, C = _jet_table(polys, m)
+        at0 = None if w0 is None else \
+            np.array([(-1.0) ** k * w0 for k in range(m + 1)])
+        return np.array([two_nu - k + j for k, j in enumerate(js)]), C, at0
 
-    return WeightFunction(density=density, mellin=mellin,
-                          support=(0.0, np.inf), edge=-two_nu, deriv=deriv)
+    def jet(a, m):
+        e, C, at0 = table(m)
+        return _on_support(
+            lambda t: _horner(t, C) * np.exp(e * np.log(t) - t - lognorm),
+            support, at0, np.asarray(a, dtype=float)[..., None])
+
+    return WeightFunction(density=density, mellin=mellin, support=support,
+                          edge=-two_nu, jet=jet)
 
 
 def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
     """Determinant-modulus density of the induced real Jacobi factor.
 
     A(a) = a^(2 nu) (1 - a)^(2 (mu + n)) / B(1 + 2 nu, 2 mu + 2 n + 1) on
-    (0, 1), with exact Mellin transform a ratio of Beta functions.
+    (0, 1), with exact Mellin transform a ratio of Beta functions.  A and
+    its derivatives read 0 outside the support, NaN at NaN.
     """
     if nu <= -0.5:
         raise DomainError("jacobi weight requires nu > -1/2")
@@ -235,18 +277,17 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
     two_nu = 2.0 * nu
     beta = 2.0 * (mu + n)
     lognorm = _log_beta(1.0 + two_nu, beta + 1.0)
+    support = (0.0, 1.0)
+    # A(0) = 1 / B, finite only at 2 nu = 0
+    w0 = np.exp(-lognorm) if two_nu == 0.0 else None
 
     def density(a):
         a = np.asarray(a)
         if np.iscomplexobj(a):
             return a ** two_nu * (1.0 - a) ** beta * np.exp(-lognorm)
-        a = a.astype(float, copy=False)
-        ok = (a > 0) & (a < 1)
-        t = np.where(ok, a, 0.5)
-        out = np.where(ok, np.exp(two_nu * np.log(t) + beta * np.log1p(-t)
-                                  - lognorm), 0.0)
-        if two_nu == 0.0:
-            out = np.where(a == 0, np.exp(-lognorm), out)
+        out = _on_support(lambda t: np.exp(two_nu * np.log(t)
+                                           + beta * np.log1p(-t) - lognorm),
+                          support, w0, a.astype(float, copy=False))
         return out if out.ndim else float(out)
 
     def mellin(s):
@@ -259,22 +300,26 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
     polys = _deriv_polys(lambda r, j: (two_nu - j) * one_m_x * r
                          - (beta - j) * x * r + x * one_m_x * r.deriv())
 
-    def deriv(a, k):
-        j, c = polys(k)
-        a = np.asarray(a, dtype=float)
-        ok = (a > 0) & (a < 1)
-        t = np.where(ok, a, 0.5)
-        out = np.where(ok, _horner(t, c) * np.exp(
-            (two_nu - k + j) * np.log(t) + (beta - k) * np.log1p(-t)
-            - lognorm), 0.0)
-        if two_nu == 0.0:
-            # the a -> 0+ limit of d^k/da^k (1 - a)^beta / B
-            out = np.where(a == 0, (-1.0) ** k * special.poch(beta - k + 1.0, k)
-                           * np.exp(-lognorm), out)
-        return out
+    @cache
+    def table(m):
+        """Exponents 2 nu - k + j_k and beta - k, the padded coefficients,
+        and at 2 nu = 0 the a -> 0+ limits of d^k/da^k (1 - a)^beta / B."""
+        js, C = _jet_table(polys, m)
+        at0 = None if w0 is None else np.array(
+            [(-1.0) ** k * special.poch(beta - k + 1.0, k) * w0
+             for k in range(m + 1)])
+        return (np.array([two_nu - k + j for k, j in enumerate(js)]),
+                np.array([beta - k for k in range(m + 1)]), C, at0)
 
-    return WeightFunction(density=density, mellin=mellin,
-                          support=(0.0, 1.0), edge=-two_nu, deriv=deriv)
+    def jet(a, m):
+        e, f, C, at0 = table(m)
+        return _on_support(
+            lambda t: _horner(t, C) * np.exp(e * np.log(t) + f * np.log1p(-t)
+                                             - lognorm),
+            support, at0, np.asarray(a, dtype=float)[..., None])
+
+    return WeightFunction(density=density, mellin=mellin, support=support,
+                          edge=-two_nu, jet=jet)
 
 
 def _gl_panels(f, a, b):

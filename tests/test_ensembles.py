@@ -205,9 +205,9 @@ def test_catalogued_derivatives_vanish_outside_the_support():
     assert jpdf_degenerate([0.3, 1.2], jw) == 0.0
     for k in (1, 2, 3):
         for w, out in ((jw, [-0.5, 1.0, 1.5]), (GW, [-0.5, -2.0])):
-            assert np.all(w.density_deriv(np.array(out), k) == 0.0)
+            assert np.all(w.jet(np.array(out), k)[:, k] == 0.0)
         # A(a) = e^(-a) keeps its derivatives (-1)^k at the edge a = 0
-        assert GW.density_deriv(np.array([0.0]), k)[0] == (-1.0) ** k
+        assert GW.jet(0.0, k)[k] == (-1.0) ** k
 
 
 def _bases(n, kind):
@@ -273,6 +273,15 @@ def test_non_finite_density_raises():
                     (lambda: jpdf_fixed([np.inf, 1.0], [1.0, 2.0], GW),
                      "jpdf_fixed"),
                     (lambda: jpdf_degenerate([0.5, np.nan], GW),
+                     "jpdf_degenerate"),
+                    # at n = 1 no Vandermonde factor carries the NaN on:
+                    # the weights read NaN at it
+                    (lambda: jpdf_fixed([np.nan], [1.0], ginibre_weight(0.5)),
+                     "jpdf_fixed"),
+                    (lambda: jpdf_fixed([np.nan], [1.0], JW1), "jpdf_fixed"),
+                    (lambda: jpdf_degenerate([np.nan], ginibre_weight(0.5)),
+                     "jpdf_degenerate"),
+                    (lambda: jpdf_degenerate([np.nan], JW1),
                      "jpdf_degenerate"),
                     (lambda: corank2_jpdf([np.nan, 0.5], [1.0, 2.0, 3.0]),
                      "corank2_jpdf"),
@@ -342,8 +351,11 @@ def test_fresh_weight_per_call_gives_identical_values():
 
 def test_memos_stay_bounded():
     for k in range(1000):
-        jpdf_fixed([0.5, 1.5], [1.0, 2.0 + k / 1000.0], ginibre_weight(0.5))
-    for memo in (ens._base_record, ens._log_mellin_norm):
+        w = ginibre_weight(0.5)
+        jpdf_fixed([0.5, 1.5], [1.0, 2.0 + k / 1000.0], w)
+        jpdf_degenerate([0.5, 1.5], w)
+    for memo in (ens._base_record, ens._log_mellin_norm, ens._fixed_norm,
+                 ens._degenerate_norm):
         assert memo.cache_info().currsize <= ens.MEMO
 
 
@@ -354,6 +366,39 @@ def test_factor_memo_follows_the_mellin_handle():
     assert ens._log_mellin_norm(GW, 2) == pytest.approx(want)
     assert ens._log_mellin_norm(doubled, 2) == pytest.approx(
         want + 2.0 * np.log(2.0))
+    for memo in (ens._fixed_norm, ens._degenerate_norm):
+        assert memo(doubled, 2) == pytest.approx(memo(GW, 2) / 4.0)
+
+
+def test_normalizations_are_computed_once(monkeypatch):
+    # after a first call per (weight, n), the densities read their
+    # constants from the memos: neither n! nor a Mellin transform is
+    # evaluated again
+    broken = []
+
+    def mellin(s):
+        if broken:
+            raise RuntimeError("Mellin transform evaluated again")
+        return ginibre_weight(0.5).mellin(s)
+
+    w = dataclasses.replace(ginibre_weight(0.5), mellin=mellin)
+    bases = ([0.7, 1.9], [0.5, 1.2, 1.2], [0.6, 0.6])
+    for base in bases:
+        jpdf_fixed(_spectra(len(base)), base, w)
+    jpdf_degenerate(_spectra(2), w)
+    new = {n: _spectra(n, seed=4) for n in (2, 3)}
+    want = [jpdf_fixed(new[len(b)], b, ginibre_weight(0.5)) for b in bases] \
+        + [jpdf_degenerate(new[2], ginibre_weight(0.5))]
+
+    def gammaln(*args):
+        raise RuntimeError("gammaln evaluated again")
+
+    broken.append(True)
+    monkeypatch.setattr(ens.special, "gammaln", gammaln)
+    got = [jpdf_fixed(new[len(b)], b, w) for b in bases] \
+        + [jpdf_degenerate(new[2], w)]
+    for g, v in zip(got, want):
+        assert np.array_equal(g, v)
 
 
 def test_norm_constant_is_computed_once():

@@ -3,6 +3,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from antiprod import mellin
@@ -54,9 +55,9 @@ def test_density_deriv_matches_finite_difference():
         for k in (1, 2, 3):
             a = 0.37
             h = 1e-5
-            stencil = [w.density_deriv(a + i * h, k - 1) for i in (-1, 1)]
+            stencil = [w.jet(a + i * h, k - 1)[k - 1] for i in (-1, 1)]
             fd = (stencil[1] - stencil[0]) / (2 * h)
-            assert w.density_deriv(a, k) == pytest.approx(fd, rel=1e-7)
+            assert w.jet(a, k)[k] == pytest.approx(fd, rel=1e-7)
 
 
 def test_neg_xdx_mellin_identity():
@@ -64,7 +65,7 @@ def test_neg_xdx_mellin_identity():
     w = ginibre_weight(0.5)
     for m in (1, 2, 3):
         s = 3.0
-        num = mellin_numeric(lambda a: w.neg_xdx_pow(a, m), s,
+        num = mellin_numeric(lambda a: w.neg_xdx(a, m)[..., m], s,
                              support=w.support)
         assert abs(num - s ** m * w.mellin(s)) / abs(w.mellin(s)) < 1e-7
 
@@ -270,7 +271,7 @@ def test_density_deriv_finite_at_tiny_argument(w):
     # 2 nu is an integer in each case, so every derivative is finite at 0;
     # a^(2 nu - k) on its own would overflow below a ~ 1e-154
     for k in range(1, 6):
-        tiny, small = w.density_deriv(1e-160, k), w.density_deriv(1e-100, k)
+        tiny, small = w.jet(1e-160, k)[k], w.jet(1e-100, k)[k]
         assert np.isfinite(tiny)
         assert tiny == pytest.approx(small, rel=1e-12, abs=1e-90)
 
@@ -278,10 +279,10 @@ def test_density_deriv_finite_at_tiny_argument(w):
 def test_replace_density_keeps_weight_fields():
     for w in (ginibre_weight(0.5), jacobi_weight(0.0, 0.5, 2)):
         r = dataclasses.replace(w, density=lambda a: 2.0 * w.density(a))
-        assert (r.mellin, r.deriv, r.support, r.edge) \
-            == (w.mellin, w.deriv, w.support, w.edge)
+        assert (r.mellin, r.jet, r.support, r.edge) \
+            == (w.mellin, w.jet, w.support, w.edge)
         assert r(0.3) == 2.0 * w(0.3)
-        assert r.density_deriv(0.3, 2) == w.density_deriv(0.3, 2)
+        assert np.array_equal(r.jet(0.3, 2), w.jet(0.3, 2))
 
 
 #: Zero, negative, subnormal, NaN, large and interior arguments.
@@ -291,15 +292,15 @@ EDGE_ARGS = np.array([0.0, -0.0, -1.0, 5e-324, 1e-310, np.nan, 1e300, np.inf,
 
 def _masked_ginibre(nu):
     """Density and derivatives of ginibre_weight(nu), assigned through a
-    mask of the positive arguments."""
+    mask of the positive finite arguments; NaN at NaN."""
     two_nu = 2.0 * nu
     lognorm = special.loggamma(1.0 + two_nu)
     x = np.polynomial.Polynomial([0.0, 1.0])
     polys = _deriv_polys(lambda q, j: (two_nu - j) * q + x * q.deriv() - x * q)
 
     def density(a):
-        out = np.zeros_like(a)
-        pos = a > 0
+        out = np.where(np.isnan(a), np.nan, 0.0)
+        pos = (a > 0) & (a < np.inf)
         out[pos] = np.exp(two_nu * np.log(a[pos]) - a[pos] - lognorm)
         if two_nu == 0.0:
             out[a == 0] = np.exp(-lognorm)
@@ -307,8 +308,8 @@ def _masked_ginibre(nu):
 
     def deriv(a, k):
         j, c = polys(k)
-        out = np.zeros_like(a)
-        pos = a > 0
+        out = np.where(np.isnan(a), np.nan, 0.0)
+        pos = (a > 0) & (a < np.inf)
         out[pos] = _horner(a[pos], c) \
             * np.exp((two_nu - k + j) * np.log(a[pos]) - a[pos] - lognorm)
         if two_nu == 0.0:
@@ -320,7 +321,7 @@ def _masked_ginibre(nu):
 
 def _masked_jacobi(nu, mu, n):
     """Density and derivatives of jacobi_weight(nu, mu, n), assigned
-    through a mask of the arguments in (0, 1)."""
+    through a mask of the arguments in (0, 1); NaN at NaN."""
     two_nu, beta = 2.0 * nu, 2.0 * (mu + n)
     lognorm = _log_beta(1.0 + two_nu, beta + 1.0)
     x, one_m_x = np.polynomial.Polynomial([0.0, 1.0]), \
@@ -329,7 +330,7 @@ def _masked_jacobi(nu, mu, n):
                          - (beta - j) * x * r + x * one_m_x * r.deriv())
 
     def density(a):
-        out = np.zeros_like(a)
+        out = np.where(np.isnan(a), np.nan, 0.0)
         ok = (a > 0) & (a < 1)
         out[ok] = np.exp(two_nu * np.log(a[ok])
                          + beta * np.log1p(-a[ok]) - lognorm)
@@ -339,7 +340,7 @@ def _masked_jacobi(nu, mu, n):
 
     def deriv(a, k):
         j, c = polys(k)
-        out = np.zeros_like(a)
+        out = np.where(np.isnan(a), np.nan, 0.0)
         ok = (a > 0) & (a < 1)
         out[ok] = _horner(a[ok], c) * np.exp(
             (two_nu - k + j) * np.log(a[ok]) + (beta - k) * np.log1p(-a[ok])
@@ -364,15 +365,53 @@ def test_catalogued_weights_match_the_masked_formulas_bitwise(w, ref):
             assert np.array_equal(w.density(a), density(np.array([a]))[0],
                                   equal_nan=True)
         for k in (1, 2, 3):
-            np.testing.assert_array_equal(w.deriv(EDGE_ARGS, k),
+            np.testing.assert_array_equal(w.jet(EDGE_ARGS, 3)[:, k],
                                           deriv(EDGE_ARGS, k))
+
+
+#: Catalogued weights whose 2 nu is an integer: smooth up to a = 0.
+SMOOTH_WEIGHTS = {"ginibre0": ginibre_weight(0.0),
+                  "ginibre-half": ginibre_weight(0.5),
+                  "ginibre1": ginibre_weight(1.0),
+                  "jacobi0": jacobi_weight(0.0, 0.0, 2),
+                  "jacobi-half": jacobi_weight(0.5, 1.0, 2)}
+
+
+@given(name=st.sampled_from(sorted(SMOOTH_WEIGHTS)),
+       inner=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=5),
+       edges=st.lists(st.sampled_from([0.0, 1e-160, 1.0, 1.5]), max_size=3),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_jet_fast_and_masked_paths_agree_bitwise(name, inner, edges, data):
+    # a stack wholly inside the open support skips the masks; one holding
+    # 0, or 1 and beyond for Jacobi, takes them; a single argument takes
+    # the route of its own
+    w = SMOOTH_WEIGHTS[name]
+    x = np.array(inner) * min(w.support[1], 6.0)
+    a = np.array(data.draw(st.permutations(list(x) + edges)))
+    jet = w.jet(a, 3)
+    assert jet.shape == (a.size, 4)
+    assert np.array_equal(w.density(a), [w.density(v) for v in a])
+    assert np.array_equal(jet[:, 0], w.density(a))
+    for k in range(4):
+        assert np.array_equal(jet[:, k], [w.jet(v, 3)[k] for v in a])
+    # each column is the central difference of the one before it, to its
+    # truncation h^2 w^(k+2) / 6 and rounding eps w^(k-1) / h
+    h = 1e-5
+    for v in x:
+        scale = np.abs(w.jet(v, 5)).sum()
+        for k in (1, 2, 3):
+            fd = (w.jet(v + h, k - 1)[k - 1] - w.jet(v - h, k - 1)[k - 1]) \
+                / (2 * h)
+            assert w.jet(v, k)[k] == pytest.approx(fd, rel=1e-7,
+                                                   abs=1e-9 * scale)
 
 
 def test_catalogued_weights_warn_on_overflow():
     # a^(2 nu - k) with 2 nu < 0 overflows at subnormal a; every catalogued
     # density and derivative returns the infinity and warns
     for w in (ginibre_weight(-0.49), jacobi_weight(-0.49, 0.0, 1)):
-        for f in (w.density, lambda a: w.deriv(a, 1)):
+        for f in (w.density, lambda a: w.jet(a, 1)[1]):
             with pytest.warns(RuntimeWarning, match="overflow"):
                 assert np.isinf(f(5e-324))
 
@@ -383,10 +422,10 @@ def test_convolved_weight_has_no_derivatives():
     # degenerate-limit density
     from antiprod.ensembles import jpdf_degenerate
     w = convolved_weight(ginibre_weight(0.0), ginibre_weight(0.0))
-    assert w.deriv is None
-    assert w.density_deriv(0.5, 0) == w.density(0.5)
+    assert w.jet is None
+    assert w.derivatives(0.5, 0)[0] == w.density(0.5)
     with pytest.raises(DomainError):
-        w.density_deriv(0.5, 1)
+        w.derivatives(0.5, 1)
     with pytest.raises(DomainError):
         jpdf_degenerate([0.5, 1.2], w)
 
@@ -397,9 +436,9 @@ def test_jacobi_density_and_derivatives_at_zero_are_their_limits():
     for w in (jacobi_weight(0.0, 0.0, 1), jacobi_weight(0.0, 0.5, 2)):
         assert w.density(0.0) == pytest.approx(w.density(1e-12), rel=1e-10)
         for k in (1, 2, 3, 4):
-            at0, near = w.density_deriv(np.array([0.0, 1e-12]), k)
+            at0, near = w.jet(np.array([0.0, 1e-12]), k)[:, k]
             assert at0 == pytest.approx(near, rel=1e-10, abs=1e-9)
     w = jacobi_weight(0.0, 0.0, 1)
     assert w.density(0.0) == pytest.approx(3.0, rel=1e-15)
-    assert [w.density_deriv(np.array([0.0]), k)[0] for k in (1, 2, 3)] \
+    assert w.jet(0.0, 3)[1:].tolist() \
         == pytest.approx([-6.0, 6.0, 0.0], rel=1e-15)
