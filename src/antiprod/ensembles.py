@@ -2,10 +2,17 @@
 
 Every ensemble here is a polynomial ensemble: one squared-variable
 Vandermonde times a determinant of weight functions.  The module provides
-the generic evaluator, the fixed-base and fully degenerate closed forms of
-the factor-times-matrix product, a factor convolved onto a polynomial
-ensemble, and the corank-2 projection density that drives the dimension
-recursion of the spherical module.
+the generic evaluator, the fixed-base density of the factor-times-matrix
+product at any base, a factor convolved onto a polynomial ensemble, and
+the corank-2 projection density that drives the dimension recursion of
+the spherical module.
+
+The fixed base has one column rule: a run of k coinciding base values t
+(one run of n at the base of ones, runs of one at a distinct base) gives
+the columns (D^c A)(a / t) / t, c < k, D = -x d/dx, with Mellin
+transforms t^(s-1) s^c M A(s) (Kieburg & Koesters, RMTA 5 (2016)).
+jpdf_fixed, jpdf_degenerate, fixed_base_weights and kernels.biorth_fixed
+read the runs from one base record.
 
 All densities are symmetric in the spectrum entries and integrate to 1
 over the full unordered box; the density of the ascending spectrum is n!
@@ -15,15 +22,13 @@ single spectrum; a NaN or inf density raises DomainError.
 
 LRU memos of at most MEMO entries keep what depends on the base or the
 factor alone: per tuple of base values one record of the sorted values
-divided by the 2^e with max / 2^e in [0.5, 1), their coincidences and
-Delta of their squares; per (weight, n), a weight keyed by all its
-fields and so by its Mellin handle, log prod_j M A(2j - 1) and the two
-normalizations as final floats, 1 / (n! prod_j M A(2j - 1)) of
-jpdf_fixed and 1 / (2^(n(n-1)/2) n! prod_(j<n) j! prod_j M A(2j - 1)) of
-jpdf_degenerate.  After the first call per base and (weight, n), a call
-evaluates neither n! nor a Mellin transform.  The densities evaluate on
-the base record at spectra divided by 2^e and scale back by a power of
-2^e: exact, and finite at any scale.
+divided by the 2^e with max / 2^e in [0.5, 1), their coincidences, runs
+and den, which stands for Delta of their squares; per (weight, n), a
+weight keyed by all its fields and so by its Mellin handle, the final
+float 1 / (n! prod_j M A(2j - 1)).  After the first call per base and
+(weight, n), a call evaluates neither n! nor a Mellin transform.  The
+densities evaluate on the base record at spectra divided by 2^e and scale
+back by a power of 2^e: exact, and finite at any scale.
 """
 
 from __future__ import annotations
@@ -36,10 +41,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .linalg import (DomainError, SingularSpectrum, coincident,
-                     confluent_alternant, derivative_terms, det,
+from .linalg import (DomainError, SingularSpectrum, coincident, det,
                      sorted_spectra, vandermonde)
-from .mellin import WeightFunction, convolved_weight
+from .mellin import MEMO, WeightFunction, convolved_weight
 
 __all__ = [
     "PolynomialEnsembleSpec",
@@ -102,18 +106,19 @@ def _clamped(val, name: str):
     raise DomainError(f"{name}: density is not finite")
 
 
-#: Entries kept by each memo of base records and factor norms.
-MEMO = 128
-
-
 class _FixedBase(NamedTuple):
     """A base / 2^exp: read-only ascending values, flags of coinciding
-    neighbours, route "distinct", "partial" or "full", Delta(values^2)."""
+    neighbours, the runs of coinciding values snapped to their means t with
+    sizes k, the (run r, order c < k_r, t_r) of each column, and den =
+    prod_(i<j in different runs) (u_j - u_i) prod_r prod_(c<k_r) c!
+    (2 u_r)^c, u = t^2, which is Delta(values^2) at a distinct base."""
     values: np.ndarray
     exp: int
     same: np.ndarray
-    route: str
-    vdm: float
+    t: np.ndarray
+    k: tuple
+    cols: tuple
+    den: float
 
 
 def _fixed_base(atilde) -> _FixedBase:
@@ -136,54 +141,57 @@ def _base_record(values: tuple) -> _FixedBase:
     exp = int(np.frexp(v[-1])[1])
     v = np.ldexp(v, -exp)
     same = coincident(v)
-    v.setflags(write=False)
-    same.setflags(write=False)
-    route = "distinct" if not same.any() else \
-        "full" if same.all() else "partial"
-    return _FixedBase(v, exp, same, route, float(vandermonde(v * v)))
-
-
-@lru_cache(maxsize=MEMO)
-def _log_mellin_norm(factor: WeightFunction, n: int) -> float:
-    """log prod_j M A(2j - 1) for j = 1..n (positive for a density)."""
-    return sum(np.log(float(np.real(factor.mellin(2 * j - 1.0))))
-               for j in range(1, n + 1))
+    start = np.flatnonzero(np.r_[True, ~same])
+    k = np.diff(np.r_[start, v.size])
+    t = np.add.reduceat(v, start) / k
+    run = np.repeat(np.arange(t.size), k)
+    order = np.arange(v.size) - start[run]
+    tc = t[run]
+    u = tc * tc
+    den = 1.0
+    for i in range(v.size - 1):
+        # linalg.vandermonde's order, with the pairs inside a run left out
+        d = u[i + 1:] - u[i]
+        den = den * np.multiply.reduce(np.where(d == 0.0, 1.0, d))
+    for c, uc in zip(order.tolist(), u):
+        den = den * float(factorial(c)) * (2.0 * uc) ** c
+    for arr in (v, same, t, run, order, tc):
+        arr.setflags(write=False)
+    return _FixedBase(v, exp, same, t, tuple(k.tolist()), (run, order, tc),
+                      float(den))
 
 
 @lru_cache(maxsize=MEMO)
 def _fixed_norm(factor: WeightFunction, n: int) -> float:
-    """1 / (n! prod_j M A(2j - 1)), the constant of jpdf_fixed."""
-    return float(np.exp(-special.gammaln(n + 1)
-                        - _log_mellin_norm(factor, n)))
-
-
-@lru_cache(maxsize=MEMO)
-def _degenerate_norm(factor: WeightFunction, n: int) -> float:
-    """1 / (2^(n(n-1)/2) n! prod_(j<n) j! prod_j M A(2j - 1)), the
-    constant of jpdf_degenerate, through its log; the log of
-    prod_(j<n) j! is exactly 0.0 at n <= 2."""
-    superfactorial = np.prod([float(factorial(j)) for j in range(n)])
-    return float(np.exp(-(n * (n - 1) / 2.0) * np.log(2.0)
-                        - special.gammaln(n + 1) - _log_mellin_norm(factor, n)
-                        - np.log(superfactorial)))
+    """1 / (n! prod_j M A(2j - 1)), the constant of jpdf_fixed, through
+    its log."""
+    log_mellin = sum(np.log(float(np.real(factor.mellin(2 * j - 1.0))))
+                     for j in range(1, n + 1))
+    return float(np.exp(-special.gammaln(n + 1) - log_mellin))
 
 
 def fixed_base_weights(atilde, factor: WeightFunction) -> tuple:
-    """Weights w_c(a) = (1/atilde_c) A(a / atilde_c) of the fixed-base
-    polynomial ensemble, with exact Mellin atilde_c^(s-1) M A(s)."""
+    """Weights of the fixed-base polynomial ensemble, one per column (r, c)
+    of the base record: w(a) = (D^c A)(a / t_r) / t_r with D = -x d/dx,
+    which is (1/t_r) A(a / t_r) at c = 0, and exact Mellin transform
+    t_r^(s-1) s^c M A(s)."""
     base = _fixed_base(atilde)
+    _, order, tc = base.cols
+    lo, hi = factor.support
     weights = []
-    for ac in np.ldexp(base.values, base.exp).tolist():
+    for tr, c in zip(np.ldexp(tc, base.exp).tolist(), order.tolist()):
 
-        def density(a, ac=ac):
-            return factor.density(np.asarray(a) / ac) / ac
+        def density(a, tr=tr, c=c):
+            x = np.asarray(a) / tr
+            return (factor.density(x) if c == 0
+                    else factor.neg_xdx(x, c)[..., c]) / tr
 
-        def mellin(s, ac=ac):
-            return ac ** (np.asarray(s, complex) - 1.0) * factor.mellin(s)
+        def mellin(s, tr=tr, c=c):
+            s = np.asarray(s, complex)
+            return tr ** (s - 1.0) * s ** c * factor.mellin(s)
 
-        lo, hi = factor.support
         weights.append(WeightFunction(density=density, mellin=mellin,
-                                      support=(lo * ac, hi * ac),
+                                      support=(lo * tr, hi * tr),
                                       edge=factor.edge))
     return tuple(weights)
 
@@ -217,33 +225,32 @@ def muttalib_borodin_weights(nu: float, mu: float, n: int) -> tuple:
     return tuple(weights)
 
 
-def _confluent_fixed_det(a: np.ndarray, atv: np.ndarray, same: np.ndarray,
-                         factor: WeightFunction) -> np.ndarray:
-    """det[(1/t_c) A(a_b / t_c)] / Delta_n(t^2) with the coinciding t
-    entries that same flags, for spectra a of shape (..., n).
-
-    The nodes are u = t^2; derivatives with respect to u are assembled
-    from one derivative jet of the density through d/du = (1/(2t)) d/dt.
-    """
-    a = a[..., :, None]
-
-    def taylor(u, m):
-        t = np.sqrt(u)
-        if m == 0:
-            return factor.density(a / t) / t
-        # expand d^m/du^m of t^(-1) A(a/t) over terms t^(-p) A^(k)(a/t):
-        # d/du = (1/2) t^(-1) d/dt and d/dt [t^(-p) A^(k)(a/t)] =
-        # -p t^(-p-1) A^(k) - a t^(-p-2) A^(k+1)
-        terms = derivative_terms(lambda p, k: (((p + 2, k), -0.5 * p),
-                                               ((p + 3, k + 1), -0.5 * a)),
-                                 (1, 0), m)
-        d = factor.derivatives(a / t, m)
-        out = 0.0
-        for (p, k), c in terms.items():
-            out = out + c * t ** (-p) * d[..., k]
-        return out / float(factorial(m))
-
-    return confluent_alternant(atv * atv, same, taylor)
+def _fixed_density(a, base: _FixedBase, factor: WeightFunction, name: str):
+    """jpdf_fixed of the spectra a, each sorted ascending, on the base
+    record, naming name in errors: _fixed_norm Delta(a^2) det W / den on
+    the base's scale, W[b, (r, c)] = (D^c A)(a_b / t_r) / t_r from one
+    jet, or from the density alone at a distinct base."""
+    n, e, t = a.shape[-1], base.exp, base.t
+    a = np.ldexp(a, -e)
+    x = a[..., :, None] / t
+    if t.size == n:
+        W = factor.density(x) / t
+    else:
+        run, order, tc = base.cols
+        W = factor.neg_xdx(x, max(base.k) - 1)[..., run, order] / tc
+    d = det(W)
+    norm = _fixed_norm(factor, n)
+    # Delta(a^2) overflows from a ~ 1.3e154 on, where W has a row of zeros:
+    # a finite spectrum with det W = 0 reads 0, a single one without the
+    # cost of np.errstate
+    if a.ndim == 1:
+        val = 0.0 if d == 0.0 and isfinite(a[-1]) \
+            else norm * vandermonde(a * a) / base.den * d
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = norm * vandermonde(a * a) / base.den * d
+        val = np.where((d == 0.0) & np.isfinite(a[..., -1]), 0.0, val)
+    return _clamped(np.ldexp(val, -n * e), name)
 
 
 def jpdf_fixed(a, atilde, factor: WeightFunction):
@@ -252,45 +259,32 @@ def jpdf_fixed(a, atilde, factor: WeightFunction):
     p(a | at) = [1 / (n! prod_j M A(2j-1))] Delta(a^2)/Delta(at^2)
                 * det[(1/at_c) A(a_b / at_c)].
 
-    a has shape (..., n), a stack of spectra in any entry order; the result
-    has shape a.shape[:-1], and is a float for a single spectrum.  A
-    partially degenerate atilde routes through confluent columns, a fully
-    degenerate one through the scaled degenerate-limit density.
+    A run of k coinciding base values t takes the confluent limit: columns
+    (D^c A)(a_b / t) / t for c < k, D = -x d/dx, and Delta(at^2) becomes
+    the record's den, which carries prod_(c<k) c! (2 t^2)^c.  a has shape
+    (..., n), a stack of spectra in any entry order; the result has shape
+    a.shape[:-1], and is a float for a single spectrum.
     """
-    atv, e, same, route, vdm = _fixed_base(atilde)
-    n = atv.size
-    a = np.ldexp(sorted_spectra(a, n), -e)
-    if route == "full":
-        lam = float(np.mean(atv))
-        val = jpdf_degenerate(a / lam, factor) / lam ** n
-    elif route == "partial":
-        val = _fixed_norm(factor, n) * vandermonde(a * a) \
-            * _confluent_fixed_det(a, atv, same, factor)
-    else:
-        W = factor.density(a[..., :, None] / atv) / atv
-        val = _fixed_norm(factor, n) * vandermonde(a * a) / vdm * det(W)
-    return _clamped(np.ldexp(val, -n * e), "jpdf_fixed")
+    base = _fixed_base(atilde)
+    return _fixed_density(sorted_spectra(a, base.values.size), base, factor,
+                          "jpdf_fixed")
 
 
 def jpdf_degenerate(a, factor: WeightFunction):
     """Limit atilde -> (1,...,1) of the fixed-base density.
 
     p(a) = [1 / (2^(n(n-1)/2) n! prod_(j<n) j! prod_j M A(2j-1))]
-           * Delta(a^2) det[(-a_b d/da_b)^(c-1) A(a_b)].
+           * Delta(a^2) det[(-a_b d/da_b)^(c-1) A(a_b)],
 
-    The confluent columns of the limit are (1/(c-1)!) d^(c-1)/du^(c-1)
-    of t^(-1) A(a/t) at u = t^2 = 1, which equal
-    (-a d/da)^(c-1) A(a) / (2^(c-1) (c-1)!) up to earlier columns.
-
-    a has shape (..., n), a stack of spectra in any entry order; the result
-    has shape a.shape[:-1], and is a float for a single spectrum.  For
-    n >= 2 the columns come from one derivative jet of the factor; a
-    factor without one raises DomainError.
+    which is jpdf_fixed on the memoized record of the base of ones.  a has
+    shape (..., n), a stack of spectra in any entry order; the result has
+    shape a.shape[:-1], and is a float for a single spectrum.  For n >= 2
+    the columns come from one derivative jet of the factor; a factor
+    without one raises DomainError.
     """
     a = sorted_spectra(a)
-    n = a.shape[-1]
-    return _clamped(_degenerate_norm(factor, n) * vandermonde(a * a)
-                    * det(factor.neg_xdx(a, n - 1)), "jpdf_degenerate")
+    return _fixed_density(a, _base_record((1.0,) * a.shape[-1]), factor,
+                          "jpdf_degenerate")
 
 
 def convolve_ensemble(base: PolynomialEnsembleSpec,
@@ -310,11 +304,11 @@ def corank2_jpdf(x, a):
     Leading axes of x (shape (..., n - 1)) are a batch of spectra.  The
     density is homogeneous of degree -(n - 1) in (x, a).
     """
-    av, e, _, route, vdm = _fixed_base(a)
+    av, e, same, *_, den = _fixed_base(a)
     n = av.size
     if n < 2:
         raise DomainError("projection density needs n >= 2")
-    if route != "distinct":
+    if same.any():
         raise DomainError("projection density requires distinct a")
     x = np.ldexp(sorted_spectra(x, n - 1), -e)
     D = np.empty(x.shape[:-1] + (n, n))
@@ -322,6 +316,6 @@ def corank2_jpdf(x, a):
     diff = av - x[..., :, None]
     D[..., 1:, :] = np.where(diff > 0.0, diff, 0.0)
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
-    val = pref * vandermonde(x * x) / vdm * det(D)
+    val = pref * vandermonde(x * x) / den * det(D)
     return _clamped(np.ldexp(np.where(np.any(x < 0, axis=-1), 0.0, val),
                              -(n - 1) * e), "corank2_jpdf")

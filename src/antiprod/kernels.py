@@ -3,7 +3,9 @@
 The singular-value densities of ensembles.py are determinantal; this module
 constructs the underlying bi-orthonormal pairs {p_j, q_j} and evaluates the
 correlation kernel both as the finite series sum_j p_j(y') q_j(y) and
-through its contour-integral representations.  One broadcasting evaluator,
+through its contour-integral representations.  The fixed-base system of
+any base takes the columns of ensembles.fixed_base_weights as its q_j and
+the p_j dual to their exact Mellin moments.  One broadcasting evaluator,
 BiorthSystem.kernel, serves the diagonal, both series kernels and the
 single-contour form of kernel_fixed on whole grids of (y', y); the
 double-contour kernel broadcasts as well, from a memoised frame of the
@@ -28,7 +30,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .linalg import DomainError, SingularSpectrum, det
 from .mellin import WeightFunction, mellin_convolve
-from .ensembles import PolynomialEnsembleSpec, fixed_base_weights
+from .ensembles import (PolynomialEnsembleSpec, _fixed_base,
+                        fixed_base_weights)
 
 __all__ = [
     "BiorthSystem", "ContourError",
@@ -197,34 +200,21 @@ def gram_biorth(base: PolynomialEnsembleSpec) -> BiorthSystem:
     return replace(sys, gram_offdiag=off)
 
 
-def _fixed_lagrange_coeffs(atv: np.ndarray) -> np.ndarray:
-    """Row j: coefficients in u^2 of prod_{i != j}(a_i^2 - u^2)/(a_i^2 - a_j^2)."""
-    sq = atv * atv
-    D = np.zeros((sq.size, sq.size))
-    for j, sj in enumerate(sq):
-        poly, denom = np.array([1.0]), 1.0
-        for si in np.delete(sq, j):
-            poly = npoly.polymul(poly, [si, -1.0])
-            denom *= si - sj
-        D[j, : poly.size] = poly / denom
-    return D
-
-
 def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
-    """Bi-orthonormal system of the fixed-base product ensemble.
-
-    p_j(y') = contour average of chi(z) prod_{i!=j}(a_i^2 - (y'/z)^2) /
-    (a_i^2 - a_j^2), reduced here to its exact residue form; q_j(y) =
-    (1/a_j) A(y / a_j).
-    """
-    at = SingularSpectrum.from_values(atilde)
-    if at.is_degenerate:
-        raise DomainError("fixed-base kernel requires a non-degenerate base")
-    n = at.n
-    qtilde = fixed_base_weights(at, factor)     # rejects a base value <= 0
-    D = _fixed_lagrange_coeffs(at.values)
-    sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde, factor=factor)
-    off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
+    """Bi-orthonormal system of the fixed-base product ensemble at any
+    base: q_j are the columns (D^c A)(y / t_r) / t_r of fixed_base_weights,
+    whose moments int y^(2i) q_(r, c) are (2i + 1)^c t_r^(2i) M A(2i + 1),
+    so ptilde = inv(V)^T with V[(r, c), i] = (2i + 1)^c t_r^(2i), the
+    Lagrange polynomials in u^2 at a distinct base."""
+    base = _fixed_base(atilde)     # rejects a base value <= 0
+    _, order, t = base.cols
+    t = np.ldexp(t, base.exp)
+    i = np.arange(t.size)
+    V = (2.0 * i + 1.0) ** order[:, None] * t[:, None] ** (2 * i)
+    sys = BiorthSystem(n=t.size, ptilde_coeffs=np.linalg.inv(V).T,
+                       qtilde=fixed_base_weights(atilde, factor),
+                       factor=factor)
+    off = float(np.max(np.abs(sys.gram_matrix() - np.eye(t.size))))
     return replace(sys, gram_offdiag=off)
 
 
@@ -259,9 +249,10 @@ def kernel_fixed(yprime, y, atilde, factor: WeightFunction,
                  system: BiorthSystem | None = None):
     """Correlation kernel of the fixed-base product ensemble.
 
-    Sum-over-j form with the Lagrange-type polynomials in (y'/z)^2: method
-    "contour" averages them over the z-circle of radius 0.5 min_j a_j,
-    which encircles only the origin, and "series" sums their residues.
+    Sum-over-j form with the polynomials ptilde_j of biorth_fixed in
+    (y'/z)^2: method "contour" averages them over the z-circle of radius
+    0.5 min_j a_j, which encircles only the origin, and "series" sums their
+    residues.
     y' and y broadcast against each other; the result has their broadcast
     shape, a float for scalars.
     """

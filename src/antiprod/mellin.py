@@ -16,8 +16,9 @@ that weight for f (*) h, with handle M f M h and a density tabulated once
 in log y by one FFT of that handle (by mellin_convolve on a bounded
 support), so the factors of a product X_2 X_1 fold into the one factor
 A_2 (*) A_1, which every fixed-base formula takes unchanged.  The
-catalogued A also carry a closed-form derivative jet, every order up to m
-from one log and one exp, which the degenerate-limit densities need; a
+catalogued A are built once per parameter set (an LRU memo of MEMO
+entries) and carry a closed-form derivative jet, every order up to m
+from one log and one exp, which the confluent fixed-base columns need; a
 weight without one raises DomainError when a derivative is asked for.
 Where every argument lies inside its open support, a catalogued density
 or jet is evaluated without masks.
@@ -34,7 +35,7 @@ quadrature that cannot meet the gate raises QuadratureError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -48,6 +49,9 @@ __all__ = [
     "quad_cumulative", "mellin_numeric", "mellin_convolve",
     "convolved_weight", "ginibre_weight", "jacobi_weight",
 ]
+
+#: Entries kept by each memo of weights, base records and factor norms.
+MEMO = 128
 
 #: Argument beyond which an exponentially decaying density is treated as zero.
 TAIL_CUT = 800.0
@@ -95,9 +99,9 @@ class WeightFunction:
     edge : float
         Left end of the Mellin strip, Re s > edge: w(a) ~ a^(-edge) at 0.
     jet : callable, optional
-        (a, m) -> the derivatives w^(k)(a) for k = 0, ..., m as one array
-        of shape a.shape + (m + 1,), where closed forms exist.  Its column
-        0 equals the density bit for bit.
+        (a, m) -> the derivatives w^(k)(a) for k = 0, ..., m as one new
+        array of shape a.shape + (m + 1,), where closed forms exist.  Its
+        column 0 equals the density bit for bit.
     """
 
     density: Callable
@@ -127,18 +131,21 @@ class WeightFunction:
 
     def neg_xdx(self, a, m: int):
         """((-a d/da)^c w)(a) for c = 0, ..., m, shape a.shape + (m + 1,):
-        the degenerate-limit columns, all read from one jet."""
+        the degenerate-limit columns, all read from one jet.  Each sums
+        c_k a^k w^(k) by Horner's rule in a, so where the w^(k) are 0 at a
+        huge a it reads 0, not inf * 0."""
         a = np.asarray(a, dtype=float)
         d = self.derivatives(a, m)
-        out = np.empty(d.shape)
-        out[..., 0] = d[..., 0]
-        for c in range(1, m + 1):
-            col = 0.0
-            for k, ck in enumerate(_neg_xdx_coeffs(c)):
-                if ck:
-                    col = col + ck * a ** k * d[..., k]
-            out[..., c] = col
-        return out
+        # in the jet's new array, from the top: column c reads k <= c only
+        for c in range(m, 0, -1):
+            coef = _neg_xdx_coeffs(c)
+            col = coef[c] * d[..., c]
+            for k in range(c - 1, -1, -1):
+                col = col * a
+                if coef[k]:
+                    col = col + coef[k] * d[..., k]
+            d[..., c] = col
+        return d
 
 
 @cache
@@ -211,6 +218,7 @@ def _on_support(f, support, at0, a):
     return out if at0 is None else np.where(a == 0, at0, out)
 
 
+@lru_cache(maxsize=MEMO)
 def ginibre_weight(nu: float) -> WeightFunction:
     """Determinant-modulus density of the induced real Ginibre factor.
 
@@ -263,6 +271,7 @@ def ginibre_weight(nu: float) -> WeightFunction:
                           edge=-two_nu, jet=jet)
 
 
+@lru_cache(maxsize=MEMO)
 def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
     """Determinant-modulus density of the induced real Jacobi factor.
 

@@ -1,5 +1,6 @@
-"""The confluent alternant engine and its four callers: Phi, f_n, the O(2n)
-integral and the partially degenerate fixed-base density.
+"""The confluent alternant engine and its three callers, Phi, f_n and the
+O(2n) integral, and the confluent columns of the partially degenerate
+fixed-base density.
 
 The references are 50-digit mpmath evaluations of the plain alternant at
 nodes spread by 1e-20, whose limit is the confluent value to O(1e-20).  A

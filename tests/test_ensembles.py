@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,38 @@ def test_tiny_spectrum_entry_stays_finite():
     assert fixed[0] == pytest.approx(fixed[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("base", [[1.0, 2.0], [0.8, 0.8], [1.0, 1.0, 2.0]],
+                         ids=["distinct", "full", "partial"])
+def test_huge_spectrum_entry_reads_zero(base):
+    # Delta(a^2) overflows above a ~ 1.3e154, and a^k w^(k) in the
+    # confluent columns above about 1e154 / k; the density is 0 there
+    w = ginibre_weight(0.5)
+    a = [0.5, 1e200] if len(base) == 2 else [0.5, 1.0, 1e200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.any(w.neg_xdx(np.array([1e200, 2e200]), 3))
+        assert jpdf_fixed(a, base, w) == 0.0
+        assert np.array_equal(jpdf_fixed([a, a], base, w), [0.0, 0.0])
+        assert jpdf_degenerate(a, w) == 0.0
+        assert np.array_equal(jpdf_degenerate([a, a], w), [0.0, 0.0])
+    # an infinite entry is no spectrum: it still raises
+    with pytest.raises(DomainError), np.errstate(over="ignore",
+                                                 invalid="ignore"):
+        jpdf_fixed([[0.5] * (len(base) - 1) + [np.inf]], base, w)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_confluent_column_ensemble_is_the_degenerate_density(n):
+    # the weights of the base of ones, normalized from their Mellin
+    # handles t^(s-1) s^c M A(s), give the density of jpdf_degenerate
+    for w, hi in ((GW, 3.0), (ginibre_weight(0.5), 3.0),
+                  (jacobi_weight(0.0, 0.0, n), 0.9)):
+        a = _spectra(n) * hi / 3.0
+        spec = PolynomialEnsembleSpec(n, fixed_base_weights([1.0] * n, w))
+        np.testing.assert_allclose(spec.density(a), jpdf_degenerate(a, w),
+                                   rtol=1e-12)
+
+
 def test_triple_base_entry_n4_matches_split_base():
     for a in ([0.3, 0.9, 1.7, 3.1], [0.6, 1.2, 2.2, 4.0]):
         conf = jpdf_fixed(a, [0.8, 1.5, 1.5, 1.5], GW)
@@ -330,8 +363,14 @@ def test_invalid_base_raises_on_every_call(base):
 
 def test_base_record_is_read_only():
     rec = ens._fixed_base([2.0, 3.0, 3.0])
-    assert rec.route == "partial"
-    for arr in (rec.values, rec.same):
+    # runs (2) and (3, 3) on the scale 2^2: t = (0.5, 0.75), k = (1, 2)
+    assert rec.exp == 2 and rec.k == (1, 2)
+    assert rec.t.tolist() == [0.5, 0.75]
+    assert [c.tolist() for c in rec.cols] == [[0, 1, 1], [0, 0, 1],
+                                              [0.5, 0.75, 0.75]]
+    # den = (u_2 - u_1)^2 * 0! 1! (2 u_2) with u = t^2
+    assert rec.den == pytest.approx((0.5625 - 0.25) ** 2 * 1.125, rel=1e-15)
+    for arr in (rec.values, rec.same, rec.t, *rec.cols):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -354,20 +393,16 @@ def test_memos_stay_bounded():
         w = ginibre_weight(0.5)
         jpdf_fixed([0.5, 1.5], [1.0, 2.0 + k / 1000.0], w)
         jpdf_degenerate([0.5, 1.5], w)
-    for memo in (ens._base_record, ens._log_mellin_norm, ens._fixed_norm,
-                 ens._degenerate_norm):
+    for memo in (ens._base_record, ens._fixed_norm):
         assert memo.cache_info().currsize <= ens.MEMO
 
 
 def test_factor_memo_follows_the_mellin_handle():
     # a weight with another Mellin handle is another key
     doubled = dataclasses.replace(GW, mellin=lambda s: 2.0 * GW.mellin(s))
-    want = np.log(GW.mellin(1.0).real * GW.mellin(3.0).real)
-    assert ens._log_mellin_norm(GW, 2) == pytest.approx(want)
-    assert ens._log_mellin_norm(doubled, 2) == pytest.approx(
-        want + 2.0 * np.log(2.0))
-    for memo in (ens._fixed_norm, ens._degenerate_norm):
-        assert memo(doubled, 2) == pytest.approx(memo(GW, 2) / 4.0)
+    want = 0.5 / (GW.mellin(1.0).real * GW.mellin(3.0).real)
+    assert ens._fixed_norm(GW, 2) == pytest.approx(want)
+    assert ens._fixed_norm(doubled, 2) == pytest.approx(want / 4.0)
 
 
 def test_normalizations_are_computed_once(monkeypatch):

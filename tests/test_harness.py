@@ -321,6 +321,36 @@ def test_cli_kernel_readme_config_is_finite(tmp_path):
     assert np.all(np.isfinite(rows))
 
 
+def test_cli_jpdf_and_kernel_on_the_default_base_of_ones(tmp_path):
+    # {factor: ginibre, n: 2} takes the base of ones: the jpdf column is
+    # the marginal of jpdf_degenerate, the kernel column n times it
+    from scipy import integrate
+
+    from antiprod.cli import main
+    from antiprod.ensembles import jpdf_degenerate
+    from antiprod.mellin import ginibre_weight
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema: antiprod/1\nparams:\n  factor: ginibre\n  n: 2\n")
+    rows = {}
+    for command in ("jpdf", "kernel"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / f"{command}.csv").read_text().splitlines()
+        rows[command] = np.array([[float(v) for v in ln.split(",")]
+                                  for ln in lines[1:]])
+    w = ginibre_weight(0.0)
+
+    def marginal(y):
+        return integrate.quad(lambda x: jpdf_degenerate([y, x], w), 0,
+                              np.inf, epsabs=0, epsrel=1e-12)[0]
+
+    # both grids start at y = 1e-4, then part
+    assert rows["kernel"][0, 1] == 2.0 * rows["jpdf"][0, 1]
+    for command, n in (("jpdf", 1), ("kernel", 2)):
+        for y, val in rows[command][[0, 1, 2]]:
+            assert val == pytest.approx(n * marginal(y), rel=1e-8)
+
+
 def test_cli_jpdf_n3(tmp_path):
     from antiprod.cli import main
     cfg = tmp_path / "cfg.yaml"

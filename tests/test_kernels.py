@@ -37,8 +37,47 @@ def test_gram_biorth_is_biorthonormal():
 
 def test_gram_biorth_rejects_singular_bimoments():
     with pytest.raises((DomainError, ArithmeticError)):
-        w = fixed_base_weights([1.0, 1.0 + 1e-13], GW)
-        gram_biorth(PolynomialEnsembleSpec(2, w))
+        gram_biorth(PolynomialEnsembleSpec(2, (GW, GW)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fixed_base_is_continuous_at_degeneracy(n):
+    # base 1 + gap (0, ..., n - 1) against the confluent base of ones: the
+    # kernel diagonal moves by less than gap and the density by O(gap);
+    # the density's gradient in the base is symmetric at the base of ones,
+    # so against that base scaled to the same mean it agrees to O(gap^2)
+    y = np.array([0.3, 1.0, 2.5])
+    a = y[:n]
+    ones = biorth_fixed([1.0] * n, GW)
+    assert ones.gram_offdiag < 1e-12
+    for gap in (1e-2, 1e-3, 1e-4):
+        base = 1.0 + gap * np.arange(n)
+        diag = biorth_fixed(base, GW).diagonal(y)
+        assert np.max(np.abs(diag / ones.diagonal(y) - 1.0)) < gap
+        val = jpdf_fixed(a, base, GW)
+        assert abs(val / jpdf_fixed(a, [1.0] * n, GW) - 1.0) < 10.0 * gap
+        mean = jpdf_fixed(a, [base.mean()] * n, GW)
+        assert abs(val / mean - 1.0) < 10.0 * gap ** 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_degenerate_base_kernel_traces_n(n):
+    # the confluent system of the base of ones is bi-orthonormal, its
+    # diagonal integrates to n, and at n = 2 it is twice the marginal of
+    # jpdf_degenerate
+    from antiprod.ensembles import jpdf_degenerate
+    sys = biorth_fixed([1.0] * n, GW)
+    assert sys.gram_offdiag < 1e-12
+    val, _ = integrate.quad(sys.diagonal, 0, 200, limit=400, epsabs=0,
+                            epsrel=1e-12)
+    assert val == pytest.approx(n, rel=1e-10)
+    if n == 2:
+        for y in (0.3, 1.0, 2.5):
+            marg, _ = integrate.quad(lambda x: jpdf_degenerate([y, x], GW),
+                                     0, np.inf, epsabs=0, epsrel=1e-12)
+            assert sys.diagonal(y) == pytest.approx(2.0 * marg, rel=1e-10)
+    with pytest.raises(DomainError):
+        kernel_fixed_contour(0.5, 0.5, [1.0] * n, GW)
 
 
 def test_kernel_n1_is_weight_density():

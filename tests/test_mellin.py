@@ -256,6 +256,19 @@ def test_error_estimate_bounds_closed_form_error(monkeypatch):
     assert checks == 72
 
 
+def test_catalogued_weights_are_shared_per_parameter_set():
+    # one weight per parameter set: the memos keyed on weights see the
+    # same key however often a caller builds its weight
+    assert ginibre_weight(0.5) is ginibre_weight(0.5)
+    assert jacobi_weight(0.5, 1.0, 3) is jacobi_weight(0.5, 1.0, 3)
+    assert ginibre_weight(0.5) is not ginibre_weight(0.25)
+    for k in range(2 * mellin.MEMO):
+        ginibre_weight(k / 100.0)
+        jacobi_weight(k / 100.0, 0.0, 1)
+    for factory in (ginibre_weight, jacobi_weight):
+        assert factory.cache_info().currsize <= mellin.MEMO
+
+
 def test_catalogue_rejects_parameters_outside_the_domain():
     with pytest.raises(DomainError):
         ginibre_weight(-0.6)
