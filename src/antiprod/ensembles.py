@@ -22,8 +22,8 @@ single spectrum; a NaN or inf density raises DomainError.
 
 LRU memos of at most MEMO entries keep what depends on the base or the
 factor alone: per tuple of base values one record of the sorted values
-divided by the 2^e with max / 2^e in [0.5, 1), their coincidences, runs
-and den, which stands for Delta of their squares; per (weight, n), a
+divided by the 2^e with max / 2^e in [0.5, 1), their runs and den,
+which stands for Delta of their squares; per (weight, n), a
 weight keyed by all its fields and so by its Mellin handle, the final
 float 1 / (n! prod_j M A(2j - 1)).  After the first call per base and
 (weight, n), a call evaluates neither n! nor a Mellin transform.  The
@@ -107,16 +107,14 @@ def _clamped(val, name: str):
 
 
 class _FixedBase(NamedTuple):
-    """A base / 2^exp: read-only ascending values, flags of coinciding
-    neighbours, the runs of coinciding values snapped to their means t with
-    sizes k, the (run r, order c < k_r, t_r) of each column, and den =
-    prod_(i<j in different runs) (u_j - u_i) prod_r prod_(c<k_r) c!
-    (2 u_r)^c, u = t^2, which is Delta(values^2) at a distinct base."""
+    """A base / 2^exp: read-only ascending values, the runs of coinciding
+    values snapped to their means t, the (run r, order c, t_r) of each
+    column, c < k_r with k_r the size of run r, and den = prod_(i<j in
+    different runs) (u_j - u_i) prod_r prod_(c<k_r) c! (2 u_r)^c, u = t^2,
+    which is Delta(values^2) at a distinct base."""
     values: np.ndarray
     exp: int
-    same: np.ndarray
     t: np.ndarray
-    k: tuple
     cols: tuple
     den: float
 
@@ -140,8 +138,7 @@ def _base_record(values: tuple) -> _FixedBase:
         raise DomainError("base must be finite and invertible (all a > 0)")
     exp = int(np.frexp(v[-1])[1])
     v = np.ldexp(v, -exp)
-    same = coincident(v)
-    start = np.flatnonzero(np.r_[True, ~same])
+    start = np.flatnonzero(np.r_[True, ~coincident(v)])
     k = np.diff(np.r_[start, v.size])
     t = np.add.reduceat(v, start) / k
     run = np.repeat(np.arange(t.size), k)
@@ -155,10 +152,9 @@ def _base_record(values: tuple) -> _FixedBase:
         den = den * np.multiply.reduce(np.where(d == 0.0, 1.0, d))
     for c, uc in zip(order.tolist(), u):
         den = den * float(factorial(c)) * (2.0 * uc) ** c
-    for arr in (v, same, t, run, order, tc):
+    for arr in (v, t, run, order, tc):
         arr.setflags(write=False)
-    return _FixedBase(v, exp, same, t, tuple(k.tolist()), (run, order, tc),
-                      float(den))
+    return _FixedBase(v, exp, t, (run, order, tc), float(den))
 
 
 @lru_cache(maxsize=MEMO)
@@ -237,19 +233,13 @@ def _fixed_density(a, base: _FixedBase, factor: WeightFunction, name: str):
         W = factor.density(x) / t
     else:
         run, order, tc = base.cols
-        W = factor.neg_xdx(x, max(base.k) - 1)[..., run, order] / tc
+        W = factor.neg_xdx(x, max(order.tolist()))[..., run, order] / tc
     d = det(W)
-    norm = _fixed_norm(factor, n)
-    # Delta(a^2) overflows from a ~ 1.3e154 on, where W has a row of zeros:
-    # a finite spectrum with det W = 0 reads 0, a single one without the
-    # cost of np.errstate
-    if a.ndim == 1:
-        val = 0.0 if d == 0.0 and isfinite(a[-1]) \
-            else norm * vandermonde(a * a) / base.den * d
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = norm * vandermonde(a * a) / base.den * d
-        val = np.where((d == 0.0) & np.isfinite(a[..., -1]), 0.0, val)
+    # a spectrum with det W = 0 enters Delta(a^2) as zeros, so it reads 0
+    # also where a huge entry, which gives W a row of zeros, would overflow
+    # Delta(a^2); an infinite entry gives inf * 0 = NaN
+    a = a * (d != 0.0)[..., None]
+    val = _fixed_norm(factor, n) * vandermonde(a * a) / base.den * d
     return _clamped(np.ldexp(val, -n * e), name)
 
 
@@ -304,11 +294,11 @@ def corank2_jpdf(x, a):
     Leading axes of x (shape (..., n - 1)) are a batch of spectra.  The
     density is homogeneous of degree -(n - 1) in (x, a).
     """
-    av, e, same, *_, den = _fixed_base(a)
+    av, e, t, _, den = _fixed_base(a)
     n = av.size
     if n < 2:
         raise DomainError("projection density needs n >= 2")
-    if same.any():
+    if t.size < n:
         raise DomainError("projection density requires distinct a")
     x = np.ldexp(sorted_spectra(x, n - 1), -e)
     D = np.empty(x.shape[:-1] + (n, n))

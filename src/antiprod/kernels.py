@@ -30,8 +30,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .linalg import DomainError, SingularSpectrum, det
 from .mellin import WeightFunction, mellin_convolve
-from .ensembles import (PolynomialEnsembleSpec, _fixed_base,
-                        fixed_base_weights)
+from .ensembles import PolynomialEnsembleSpec, fixed_base_weights
 
 __all__ = [
     "BiorthSystem", "ContourError",
@@ -127,15 +126,9 @@ class BiorthSystem:
 
     def gram_matrix(self) -> np.ndarray:
         """int p_j(y) q_k(y) dy from the exact Mellin handles of qtilde."""
-        pc = self._p_coeffs(self.factor)
-        G = np.empty((self.n, self.n))
-        for j in range(self.n):
-            for k in range(self.n):
-                G[j, k] = sum(
-                    pc[j, i]
-                    * float(np.real(self.qtilde[k].mellin(2 * i + 1)))
-                    for i in range(self.n))
-        return G
+        moments = np.array([[float(np.real(q.mellin(2 * i + 1)))
+                             for q in self.qtilde] for i in range(self.n)])
+        return self._p_coeffs(self.factor) @ moments
 
 
 def chi_poly(factor: WeightFunction, z, n: int):
@@ -202,19 +195,17 @@ def gram_biorth(base: PolynomialEnsembleSpec) -> BiorthSystem:
 
 def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
     """Bi-orthonormal system of the fixed-base product ensemble at any
-    base: q_j are the columns (D^c A)(y / t_r) / t_r of fixed_base_weights,
-    whose moments int y^(2i) q_(r, c) are (2i + 1)^c t_r^(2i) M A(2i + 1),
-    so ptilde = inv(V)^T with V[(r, c), i] = (2i + 1)^c t_r^(2i), the
-    Lagrange polynomials in u^2 at a distinct base."""
-    base = _fixed_base(atilde)     # rejects a base value <= 0
-    _, order, t = base.cols
-    t = np.ldexp(t, base.exp)
-    i = np.arange(t.size)
-    V = (2.0 * i + 1.0) ** order[:, None] * t[:, None] ** (2 * i)
-    sys = BiorthSystem(n=t.size, ptilde_coeffs=np.linalg.inv(V).T,
-                       qtilde=fixed_base_weights(atilde, factor),
+    base: q_j are the columns of fixed_base_weights, and ptilde = inv(V)^T
+    with V[j, i] = M q_j(2i + 1) / M A(2i + 1) from their exact Mellin
+    handles, which is (2i + 1)^c t_r^(2i) at the column (D^c A)(y / t_r) /
+    t_r: the Lagrange polynomials in u^2 at a distinct base."""
+    qtilde = fixed_base_weights(atilde, factor)  # rejects a base value <= 0
+    n = len(qtilde)
+    # at ptilde = 1 the Gram matrix is V^T
+    sys = BiorthSystem(n=n, ptilde_coeffs=np.eye(n), qtilde=qtilde,
                        factor=factor)
-    off = float(np.max(np.abs(sys.gram_matrix() - np.eye(t.size))))
+    sys = replace(sys, ptilde_coeffs=np.linalg.inv(sys.gram_matrix()))
+    off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
     return replace(sys, gram_offdiag=off)
 
 

@@ -224,7 +224,8 @@ def ginibre_weight(nu: float) -> WeightFunction:
 
     A(a) = a^(2 nu) e^(-a) / Gamma(1 + 2 nu) on (0, inf), with exact Mellin
     transform Gamma(s + 2 nu) / Gamma(1 + 2 nu).  A and its derivatives
-    read 0 outside the support and at +inf, NaN at NaN.
+    read 0 outside the support and at +inf, NaN at NaN; the derivatives
+    read 0 where they underflow, at any order.
     """
     if nu <= -0.5:
         raise DomainError("ginibre weight requires nu > -1/2")
@@ -254,18 +255,25 @@ def ginibre_weight(nu: float) -> WeightFunction:
 
     @cache
     def table(m):
-        """Exponents 2 nu - k + j_k, the padded coefficients, and at 2 nu
-        = 0 the values (-1)^k A(0) at a = 0."""
+        """Exponents e_k = 2 nu - k + j_k, the padded coefficients, at 2 nu
+        = 0 the values (-1)^k A(0) at a = 0, and the support of the jet:
+        beyond its end every a^(e_k) e^(-a) / Gamma(1 + 2 nu) is below
+        e^(-800), 0 in floats, where the polynomial could overflow and
+        meet it as inf * 0."""
         js, C = _jet_table(polys, m)
         at0 = None if w0 is None else \
             np.array([(-1.0) ** k * w0 for k in range(m + 1)])
-        return np.array([two_nu - k + j for k, j in enumerate(js)]), C, at0
+        e = np.array([two_nu - k + j for k, j in enumerate(js)])
+        # at a >= 1, e_k log a <= top log a <= a / 2 + top (log 2 top - 1)
+        top = max(float(e.max()), 1.0)
+        end = 2.0 * (800.0 - lognorm + top * (np.log(2.0 * top) - 1.0))
+        return e, C, at0, (0.0, end)
 
     def jet(a, m):
-        e, C, at0 = table(m)
+        e, C, at0, jet_support = table(m)
         return _on_support(
             lambda t: _horner(t, C) * np.exp(e * np.log(t) - t - lognorm),
-            support, at0, np.asarray(a, dtype=float)[..., None])
+            jet_support, at0, np.asarray(a, dtype=float)[..., None])
 
     return WeightFunction(density=density, mellin=mellin, support=support,
                           edge=-two_nu, jet=jet)

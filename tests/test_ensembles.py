@@ -191,24 +191,34 @@ def test_tiny_spectrum_entry_stays_finite():
     assert fixed[0] == pytest.approx(fixed[1], rel=1e-12)
 
 
-@pytest.mark.parametrize("base", [[1.0, 2.0], [0.8, 0.8], [1.0, 1.0, 2.0]],
-                         ids=["distinct", "full", "partial"])
-def test_huge_spectrum_entry_reads_zero(base):
+@pytest.mark.parametrize("nu", [0.5, 1.0])
+@pytest.mark.parametrize("base", [[1.0, 2.0], [0.8, 0.8], [1.0, 1.0, 2.0],
+                                  [0.8, 0.8, 0.8]],
+                         ids=["distinct", "full", "partial", "full3"])
+def test_huge_spectrum_entry_reads_zero(base, nu):
     # Delta(a^2) overflows above a ~ 1.3e154, and a^k w^(k) in the
-    # confluent columns above about 1e154 / k; the density is 0 there
-    w = ginibre_weight(0.5)
+    # confluent columns above about 1e154 / k, as does the polynomial of
+    # the Ginibre jet at nu = 1 from order 2 on; the density is 0 there
+    w = ginibre_weight(nu)
     a = [0.5, 1e200] if len(base) == 2 else [0.5, 1.0, 1e200]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert not np.any(w.jet(np.array([1e200, 2e200]), 3))
         assert not np.any(w.neg_xdx(np.array([1e200, 2e200]), 3))
         assert jpdf_fixed(a, base, w) == 0.0
         assert np.array_equal(jpdf_fixed([a, a], base, w), [0.0, 0.0])
         assert jpdf_degenerate(a, w) == 0.0
         assert np.array_equal(jpdf_degenerate([a, a], w), [0.0, 0.0])
-    # an infinite entry is no spectrum: it still raises
-    with pytest.raises(DomainError), np.errstate(over="ignore",
-                                                 invalid="ignore"):
-        jpdf_fixed([[0.5] * (len(base) - 1) + [np.inf]], base, w)
+    # an infinite entry is no spectrum: +inf or -inf, single or stacked,
+    # it still raises
+    ones = [1.0] * (len(base) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in (ones + [np.inf], [-np.inf] + ones):
+            for spectra in (bad, [bad, a]):
+                with pytest.raises(DomainError):
+                    jpdf_fixed(spectra, base, w)
+                with pytest.raises(DomainError):
+                    jpdf_degenerate(spectra, w)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -363,14 +373,15 @@ def test_invalid_base_raises_on_every_call(base):
 
 def test_base_record_is_read_only():
     rec = ens._fixed_base([2.0, 3.0, 3.0])
-    # runs (2) and (3, 3) on the scale 2^2: t = (0.5, 0.75), k = (1, 2)
-    assert rec.exp == 2 and rec.k == (1, 2)
+    # runs (2) and (3, 3) on the scale 2^2: t = (0.5, 0.75), sizes (1, 2)
+    assert rec.exp == 2
+    assert rec.values.tolist() == [0.5, 0.75, 0.75]
     assert rec.t.tolist() == [0.5, 0.75]
     assert [c.tolist() for c in rec.cols] == [[0, 1, 1], [0, 0, 1],
                                               [0.5, 0.75, 0.75]]
     # den = (u_2 - u_1)^2 * 0! 1! (2 u_2) with u = t^2
     assert rec.den == pytest.approx((0.5625 - 0.25) ** 2 * 1.125, rel=1e-15)
-    for arr in (rec.values, rec.same, rec.t, *rec.cols):
+    for arr in (rec.values, rec.t, *rec.cols):
         with pytest.raises(ValueError):
             arr[0] = 0
 

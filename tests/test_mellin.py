@@ -305,7 +305,9 @@ EDGE_ARGS = np.array([0.0, -0.0, -1.0, 5e-324, 1e-310, np.nan, 1e300, np.inf,
 
 def _masked_ginibre(nu):
     """Density and derivatives of ginibre_weight(nu), assigned through a
-    mask of the positive finite arguments; NaN at NaN."""
+    mask of the positive finite arguments; NaN at NaN, and a derivative 0
+    where its exponential factor underflows to 0, where its polynomial
+    can overflow."""
     two_nu = 2.0 * nu
     lognorm = special.loggamma(1.0 + two_nu)
     x = np.polynomial.Polynomial([0.0, 1.0])
@@ -323,8 +325,8 @@ def _masked_ginibre(nu):
         j, c = polys(k)
         out = np.where(np.isnan(a), np.nan, 0.0)
         pos = (a > 0) & (a < np.inf)
-        out[pos] = _horner(a[pos], c) \
-            * np.exp((two_nu - k + j) * np.log(a[pos]) - a[pos] - lognorm)
+        g = np.exp((two_nu - k + j) * np.log(a[pos]) - a[pos] - lognorm)
+        out[pos] = np.where(g == 0.0, 0.0, _horner(a[pos], c) * g)
         if two_nu == 0.0:
             out[a == 0] = (-1.0) ** k * np.exp(-lognorm)
         return out
