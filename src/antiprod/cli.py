@@ -10,6 +10,7 @@ so outputs are self-describing and reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,9 +27,24 @@ from .samplers import product_spectra_batch
 
 
 def _load_config(path) -> dict:
+    """The config mapping of the YAML file at path, {} for none or an empty
+    file.  libyaml's CSafeLoader parses it where PyYAML has one, with the
+    resolver and constructor of SafeLoader, which stays as the fallback.
+    A file that is not YAML, or whose top level or params is not a
+    mapping, raises DomainError."""
     if path is None:
         return {}
-    cfg = yaml.safe_load(Path(path).read_text()) or {}
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        cfg = yaml.load(Path(path).read_text(), Loader=loader)
+    except yaml.YAMLError as exc:
+        raise DomainError(f"config {path} is not valid YAML: {exc}") from exc
+    if cfg is None:
+        return {}
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("params", {}),
+                                                   dict):
+        raise DomainError(
+            f"config {path}: the file and its params must be mappings")
     schema = cfg.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise DomainError(
@@ -127,7 +143,10 @@ def _cmd_verify(args, cfg) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it is, so every call of main reads its own defaults."""
     parser = argparse.ArgumentParser(
         prog="antiprod",
         description="Singular-value statistics of antisymmetric matrix "
@@ -160,13 +179,16 @@ def main(argv=None) -> int:
     ver.add_argument("--suite", type=str, default="quick",
                      help="suite name: quick, all, spectrum, corank2, "
                           "prop45, mellin, kernels, spherical")
-    args = parser.parse_args(argv)
-    cfg = _load_config(args.config)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {"sample": _cmd_sample, "jpdf": _cmd_jpdf,
                 "kernel": _cmd_kernel, "spherical": _cmd_spherical,
                 "verify": _cmd_verify}
     try:
-        return handlers[args.command](args, cfg)
+        return handlers[args.command](args, _load_config(args.config))
     except (DomainError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -306,6 +306,10 @@ def corank2_jpdf(x, a):
     diff = av - x[..., :, None]
     D[..., 1:, :] = np.where(diff > 0.0, diff, 0.0)
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
-    val = pref * vandermonde(x * x) / den * det(D)
-    return _clamped(np.ldexp(np.where(np.any(x < 0, axis=-1), 0.0, val),
-                             -(n - 1) * e), "corank2_jpdf")
+    d = np.where(np.any(x < 0, axis=-1), 0.0, det(D))
+    # as in _fixed_density: a spectrum with det D = 0 (a negative entry, or
+    # one above the base, which gives D a row of zeros) enters Delta(x^2)
+    # as zeros, so a huge entry cannot overflow it; inf * 0 = NaN raises
+    x = x * (d != 0.0)[..., None]
+    val = pref * vandermonde(x * x) / den * d
+    return _clamped(np.ldexp(val, -(n - 1) * e), "corank2_jpdf")

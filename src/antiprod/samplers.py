@@ -35,7 +35,7 @@ import numpy as np
 
 from .linalg import (DomainError, SingularSpectrum, _mc_stack,
                      antisymmetrized, build_canonical, haar_orthogonal_batch,
-                     sandwich, spectra_batch)
+                     sandwich, spectra_batch, transposed)
 from .mellin import (WeightFunction, convolved_weight, ginibre_weight,
                      jacobi_weight)
 
@@ -122,8 +122,8 @@ class JacobiSpec:
         k = 2 * self.n
         t1 = _bartlett(k, 2 * self.N, size, rng)
         t2 = _bartlett(k, self.K1 - 2 * self.N, size, rng)
-        r = np.linalg.cholesky(t1.transpose(0, 2, 1) @ t1
-                               + t2.transpose(0, 2, 1) @ t2).transpose(0, 2, 1)
+        r = np.linalg.cholesky(transposed(t1) @ t1
+                               + transposed(t2) @ t2).transpose(0, 2, 1)
         # C R = T_1, solved column by column; only the upper triangle is set
         c = np.zeros_like(t1)
         for j in range(k):

@@ -48,7 +48,7 @@ from .linalg import (DomainError, SingularSpectrum, _mc_blocks,
                      antisymmetrized, build_canonical, coincident,
                      confluent_alternant, derivative_terms, det,
                      haar_orthogonal_batch, sandwich, sorted_spectra,
-                     spectra_batch, vandermonde)
+                     spectra_batch, transposed, vandermonde)
 from .mellin import quad
 
 __all__ = [
@@ -265,9 +265,8 @@ def _frame_minor_power(g, m, exponents):
     (Q^T m Q)[:2j, :2j] = R_2j^-T g_2j^T m g_2j R_2j^-1, each proper minor
     is the Gram ratio det(g_2j^T m g_2j) / det(g_2j^T g_2j) of the leading
     2j columns, and the full minor is det m, however many columns g has.
-    Leading axes of m broadcast against the stack.  Both Gram stacks are products with a contiguous
-    copy of g^T, for which numpy's stacked matmul takes its fast loop, and
-    their 2 x 2 minors are the closed forms of `linalg.det`.
+    Leading axes of m broadcast against the stack.  The 2 x 2 minors of
+    both Gram stacks are the closed forms of `linalg.det`.
 
     The minors are >= 0 in exact arithmetic when m is positive
     semidefinite or antisymmetric (an even principal minor of an
@@ -278,7 +277,7 @@ def _frame_minor_power(g, m, exponents):
     -MINOR_RTOL times its bound raises DomainError; the rest are floored
     at 1e-300 for the log, which takes zeros and rounding.
     """
-    gt = np.ascontiguousarray(np.swapaxes(g, -1, -2))
+    gt = transposed(g)
     num, den = gt @ m @ g, gt @ g
     e_full = exponents[-1]    # an unweighted det m is not computed
     logf = e_full * (_log_minor(det(m), m) if e_full else 0.0)

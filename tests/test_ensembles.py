@@ -97,6 +97,27 @@ def test_corank2_piecewise_n2():
     assert val + val2 == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("x", [[0.5, 1e150], [0.5, 1e200], [-0.5, 1e200]],
+                         ids=["1e150", "1e200", "negative"])
+def test_corank2_huge_projection_entry_reads_zero(x):
+    # Delta(x^2) overflows above x ~ 1.3e154; outside the support (above
+    # the base or below 0) the density is 0, single and stacked
+    a = [1.0, 2.0, 3.0]
+    inside = [0.5, 2.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert corank2_jpdf(x, a) == 0.0
+        assert np.array_equal(corank2_jpdf([inside, x], a),
+                              [corank2_jpdf(inside, a), 0.0])
+    # an infinite entry is no spectrum: +inf or -inf, single or stacked,
+    # it raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in ([0.5, np.inf], [-np.inf, 0.5]):
+            for spectra in (bad, [bad, x]):
+                with pytest.raises(DomainError, match="corank2_jpdf"):
+                    corank2_jpdf(spectra, a)
+
+
 def test_corank2_input_validation():
     with pytest.raises(DomainError):
         corank2_jpdf([0.5], [1.0])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy import stats
 
 from antiprod import harness
@@ -24,6 +25,22 @@ import antiprod
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [str(Path(antiprod.__file__).parents[1])]
     + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+@pytest.fixture(autouse=True)
+def loaders_agree(monkeypatch):
+    """Every config a test here hands the CLI reads the same under the
+    loader the CLI picks (libyaml's CSafeLoader, where PyYAML has it) as
+    under PyYAML's SafeLoader."""
+    load = yaml.load
+
+    def checked(stream, Loader):
+        cfg = load(stream, Loader=Loader)
+        assert cfg == load(stream, Loader=yaml.SafeLoader)
+        return cfg
+
+    monkeypatch.setattr(yaml, "load", checked)
+
 
 def test_import_loads_only_scipy_special():
     # a fresh interpreter: the CLI's cold start pays for no scipy subpackage
@@ -306,6 +323,88 @@ def test_cli_bad_args_exit_two(tmp_path):
          "--out", str(tmp_path)],
         capture_output=True, text=True, env=CHILD_ENV)
     assert out.returncode == 2
+
+
+#: Configs that are not YAML, or whose top level or params is not a mapping.
+BAD_CONFIGS = {
+    "tab-indented": "schema: antiprod/1\nparams:\n\tfactor: ginibre\n",
+    "list": "- factor\n- ginibre\n",
+    "scalar": "ginibre\n",
+    "params-list": "schema: antiprod/1\nparams: [factor, ginibre]\n",
+    "params-null": "schema: antiprod/1\nparams:\n",
+}
+
+
+@pytest.mark.parametrize("kind", ["tab-indented", "list", "params-list"])
+def test_cli_bad_config_exits_two(tmp_path, kind):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(BAD_CONFIGS[kind])
+    out = subprocess.run(
+        [sys.executable, "-m", "antiprod.cli", "sample", "--config", str(cfg),
+         "--samples", "10", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: config {cfg}")
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_loader_falls_back_to_safe_loader(tmp_path, monkeypatch):
+    # the README config, under libyaml's loader and, without libyaml,
+    # under SafeLoader; bad configs raise DomainError under either
+    from antiprod.cli import _load_config
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(readme.split("```yaml\n")[1].split("```")[0])
+    want = {"schema": SCHEMA_VERSION,
+            "params": {"factor": "ginibre", "n": 2, "nu": 0.0,
+                       "base": [1.0, 2.0]}}
+    seen = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda stream, Loader: seen.append(
+        Loader) or load(stream, Loader=Loader))
+
+    def reads_with(loader):
+        seen.clear()
+        assert _load_config(cfg) == want
+        for k, text in enumerate(BAD_CONFIGS.values()):
+            bad = tmp_path / f"bad{k}.yaml"
+            bad.write_text(text)
+            with pytest.raises(DomainError, match=f"config {bad}"):
+                _load_config(bad)
+        assert seen == [loader] * (1 + len(BAD_CONFIGS))
+
+    reads_with(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    reads_with(yaml.SafeLoader)
+
+
+def test_cli_calls_in_one_process_match_fresh_runs(tmp_path):
+    # main parses with one parser per process: each call writes the bytes
+    # of a fresh interpreter and reads its own defaults
+    from antiprod.cli import _parser, main
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema: antiprod/1\nparams:\n  factor: ginibre\n"
+                   "  n: 2\n  nu: 1.0\n  base: [1.0, 2.0]\n")
+    sample = ["sample", "--config", str(cfg), "--samples", "300",
+              "--seed", "3"]
+    runs = [sample + ["--format", "jsonlines"],
+            ["verify", "--suite", "prop45", "--seed", "1"],
+            ["jpdf", "--config", str(cfg)], sample]
+    tables = []
+    for k, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        assert main(argv + ["--out", str(here)]) == 0
+        out = subprocess.run(
+            [sys.executable, "-m", "antiprod.cli", *argv, "--out", str(fresh)],
+            capture_output=True, text=True, env=CHILD_ENV)
+        assert out.returncode == 0, out.stderr
+        tables.append({p.name: p.read_bytes() for p in here.iterdir()})
+        assert tables[-1] == {p.name: p.read_bytes()
+                              for p in fresh.iterdir()}
+    assert "spectra.jsonl" in tables[0] and "spectra.csv" in tables[3]
+    assert "prop45-distribution-n1.csv" in tables[1]
+    assert _parser().parse_args(["verify"]).suite == "quick"
 
 
 def test_cli_kernel_readme_config_is_finite(tmp_path):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
+from antiprod import linalg
 from antiprod.linalg import (MC_BLOCK, AntisymmetricMatrix, DomainError,
-                             SingularSpectrum, build_canonical, det,
-                             haar_orthogonal_batch, singular_spectrum,
-                             spectra_batch, vandermonde)
+                             SingularSpectrum, antisymmetrized,
+                             build_canonical, det, haar_orthogonal_batch,
+                             sandwich, singular_spectrum, spectra_batch,
+                             transposed, vandermonde)
 from antiprod.samplers import (GinibreSpec, ProductSpec, build_product_batch,
                                product_spectra_batch)
 from antiprod.spherical import phi_montecarlo
@@ -75,6 +77,33 @@ def test_det_is_the_only_lapack_determinant():
     calls = {p.name: p.read_text().count("np.linalg.det(")
              for p in src.glob("*.py")}
     assert calls.pop("linalg.py") == 1 and not any(calls.values())
+
+
+def _view(k):
+    """The transposed view: the operand of the plain @ product."""
+    return np.swapaxes(k, -1, -2)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_sandwich_matches_the_plain_product_bitwise(k):
+    # a stacked k around a broadcast base, and a 2-D k around a stack
+    rng = np.random.default_rng(k)
+    ks = rng.standard_normal((300, k, k))
+    ms = antisymmetrized(rng.standard_normal((300, k, k)))
+    assert transposed(ks).flags.c_contiguous
+    assert np.array_equal(transposed(ks), _view(ks))
+    assert np.array_equal(sandwich(ks, ms[0]), ks @ ms[0] @ _view(ks))
+    assert np.array_equal(sandwich(ks[0], ms), ks[0] @ ms @ _view(ks[0]))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_spectra_batch_matches_the_plain_product_bitwise(n, monkeypatch):
+    # y^T y from the contiguous transpose, against the transposed view
+    y = antisymmetrized(np.random.default_rng(n).standard_normal(
+        (300, 2 * n, 2 * n)))
+    got = spectra_batch(y)
+    monkeypatch.setattr(linalg, "transposed", _view)
+    assert np.array_equal(got, spectra_batch(y))
 
 
 def test_spectrum_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from antiprod import samplers
 from antiprod.linalg import (DomainError, SingularSpectrum,
                              haar_orthogonal_batch, spectra_batch)
 from antiprod.mellin import ginibre_weight, jacobi_weight
@@ -203,6 +204,18 @@ def test_jacobi_triangle_is_an_upper_contraction(spec):
     c = spec.triangle(5000, np.random.default_rng(17))
     assert np.array_equal(c, np.triu(c))
     assert np.max(np.linalg.svd(c, compute_uv=False)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("spec", [JacobiSpec(1, 1, 5), JacobiSpec(2, 2, 9),
+                                  JacobiSpec(3, 3, 14), JacobiSpec(4, 4, 17)],
+                         ids=str)
+def test_jacobi_triangle_matches_the_plain_product_bitwise(spec, monkeypatch):
+    # the Gram T^T T from the contiguous transpose, against the transposed
+    # view, at k = 2n = 2, 4, 6, 8
+    got = spec.triangle(500, np.random.default_rng(18))
+    monkeypatch.setattr(samplers, "transposed",
+                        lambda t: np.swapaxes(t, -1, -2))
+    assert np.array_equal(got, spec.triangle(500, np.random.default_rng(18)))
 
 
 def test_small_n_spectra_call_no_qr_or_eigvalsh(monkeypatch):
