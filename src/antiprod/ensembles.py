@@ -11,8 +11,11 @@ The fixed base has one column rule: a run of k coinciding base values t
 (one run of n at the base of ones, runs of one at a distinct base) gives
 the columns (D^c A)(a / t) / t, c < k, D = -x d/dx, with Mellin
 transforms t^(s-1) s^c M A(s) (Kieburg & Koesters, RMTA 5 (2016)).
-jpdf_fixed, jpdf_degenerate, fixed_base_weights and kernels.biorth_fixed
-read the runs from one base record.
+Every D^c A is read from the factor's one jet, WeightFunction.neg_xdx,
+closed-form for the catalogued factors; a factor without one (a fold)
+takes distinct bases only.  jpdf_fixed, jpdf_degenerate,
+fixed_base_weights and kernels.biorth_fixed read the runs from one base
+record.
 
 All densities are symmetric in the spectrum entries and integrate to 1
 over the full unordered box; the density of the ascending spectrum is n!
@@ -224,8 +227,9 @@ def muttalib_borodin_weights(nu: float, mu: float, n: int) -> tuple:
 def _fixed_density(a, base: _FixedBase, factor: WeightFunction, name: str):
     """jpdf_fixed of the spectra a, each sorted ascending, on the base
     record, naming name in errors: _fixed_norm Delta(a^2) det W / den on
-    the base's scale, W[b, (r, c)] = (D^c A)(a_b / t_r) / t_r from one
-    jet, or from the density alone at a distinct base."""
+    the base's scale, W[b, (r, c)] = (D^c A)(a_b / t_r) / t_r from the
+    factor's one (-a d/da) jet, or from the density alone at a distinct
+    base."""
     n, e, t = a.shape[-1], base.exp, base.t
     a = np.ldexp(a, -e)
     x = a[..., :, None] / t
@@ -269,7 +273,7 @@ def jpdf_degenerate(a, factor: WeightFunction):
     which is jpdf_fixed on the memoized record of the base of ones.  a has
     shape (..., n), a stack of spectra in any entry order; the result has
     shape a.shape[:-1], and is a float for a single spectrum.  For n >= 2
-    the columns come from one derivative jet of the factor; a factor
+    the columns come from the factor's one (-a d/da) jet; a factor
     without one raises DomainError.
     """
     a = sorted_spectra(a)

@@ -142,8 +142,11 @@ def coincident(v) -> np.ndarray:
 def vandermonde(v):
     """prod_(k<l) (v_l - v_k) over the last axis of v, in the given order;
     the float 1.0 for n = 1, which broadcasts against any stack, and a
-    scalar for a single vector."""
+    scalar for a single vector.  At n = 2 it is the closed form
+    v_1 - v_0."""
     v = np.asarray(v)
+    if v.shape[-1] == 2:
+        return v[..., 1] - v[..., 0]
     out = 1.0
     for k in range(v.shape[-1] - 1):
         out = out * np.multiply.reduce(v[..., k + 1:] - v[..., k, None],

@@ -17,11 +17,14 @@ in log y by one FFT of that handle (by mellin_convolve on a bounded
 support), so the factors of a product X_2 X_1 fold into the one factor
 A_2 (*) A_1, which every fixed-base formula takes unchanged.  The
 catalogued A are built once per parameter set (an LRU memo of MEMO
-entries) and carry a closed-form derivative jet, every order up to m
-from one log and one exp, which the confluent fixed-base columns need; a
-weight without one raises DomainError when a derivative is asked for.
-Where every argument lies inside its open support, a catalogued density
-or jet is evaluated without masks.
+entries) and carry a closed-form jet of the columns (D^c A)(a), D =
+-a d/da, c = 0, ..., m, with Mellin transforms s^c M A(s): the confluent
+fixed-base columns themselves, each A times a polynomial (and a power of
+1 - a for Jacobi), every order from one padded coefficient table, one
+Horner pass and one exp, with no negative power of a.  A weight without
+one raises DomainError when a column c >= 1 is asked for.  Where every
+argument lies inside its open support, a catalogued density or jet is
+evaluated without masks.
 
 Numeric integrals of the package go through quad: Gauss-Legendre panels
 evaluated on whole arrays of nodes, an error estimate from a lower-order
@@ -99,9 +102,10 @@ class WeightFunction:
     edge : float
         Left end of the Mellin strip, Re s > edge: w(a) ~ a^(-edge) at 0.
     jet : callable, optional
-        (a, m) -> the derivatives w^(k)(a) for k = 0, ..., m as one new
-        array of shape a.shape + (m + 1,), where closed forms exist.  Its
-        column 0 equals the density bit for bit.
+        (a, m) -> the columns (D^c w)(a), D = -a d/da, for c = 0, ..., m
+        as one new array of shape a.shape + (m + 1,), where closed forms
+        exist; column c has the Mellin transform s^c M w(s), and column 0
+        equals the density bit for bit.
     """
 
     density: Callable
@@ -119,44 +123,16 @@ class WeightFunction:
         hi = self.support[1]
         return hi if np.isfinite(hi) else TAIL_CUT
 
-    def derivatives(self, a, m: int):
-        """w^(k)(a) for k = 0, ..., m, shape a.shape + (m + 1,): the jet, or
-        the density alone at m = 0 for a weight without one, which raises
-        DomainError at m >= 1."""
+    def neg_xdx(self, a, m: int):
+        """((-a d/da)^c w)(a) for c = 0, ..., m, shape a.shape + (m + 1,):
+        the confluent columns, read from the jet, or the density alone at
+        m = 0 for a weight without one, which raises DomainError at
+        m >= 1."""
         if self.jet is not None:
             return self.jet(a, m)
         if m:
-            raise DomainError("weight has no closed-form derivatives")
+            raise DomainError("weight has no closed-form (-a d/da) jet")
         return np.asarray(self.density(a))[..., None]
-
-    def neg_xdx(self, a, m: int):
-        """((-a d/da)^c w)(a) for c = 0, ..., m, shape a.shape + (m + 1,):
-        the degenerate-limit columns, all read from one jet.  Each sums
-        c_k a^k w^(k) by Horner's rule in a, so where the w^(k) are 0 at a
-        huge a it reads 0, not inf * 0."""
-        a = np.asarray(a, dtype=float)
-        d = self.derivatives(a, m)
-        # in the jet's new array, from the top: column c reads k <= c only
-        for c in range(m, 0, -1):
-            coef = _neg_xdx_coeffs(c)
-            col = coef[c] * d[..., c]
-            for k in range(c - 1, -1, -1):
-                col = col * a
-                if coef[k]:
-                    col = col + coef[k] * d[..., k]
-            d[..., c] = col
-        return d
-
-
-@cache
-def _neg_xdx_coeffs(m: int) -> tuple:
-    """c_k with (-a d/da)^m w = sum_k c_k a^k w^(k): (-a d/da) maps
-    a^k w^(k) -> -k a^k w^(k) - a^(k+1) w^(k+1)."""
-    c = [1.0]
-    for _ in range(m):
-        c = [-k * ck - cl for k, (ck, cl)
-             in enumerate(zip(c + [0.0], [0.0] + c))]
-    return tuple(c)
 
 
 def _log_beta(x, y):
@@ -164,42 +140,26 @@ def _log_beta(x, y):
 
 
 def _horner(x, c):
-    """sum_i c_i x^i, operation for operation as npp.polyval does it."""
-    out = c[-1] + x * 0
+    """sum_i c_i x^i by Horner's rule from c[-1], which meets x first in
+    its first product: a table of one coefficient row returns that row."""
+    out = c[-1]
     for ci in c[-2::-1]:
         out = ci + out * x
     return out
 
 
-def _deriv_polys(step):
-    """Polynomials P_(k+1) = step(P_k, k) from P_0 = 1, each cached on
-    first use as (j, c) with P_k(a) = a^j _horner(a, c): the lowest power
-    a^j is split off so that the caller folds it into its exponential, and
-    a tiny a meets no 0 * inf.  A zero P_k (a polynomial density
-    differentiated past its degree) is cached as (k, [0])."""
-    polys, table = [npp.Polynomial([1.0])], [(0, (1.0,))]
-
-    def split(k):
-        while len(table) <= k:
-            polys.append(step(polys[-1], len(polys) - 1))
-            coef = polys[-1].coef.tolist()
-            j = next((i for i, v in enumerate(coef) if v), None)
-            table.append((len(table), coef) if j is None else (j, coef[j:]))
-        return table[k]
-
-    return split
-
-
-def _jet_table(polys, m: int):
-    """The split-off powers j_k of the P_k of `_deriv_polys`, k = 0, ...,
-    m, and their coefficients c as the columns of one array (max len c,
-    m + 1), padded with zeros at the top: one _horner pass evaluates every
-    order, and leading zeros leave each result unchanged bit for bit."""
-    rows = [polys(k) for k in range(m + 1)]
-    C = np.zeros((max(len(c) for _, c in rows), m + 1))
-    for k, (_, c) in enumerate(rows):
-        C[:len(c), k] = c
-    return [j for j, _ in rows], C
+def _jet_table(step, m: int):
+    """The coefficients of P_0 = 1, ..., P_m, P_(c+1) = step(P_c, c), as
+    the columns of one array padded with zeros at the top: one _horner
+    pass evaluates every order, and leading zeros leave each result
+    unchanged bit for bit."""
+    polys = [npp.Polynomial([1.0])]
+    for c in range(m):
+        polys.append(step(polys[-1], c))
+    C = np.zeros((max(p.coef.size for p in polys), m + 1))
+    for c, p in enumerate(polys):
+        C[:p.coef.size, c] = p.coef
+    return C
 
 
 def _on_support(f, support, at0, a):
@@ -223,9 +183,10 @@ def ginibre_weight(nu: float) -> WeightFunction:
     """Determinant-modulus density of the induced real Ginibre factor.
 
     A(a) = a^(2 nu) e^(-a) / Gamma(1 + 2 nu) on (0, inf), with exact Mellin
-    transform Gamma(s + 2 nu) / Gamma(1 + 2 nu).  A and its derivatives
-    read 0 outside the support and at +inf, NaN at NaN; the derivatives
-    read 0 where they underflow, at any order.
+    transform Gamma(s + 2 nu) / Gamma(1 + 2 nu).  Its jet is D^c A =
+    A Q_c, D = -a d/da, with Q_0 = 1 and Q_(c+1) = (a - 2 nu) Q_c - a Q_c'.
+    A and its jet read 0 outside the support and at +inf, NaN at NaN; the
+    jet reads 0 where it underflows, at any order.
     """
     if nu <= -0.5:
         raise DomainError("ginibre weight requires nu > -1/2")
@@ -248,31 +209,25 @@ def ginibre_weight(nu: float) -> WeightFunction:
         val = np.exp(special.loggamma(s + two_nu) - lognorm)
         return val if val.ndim else complex(val)
 
-    # derivative of a^(2nu) e^(-a): polynomial recursion in front of
-    # a^(2nu - k) e^(-a)
     x = npp.Polynomial([0.0, 1.0])
-    polys = _deriv_polys(lambda q, j: (two_nu - j) * q + x * q.deriv() - x * q)
 
     @cache
     def table(m):
-        """Exponents e_k = 2 nu - k + j_k, the padded coefficients, at 2 nu
-        = 0 the values (-1)^k A(0) at a = 0, and the support of the jet:
-        beyond its end every a^(e_k) e^(-a) / Gamma(1 + 2 nu) is below
-        e^(-800), 0 in floats, where the polynomial could overflow and
-        meet it as inf * 0."""
-        js, C = _jet_table(polys, m)
-        at0 = None if w0 is None else \
-            np.array([(-1.0) ** k * w0 for k in range(m + 1)])
-        e = np.array([two_nu - k + j for k, j in enumerate(js)])
-        # at a >= 1, e_k log a <= top log a <= a / 2 + top (log 2 top - 1)
-        top = max(float(e.max()), 1.0)
+        """The padded coefficients of Q_0, ..., Q_m, at 2 nu = 0 the values
+        (D^c A)(0) = (-2 nu)^c A(0), and the support of the jet: beyond its
+        end every a^(2 nu + m) e^(-a) / Gamma(1 + 2 nu) is below e^(-800),
+        0 in floats, where Q_c could overflow and meet it as inf * 0."""
+        C = _jet_table(lambda q, c: (x - two_nu) * q - x * q.deriv(), m)
+        at0 = None if w0 is None else np.r_[w0, np.zeros(m)]
+        # at a >= 1, top log a <= a / 2 + top (log 2 top - 1)
+        top = max(two_nu + m, 1.0)
         end = 2.0 * (800.0 - lognorm + top * (np.log(2.0 * top) - 1.0))
-        return e, C, at0, (0.0, end)
+        return C, at0, (0.0, end)
 
     def jet(a, m):
-        e, C, at0, jet_support = table(m)
+        C, at0, jet_support = table(m)
         return _on_support(
-            lambda t: _horner(t, C) * np.exp(e * np.log(t) - t - lognorm),
+            lambda t: _horner(t, C) * np.exp(two_nu * np.log(t) - t - lognorm),
             jet_support, at0, np.asarray(a, dtype=float)[..., None])
 
     return WeightFunction(density=density, mellin=mellin, support=support,
@@ -284,8 +239,11 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
     """Determinant-modulus density of the induced real Jacobi factor.
 
     A(a) = a^(2 nu) (1 - a)^(2 (mu + n)) / B(1 + 2 nu, 2 mu + 2 n + 1) on
-    (0, 1), with exact Mellin transform a ratio of Beta functions.  A and
-    its derivatives read 0 outside the support, NaN at NaN.
+    (0, 1), with exact Mellin transform a ratio of Beta functions.  Its
+    jet is D^c A = a^(2 nu) (1 - a)^(beta - c) R_c / B, D = -a d/da, beta
+    = 2 (mu + n), with R_0 = 1 and R_(c+1) = -2 nu (1 - a) R_c + (beta - c)
+    a R_c - a (1 - a) R_c'.  A and its jet read 0 outside the support, NaN
+    at NaN.
     """
     if nu <= -0.5:
         raise DomainError("jacobi weight requires nu > -1/2")
@@ -312,27 +270,22 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
         val = np.exp(_log_beta(s + two_nu, beta + 1.0) - lognorm)
         return val if val.ndim else complex(val)
 
-    # polynomial recursion in front of a^(2nu - k) (1 - a)^(beta - k)
     x, one_m_x = npp.Polynomial([0.0, 1.0]), npp.Polynomial([1.0, -1.0])
-    polys = _deriv_polys(lambda r, j: (two_nu - j) * one_m_x * r
-                         - (beta - j) * x * r + x * one_m_x * r.deriv())
 
     @cache
     def table(m):
-        """Exponents 2 nu - k + j_k and beta - k, the padded coefficients,
-        and at 2 nu = 0 the a -> 0+ limits of d^k/da^k (1 - a)^beta / B."""
-        js, C = _jet_table(polys, m)
-        at0 = None if w0 is None else np.array(
-            [(-1.0) ** k * special.poch(beta - k + 1.0, k) * w0
-             for k in range(m + 1)])
-        return (np.array([two_nu - k + j for k, j in enumerate(js)]),
-                np.array([beta - k for k in range(m + 1)]), C, at0)
+        """Exponents beta - c, the padded coefficients of R_0, ..., R_m, and
+        at 2 nu = 0 the values (D^c A)(0) = (-2 nu)^c A(0)."""
+        C = _jet_table(lambda r, c: -two_nu * one_m_x * r + (beta - c) * x * r
+                       - x * one_m_x * r.deriv(), m)
+        at0 = None if w0 is None else np.r_[w0, np.zeros(m)]
+        return beta - np.arange(m + 1.0), C, at0
 
     def jet(a, m):
-        e, f, C, at0 = table(m)
+        f, C, at0 = table(m)
         return _on_support(
-            lambda t: _horner(t, C) * np.exp(e * np.log(t) + f * np.log1p(-t)
-                                             - lognorm),
+            lambda t: _horner(t, C) * np.exp(two_nu * np.log(t)
+                                             + f * np.log1p(-t) - lognorm),
             support, at0, np.asarray(a, dtype=float)[..., None])
 
     return WeightFunction(density=density, mellin=mellin, support=support,

@@ -201,8 +201,9 @@ def test_convolve_preserves_n():
 
 
 def test_tiny_spectrum_entry_stays_finite():
-    # the confluent and degenerate columns use A^(k) at a ~ 1e-160, where
-    # a^(2 nu - k) on its own overflows
+    # the confluent and degenerate columns D^c A = a^(2 nu) times a
+    # polynomial at a tiny entry lo, where a^(2 nu - c) would overflow:
+    # lo^(-2 nu) times the density tends to its limit, and reads it there
     deg = [jpdf_degenerate([lo, 1.0, 2.0], GW) for lo in (1e-160, 1e-100)]
     assert deg[0] == pytest.approx(deg[1], rel=1e-12)
     base = [0.8, 1.5, 1.5, 1.5]
@@ -210,6 +211,18 @@ def test_tiny_spectrum_entry_stays_finite():
              for lo in (1e-160, 1e-100)]
     assert fixed[0] > 0.0
     assert fixed[0] == pytest.approx(fixed[1], rel=1e-12)
+    # at 2 nu < 0 the entries of the row of lo carry the rounding of
+    # exp(2 nu log lo), |2 nu log lo| eps ~ 3e-14, which the 4 x 4
+    # determinant amplifies about 50-fold; the 3 x 3 one keeps it
+    w, los = ginibre_weight(-0.45), (1e-300, 1e-200, 1e-160, 1e-100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deg = [lo ** 0.9 * jpdf_degenerate([lo, 1.0, 2.0], w) for lo in los]
+        fixed = [lo ** 0.9 * jpdf_fixed([lo, 0.5, 1.0, 2.0], base, w)
+                 for lo in los]
+    assert deg == pytest.approx([deg[-1]] * len(los), rel=1e-12)
+    assert fixed[-1] > 0.0
+    assert fixed == pytest.approx([fixed[-1]] * len(los), rel=1e-11)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0])
@@ -224,8 +237,8 @@ def test_huge_spectrum_entry_reads_zero(base, nu):
     a = [0.5, 1e200] if len(base) == 2 else [0.5, 1.0, 1e200]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not np.any(w.jet(np.array([1e200, 2e200]), 3))
-        assert not np.any(w.neg_xdx(np.array([1e200, 2e200]), 3))
+        for m in (3, 5):
+            assert not np.any(w.neg_xdx(np.array([1e200, 2e200]), m))
         assert jpdf_fixed(a, base, w) == 0.0
         assert np.array_equal(jpdf_fixed([a, a], base, w), [0.0, 0.0])
         assert jpdf_degenerate(a, w) == 0.0
@@ -263,15 +276,15 @@ def test_triple_base_entry_n4_matches_split_base():
 
 def test_catalogued_derivatives_vanish_outside_the_support():
     # a base entry 0.95 / 0.9 > 1 sits outside the Jacobi support, where
-    # the density and every derivative are 0
+    # the density and every jet column (-a d/da)^k A are 0
     jw = jacobi_weight(0.0, 0.0, 2)
     assert jpdf_fixed([0.3, 0.95], [0.9, 0.9], jw) == 0.0
     assert jpdf_degenerate([0.3, 1.2], jw) == 0.0
     for k in (1, 2, 3):
         for w, out in ((jw, [-0.5, 1.0, 1.5]), (GW, [-0.5, -2.0])):
-            assert np.all(w.jet(np.array(out), k)[:, k] == 0.0)
-        # A(a) = e^(-a) keeps its derivatives (-1)^k at the edge a = 0
-        assert GW.jet(0.0, k)[k] == (-1.0) ** k
+            assert np.all(w.neg_xdx(np.array(out), k)[:, k] == 0.0)
+        # A(a) = e^(-a) has (D^k A)(0) = (-2 nu)^k A(0) = 0 at the edge
+        assert GW.neg_xdx(0.0, k)[k] == 0.0
 
 
 def _bases(n, kind):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from antiprod import mellin
-from antiprod.mellin import _deriv_polys, _horner, _log_beta
+from antiprod.mellin import _horner, _jet_table, _log_beta
 from antiprod.linalg import DomainError
 from antiprod.mellin import (QuadratureError, convolved_weight,
                              ginibre_weight, jacobi_weight, mellin_convolve,
@@ -51,18 +51,22 @@ def test_density_normalized():
 
 
 def test_density_deriv_matches_finite_difference():
+    # column k of the jet is -a d/da of column k - 1
     for w in (ginibre_weight(1.0), jacobi_weight(1.0, 0.5, 1)):
         for k in (1, 2, 3):
             a = 0.37
             h = 1e-5
-            stencil = [w.jet(a + i * h, k - 1)[k - 1] for i in (-1, 1)]
-            fd = (stencil[1] - stencil[0]) / (2 * h)
-            assert w.jet(a, k)[k] == pytest.approx(fd, rel=1e-7)
+            stencil = [w.neg_xdx(a + i * h, k - 1)[k - 1] for i in (-1, 1)]
+            fd = -a * (stencil[1] - stencil[0]) / (2 * h)
+            assert w.neg_xdx(a, k)[k] == pytest.approx(fd, rel=1e-7)
 
 
-def test_neg_xdx_mellin_identity():
-    # M[(-a d/da)^m A](s) = s^m M A(s)
-    w = ginibre_weight(0.5)
+@pytest.mark.parametrize("w", [ginibre_weight(nu) for nu in (0.0, 0.5)] + [
+    jacobi_weight(nu, mu, 2) for nu in (0.0, 0.5) for mu in (0.0, 1.0)],
+    ids=["ginibre0", "ginibre-half", "jacobi00", "jacobi01", "jacobi-half0",
+         "jacobi-half1"])
+def test_neg_xdx_mellin_identity(w):
+    # M[(-a d/da)^m A](s) = s^m M A(s), each table against quadrature
     for m in (1, 2, 3):
         s = 3.0
         num = mellin_numeric(lambda a: w.neg_xdx(a, m)[..., m], s,
@@ -281,10 +285,11 @@ def test_catalogue_rejects_parameters_outside_the_domain():
                                jacobi_weight(0.5, 0.5, 2)],
                          ids=["ginibre0", "ginibre1", "jacobi001", "jacobi2"])
 def test_density_deriv_finite_at_tiny_argument(w):
-    # 2 nu is an integer in each case, so every derivative is finite at 0;
-    # a^(2 nu - k) on its own would overflow below a ~ 1e-154
+    # 2 nu is an integer in each case, so every column D^k A = a^(2 nu)
+    # times a polynomial is finite at 0; the jet holds no a^(2 nu - k),
+    # which on its own would overflow below a ~ 1e-154
     for k in range(1, 6):
-        tiny, small = w.jet(1e-160, k)[k], w.jet(1e-100, k)[k]
+        tiny, small = w.neg_xdx(1e-160, k)[k], w.neg_xdx(1e-100, k)[k]
         assert np.isfinite(tiny)
         assert tiny == pytest.approx(small, rel=1e-12, abs=1e-90)
 
@@ -295,7 +300,7 @@ def test_replace_density_keeps_weight_fields():
         assert (r.mellin, r.jet, r.support, r.edge) \
             == (w.mellin, w.jet, w.support, w.edge)
         assert r(0.3) == 2.0 * w(0.3)
-        assert np.array_equal(r.jet(0.3, 2), w.jet(0.3, 2))
+        assert np.array_equal(r.neg_xdx(0.3, 2), w.neg_xdx(0.3, 2))
 
 
 #: Zero, negative, subnormal, NaN, large and interior arguments.
@@ -304,14 +309,14 @@ EDGE_ARGS = np.array([0.0, -0.0, -1.0, 5e-324, 1e-310, np.nan, 1e300, np.inf,
 
 
 def _masked_ginibre(nu):
-    """Density and derivatives of ginibre_weight(nu), assigned through a
-    mask of the positive finite arguments; NaN at NaN, and a derivative 0
-    where its exponential factor underflows to 0, where its polynomial
-    can overflow."""
+    """Density and jet columns D^k A = Q_k A of ginibre_weight(nu),
+    assigned through a mask of the positive finite arguments; NaN at NaN,
+    and 0 in a column where its exponential factor underflows to 0, where
+    its polynomial can overflow."""
     two_nu = 2.0 * nu
     lognorm = special.loggamma(1.0 + two_nu)
     x = np.polynomial.Polynomial([0.0, 1.0])
-    polys = _deriv_polys(lambda q, j: (two_nu - j) * q + x * q.deriv() - x * q)
+    C = _jet_table(lambda q, c: (x - two_nu) * q - x * q.deriv(), 3)
 
     def density(a):
         out = np.where(np.isnan(a), np.nan, 0.0)
@@ -322,27 +327,26 @@ def _masked_ginibre(nu):
         return out
 
     def deriv(a, k):
-        j, c = polys(k)
+        # (D^k A)(0) = (-2 nu)^k A(0): 0 at 2 nu = 0 and k >= 1
         out = np.where(np.isnan(a), np.nan, 0.0)
         pos = (a > 0) & (a < np.inf)
-        g = np.exp((two_nu - k + j) * np.log(a[pos]) - a[pos] - lognorm)
-        out[pos] = np.where(g == 0.0, 0.0, _horner(a[pos], c) * g)
-        if two_nu == 0.0:
-            out[a == 0] = (-1.0) ** k * np.exp(-lognorm)
+        g = np.exp(two_nu * np.log(a[pos]) - a[pos] - lognorm)
+        out[pos] = np.where(g == 0.0, 0.0, _horner(a[pos], C[:, k]) * g)
         return out
 
     return density, deriv
 
 
 def _masked_jacobi(nu, mu, n):
-    """Density and derivatives of jacobi_weight(nu, mu, n), assigned
-    through a mask of the arguments in (0, 1); NaN at NaN."""
+    """Density and jet columns D^k A = a^(2 nu) (1 - a)^(beta - k) R_k / B
+    of jacobi_weight(nu, mu, n), assigned through a mask of the arguments
+    in (0, 1); NaN at NaN."""
     two_nu, beta = 2.0 * nu, 2.0 * (mu + n)
     lognorm = _log_beta(1.0 + two_nu, beta + 1.0)
     x, one_m_x = np.polynomial.Polynomial([0.0, 1.0]), \
         np.polynomial.Polynomial([1.0, -1.0])
-    polys = _deriv_polys(lambda r, j: (two_nu - j) * one_m_x * r
-                         - (beta - j) * x * r + x * one_m_x * r.deriv())
+    C = _jet_table(lambda r, c: -two_nu * one_m_x * r + (beta - c) * x * r
+                   - x * one_m_x * r.deriv(), 3)
 
     def density(a):
         out = np.where(np.isnan(a), np.nan, 0.0)
@@ -354,15 +358,11 @@ def _masked_jacobi(nu, mu, n):
         return out
 
     def deriv(a, k):
-        j, c = polys(k)
+        # (D^k A)(0) = (-2 nu)^k A(0): 0 at 2 nu = 0 and k >= 1
         out = np.where(np.isnan(a), np.nan, 0.0)
         ok = (a > 0) & (a < 1)
-        out[ok] = _horner(a[ok], c) * np.exp(
-            (two_nu - k + j) * np.log(a[ok]) + (beta - k) * np.log1p(-a[ok])
-            - lognorm)
-        if two_nu == 0.0:
-            out[a == 0] = (-1.0) ** k * special.poch(beta - k + 1.0, k) \
-                * np.exp(-lognorm)
+        out[ok] = _horner(a[ok], C[:, k]) * np.exp(
+            two_nu * np.log(a[ok]) + (beta - k) * np.log1p(-a[ok]) - lognorm)
         return out
 
     return density, deriv
@@ -380,7 +380,7 @@ def test_catalogued_weights_match_the_masked_formulas_bitwise(w, ref):
             assert np.array_equal(w.density(a), density(np.array([a]))[0],
                                   equal_nan=True)
         for k in (1, 2, 3):
-            np.testing.assert_array_equal(w.jet(EDGE_ARGS, 3)[:, k],
+            np.testing.assert_array_equal(w.neg_xdx(EDGE_ARGS, 3)[:, k],
                                           deriv(EDGE_ARGS, k))
 
 
@@ -404,56 +404,58 @@ def test_jet_fast_and_masked_paths_agree_bitwise(name, inner, edges, data):
     w = SMOOTH_WEIGHTS[name]
     x = np.array(inner) * min(w.support[1], 6.0)
     a = np.array(data.draw(st.permutations(list(x) + edges)))
-    jet = w.jet(a, 3)
+    jet = w.neg_xdx(a, 3)
     assert jet.shape == (a.size, 4)
     assert np.array_equal(w.density(a), [w.density(v) for v in a])
     assert np.array_equal(jet[:, 0], w.density(a))
     for k in range(4):
-        assert np.array_equal(jet[:, k], [w.jet(v, 3)[k] for v in a])
-    # each column is the central difference of the one before it, to its
-    # truncation h^2 w^(k+2) / 6 and rounding eps w^(k-1) / h
+        assert np.array_equal(jet[:, k], [w.neg_xdx(v, 3)[k] for v in a])
+    # each column is -a times the central difference of the one before
+    # it, to its truncation and rounding
     h = 1e-5
     for v in x:
-        scale = np.abs(w.jet(v, 5)).sum()
+        scale = np.abs(w.neg_xdx(v, 5)).sum()
         for k in (1, 2, 3):
-            fd = (w.jet(v + h, k - 1)[k - 1] - w.jet(v - h, k - 1)[k - 1]) \
-                / (2 * h)
-            assert w.jet(v, k)[k] == pytest.approx(fd, rel=1e-7,
-                                                   abs=1e-9 * scale)
+            fd = -v * (w.neg_xdx(v + h, k - 1)[k - 1]
+                       - w.neg_xdx(v - h, k - 1)[k - 1]) / (2 * h)
+            assert w.neg_xdx(v, k)[k] == pytest.approx(fd, rel=1e-7,
+                                                       abs=1e-9 * scale)
 
 
 def test_catalogued_weights_warn_on_overflow():
-    # a^(2 nu - k) with 2 nu < 0 overflows at subnormal a; every catalogued
-    # density and derivative returns the infinity and warns
+    # a^(2 nu) with 2 nu < 0 overflows at subnormal a; every catalogued
+    # density and jet column returns the infinity and warns
     for w in (ginibre_weight(-0.49), jacobi_weight(-0.49, 0.0, 1)):
-        for f in (w.density, lambda a: w.jet(a, 1)[1]):
+        for f in (w.density, lambda a: w.neg_xdx(a, 1)[1]):
             with pytest.warns(RuntimeWarning, match="overflow"):
                 assert np.isinf(f(5e-324))
 
 
 def test_convolved_weight_has_no_derivatives():
-    # a weight without closed-form derivatives keeps its density as the
-    # 0-th derivative and refuses every higher one, and with it the
+    # a weight without a closed-form jet keeps its density as column 0 and
+    # refuses every (-a d/da)^c with c >= 1, and with it the
     # degenerate-limit density
     from antiprod.ensembles import jpdf_degenerate
     w = convolved_weight(ginibre_weight(0.0), ginibre_weight(0.0))
     assert w.jet is None
-    assert w.derivatives(0.5, 0)[0] == w.density(0.5)
+    assert w.neg_xdx(0.5, 0)[0] == w.density(0.5)
     with pytest.raises(DomainError):
-        w.derivatives(0.5, 1)
+        w.neg_xdx(0.5, 1)
     with pytest.raises(DomainError):
         jpdf_degenerate([0.5, 1.2], w)
 
 
 def test_jacobi_density_and_derivatives_at_zero_are_their_limits():
-    # at nu = 0 the density (1 - a)^beta / B and its derivatives are
-    # smooth at a = 0, as the Ginibre ones are
+    # at nu = 0 the density (1 - a)^beta / B and its jet are smooth at
+    # a = 0, as the Ginibre ones are, with (D^k A)(0) = (-2 nu)^k A(0)
     for w in (jacobi_weight(0.0, 0.0, 1), jacobi_weight(0.0, 0.5, 2)):
         assert w.density(0.0) == pytest.approx(w.density(1e-12), rel=1e-10)
         for k in (1, 2, 3, 4):
-            at0, near = w.jet(np.array([0.0, 1e-12]), k)[:, k]
+            at0, near = w.neg_xdx(np.array([0.0, 1e-12]), k)[:, k]
             assert at0 == pytest.approx(near, rel=1e-10, abs=1e-9)
     w = jacobi_weight(0.0, 0.0, 1)
     assert w.density(0.0) == pytest.approx(3.0, rel=1e-15)
-    assert w.jet(0.0, 3)[1:].tolist() \
-        == pytest.approx([-6.0, 6.0, 0.0], rel=1e-15)
+    assert w.neg_xdx(0.0, 3).tolist() == [w.density(0.0), 0.0, 0.0, 0.0]
+    # D A = 6 a (1 - a), D^2 A = -6 a + 12 a^2, D^3 A = 6 a - 24 a^2
+    assert w.neg_xdx(0.25, 3)[1:].tolist() \
+        == pytest.approx([1.125, -0.75, 0.0], rel=1e-15, abs=1e-15)
