@@ -46,7 +46,7 @@ from scipy import special
 
 from .linalg import (DomainError, SingularSpectrum, coincident, det,
                      sorted_spectra, vandermonde)
-from .mellin import MEMO, WeightFunction, convolved_weight
+from .mellin import MEMO, WeightFunction, convolved_weight, mellin_table
 
 __all__ = [
     "PolynomialEnsembleSpec",
@@ -73,17 +73,12 @@ class PolynomialEnsembleSpec:
 
     @property
     def bimoments(self) -> np.ndarray:
-        """B[b, c] = M w_(c+1)(2b + 1) for b, c = 0, ..., n-1."""
-        B = np.array([[w.mellin(2 * b + 1) for w in self.weights]
-                      for b in range(self.n)], dtype=complex)
-        if np.max(np.abs(B.imag)) < 1e-12 * np.max(np.abs(B.real)):
-            return B.real.copy()
-        return B
+        """B[b, c] = M w_(c+1)(2b + 1), b, c < n, from one mellin_table."""
+        return _odd_moments(self.weights, self.n)
 
     @cached_property
     def norm_constant(self) -> float:
-        inv = float(special.gamma(self.n + 1)) \
-            * float(det(self.bimoments).real)
+        inv = float(special.gamma(self.n + 1)) * float(det(self.bimoments))
         if inv == 0.0:
             raise DomainError("weights are linearly dependent")
         return 1.0 / inv
@@ -93,13 +88,23 @@ class PolynomialEnsembleSpec:
         a float for a single spectrum."""
         a = sorted_spectra(a, self.n)
         W = np.stack([w(a) for w in self.weights], axis=-2)
-        return _clamped(self.norm_constant * vandermonde(a * a)
-                        * det(W), "PolynomialEnsembleSpec.density")
+        return _det_density(a, det(W), self.norm_constant, 1.0, 0,
+                            "PolynomialEnsembleSpec.density")
 
 
-def _clamped(val, name: str):
-    """A density stack clamped at 0, a float for one value; NaN or inf
-    raises DomainError naming the density."""
+def _odd_moments(weights, n: int) -> np.ndarray:
+    """M[i, k] = M w_k(2i + 1), i < n: one mellin_table, real for weights
+    on the half line; a value that is not finite raises DomainError."""
+    return mellin_table(weights, 2.0 * np.arange(n) + 1.0).real
+
+
+def _det_density(a, d, norm, den, e: int, name: str):
+    """norm Delta(a^2) / den * d at spectra a / 2^e of shape (..., m), times
+    2^(-m e) and clamped at 0, a float for one spectrum.  d = 0 enters
+    Delta(a^2) as zeros, so a huge entry (a row of zeros) reads 0 and an
+    infinite one NaN; NaN or inf raises DomainError naming name."""
+    a = a * (d != 0.0)[..., None]
+    val = np.ldexp(norm * vandermonde(a * a) / den * d, -a.shape[-1] * e)
     if np.ndim(val) == 0:
         val = float(val)
         if isfinite(val):
@@ -164,8 +169,7 @@ def _base_record(values: tuple) -> _FixedBase:
 def _fixed_norm(factor: WeightFunction, n: int) -> float:
     """1 / (n! prod_j M A(2j - 1)), the constant of jpdf_fixed, through
     its log."""
-    log_mellin = sum(np.log(float(np.real(factor.mellin(2 * j - 1.0))))
-                     for j in range(1, n + 1))
+    log_mellin = sum(np.log(_odd_moments((factor,), n)[:, 0]).tolist())
     return float(np.exp(-special.gammaln(n + 1) - log_mellin))
 
 
@@ -238,13 +242,8 @@ def _fixed_density(a, base: _FixedBase, factor: WeightFunction, name: str):
     else:
         run, order, tc = base.cols
         W = factor.neg_xdx(x, max(order.tolist()))[..., run, order] / tc
-    d = det(W)
-    # a spectrum with det W = 0 enters Delta(a^2) as zeros, so it reads 0
-    # also where a huge entry, which gives W a row of zeros, would overflow
-    # Delta(a^2); an infinite entry gives inf * 0 = NaN
-    a = a * (d != 0.0)[..., None]
-    val = _fixed_norm(factor, n) * vandermonde(a * a) / base.den * d
-    return _clamped(np.ldexp(val, -n * e), name)
+    return _det_density(a, det(W), _fixed_norm(factor, n), base.den, e,
+                        name)
 
 
 def jpdf_fixed(a, atilde, factor: WeightFunction):
@@ -310,10 +309,6 @@ def corank2_jpdf(x, a):
     diff = av - x[..., :, None]
     D[..., 1:, :] = np.where(diff > 0.0, diff, 0.0)
     pref = float(factorial(2 * n - 2)) / float(factorial(n - 1))
+    # a negative entry, or one above the base (a row of zeros), reads 0
     d = np.where(np.any(x < 0, axis=-1), 0.0, det(D))
-    # as in _fixed_density: a spectrum with det D = 0 (a negative entry, or
-    # one above the base, which gives D a row of zeros) enters Delta(x^2)
-    # as zeros, so a huge entry cannot overflow it; inf * 0 = NaN raises
-    x = x * (d != 0.0)[..., None]
-    val = pref * vandermonde(x * x) / den * d
-    return _clamped(np.ldexp(val, -(n - 1) * e), "corank2_jpdf")
+    return _det_density(x, d, pref, den, e, "corank2_jpdf")

@@ -3,26 +3,29 @@
 The singular-value densities of ensembles.py are determinantal; this module
 constructs the underlying bi-orthonormal pairs {p_j, q_j} and evaluates the
 correlation kernel both as the finite series sum_j p_j(y') q_j(y) and
-through its contour-integral representations.  The fixed-base system of
-any base takes the columns of ensembles.fixed_base_weights as its q_j and
-the p_j dual to their exact Mellin moments.  One broadcasting evaluator,
-BiorthSystem.kernel, serves the diagonal, both series kernels and the
-single-contour form of kernel_fixed on whole grids of (y', y); the
-double-contour kernel broadcasts as well, from a memoised frame of the
-nodes, weights and Cauchy matrix of each base.  Contour integrals over
-circles are discretized by the trapezoid rule with N_NODES nodes per
-circle, which is spectrally accurate for the meromorphic-in-z^2 integrands
-that occur here.  The circles are fixed by the base: the z-circle of
-kernel_fixed has radius 0.5 min_j a_j; the double contour puts circles of
-radius rho, a quarter of the smallest gap among the poles +/- a_j, around
-the a_j, and its z'-circle has radius 0.5 (min_j a_j - rho), so
-r' + rho <= 0.75 min_j a_j and the circles never meet.
+through its contour-integral representations.  Every system has one
+construction: its q_j are weights (the base weights in gram_biorth, the
+columns of ensembles.fixed_base_weights in biorth_fixed), and ptilde is the
+inverse of their Gram matrix of odd Mellin moments, read from one
+mellin_table; the p_j are the chi transforms of the ptilde_j under the
+system's own factor.  One broadcasting evaluator, BiorthSystem.kernel,
+serves the diagonal, both series kernels and the single-contour form of
+kernel_fixed on whole grids of (y', y); the double-contour kernel
+broadcasts as well, from a memoised frame of the nodes, weights and Cauchy
+matrix of each base.  Contour integrals over circles are discretized by the
+trapezoid rule with N_NODES nodes per circle, which is spectrally accurate
+for the meromorphic-in-z^2 integrands that occur here.  The circles are
+fixed by the base: the z-circle of kernel_fixed has radius 0.5 min_j a_j;
+the double contour puts circles of radius rho, a quarter of the smallest
+gap among the poles +/- a_j, around the a_j, and its z'-circle has radius
+0.5 (min_j a_j - rho), so r' + rho <= 0.75 min_j a_j and the circles never
+meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +33,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .linalg import DomainError, SingularSpectrum, det
 from .mellin import WeightFunction, mellin_convolve
-from .ensembles import PolynomialEnsembleSpec, fixed_base_weights
+from .ensembles import (PolynomialEnsembleSpec, _odd_moments,
+                        fixed_base_weights)
 
 __all__ = [
     "BiorthSystem", "ContourError",
@@ -59,9 +63,10 @@ class BiorthSystem:
     """Bi-orthonormal pairs {p_j, q_j} with int p_j q_k = delta_jk.
 
     ptilde_coeffs[j, i] is the coefficient of u^(2i) in the even polynomial
-    p_j; qtilde holds the dual functions as WeightFunction objects with
-    exact Mellin handles.  gram_offdiag records the largest off-diagonal
-    Gram magnitude seen at construction (None if not measured).
+    ptilde_j, whose chi transform under factor (itself without one) is p_j;
+    qtilde holds the duals as WeightFunction objects with exact Mellin
+    handles.  gram_offdiag records the largest off-diagonal Gram magnitude
+    seen at construction (None if not measured).
     """
 
     n: int
@@ -70,50 +75,46 @@ class BiorthSystem:
     factor: WeightFunction | None = None
     gram_offdiag: float | None = None
 
-    def _p_coeffs(self, factor) -> np.ndarray:
-        """Coefficients of the p_j: the chi-contour transform under factor
-        divides coefficient i of ptilde_j by M A(2i + 1); without a factor
-        p_j = ptilde_j."""
-        if factor is None:
+    @cached_property
+    def _p_coeffs(self) -> np.ndarray:
+        """Coefficients of the p_j: the chi-contour transform under the
+        factor divides coefficient i of ptilde_j by M A(2i + 1); without a
+        factor p_j = ptilde_j."""
+        if self.factor is None:
             return self.ptilde_coeffs
-        minv = np.array([1.0 / float(np.real(factor.mellin(2 * i + 1)))
-                         for i in range(self.n)])
-        return self.ptilde_coeffs * minv[None, :]
+        minv = 1 / _odd_moments((self.factor,), self.n)
+        return self.ptilde_coeffs * minv.T
 
-    def p(self, yprime, factor=None, radius=None) -> np.ndarray:
+    def p(self, yprime, radius=None) -> np.ndarray:
         """p_j(y') for j = 0, ..., n-1, shape (n,) + y'.shape.
 
-        p_j is the chi transform of ptilde_j under factor (default the
-        attached one): the residue series sum_i ptilde_ji y'^(2i) /
-        M A(2i + 1), or, given a radius, the N_NODES-point trapezoid
-        average of chi(z) ptilde_j(y'/z) over the z-circle of that radius.
+        p_j is the chi transform of ptilde_j under the factor: the residue
+        series sum_i ptilde_ji y'^(2i) / M A(2i + 1), or, given a radius,
+        the N_NODES-point trapezoid average of chi(z) ptilde_j(y'/z) over
+        the z-circle of that radius.
         """
         yprime = np.asarray(yprime, dtype=float)
-        factor = self.factor if factor is None else factor
         if radius is None:
             # float_power squares through libm pow, as the scalar y ** 2 of
             # Python does, so a grid and a point agree bit for bit (y * y
             # can differ)
-            u = np.float_power(yprime, 2)
-            return npoly.polyval(u, self._p_coeffs(factor).T)
+            return npoly.polyval(np.float_power(yprime, 2), self._p_coeffs.T)
         z = radius * _unit_circle(N_NODES)
         u = (yprime[..., None] / z) ** 2
-        vals = np.mean(chi_poly(factor, z, self.n)
+        vals = np.mean(chi_poly(self.factor, z, self.n)
                        * npoly.polyval(u, self.ptilde_coeffs.T), axis=-1)
         return _real_part(vals, "z-contour")
 
-    def kernel(self, yprime, y, q=None, factor=None, radius=None):
+    def kernel(self, yprime, y, q=None, radius=None):
         """K_n(y', y) = sum_j p_j(y') q_j(y), broadcasting y' against y.
 
-        q holds the values q_j(y) (default the duals qtilde_j at y); factor
-        and radius choose the p_j as in p.  A float for scalar y', y.
+        q holds the values q_j(y) (default the duals qtilde_j at y); radius
+        chooses the p_j as in p.  A float for scalar y', y.
         """
         y = np.asarray(y, dtype=float)
         if q is None:
             q = [w.density(y) for w in self.qtilde]
-        out = 0.0
-        for pj, qj in zip(self.p(yprime, factor, radius), q):
-            out = out + pj * qj
+        out = sum(pj * qj for pj, qj in zip(self.p(yprime, radius), q))
         return out if np.ndim(out) else float(out)
 
     def diagonal(self, y):
@@ -126,87 +127,55 @@ class BiorthSystem:
 
     def gram_matrix(self) -> np.ndarray:
         """int p_j(y) q_k(y) dy from the exact Mellin handles of qtilde."""
-        moments = np.array([[float(np.real(q.mellin(2 * i + 1)))
-                             for q in self.qtilde] for i in range(self.n)])
-        return self._p_coeffs(self.factor) @ moments
+        return self._p_coeffs @ _odd_moments(self.qtilde, self.n)
 
 
 def chi_poly(factor: WeightFunction, z, n: int):
-    """chi_n(z) = sum_{j=0}^{n-1} z^(2j) / M A(2j + 1).
-
-    Terms with infinite Mellin value are dropped (their reciprocal is 0).
-    """
+    """chi_n(z) = sum_{j=0}^{n-1} z^(2j) / M A(2j + 1)."""
     if n < 1:
         raise DomainError("need n >= 1")
-    coeffs = np.zeros(n, dtype=complex)
-    for j in range(n):
-        m = factor.mellin(2 * j + 1)
-        if np.isfinite(m) and m != 0:
-            coeffs[j] = 1.0 / m
     z = np.asarray(z)
-    val = npoly.polyval(z * z, coeffs)
+    val = npoly.polyval(z * z, 1 / _odd_moments((factor,), n)[:, 0])
     return val if np.ndim(val) else complex(val)
 
 
-def _combo_weight(coeffs: np.ndarray, weights: tuple) -> WeightFunction:
-    """Linear combination of weights as one WeightFunction with exact Mellin."""
-    active = [(float(c), w) for c, w in zip(coeffs, weights) if c != 0.0]
-    lo = min(w.support[0] for _, w in active)
-    hi = max(w.support[1] for _, w in active)
-
-    def density(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for c, w in active:
-            out = out + c * w.density(y)
-        return out if out.ndim else float(out)
-
-    def mellin(s):
-        return sum(c * w.mellin(s) for c, w in active)
-
-    return WeightFunction(density=density, mellin=mellin, support=(lo, hi),
-                          edge=max(w.edge for _, w in active))
+def _biorth(qtilde: tuple, factor: WeightFunction | None) -> BiorthSystem:
+    """The system with duals qtilde and ptilde = inv(G), G[i, k] = int p_i q_k
+    at ptilde = 1: M q_k(2i + 1), divided by M A(2i + 1) under a factor.
+    Without one, powers of two bring each row of G to [0.5, 1) before the
+    inverse: exact, and at n = 4 the kernel keeps 2e-16 of max |K| where
+    the unscaled inverse loses 2e-14."""
+    n = len(qtilde)
+    sys = BiorthSystem(n=n, ptilde_coeffs=np.eye(n), qtilde=qtilde,
+                       factor=factor)
+    G = sys.gram_matrix()
+    e = np.frexp(np.max(np.abs(G), axis=1))[1]
+    r = np.ldexp(1.0, -e * (factor is None))
+    sys = replace(sys, ptilde_coeffs=np.linalg.inv(G * r[:, None]) * r)
+    off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
+    return replace(sys, gram_offdiag=off)
 
 
 def gram_biorth(base: PolynomialEnsembleSpec) -> BiorthSystem:
-    """Bi-orthonormal system of a polynomial ensemble from its bimoments.
-
-    p_j is even of degree 2j (Gram-Schmidt order), and the duals q_j are
-    re-expressed in the matching basis of the base weights.
-    """
-    n = base.n
-    B = np.real(base.bimoments)
-    cond = float(np.linalg.cond(B))
+    """Bi-orthonormal system of a polynomial ensemble from its bimoments:
+    the duals q_j are the base weights and ptilde = inv(B), B[i, k] = M
+    w_k(2i + 1), since any dual pair spanning the same spaces gives the
+    same kernel (Borodin, Nucl. Phys. B 536, 1999).  A condition number of
+    B above COND_MAX raises DomainError."""
+    cond = float(np.linalg.cond(base.bimoments))
     if cond > COND_MAX:
         raise DomainError(
             f"bimoment matrix condition number {cond:.2e} exceeds {COND_MAX:g}")
-    D = np.zeros((n, n))
-    for j in range(n):
-        sub = B[: j + 1, : j + 1].T
-        e = np.zeros(j + 1)
-        e[j] = 1.0
-        D[j, : j + 1] = np.linalg.solve(sub, e)
-    C = np.linalg.inv(D @ B).T
-    qtilde = tuple(_combo_weight(C[j], base.weights) for j in range(n))
-    sys = BiorthSystem(n=n, ptilde_coeffs=D, qtilde=qtilde)
-    off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
-    return replace(sys, gram_offdiag=off)
+    return _biorth(base.weights, None)
 
 
 def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
-    """Bi-orthonormal system of the fixed-base product ensemble at any
-    base: q_j are the columns of fixed_base_weights, and ptilde = inv(V)^T
-    with V[j, i] = M q_j(2i + 1) / M A(2i + 1) from their exact Mellin
-    handles, which is (2i + 1)^c t_r^(2i) at the column (D^c A)(y / t_r) /
-    t_r: the Lagrange polynomials in u^2 at a distinct base."""
-    qtilde = fixed_base_weights(atilde, factor)  # rejects a base value <= 0
-    n = len(qtilde)
-    # at ptilde = 1 the Gram matrix is V^T
-    sys = BiorthSystem(n=n, ptilde_coeffs=np.eye(n), qtilde=qtilde,
-                       factor=factor)
-    sys = replace(sys, ptilde_coeffs=np.linalg.inv(sys.gram_matrix()))
-    off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
-    return replace(sys, gram_offdiag=off)
+    """Bi-orthonormal system of the fixed-base product ensemble at any base
+    (a value <= 0 raises DomainError): q_j are the columns of
+    fixed_base_weights, and ptilde = inv(V)^T with V[j, i] = M q_j(2i + 1)
+    / M A(2i + 1), which is (2i + 1)^c t_r^(2i) at the column (D^c A)(y /
+    t_r) / t_r: the Lagrange polynomials in u^2 at a distinct base."""
+    return _biorth(fixed_base_weights(atilde, factor), factor)
 
 
 def _unit_circle(m: int) -> np.ndarray:
@@ -225,14 +194,14 @@ def _real_part(val, what: str):
 def kernel_poly(yprime, y, base: BiorthSystem, factor: WeightFunction):
     """Correlation kernel of one factor applied to a polynomial-ensemble base.
 
-    K_n(y', y) = sum_j p_j(y') q_j(y) with p_j the chi transform of the
-    base polynomial ptilde_j, summed by its residues, and q_j the Mellin
-    convolution of the factor density with the base dual qtilde_j.  y' and
-    y broadcast against each other (y positive); the result has their
-    broadcast shape, a float for scalars.
+    K_n(y', y) = sum_j p_j(y') q_j(y) with p_j the chi transform under the
+    factor of the base polynomial ptilde_j, summed by its residues, and q_j
+    the Mellin convolution of the factor density with the base dual
+    qtilde_j.  y' and y broadcast against each other (y positive); the
+    result has their broadcast shape, a float for scalars.
     """
     q = [mellin_convolve(factor, w, y) for w in base.qtilde]
-    return base.kernel(yprime, y, q=q, factor=factor)
+    return replace(base, factor=factor).kernel(yprime, y, q=q)
 
 
 def kernel_fixed(yprime, y, atilde, factor: WeightFunction,
@@ -243,16 +212,19 @@ def kernel_fixed(yprime, y, atilde, factor: WeightFunction,
     Sum-over-j form with the polynomials ptilde_j of biorth_fixed in
     (y'/z)^2: method "contour" averages them over the z-circle of radius
     0.5 min_j a_j, which encircles only the origin, and "series" sums their
-    residues.
+    residues.  A system passed in must be biorth_fixed's for this factor
+    object, or DomainError is raised.
     y' and y broadcast against each other; the result has their broadcast
     shape, a float for scalars.
     """
     if method not in ("series", "contour"):
         raise DomainError(f"unknown kernel method {method!r}")
+    if system is not None and system.factor is not factor:
+        raise DomainError("system was built for another factor")
     at = SingularSpectrum.from_values(atilde)
     sys = system if system is not None else biorth_fixed(at, factor)
     radius = 0.5 * float(at.values[0]) if method == "contour" else None
-    return sys.kernel(yprime, y, factor=factor, radius=radius)
+    return sys.kernel(yprime, y, radius=radius)
 
 
 #: Contour frames kept by the double-contour memo.  A frame of an n-entry

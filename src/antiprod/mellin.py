@@ -24,7 +24,8 @@ fixed-base columns themselves, each A times a polynomial (and a power of
 Horner pass and one exp, with no negative power of a.  A weight without
 one raises DomainError when a column c >= 1 is asked for.  Where every
 argument lies inside its open support, a catalogued density or jet is
-evaluated without masks.
+evaluated without masks.  Every moment matrix, norm and transform reads
+its Mellin values from one mellin_table, which raises outside a strip.
 
 Numeric integrals of the package go through quad: Gauss-Legendre panels
 evaluated on whole arrays of nodes, an error estimate from a lower-order
@@ -48,7 +49,7 @@ from scipy import special
 from .linalg import DomainError
 
 __all__ = [
-    "WeightFunction", "QuadratureError", "quad",
+    "WeightFunction", "QuadratureError", "mellin_table", "quad",
     "quad_cumulative", "mellin_numeric", "mellin_convolve",
     "convolved_weight", "ginibre_weight", "jacobi_weight",
 ]
@@ -133,6 +134,16 @@ class WeightFunction:
         if m:
             raise DomainError("weight has no closed-form (-a d/da) jet")
         return np.asarray(self.density(a))[..., None]
+
+
+def mellin_table(weights, s) -> np.ndarray:
+    """M w(s) of each weight, one handle call per weight: complex, of shape
+    np.shape(s) + (len(weights),); a value that is not finite (s outside a
+    strip, or at a pole) raises DomainError."""
+    table = np.stack([np.asarray(w.mellin(s), complex) for w in weights], -1)
+    if not np.isfinite(table).all():
+        raise DomainError("Mellin transform is not finite at s")
+    return table
 
 
 def _log_beta(x, y):

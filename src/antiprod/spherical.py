@@ -49,7 +49,7 @@ from .linalg import (DomainError, SingularSpectrum, _mc_blocks,
                      confluent_alternant, derivative_terms, det,
                      haar_orthogonal_batch, sandwich, sorted_spectra,
                      spectra_batch, transposed, vandermonde)
-from .mellin import quad
+from .mellin import mellin_table, quad
 
 __all__ = [
     "SphericalParameter", "phi_closed", "phi_montecarlo", "psi_montecarlo",
@@ -544,14 +544,7 @@ def spherical_transform_poly(spec, s) -> complex:
     n = s.n
     if spec.n != n:
         raise DomainError("parameter length does not match ensemble size")
-    M = np.empty((n, n), dtype=complex)
-    for b in range(n):
-        arg = s.s[b] - n + 1.0
-        for c in range(n):
-            M[b, c] = spec.weights[c].mellin(arg)
-    if not np.all(np.isfinite(M)):
-        raise DomainError(
-            "transform parameter outside the Mellin strip of the weights")
+    M = mellin_table(spec.weights, s.s - n + 1.0)
     pref = float(special.gamma(n + 1)) * np.exp(_log_prefactor(n))
     return pref * spec.norm_constant * complex(det(M)) / vandermonde(s.s)
 
@@ -568,10 +561,5 @@ def spherical_transform_factor(factor, s) -> complex:
     """
     s = _as_param(s)
     n = s.n
-    out = 1.0 + 0.0j
-    for j in range(1, n + 1):
-        out *= factor.mellin(s.s[j - 1] - n + 1.0) / factor.mellin(2 * j - 1.0)
-    if not np.isfinite(out):
-        raise DomainError(
-            "transform parameter outside the Mellin strip of the factor")
-    return complex(out)
+    m = mellin_table((factor,), np.r_[s.s - n + 1.0, 2.0 * np.arange(n) + 1.0])
+    return complex(np.prod(m[:n, 0] / m[n:, 0]))

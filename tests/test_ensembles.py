@@ -13,7 +13,8 @@ from antiprod.ensembles import (PolynomialEnsembleSpec, corank2_jpdf,
                                 muttalib_borodin_weights)
 from antiprod.kernels import biorth_fixed, gram_biorth
 from antiprod.linalg import DomainError
-from antiprod.mellin import convolved_weight, ginibre_weight, jacobi_weight
+from antiprod.mellin import (convolved_weight, ginibre_weight, jacobi_weight,
+                             mellin_table)
 from test_acceptance import _grid_mass
 
 GW = ginibre_weight(0.0)
@@ -148,20 +149,27 @@ def test_muttalib_borodin_weights_mellin():
 
 
 def test_weights_state_their_strip_edge_and_take_arrays_of_s():
-    # each constructor states the left edge of its Mellin strip (a fold and
-    # a combination take the largest of their parts'), and every Mellin
-    # handle evaluates an array of s as it does each point
-    from antiprod.kernels import _combo_weight
+    # each constructor states the left edge of its Mellin strip (a fold
+    # takes the larger of its parts'), every Mellin handle evaluates an
+    # array of s as it does each point, and so does mellin_table, which
+    # raises where a value is not finite
     mb = muttalib_borodin_weights(0.25, 0.5, 3)
     fixed = fixed_base_weights([1.0, 2.0], jacobi_weight(0.5, 0.0, 2))
-    combo = _combo_weight(np.array([1.0, 0.0, 2.0]), mb)
     fold = convolved_weight(ginibre_weight(0.5), fixed[1])
     assert [w.edge for w in mb] == [-0.5, -1.5, -2.5]
     assert [w.edge for w in fixed] == [-1.0, -1.0]
-    assert (combo.edge, fold.edge) == (-0.5, -1.0)
+    assert fold.edge == -1.0
     s = np.array([1.0, 2.5 + 0.5j, 4.0])
-    for w in (*mb, *fixed, combo, fold):
+    weights = (*mb, *fixed, fold)
+    for w in weights:
         np.testing.assert_array_equal(w.mellin(s), [w.mellin(x) for x in s])
+    table = mellin_table(weights, s)
+    assert table.shape == (3, 6) and table.dtype == complex
+    assert np.array_equal(table, [[w.mellin(x) for w in weights] for x in s])
+    assert np.array_equal(mellin_table(weights, s[:, None]), table[:, None])
+    assert np.isnan(GW.mellin(0.0))
+    with pytest.raises(DomainError):
+        mellin_table((GW,), [1.0, 0.0])
 
 
 def test_convolved_factor_mellin_is_product():
@@ -253,6 +261,24 @@ def test_huge_spectrum_entry_reads_zero(base, nu):
                     jpdf_fixed(spectra, base, w)
                 with pytest.raises(DomainError):
                     jpdf_degenerate(spectra, w)
+
+
+def test_polynomial_ensemble_density_has_the_same_zero_rule():
+    # PolynomialEnsembleSpec.density ends in the tail of jpdf_fixed: a huge
+    # finite entry reads 0 on both, and +inf or NaN still raises
+    spec = PolynomialEnsembleSpec(2, fixed_base_weights([1.0, 2.0], GW))
+    a = [0.5, 1e200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jpdf_fixed(a, [1.0, 2.0], GW) == 0.0
+        assert spec.density(a) == 0.0
+        assert np.array_equal(spec.density([a, [0.5, 1.5]]),
+                              [0.0, spec.density([0.5, 1.5])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in ([0.5, np.inf], [0.5, np.nan]):
+            for spectra in (bad, [bad, a]):
+                with pytest.raises(DomainError):
+                    spec.density(spectra)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -493,6 +519,6 @@ def test_norm_constant_is_computed_once():
     spec = PolynomialEnsembleSpec(
         2, tuple(counted(w) for w in fixed_base_weights([1.0, 2.0], GW)))
     first = spec.density(_spectra(2))
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert np.array_equal(spec.density(_spectra(2)), first)
-    assert len(calls) == 4
+    assert len(calls) == 2

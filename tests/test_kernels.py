@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
-from antiprod.ensembles import (PolynomialEnsembleSpec, fixed_base_weights,
-                                jpdf_fixed, muttalib_borodin_weights)
+from antiprod.ensembles import (PolynomialEnsembleSpec, convolve_ensemble,
+                                fixed_base_weights, jpdf_fixed,
+                                muttalib_borodin_weights)
 from antiprod import kernels
 from antiprod.kernels import (biorth_fixed, chi_poly, correlation_Rk,
                               gram_biorth, kernel_fixed, kernel_fixed_contour,
@@ -33,6 +34,19 @@ def test_gram_biorth_is_biorthonormal():
     base = PolynomialEnsembleSpec(2, muttalib_borodin_weights(0.5, 0.5, 2))
     sys = gram_biorth(base)
     assert np.max(np.abs(sys.gram_matrix() - np.eye(2))) < 1e-8
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+def test_gram_biorth_of_fixed_base_weights_is_the_fixed_kernel(nu):
+    # one ensemble, two systems; at n = 4 the rows of the Gram matrix of
+    # gram_biorth grow like Gamma(2i + 1 + 2 nu), and its inverse keeps
+    # 1e-15 of max K only when they are scaled (unscaled: 2.2e-14)
+    base, y = [0.6, 1.3, 1.3, 1.3], np.array([0.05, 0.3, 0.9, 1.7, 2.8, 5.9])
+    w = ginibre_weight(nu)
+    want = biorth_fixed(base, w).diagonal(y)
+    spec = PolynomialEnsembleSpec(4, fixed_base_weights(base, w))
+    got = gram_biorth(spec).diagonal(y)
+    assert np.max(np.abs(got - want)) < 4e-15 * np.max(want)
 
 
 def test_gram_biorth_rejects_singular_bimoments():
@@ -78,6 +92,19 @@ def test_degenerate_base_kernel_traces_n(n):
             assert sys.diagonal(y) == pytest.approx(2.0 * marg, rel=1e-10)
     with pytest.raises(DomainError):
         kernel_fixed_contour(0.5, 0.5, [1.0] * n, GW)
+
+
+def test_kernel_fixed_rejects_a_system_of_another_factor():
+    # the p_j of a system are the chi transforms under its own factor; they
+    # would pair with the q_j of that factor whatever factor is passed
+    at = [1.0, 2.0]
+    sys = biorth_fixed(at, GW)
+    for method in ("series", "contour"):
+        with pytest.raises(DomainError):
+            kernel_fixed(0.4, 0.9, at, ginibre_weight(0.5), method=method,
+                         system=sys)
+        assert kernel_fixed(0.4, 0.9, at, GW, method=method, system=sys) \
+            == kernel_fixed(0.4, 0.9, at, GW, method=method)
 
 
 def test_kernel_n1_is_weight_density():
@@ -180,18 +207,24 @@ def test_kernel_poly_matches_the_folded_fixed_kernel():
 
 
 def test_kernel_poly_at_a_root_of_a_dual_convolution():
-    # q_1 is orthogonal to p_0, so factor (*) q_1 changes sign; at its root
-    # the convolution integral is zero while its integrand is not
-    base = PolynomialEnsembleSpec(2, fixed_base_weights([1.0, 2.0], GW))
-    sys = gram_biorth(base)
+    # at the base of ones the duals are the columns A and -a A' of the
+    # inner factor; the second changes sign at a = 2 nu = 1, and so does
+    # its convolution with the outer factor, near y = 1.424: there the
+    # convolution integral is zero while its integrand is not
+    inner, outer = ginibre_weight(0.5), ginibre_weight(1.0)
+    spec = PolynomialEnsembleSpec(2, fixed_base_weights([1.0, 1.0], inner))
+    sys = gram_biorth(spec)
 
     def q1(y):
-        return mellin_convolve(GW, sys.qtilde[1], y)
+        return mellin_convolve(outer, sys.qtilde[1], y)
 
-    root = optimize.brentq(q1, 0.8, 0.9, xtol=1e-15)
+    root = optimize.brentq(q1, 1.3, 1.5, xtol=1e-15)
     assert abs(q1(root)) < 1e-15
-    assert np.isfinite(kernel_poly(0.4, root, sys, GW))
-    assert _folded_kernel_rel(GW, GW, [1.0, 2.0], [0.4], root) < 1e-8
+    got = kernel_poly(0.4, root, sys, outer)
+    assert np.isfinite(got)
+    # the same kernel from the bimoments of the convolved weights
+    want = gram_biorth(convolve_ensemble(spec, outer)).kernel(0.4, root)
+    assert abs(got - want) / abs(want) < 1e-8
 
 
 def test_kernel_poly_diag_r2_vanishes():
