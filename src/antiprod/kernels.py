@@ -66,7 +66,8 @@ class BiorthSystem:
     ptilde_j, whose chi transform under factor (itself without one) is p_j;
     qtilde holds the duals as WeightFunction objects with exact Mellin
     handles.  gram_offdiag records the largest off-diagonal Gram magnitude
-    seen at construction (None if not measured).
+    seen at construction (None if not measured); base holds the ascending
+    fixed base of a biorth_fixed system (None for a polynomial ensemble).
     """
 
     n: int
@@ -74,6 +75,7 @@ class BiorthSystem:
     qtilde: tuple
     factor: WeightFunction | None = None
     gram_offdiag: float | None = None
+    base: tuple | None = None
 
     @cached_property
     def _p_coeffs(self) -> np.ndarray:
@@ -139,16 +141,19 @@ def chi_poly(factor: WeightFunction, z, n: int):
     return val if np.ndim(val) else complex(val)
 
 
-def _biorth(qtilde: tuple, factor: WeightFunction | None) -> BiorthSystem:
+def _biorth(qtilde: tuple, factor: WeightFunction | None, G=None,
+            base: tuple | None = None) -> BiorthSystem:
     """The system with duals qtilde and ptilde = inv(G), G[i, k] = int p_i q_k
-    at ptilde = 1: M q_k(2i + 1), divided by M A(2i + 1) under a factor.
-    Without one, powers of two bring each row of G to [0.5, 1) before the
-    inverse: exact, and at n = 4 the kernel keeps 2e-16 of max |K| where
-    the unscaled inverse loses 2e-14."""
+    at ptilde = 1: M q_k(2i + 1), divided by M A(2i + 1) under a factor
+    (computed here unless the caller has it).  Without a factor, powers of
+    two bring each row of G to [0.5, 1) before the inverse: exact, and at
+    n = 4 the kernel keeps 2e-16 of max |K| where the unscaled inverse
+    loses 2e-14."""
     n = len(qtilde)
     sys = BiorthSystem(n=n, ptilde_coeffs=np.eye(n), qtilde=qtilde,
-                       factor=factor)
-    G = sys.gram_matrix()
+                       factor=factor, base=base)
+    if G is None:
+        G = sys.gram_matrix()
     e = np.frexp(np.max(np.abs(G), axis=1))[1]
     r = np.ldexp(1.0, -e * (factor is None))
     sys = replace(sys, ptilde_coeffs=np.linalg.inv(G * r[:, None]) * r)
@@ -161,12 +166,13 @@ def gram_biorth(base: PolynomialEnsembleSpec) -> BiorthSystem:
     the duals q_j are the base weights and ptilde = inv(B), B[i, k] = M
     w_k(2i + 1), since any dual pair spanning the same spaces gives the
     same kernel (Borodin, Nucl. Phys. B 536, 1999).  A condition number of
-    B above COND_MAX raises DomainError."""
-    cond = float(np.linalg.cond(base.bimoments))
+    B above COND_MAX raises DomainError.  B is G of `_biorth`, built once."""
+    B = base.bimoments
+    cond = float(np.linalg.cond(B))
     if cond > COND_MAX:
         raise DomainError(
             f"bimoment matrix condition number {cond:.2e} exceeds {COND_MAX:g}")
-    return _biorth(base.weights, None)
+    return _biorth(base.weights, None, B)
 
 
 def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
@@ -174,8 +180,11 @@ def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
     (a value <= 0 raises DomainError): q_j are the columns of
     fixed_base_weights, and ptilde = inv(V)^T with V[j, i] = M q_j(2i + 1)
     / M A(2i + 1), which is (2i + 1)^c t_r^(2i) at the column (D^c A)(y /
-    t_r) / t_r: the Lagrange polynomials in u^2 at a distinct base."""
-    return _biorth(fixed_base_weights(atilde, factor), factor)
+    t_r) / t_r: the Lagrange polynomials in u^2 at a distinct base.  The
+    system's base is atilde, sorted."""
+    weights = fixed_base_weights(atilde, factor)
+    base = tuple(SingularSpectrum.from_values(atilde).values.tolist())
+    return _biorth(weights, factor, base=base)
 
 
 def _unit_circle(m: int) -> np.ndarray:
@@ -212,16 +221,19 @@ def kernel_fixed(yprime, y, atilde, factor: WeightFunction,
     Sum-over-j form with the polynomials ptilde_j of biorth_fixed in
     (y'/z)^2: method "contour" averages them over the z-circle of radius
     0.5 min_j a_j, which encircles only the origin, and "series" sums their
-    residues.  A system passed in must be biorth_fixed's for this factor
-    object, or DomainError is raised.
+    residues.  A system passed in must be biorth_fixed's for this base and
+    factor object, or DomainError is raised.
     y' and y broadcast against each other; the result has their broadcast
     shape, a float for scalars.
     """
     if method not in ("series", "contour"):
         raise DomainError(f"unknown kernel method {method!r}")
-    if system is not None and system.factor is not factor:
-        raise DomainError("system was built for another factor")
     at = SingularSpectrum.from_values(atilde)
+    if system is not None:
+        if system.factor is not factor:
+            raise DomainError("system was built for another factor")
+        if system.base != tuple(at.values.tolist()):
+            raise DomainError("system was built for another base")
     sys = system if system is not None else biorth_fixed(at, factor)
     radius = 0.5 * float(at.values[0]) if method == "contour" else None
     return sys.kernel(yprime, y, radius=radius)

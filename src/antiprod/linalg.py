@@ -99,16 +99,39 @@ def transposed(a):
     Every stacked product of the package by a transpose multiplies by this
     copy.  numpy's stacked matmul multiplies a transposed view more slowly
     than a contiguous operand: a Gram a^T a 1.1-3x at sizes 2-8, and
-    `sandwich` 1.5-1.9x at size 2, while at sizes 6-8 the copy costs
-    `sandwich` about 20 % more than it saves (one BLAS thread).  The
-    products agree bit for bit either way.
+    `sandwich` of a 2-D base 1.6x at size 2 (0.35 -> 0.22 ms per 4 096
+    matrices, one BLAS thread), while the copy costs it about 7 % at size
+    4 and 25 % at sizes 6-8 more than it saves (size 8: 2.6 -> 3.4 ms).
+    The products agree bit for bit either way.
     """
     return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
 
+def times_shared(a, m):
+    """a @ m for a stack a (..., p, q), leading axes broadcast.
+
+    Where m has no per-sample axis, that is, its axes that meet a's stack
+    axes are all 1 or absent (a 2-D m, or m of shape (2, 1, q, r) against
+    a (S, p, q)), the product is one GEMM per leading matrix of m over
+    a.reshape(-1, q): one BLAS call in place of one per sample.  It agrees
+    with the stacked product to rounding (bit for bit with OpenBLAS 0.3 at
+    sizes 2-8).  On 4 096 k x k matrices and one BLAS thread, k m takes
+    0.02, 0.04, 0.10 and 0.33 ms at k = 2, 4, 6, 8 in place of 0.13, 0.17,
+    0.20 and 0.30 ms.  A per-sample m takes the stacked product.
+    """
+    outer = max(m.ndim - a.ndim, 0)
+    if any(d != 1 for d in m.shape[outer:-2]):
+        return a @ m
+    lead = m.shape[:outer]
+    out = a.reshape(-1, a.shape[-1]) @ m.reshape(lead + m.shape[-2:])
+    return out.reshape(lead + a.shape[:-1] + m.shape[-1:])
+
+
 def sandwich(k, m):
-    """k m k^T for each matrix k of a stack, leading axes broadcast."""
-    return k @ m @ transposed(k)
+    """k m k^T for each matrix k of a stack, leading axes broadcast; k m is
+    one GEMM (`times_shared`) when m has no per-sample axis, as a 2-D
+    base."""
+    return times_shared(k, m) @ transposed(k)
 
 
 def antisymmetrized(y):

@@ -14,6 +14,13 @@ The module also carries the auxiliary kernel f_n, its recursion over the
 corank-2 projection density, the Harish-Chandra O(2n) integral, and the
 spherical transforms with their exact factorization.
 
+The arithmetic follows the dtype of s.  `SphericalParameter` keeps a real s
+as float64, so the power rows of the closed forms, the minor exponents and
+the Haar integrands run in real arithmetic; a complex s takes the same code
+in complex.  A stack of closed-form values has the dtype of s, and a
+single value and every Monte Carlo estimate are a Python complex either
+way.
+
 Every Monte Carlo estimator here is one Haar average, `_haar_moments`: it
 streams blocks of draws, sums an integrand vector F and F F^H over the N
 samples, and returns the mean and covariance of F.  A scalar estimate has
@@ -32,7 +39,10 @@ is the constant det m.  So
 p = 2 max{j < n : e_j != 0}, and orthogonalize nothing.  The estimators
 whose integrand needs all of k (`harish_chandra_o2n_mc`,
 `factorization_check_phi` and the inner rotation of
-`factorization_check_psi`) draw Haar O(2n) stacks.
+`factorization_check_psi`) draw Haar O(2n) stacks.  A product of such a
+stack by a matrix shared by all draws (the base of `sandwich`, the m of
+`_frame_minor_power` in `phi_montecarlo` and `psi_montecarlo`) is one GEMM,
+`linalg.times_shared`.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from .linalg import (DomainError, SingularSpectrum, _mc_blocks,
                      antisymmetrized, build_canonical, coincident,
                      confluent_alternant, derivative_terms, det,
                      haar_orthogonal_batch, sandwich, sorted_spectra,
-                     spectra_batch, transposed, vandermonde)
+                     spectra_batch, times_shared, transposed, vandermonde)
 from .mellin import mellin_table, quad
 
 __all__ = [
@@ -65,12 +75,16 @@ S_DEGENERACY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class SphericalParameter:
-    """n-vector of complex exponents s with s_(n+1) = -n - 1 implied."""
+    """n-vector of exponents s with s_(n+1) = -n - 1 implied: float64 when
+    no entry has an imaginary part, complex otherwise, so that the closed
+    forms and the Haar integrands run in real arithmetic for a real s."""
 
     s: np.ndarray
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.s, dtype=complex))
+        if not v.imag.any():
+            v = v.real.copy()
         if v.ndim != 1 or v.size == 0:
             raise DomainError("s must be a nonempty vector")
         v.setflags(write=False)
@@ -111,7 +125,9 @@ def _as_param(s) -> SphericalParameter:
 
 
 def _expm1c(z):
-    """exp(z) - 1 without cancellation, elementwise for complex z."""
+    """exp(z) - 1 without cancellation, elementwise for real or complex z."""
+    if not np.iscomplexobj(z):
+        return np.expm1(z)
     x, y = np.real(z), np.imag(z)
     return np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2 \
         + 1j * np.exp(x) * np.sin(y)
@@ -119,7 +135,7 @@ def _expm1c(z):
 
 def _power_rows(q):
     """taylor and dd1 of `confluent_alternant` for the rows
-    f_b(u) = u^(q_b) on u > 0, complex q."""
+    f_b(u) = u^(q_b) on u > 0, real or complex q."""
     q = q[:, None]
 
     def taylor(u, m):
@@ -140,8 +156,8 @@ def _power_rows(q):
 
 def _exp_rows(L):
     """taylor and dd1 of `confluent_alternant` for the rows
-    f_c(sigma) = exp(sigma L_c) over complex nodes sigma; L has shape
-    (..., n)."""
+    f_c(sigma) = exp(sigma L_c) over real or complex nodes sigma; L has
+    shape (..., n)."""
     L = L[..., :, None]
 
     def taylor(sig, m):
@@ -156,8 +172,8 @@ def _exp_rows(L):
 
 def _alternant(s: SphericalParameter, a, pref):
     """pref det[a_c^(s_b + n - 1)] / (Delta_n(a^2) Delta_n(s)) for spectra a
-    of shape (..., n) in any entry order; shape a.shape[:-1], a complex for
-    a single spectrum.
+    of shape (..., n) in any entry order; shape a.shape[:-1] with the dtype
+    of s, a complex for a single spectrum.
 
     Delta_n(s) = prod_(k<l)(s_l - s_k) in the order the entries of s are
     given.  Coinciding entries of a (or of s) are resolved by confluent
@@ -197,10 +213,11 @@ def phi_closed(s, a):
     """Spherical function Phi(s; i a (x) tau_2) in closed form.
 
     a has shape (..., n), a stack of spectra in any entry order, or is a
-    SingularSpectrum; the result has shape a.shape[:-1] and is a complex
-    for a single spectrum.  Degenerate spectra (in a or in s) are evaluated
-    through confluent columns, row by row of the stack; in particular the
-    limit a -> (1, ..., 1) returns exactly 1.
+    SingularSpectrum; the result has shape a.shape[:-1], float64 for a
+    real s and complex otherwise, and is a complex for a single spectrum.
+    Degenerate spectra (in a or in s) are evaluated through confluent
+    columns, row by row of the stack; in particular the limit
+    a -> (1, ..., 1) returns exactly 1.
     """
     s = _as_param(s)
     return _alternant(s, a, np.exp(_log_prefactor(s.n)))
@@ -265,8 +282,10 @@ def _frame_minor_power(g, m, exponents):
     (Q^T m Q)[:2j, :2j] = R_2j^-T g_2j^T m g_2j R_2j^-1, each proper minor
     is the Gram ratio det(g_2j^T m g_2j) / det(g_2j^T g_2j) of the leading
     2j columns, and the full minor is det m, however many columns g has.
-    Leading axes of m broadcast against the stack.  The 2 x 2 minors of
-    both Gram stacks are the closed forms of `linalg.det`.
+    Leading axes of m broadcast against the stack; an m without a
+    per-sample axis multiplies it as one GEMM (`linalg.times_shared`).
+    The 2 x 2 minors of both Gram stacks are the closed forms of
+    `linalg.det`.
 
     The minors are >= 0 in exact arithmetic when m is positive
     semidefinite or antisymmetric (an even principal minor of an
@@ -278,7 +297,7 @@ def _frame_minor_power(g, m, exponents):
     at 1e-300 for the log, which takes zeros and rounding.
     """
     gt = transposed(g)
-    num, den = gt @ m @ g, gt @ g
+    num, den = times_shared(gt, m) @ g, gt @ g
     e_full = exponents[-1]    # an unweighted det m is not computed
     logf = e_full * (_log_minor(det(m), m) if e_full else 0.0)
     for j, e in enumerate(exponents[:-1][:g.shape[-1] // 2], start=1):
@@ -406,10 +425,11 @@ def factorization_check_psi(s, g, gprime, nsamples: int, rng):
     return complex(lhs), complex(rhs), z
 
 
-def _cn_delta(s) -> complex:
-    """c_n(s) Delta_n(s) = prod_(j<n) (2j)! / prod_(k<l)(s_k - s_l - 1);
-    callers divide by Delta_n(s) where that stays finite.  The sign makes
-    the a -> 1 limit of the closed form normalize Phi to 1."""
+def _cn_delta(s) -> float | complex:
+    """c_n(s) Delta_n(s) = prod_(j<n) (2j)! / prod_(k<l)(s_k - s_l - 1), of
+    the dtype of s; callers divide by Delta_n(s) where that stays finite.
+    The sign makes the a -> 1 limit of the closed form normalize Phi to
+    1."""
     n = len(s)
     den = np.prod([s[k] - s[l] - 1.0
                    for k in range(n) for l in range(k + 1, n)])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,48 @@ def test_kernel_fixed_rejects_a_system_of_another_factor():
                          system=sys)
         assert kernel_fixed(0.4, 0.9, at, GW, method=method, system=sys) \
             == kernel_fixed(0.4, 0.9, at, GW, method=method)
+
+
+def test_kernel_fixed_rejects_a_system_of_another_base():
+    # the base only sets the contour radius, so a system of base (1, 2)
+    # passed with base (1, 3) would return the (1, 2) kernel
+    sys = biorth_fixed([1.0, 2.0], GW)
+    assert sys.base == (1.0, 2.0)
+    for method in ("series", "contour"):
+        with pytest.raises(DomainError, match="another base"):
+            kernel_fixed(0.4, 0.9, [1.0, 3.0], GW, method=method, system=sys)
+        # the base in another order is the same base
+        assert kernel_fixed(0.4, 0.9, [2.0, 1.0], GW, method=method,
+                            system=sys) \
+            == kernel_fixed(0.4, 0.9, [1.0, 2.0], GW, method=method)
+    # a polynomial-ensemble system under this factor has no fixed base
+    poly = gram_biorth(
+        PolynomialEnsembleSpec(2, fixed_base_weights([1.0, 2.0], GW)))
+    with pytest.raises(DomainError, match="another base"):
+        kernel_fixed(0.4, 0.9, [1.0, 2.0], GW,
+                     system=dataclasses.replace(poly, factor=GW))
+
+
+def test_gram_biorth_builds_its_bimoments_once():
+    # the bimoment matrix of the COND_MAX gate is the Gram matrix at
+    # ptilde = 1: one Mellin table for both, one more for gram_offdiag
+    calls = []
+
+    def counted(w):
+        def mellin(s):
+            calls.append(w)
+            return w.mellin(s)
+        return dataclasses.replace(w, mellin=mellin)
+
+    weights = fixed_base_weights([1.0, 2.0], GW)
+    sys = gram_biorth(PolynomialEnsembleSpec(
+        2, tuple(counted(w) for w in weights)))
+    assert len(calls) == 2 * len(weights)
+    assert all(calls.count(w) == 2 for w in weights)
+    # the construction that builds G itself gives the same system
+    old = kernels._biorth(weights, None)
+    assert sys.gram_offdiag == old.gram_offdiag
+    assert np.array_equal(sys.ptilde_coeffs, old.ptilde_coeffs)
 
 
 def test_kernel_n1_is_weight_density():

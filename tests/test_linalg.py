@@ -12,7 +12,7 @@ from antiprod.linalg import (MC_BLOCK, AntisymmetricMatrix, DomainError,
                              SingularSpectrum, antisymmetrized,
                              build_canonical, det, haar_orthogonal_batch,
                              sandwich, singular_spectrum, spectra_batch,
-                             transposed, vandermonde)
+                             times_shared, transposed, vandermonde)
 from antiprod.samplers import (GinibreSpec, ProductSpec, build_product_batch,
                                product_spectra_batch)
 from antiprod.spherical import phi_montecarlo
@@ -94,6 +94,28 @@ def test_sandwich_matches_the_plain_product_bitwise(k):
     assert np.array_equal(transposed(ks), _view(ks))
     assert np.array_equal(sandwich(ks, ms[0]), ks @ ms[0] @ _view(ks))
     assert np.array_equal(sandwich(ks[0], ms), ks[0] @ ms @ _view(ks[0]))
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_times_shared_matches_the_stacked_product(k):
+    # a shared m (2-D, or with a sample axis of 1) is one GEMM over the
+    # stack; a per-sample m takes the stacked product itself
+    rng = np.random.default_rng(k)
+    ks = rng.standard_normal((300, k, k))
+    frames = rng.standard_normal((300, 2, k))
+    m = rng.standard_normal((2, 1, k, k))
+    for a, b in ((ks, m[0, 0]), (frames, m[0, 0]), (ks, m), (frames, m)):
+        got, want = times_shared(a, b), a @ b
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    per_sample = rng.standard_normal((300, k, k))
+    assert np.array_equal(times_shared(ks, per_sample), ks @ per_sample)
+    # sandwich of a 2-D base equals that of the base broadcast to 3-D,
+    # which is a per-sample operand
+    base = antisymmetrized(m[0, 0])
+    np.testing.assert_allclose(
+        sandwich(ks, base), sandwich(ks, np.broadcast_to(base, ks.shape)),
+        rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -52,6 +52,67 @@ def test_phi_degenerate_s_continuity():
     assert abs(near - conf) / abs(conf) < 1e-4
 
 
+def _alternant_mp(s, a, fn=False):
+    """Phi(s; a), or f_n(s; a) for fn, from the alternant in 100-digit
+    mpmath; coinciding entries of a or s are spread by 1e-40 j, whose
+    error is of that order."""
+    import mpmath
+    with mpmath.workdps(100):
+        n, eps = len(a), mpmath.mpf("1e-40")
+        a = [mpmath.mpf(float(x)) + j * eps for j, x in enumerate(a)]
+        s = [mpmath.mpc(complex(x)) + j * eps for j, x in enumerate(s)]
+        M = mpmath.matrix([[a[c] ** (s[b] + n - 1) for c in range(n)]
+                           for b in range(n)])
+        pref = mpmath.mpf(1)
+        den = mpmath.mpf(1)
+        for j in range(n):
+            pref *= (mpmath.factorial(2 * j) if fn
+                     else 2 ** j * mpmath.factorial(j))
+            for l in range(j + 1, n):
+                den *= (a[l] ** 2 - a[j] ** 2) * (s[l] - s[j])
+                if fn:
+                    den *= s[j] - s[l] - 1
+        return complex(pref * mpmath.det(M) / den)
+
+
+def test_real_parameter_stays_real():
+    # one dtype rule: a real s is float64 and runs the closed forms and
+    # the Haar integrands in real arithmetic; a complex s stays complex
+    for s in ((4.0, 0.0), [4, 0], np.array([4.0 + 0j, 0.0])):
+        assert SphericalParameter(s).s.dtype == np.float64
+    assert SphericalParameter((4.0 + 0.5j, 0.0)).s.dtype == np.complex128
+    g = np.random.default_rng(0).standard_normal((16, 4, 2))
+    m = build_canonical(SingularSpectrum(np.array([1.0, 2.0]))).entries
+    for s, dtype in (((4.0, 0.0), np.float64),
+                     ((4.0 + 0.5j, 0.0), np.complex128)):
+        e = SphericalParameter(s).exponents
+        assert spherical._frame_minor_power(g, m, e).dtype == dtype
+
+
+#: Stacks that hold distinct, coincident and nearly coincident (relative
+#: gap 1e-9) spectra, with a real, a degenerate and a complex s.
+_STACKS = [
+    ((4.0, 0.0), [[0.7, 1.9], [1.2, 1.2], [1.2, 1.2 * (1 + 1e-9)],
+                  [1.0, 1.0]]),
+    ((6.0, 2.0, 0.0), [[0.6, 1.1, 2.0], [0.8, 0.8, 1.5],
+                       [0.8, 0.8 * (1 + 1e-9), 1.5], [1.3, 1.3, 1.3]]),
+    ((3.0, 3.0), [[0.7, 1.9], [0.5, 1.5]]),
+    ((5.0, 2.0, 2.0), [[0.6, 1.1, 2.0], [0.9, 1.0, 1.7]]),
+    ((4.0 + 0.5j, 0.0), [[0.7, 1.9], [1.2, 1.2], [1.2, 1.2 * (1 + 1e-9)]]),
+]
+
+
+@pytest.mark.parametrize("s, a", _STACKS, ids=["n2", "n3", "s-degenerate-n2",
+                                           "s-degenerate-n3", "complex-s"])
+def test_closed_forms_match_mpmath_alternant(s, a):
+    for closed, fn in ((phi_closed, False), (fn_closed, True)):
+        got = closed(s, np.array(a))
+        assert got.dtype == (np.float64 if np.isrealobj(s) else np.complex128)
+        want = np.array([_alternant_mp(s, row, fn) for row in a])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert closed(s, a[0]) == pytest.approx(want[0], rel=1e-12)
+
+
 def test_phi_montecarlo_agrees():
     rng = np.random.default_rng(1)
     s, a = (4.0, 0.0), (1.0, 2.0)
