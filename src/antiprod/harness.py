@@ -532,12 +532,13 @@ def _write_rows(out_dir, name: str, header: list, rows, fmt: str) -> Path:
     """Write rows as name.csv (%.17g values) or name.jsonl (one sorted-key
     object per row); refuses a table with a NaN or inf value unwritten.
 
-    Each format has one line template, applied to MC_BLOCK rows at a time
-    and written into one open file, so the text in memory stays bounded
-    and the bytes are those of the template applied to the whole table.
-    The jsonlines template spells each value with %r, which is the
-    float.__repr__ spelling of json, so the bytes are those of
-    json.dumps(row, sort_keys=True).
+    The bytes are those of one line template applied to the whole table,
+    with each value spelled '%.17g' % v (csv) or repr(v) (jsonlines, so a
+    line is json.dumps(row, sort_keys=True)).  `spelling.spell` makes those
+    spellings in numpy for the rows of MC_BLOCK values at a time, and the
+    template takes them with %s, so the text and the temporaries in memory
+    stay bounded by the block.  Values it cannot certify (±0.0, |v| below
+    1e-6 or from 1e17 up, and a few more for repr) Python spells itself.
     """
     if fmt not in ("csv", "jsonlines"):
         raise DomainError(f"unknown output format {fmt!r}")
@@ -552,18 +553,24 @@ def _write_rows(out_dir, name: str, header: list, rows, fmt: str) -> Path:
     if fmt == "csv":
         path = out / f"{name}.csv"
         head = ",".join(header) + "\n"
-        line = ",".join(["%.17g"] * len(header)) + "\n"
+        line = ",".join(["%s"] * len(header)) + "\n"
     else:
         path = out / f"{name}.jsonl"
         order.sort(key=header.__getitem__)
         head = ""
-        line = "{" + ", ".join(f"{json.dumps(header[j])}: %r"
+        line = "{" + ", ".join(f"{json.dumps(header[j])}: %s"
                                for j in order) + "}\n"
-    with path.open("w") as f:
-        f.write(head)
-        for lo in range(0, len(values), MC_BLOCK):
-            block = values[lo:lo + MC_BLOCK, order]
-            f.write((line * len(block)) % tuple(block.ravel().tolist()))
+    line = line.encode()
+    # imported on the first table, so that an import of the harness does
+    # not compile it
+    from .spelling import spell
+    step = max(1, MC_BLOCK // max(1, len(header)))  # rows of MC_BLOCK values
+    with path.open("wb") as f:
+        f.write(head.encode())
+        for lo in range(0, len(values), step):
+            block = values[lo:lo + step, order]
+            spelled = spell(block.ravel(), fmt == "jsonlines")[0]
+            f.write((line * len(block)) % tuple(spelled.tolist()))
     return path
 
 

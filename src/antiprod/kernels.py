@@ -46,7 +46,8 @@ __all__ = [
 #: Imaginary residue above which a contour evaluation is rejected.
 IMAG_TOL = 1e-9
 
-#: Bimoment condition number above which a Gram construction is rejected.
+#: Condition number of the row-scaled bimoment matrix above which
+#: gram_biorth rejects a system.
 COND_MAX = 1e12
 
 #: Trapezoid nodes on each contour circle; a power of two, so that the
@@ -154,8 +155,7 @@ def _biorth(qtilde: tuple, factor: WeightFunction | None, G=None,
                        factor=factor, base=base)
     if G is None:
         G = sys.gram_matrix()
-    e = np.frexp(np.max(np.abs(G), axis=1))[1]
-    r = np.ldexp(1.0, -e * (factor is None))
+    r = _row_powers(G) if factor is None else np.ones(n)
     sys = replace(sys, ptilde_coeffs=np.linalg.inv(G * r[:, None]) * r)
     off = float(np.max(np.abs(sys.gram_matrix() - np.eye(n))))
     return replace(sys, gram_offdiag=off)
@@ -165,14 +165,21 @@ def gram_biorth(base: PolynomialEnsembleSpec) -> BiorthSystem:
     """Bi-orthonormal system of a polynomial ensemble from its bimoments:
     the duals q_j are the base weights and ptilde = inv(B), B[i, k] = M
     w_k(2i + 1), since any dual pair spanning the same spaces gives the
-    same kernel (Borodin, Nucl. Phys. B 536, 1999).  A condition number of
-    B above COND_MAX raises DomainError.  B is G of `_biorth`, built once."""
+    same kernel (Borodin, Nucl. Phys. B 536, 1999).  B is G of `_biorth`,
+    built once; the condition number of B with its rows scaled as
+    `_biorth` inverts it is gated: above COND_MAX raises DomainError."""
     B = base.bimoments
-    cond = float(np.linalg.cond(B))
+    cond = float(np.linalg.cond(B * _row_powers(B)[:, None]))
     if cond > COND_MAX:
-        raise DomainError(
-            f"bimoment matrix condition number {cond:.2e} exceeds {COND_MAX:g}")
+        raise DomainError(f"row-scaled bimoment matrix condition number "
+                          f"{cond:.2e} exceeds {COND_MAX:g}")
     return _biorth(base.weights, None, B)
+
+
+def _row_powers(G) -> np.ndarray:
+    """The powers of two that bring the largest |entry| of each row of G
+    into [0.5, 1)."""
+    return np.ldexp(1.0, -np.frexp(np.max(np.abs(G), axis=1))[1])
 
 
 def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:

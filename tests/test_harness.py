@@ -533,6 +533,14 @@ def test_cli_table_bytes_match_per_value_spelling(tmp_path):
                                           0.98, 1e-17)]),
         (["a_1"], [(0.5,), (2.0 / 3.0,), (1e22,)]),
         (["a_1", "a_2"], []),
+        (["a_1", "a_2"], [(0.04, -1.2345678901234567)]),
+        # a report-like table: zeros of both signs, subnormals, +-1e+-300
+        # and negative z-scores
+        (["bin_lo", "bin_hi", "empirical", "analytic", "zscore"],
+         [(0.0, 1e-300, 0.02, 0.019999999999999997, -1.2345678901234567),
+          (1e-300, 5e-324, 0.0, 2.2250738585072014e-308, -3.0),
+          (-0.0, 1e300, 0.98, 0.98, 2.5e-17),
+          (-1e300, -1e-300, 1.0, 0.9999999999999999, -0.0)]),
     ]
     for k, (header, rows) in enumerate(cases):
         # the reference spelling: one value at a time

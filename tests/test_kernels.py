@@ -51,6 +51,28 @@ def test_gram_biorth_of_fixed_base_weights_is_the_fixed_kernel(nu):
     assert np.max(np.abs(got - want)) < 4e-15 * np.max(want)
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_gram_biorth_at_a_wide_base_matches_mpmath(n):
+    # base weights e^(-y/t)/t at t = 1..n: cond B is 3.3e10 (n = 5) and
+    # 4.9e14 (n = 6), which the unscaled gate rejected at n = 6, while
+    # B[i, r] = t_r^(2i) (2i)! with its rows scaled reads 9.7e2 and 7.5e3,
+    # and the kernel keeps 4e-16 of max K against 50 digits
+    import mpmath as mp
+    base = [float(t) for t in range(1, n + 1)]
+    y = np.linspace(0.02, 8.0 * n, 60)
+    got = gram_biorth(PolynomialEnsembleSpec(
+        n, fixed_base_weights(base, GW))).diagonal(y)
+    with mp.workdps(50):
+        B = mp.matrix([[mp.mpf(t) ** (2 * i) * mp.factorial(2 * i)
+                        for t in base] for i in range(n)])
+        ptilde = B ** -1
+        want = np.array([float(sum(
+            ptilde[j, i] * mp.mpf(v) ** (2 * i) * mp.exp(-mp.mpf(v) / t) / t
+            for i in range(n) for j, t in enumerate(base)))
+            for v in y.tolist()])
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(want)
+
+
 def test_gram_biorth_rejects_singular_bimoments():
     with pytest.raises((DomainError, ArithmeticError)):
         gram_biorth(PolynomialEnsembleSpec(2, (GW, GW)))
