@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 from itertools import product
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -280,11 +281,11 @@ def run_corank2_experiment(config: ExperimentConfig) -> TestReport:
     rng = np.random.default_rng(config.seed)
     x = build_canonical(a).entries
 
-    def projected(block, rng):
-        k = haar_orthogonal_batch(2 * n, block, rng)
+    def projected(k):
         return spectra_batch(antisymmetrized(sandwich(k, x))[:, :-2, :-2])
 
-    samples = _mc_stack(projected, config.nsamples, (n - 1,), rng).ravel()
+    samples = _mc_stack((partial(haar_orthogonal_batch, 2 * n),), projected,
+                        config.nsamples, (n - 1,), rng).ravel()
 
     def density(v):
         return corank2_jpdf(np.asarray(v)[..., None], a)

@@ -12,6 +12,8 @@ nodes; `coincident` is the rule by which entries of a spectrum coincide.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,34 +362,80 @@ def haar_orthogonal_batch(m: int, size: int, rng: np.random.Generator) -> np.nda
     return q
 
 
-#: Samples per block of every Monte Carlo stream (`_mc_blocks`).  At
-#: 4 096 a (block, 8, 8) stack is 2 MB, so each block's temporaries stay
-#: small enough to be reused between blocks rather than mapped and faulted
-#: in anew, and memory does not grow with the sample count.
+#: Samples per block of every Monte Carlo stream (`_mc_map`).  At 4 096 a
+#: (block, 8, 8) stack is 2 MB, so each block's temporaries stay small
+#: enough to be reused between blocks rather than mapped and faulted in
+#: anew, and memory does not grow with the sample count: it holds the
+#: block being reduced and the one being drawn ahead of it.
 MC_BLOCK = 4096
 
 
-def _mc_blocks(draws, nsamples: int, rng: np.random.Generator):
-    """For each block of min(MC_BLOCK, remaining) samples until nsamples
-    are drawn, the tuple of draw(block, rng) over the callables of `draws`,
+def _renew_drawer():
+    """Make `_executor`, the one background thread on which `_mc_map`
+    draws ahead: a single-worker executor, which starts its thread at the
+    first draw sent to it.  A forked child makes its own, since no thread
+    stands behind the parent's copy."""
+    global _executor
+    _executor = ThreadPoolExecutor(max_workers=1,
+                                   thread_name_prefix="antiprod-draw")
+
+
+_renew_drawer()
+os.register_at_fork(after_in_child=_renew_drawer)
+
+
+def _mc_map(draws, nsamples: int, rng: np.random.Generator, compute) -> list:
+    """[compute(*stacks) for each block] of the one Monte Carlo stream: for
+    each block of min(MC_BLOCK, remaining) samples until nsamples are drawn,
+    stacks is the tuple of draw(block, rng) over the callables of `draws`,
     called in order; `partial(haar_orthogonal_batch, m)` draws Haar O(m)
     stacks.  The product samplers and every Monte Carlo estimator of the
-    package draw through here, so a result depends on its seed, its
-    sample count and MC_BLOCK only.
-    DomainError at once if nsamples < 1."""
+    package draw through here.
+
+    Block 0 is drawn in the caller's thread.  Before computing block b,
+    the draw of block b + 1 goes to one background thread (`_executor`), and
+    compute runs on block b in the caller's thread meanwhile.  At most one
+    draw is in flight, so the generator is used by one thread at a time
+    and in the serial order, and memory holds two blocks' draws.  A draw
+    must therefore use nothing but its own arguments, and compute no
+    generator.  However the call ends, it waits for the draw in flight
+    before it returns or raises.  A result depends on its seed, its sample
+    count and MC_BLOCK only, whatever the scheduling; after an exception
+    the generator may stand one block further on than a serial loop would
+    have left it.  DomainError at once if nsamples < 1."""
     if nsamples < 1:
         raise DomainError(f"nsamples must be >= 1, got {nsamples}")
-    return (tuple(draw(min(MC_BLOCK, nsamples - lo), rng) for draw in draws)
-            for lo in range(0, nsamples, MC_BLOCK))
+    sizes = [min(MC_BLOCK, nsamples - lo)
+             for lo in range(0, nsamples, MC_BLOCK)]
+
+    def draw(size):
+        return tuple(d(size, rng) for d in draws)
+
+    stacks, ahead, out = draw(sizes[0]), None, []
+    try:
+        for size in sizes[1:]:
+            ahead = _executor.submit(draw, size)
+            out.append(compute(*stacks))
+            stacks = ahead.result()
+        out.append(compute(*stacks))
+    finally:
+        if ahead is not None:
+            wait((ahead,))
+    return out
 
 
-def _mc_stack(draw, nsamples: int, shape, rng: np.random.Generator):
-    """The draw(block, rng) of each block of `_mc_blocks`, stacked into one
+def _mc_stack(draws, compute, nsamples: int, shape,
+              rng: np.random.Generator) -> np.ndarray:
+    """compute(*stacks) of each block of `_mc_map`, stacked into one
     preallocated array of shape (nsamples, *shape)."""
-    blocks = _mc_blocks((draw,), nsamples, rng)
     out = np.empty((nsamples, *shape))
-    lo = 0
-    for (x,) in blocks:
-        out[lo:lo + len(x)] = x
-        lo += len(x)
+    filled = 0
+
+    def fill(*stacks):
+        nonlocal filled
+        x = compute(*stacks)
+        out[filled:filled + len(x)] = x
+        filled += len(x)
+
+    _mc_map(draws, nsamples, rng, fill)
     return out

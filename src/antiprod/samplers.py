@@ -22,8 +22,16 @@ the product up to R_M block by block through the one Monte Carlo stream of
 `linalg` (`MC_BLOCK` samples a block), and :func:`build_product_batch`
 draws every R_M after that, so at a fixed seed :func:`product_spectra_batch`
 and the spectra of :func:`build_product_batch` use the same random numbers
-and agree to rounding.  A stack depends on the seed, its size and
-MC_BLOCK only.
+and agree to rounding.
+
+A block of products splits in two halves.  `_product_draws` consumes the
+generator: it draws C_1, R_1, ..., C_M in that order, each triangle built
+inside the draw (Jacobi's Cholesky and solve included).  `_sandwich_chain`
+is pure arithmetic on those draws, and the spectra follow it.  The stream
+draws block b + 1 on its background thread while the caller's thread runs
+the sandwich chain and the spectra of block b, so memory holds the draws
+of two blocks.  A stack still depends on the seed, its size and MC_BLOCK
+only, whatever the scheduling.
 """
 
 from __future__ import annotations
@@ -215,18 +223,27 @@ def sample_induced_jacobi_batch(spec: JacobiSpec, size: int,
     return _factor_batch(spec, size, rng)
 
 
-def _product_core(spec: ProductSpec, size: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """The product up to its outermost rotation,
-    C_M R_(M-1) C_(M-1) ... R_1 C_1 A C_1^T R_1^T ... C_M^T, shape
-    (size, 2n, 2n), with the draws in the order C_1, R_1, ..., C_M."""
-    y = np.broadcast_to(
-        build_canonical(SingularSpectrum.from_values(spec.base_values)).entries,
-        (size, 2 * spec.n, 2 * spec.n))
+def _product_draws(spec: ProductSpec, size: int,
+                   rng: np.random.Generator) -> list:
+    """The random half of a block of products up to the outermost rotation:
+    the base A broadcast to size, then C_1, R_1, ..., C_M in draw order,
+    each of shape (size, 2n, 2n)."""
+    k = 2 * spec.n
+    out = [np.broadcast_to(build_canonical(
+        SingularSpectrum.from_values(spec.base_values)).entries, (size, k, k))]
     for i, factor in enumerate(spec.factors):
-        r = haar_orthogonal_batch(2 * spec.n, size, rng) if i else None
-        c = factor.triangle(size, rng)
-        y = sandwich(c if r is None else c @ r, y)
+        if i:
+            out.append(haar_orthogonal_batch(k, size, rng))
+        out.append(factor.triangle(size, rng))
+    return out
+
+
+def _sandwich_chain(draws: list) -> np.ndarray:
+    """The product C_M R_(M-1) C_(M-1) ... R_1 C_1 A C_1^T R_1^T ... C_M^T
+    of the list of `_product_draws`, which it does not draw from."""
+    y = draws[0]
+    for i in range(1, len(draws), 2):
+        y = sandwich(draws[i] if i == 1 else draws[i] @ draws[i - 1], y)
     return y
 
 
@@ -249,9 +266,11 @@ def build_product_batch(spec: ProductSpec, size: int,
     """
     _check_size(size)
     k = 2 * spec.n
-    y = _mc_stack(partial(_product_core, spec), size, (k, k), rng)
+    y = _mc_stack((partial(_product_draws, spec),), _sandwich_chain, size,
+                  (k, k), rng)
     if spec.factors:
-        r = _mc_stack(partial(haar_orthogonal_batch, k), size, (k, k), rng)
+        r = _mc_stack((partial(haar_orthogonal_batch, k),), lambda r: r, size,
+                      (k, k), rng)
         y = antisymmetrized(sandwich(r, y))
     return y
 
@@ -273,6 +292,6 @@ def product_spectra_batch(spec: ProductSpec, size: int,
     """
     _check_size(size)
     return _mc_stack(
-        lambda block, rng: spectra_batch(
-            antisymmetrized(_product_core(spec, block, rng))),
+        (partial(_product_draws, spec),),
+        lambda draws: spectra_batch(antisymmetrized(_sandwich_chain(draws))),
         size, (spec.n,), rng)

@@ -23,9 +23,13 @@ way.
 
 Every Monte Carlo estimator here is one Haar average, `_haar_moments`: it
 streams blocks of draws, sums an integrand vector F and F F^H over the N
-samples, and returns the mean and covariance of F.  A scalar estimate has
-standard error sqrt(cov / N); Phi, a ratio of two averages over the same
-draws, takes its error from the delta method.
+samples, and returns the mean and covariance of F.  The stream
+(`linalg._mc_map`) draws block b + 1 on its background thread while the
+caller's thread evaluates the integrand of block b, so the draws and the
+arithmetic overlap and memory holds two blocks' draws; an estimate still
+depends on its seed, its sample count and MC_BLOCK only.  A scalar
+estimate has standard error sqrt(cov / N); Phi, a ratio of two averages
+over the same draws, takes its error from the delta method.
 
 Each stack of a block is drawn by its own callable.  The Haar average of
 prod_j det((k m k^T)[:2j, :2j])^(e_j) equals that of k^T m k, since k^T is
@@ -54,7 +58,7 @@ from math import factorial
 import numpy as np
 from scipy import special
 
-from .linalg import (DomainError, SingularSpectrum, _mc_blocks,
+from .linalg import (DomainError, SingularSpectrum, _mc_map,
                      antisymmetrized, build_canonical, coincident,
                      confluent_alternant, derivative_terms, det,
                      haar_orthogonal_batch, sandwich, sorted_spectra,
@@ -316,12 +320,13 @@ def _haar_moments(draws, nsamples, rng, block_fn):
     mean_i = E[F_i] and cov[i, j] = E[F_i conj(F_j)] - E[F_i] conj(E[F_j])
     over the N samples.
     """
-    S1 = S2 = N = 0
-    for stacks in _mc_blocks(draws, nsamples, rng):
+    def moments(*stacks):
         F = block_fn(*stacks)
-        S1 = S1 + F.sum(axis=1)
-        S2 = S2 + F @ F.conj().T
-        N += F.shape[1]
+        return F.sum(axis=1), F @ F.conj().T, F.shape[1]
+
+    S1 = S2 = N = 0
+    for s1, s2, n in _mc_map(draws, nsamples, rng, moments):
+        S1, S2, N = S1 + s1, S2 + s2, N + n
     mean = S1 / N
     return mean, S2 / N - np.outer(mean, mean.conj()), N
 

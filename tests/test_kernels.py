@@ -57,20 +57,43 @@ def test_gram_biorth_at_a_wide_base_matches_mpmath(n):
     # 4.9e14 (n = 6), which the unscaled gate rejected at n = 6, while
     # B[i, r] = t_r^(2i) (2i)! with its rows scaled reads 9.7e2 and 7.5e3,
     # and the kernel keeps 4e-16 of max K against 50 digits
-    import mpmath as mp
     base = [float(t) for t in range(1, n + 1)]
     y = np.linspace(0.02, 8.0 * n, 60)
     got = gram_biorth(PolynomialEnsembleSpec(
         n, fixed_base_weights(base, GW))).diagonal(y)
+    want = _mp_fixed_diagonal(base, y)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(want)
+
+
+def _mp_fixed_diagonal(base, y):
+    """The 50-digit kernel diagonal of the Ginibre nu = 0 fixed-base
+    ensemble: base weights e^(-y/t)/t, whose bimoments are
+    B[i, r] = t_r^(2i) (2i)!."""
+    import mpmath as mp
+    n = len(base)
     with mp.workdps(50):
         B = mp.matrix([[mp.mpf(t) ** (2 * i) * mp.factorial(2 * i)
                         for t in base] for i in range(n)])
         ptilde = B ** -1
-        want = np.array([float(sum(
+        return np.array([float(sum(
             ptilde[j, i] * mp.mpf(v) ** (2 * i) * mp.exp(-mp.mpf(v) / t) / t
             for i in range(n) for j, t in enumerate(base)))
             for v in y.tolist()])
-    assert np.max(np.abs(got - want)) < 1e-13 * np.max(want)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_biorth_fixed_at_a_wide_base_matches_mpmath(n):
+    # V's rows grow like Gamma(2i + 1); scaled by powers of two before the
+    # inverse, the kernel keeps 6e-16 to 1.2e-15 of max K (unscaled it lost
+    # 1.6e-14, 4.4e-13 and 7.5e-12 at n = 6, 7, 8); the twin, against the
+    # diagonal of the base scaled by 1.001, must miss the gate
+    base = [float(t) for t in range(1, n + 1)]
+    y = np.linspace(0.02, 8.0 * n, 400)
+    got = biorth_fixed(base, GW).diagonal(y)
+    for scale, holds in ((1.0, True), (1.001, False)):
+        want = _mp_fixed_diagonal([scale * t for t in base], y)
+        err = np.max(np.abs(got - want)) / np.max(want)
+        assert (err < 2e-15) == holds, (scale, err)
 
 
 def test_gram_biorth_rejects_singular_bimoments():

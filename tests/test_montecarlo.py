@@ -19,7 +19,8 @@ from antiprod.linalg import (antisymmetrized, build_canonical,
                              haar_orthogonal_batch, spectra_batch)
 from antiprod.mellin import QuadratureError
 from antiprod.samplers import (GinibreSpec, JacobiSpec, ProductSpec,
-                               _product_core, build_product_batch,
+                               _product_draws, _sandwich_chain,
+                               build_product_batch,
                                product_spectra_batch)
 from antiprod.spherical import (SphericalParameter, factorization_check_phi,
                                 factorization_check_psi,
@@ -189,7 +190,8 @@ def test_product_samplers_partial_block(n, nfactors):
     y = build_product_batch(spec, NS, np.random.default_rng(8))
     # the products up to R_M, block by block, then every R_M
     rng = np.random.default_rng(8)
-    core = naive_draws(rng, (partial(_product_core, spec),))[0]
+    core = naive_draws(rng, (lambda size, rng: _sandwich_chain(
+        _product_draws(spec, size, rng)),))[0]
     r = naive_draws(rng, (partial(haar_orthogonal_batch, 2 * n),))[0]
     want = antisymmetrized(core)
     np.testing.assert_allclose(a, spectra_batch(want), rtol=1e-12)
