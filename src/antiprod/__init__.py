@@ -19,9 +19,8 @@ from .samplers import (GinibreSpec, JacobiSpec, ProductSpec,
                        build_product_batch, product_spectra_batch,
                        sample_induced_ginibre_batch,
                        sample_induced_jacobi_batch)
-from .kernels import (BiorthSystem, biorth_fixed, chi_poly,
-                      correlation_Rk, gram_biorth, kernel_fixed,
-                      kernel_fixed_contour, kernel_poly)
+from .kernels import (BiorthSystem, biorth_fixed, chi_poly, gram_biorth,
+                      kernel_fixed, kernel_fixed_contour, kernel_poly)
 
 __all__ = [
     "__version__",
@@ -38,7 +37,6 @@ __all__ = [
     "GinibreSpec", "JacobiSpec", "ProductSpec",
     "build_product_batch", "product_spectra_batch",
     "sample_induced_ginibre_batch", "sample_induced_jacobi_batch",
-    "BiorthSystem", "biorth_fixed", "chi_poly",
-    "correlation_Rk", "gram_biorth", "kernel_fixed",
-    "kernel_fixed_contour", "kernel_poly",
+    "BiorthSystem", "biorth_fixed", "chi_poly", "gram_biorth",
+    "kernel_fixed", "kernel_fixed_contour", "kernel_poly",
 ]

@@ -14,12 +14,15 @@ kernel_fixed on whole grids of (y', y); the double-contour kernel
 broadcasts as well, from a memoised frame of the nodes, weights and Cauchy
 matrix of each base.  Contour integrals over circles are discretized by the
 trapezoid rule with N_NODES nodes per circle, which is spectrally accurate
-for the meromorphic-in-z^2 integrands that occur here.  The circles are
-fixed by the base: the z-circle of kernel_fixed has radius 0.5 min_j a_j;
-the double contour puts circles of radius rho, a quarter of the smallest
-gap among the poles +/- a_j, around the a_j, and its z'-circle has radius
-0.5 (min_j a_j - rho), so r' + rho <= 0.75 min_j a_j and the circles never
-meet.
+for the meromorphic-in-z^2 integrands that occur here.  The z-circle of
+kernel_fixed is the unit circle: there the term z^(2i) (y'/z)^(2k) of
+chi(z) ptilde_j(y'/z) is the k-th residue term times a ratio of chi
+coefficients, at any base and y', so the mean cancels about as much as
+the residue sum.  The double contour puts circles of radius rho, a
+quarter of the smallest gap among the poles +/- a_j, around the a_j, and
+its z'-circle has radius 0.5 (min_j a_j - rho), so r' + rho <= 0.75
+min_j a_j and the circles never meet.  Every fixed-base route reads its
+base from ensembles._fixed_base.
 """
 
 from __future__ import annotations
@@ -31,16 +34,15 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .linalg import DomainError, SingularSpectrum, det
+from .linalg import DomainError
 from .mellin import WeightFunction, mellin_convolve
-from .ensembles import (PolynomialEnsembleSpec, _odd_moments,
+from .ensembles import (PolynomialEnsembleSpec, _fixed_base, _odd_moments,
                         fixed_base_weights)
 
 __all__ = [
     "BiorthSystem", "ContourError",
     "chi_poly", "gram_biorth", "biorth_fixed",
     "kernel_poly", "kernel_fixed", "kernel_fixed_contour",
-    "correlation_Rk",
 ]
 
 #: Imaginary residue above which a contour evaluation is rejected.
@@ -192,8 +194,15 @@ def biorth_fixed(atilde, factor: WeightFunction) -> BiorthSystem:
     t_r) / t_r: the Lagrange polynomials in u^2 at a distinct base.  The
     system's base is atilde, sorted."""
     weights = fixed_base_weights(atilde, factor)
-    base = tuple(SingularSpectrum.from_values(atilde).values.tolist())
-    return _biorth(weights, factor, base=base)
+    return _biorth(weights, factor, base=_base_values(atilde))
+
+
+def _base_values(atilde) -> tuple:
+    """The ascending values of the base atilde on its own scale, read from
+    its ensembles._fixed_base record, which divides them by a power of two
+    (exact unless that makes a value subnormal)."""
+    rec = _fixed_base(atilde)
+    return tuple(np.ldexp(rec.values, rec.exp).tolist())
 
 
 def _unit_circle(m: int) -> np.ndarray:
@@ -202,6 +211,8 @@ def _unit_circle(m: int) -> np.ndarray:
 
 
 def _real_part(val, what: str):
+    if not np.isfinite(val).all():
+        raise ContourError(f"{what}: value not finite")
     imag = np.abs(val.imag)
     if np.any(imag > IMAG_TOL * np.maximum(np.abs(val.real), 1.0)):
         raise ContourError(
@@ -228,23 +239,23 @@ def kernel_fixed(yprime, y, atilde, factor: WeightFunction,
     """Correlation kernel of the fixed-base product ensemble.
 
     Sum-over-j form with the polynomials ptilde_j of biorth_fixed in
-    (y'/z)^2: method "contour" averages them over the z-circle of radius
-    0.5 min_j a_j, which encircles only the origin, and "series" sums their
-    residues.  A system passed in must be biorth_fixed's for this base and
-    factor object, or DomainError is raised.
+    (y'/z)^2: method "contour" averages them over the unit z-circle, around
+    their one pole z = 0, and "series" sums their residues.  A system
+    passed in must be biorth_fixed's for this base and factor object, or
+    DomainError is raised.
     y' and y broadcast against each other; the result has their broadcast
     shape, a float for scalars.
     """
     if method not in ("series", "contour"):
         raise DomainError(f"unknown kernel method {method!r}")
-    at = SingularSpectrum.from_values(atilde)
+    base = _base_values(atilde)
     if system is not None:
         if system.factor is not factor:
             raise DomainError("system was built for another factor")
-        if system.base != tuple(at.values.tolist()):
+        if system.base != base:
             raise DomainError("system was built for another base")
-    sys = system if system is not None else biorth_fixed(at, factor)
-    radius = 0.5 * float(at.values[0]) if method == "contour" else None
+    sys = system if system is not None else biorth_fixed(base, factor)
+    radius = 1.0 if method == "contour" else None
     return sys.kernel(yprime, y, radius=radius)
 
 
@@ -270,12 +281,12 @@ class _ContourFrame(NamedTuple):
 @lru_cache(maxsize=FRAME_MEMO)
 def _contour_frame(values: tuple) -> _ContourFrame:
     """The frame of the ascending base values; raises DomainError for a
-    degenerate base (lru_cache keeps no exception, so every call raises
-    again)."""
-    at = SingularSpectrum(np.array(values))
-    if at.is_degenerate:
+    base whose record has coinciding values (lru_cache keeps no exception,
+    so every call raises again)."""
+    n = len(values)
+    if _fixed_base(values).t.size < n:
         raise DomainError("fixed-base kernel requires a non-degenerate base")
-    av = at.values
+    av = np.array(values)
     # smallest spacing among the pole set {+/- a_j}: consecutive gaps and
     # the distance 2 a_min across the origin
     rho = 0.25 * min([2.0 * av[0]] + list(np.diff(av)))
@@ -285,11 +296,11 @@ def _contour_frame(values: tuple) -> _ContourFrame:
     z = (av[:, None] + rho * w[None, :]).ravel()
     num = np.prod(sq[None, :] - (zp ** 2)[:, None], axis=1)
     den = np.prod(sq[None, :] - (z ** 2)[:, None], axis=1)
-    wts = (2.0 * rho / N_NODES) * np.tile(w, at.n) / den
+    wts = (2.0 * rho / N_NODES) * np.tile(w, n) / den
     cauchy = 1.0 / ((zp ** 2)[:, None] - (z ** 2)[None, :])
     for arr in (zp, num, z, wts, cauchy):
         arr.setflags(write=False)
-    return _ContourFrame(at.n, zp, num, z, wts, cauchy)
+    return _ContourFrame(n, zp, num, z, wts, cauchy)
 
 
 def kernel_fixed_contour(yprime, y, atilde, factor: WeightFunction):
@@ -313,8 +324,7 @@ def kernel_fixed_contour(yprime, y, atilde, factor: WeightFunction):
     against each other; the result has their broadcast shape, a float for
     scalars, and equals per-point calls bit for bit.
     """
-    frame = _contour_frame(
-        tuple(SingularSpectrum.from_values(atilde).values.tolist()))
+    frame = _contour_frame(_base_values(atilde))
     yprime = np.asarray(yprime, dtype=float)
     y = np.asarray(y, dtype=float)
     g = factor.density(y[..., None] / frame.z) * frame.wts
@@ -326,13 +336,3 @@ def kernel_fixed_contour(yprime, y, atilde, factor: WeightFunction):
     val = _real_part(val, "double contour")
     return val if val.ndim else float(val)
 
-
-def correlation_Rk(points, kernel) -> float:
-    """R_k(y_1, ..., y_k) = det[K(y_l, y_m)] for a kernel handle K(y', y).
-
-    points has shape (k,).  K must broadcast y' against y, as kernel_fixed
-    and kernel_poly do: the k x k matrix is one call K(y[:, None],
-    y[None, :]).
-    """
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    return float(det(kernel(pts[:, None], pts[None, :])))

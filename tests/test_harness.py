@@ -256,7 +256,7 @@ GATE_REPORTS = {
        ("SPHERICAL_Z_MAX", "PHI_LIMIT_TOL", "HC_N1_TOL", "FN_RTOL")},
     **{name: ("<", lambda: _small(harness.run_kernel_suite)) for name in
        ("KERNEL_GRAM_TOL", "KERNEL_TRACE_TOL", "KERNEL_ROUTE_TOL",
-        "KERNEL_R1_TOL", "KERNEL_R2_TOL")},
+        "KERNEL_R1_TOL")},
     "MELLIN_RTOL": ("<", lambda: _small(harness.run_mellin_suite)),
 }
 

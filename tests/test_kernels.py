@@ -9,10 +9,10 @@ from antiprod.ensembles import (PolynomialEnsembleSpec, convolve_ensemble,
                                 fixed_base_weights, jpdf_fixed,
                                 muttalib_borodin_weights)
 from antiprod import kernels
-from antiprod.kernels import (biorth_fixed, chi_poly, correlation_Rk,
+from antiprod.kernels import (ContourError, biorth_fixed, chi_poly,
                               gram_biorth, kernel_fixed, kernel_fixed_contour,
                               kernel_poly)
-from antiprod.linalg import DomainError, SingularSpectrum
+from antiprod.linalg import DomainError, SingularSpectrum, det
 from antiprod.mellin import (convolved_weight, ginibre_weight, jacobi_weight,
                              mellin_convolve)
 
@@ -235,17 +235,6 @@ def test_kernel_trace_counts_points():
     assert val == pytest.approx(2.0, abs=1e-5)
 
 
-def test_kernel_diag_r2_vanishes():
-    at = [1.0, 2.0]
-    sys = biorth_fixed(at, GW)
-
-    def K(yp, y):
-        return kernel_fixed(yp, y, at, GW, method="series", system=sys)
-
-    for y in (0.5, 1.3, 2.6):
-        assert abs(correlation_Rk([y, y], K)) < 1e-10
-
-
 def test_r2_nonnegative_at_random_pairs():
     rng = np.random.default_rng(7)
     at = [1.0, 2.0]
@@ -256,7 +245,60 @@ def test_r2_nonnegative_at_random_pairs():
 
     for _ in range(5):
         pts = rng.uniform(0.1, 4.0, size=2)
-        assert correlation_Rk(pts, K) > -1e-10
+        assert det(K(pts[:, None], pts[None, :])) > -1e-10
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spread", [1e-10, 1e-3, 1e3, 1e10])
+def test_fixed_kernel_routes_at_a_wide_base(nu, n, spread):
+    # the unit z-circle reads the polynomials of a base of any spread
+    # where the terms of their residue sum are; the double contour agrees
+    # or raises ContourError, never NaN
+    w = ginibre_weight(nu)
+    base = np.geomspace(1.0, spread, n)
+    sys = biorth_fixed(base, w)
+    y = np.concatenate([[0.0], np.geomspace(1e-3 * base.min(),
+                                            10.0 * base.max(), 40)])
+    series = kernel_fixed(y[:, None], y[1:], base, w, method="series",
+                          system=sys)
+    contour = kernel_fixed(y[:, None], y[1:], base, w, system=sys)
+    scale = np.max(np.abs(series))
+    assert np.max(np.abs(contour - series)) < 1e-12 * scale
+    pts = y[1::8]
+    try:
+        double = kernel_fixed_contour(pts[:, None], pts, base, w)
+    except ContourError:
+        return
+    np.testing.assert_allclose(double, series[1::8, ::8], rtol=0,
+                               atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize("base", [(1e-10, 1.0), (1e-30, 1.0), (1e-300, 1.0)])
+def test_fixed_kernel_routes_at_a_tiny_base_value(base):
+    sys = biorth_fixed(base, GW)
+    want = kernel_fixed(0.5, 0.5, base, GW, method="series", system=sys)
+    assert want == pytest.approx(0.07581633246407928, rel=1e-14)
+    assert kernel_fixed(0.5, 0.5, base, GW, system=sys) \
+        == pytest.approx(want, rel=1e-14)
+    try:
+        assert kernel_fixed_contour(0.5, 0.5, base, GW) \
+            == pytest.approx(want, rel=1e-7)
+    except ContourError:
+        pass
+
+
+@pytest.mark.parametrize("base", [(0.0, 1.0), (np.nan, 1.0)])
+def test_fixed_base_routes_share_one_domain_error(base):
+    msg = "finite and invertible"
+    routes = [lambda: jpdf_fixed([0.5, 0.7], base, GW),
+              lambda: biorth_fixed(base, GW),
+              lambda: kernel_fixed(0.5, 0.7, base, GW, method="series"),
+              lambda: kernel_fixed(0.5, 0.7, base, GW, method="contour"),
+              lambda: kernel_fixed_contour(0.5, 0.7, base, GW)]
+    for route in routes:
+        with pytest.raises(DomainError, match=msg):
+            route()
 
 
 def test_double_contour_rejects_degenerate_base():
@@ -314,18 +356,6 @@ def test_kernel_poly_at_a_root_of_a_dual_convolution():
     # the same kernel from the bimoments of the convolved weights
     want = gram_biorth(convolve_ensemble(spec, outer)).kernel(0.4, root)
     assert abs(got - want) / abs(want) < 1e-8
-
-
-def test_kernel_poly_diag_r2_vanishes():
-    # the kernel of base convolved with one more factor is still a
-    # projection-type kernel, so R2 on the diagonal must vanish
-    base = PolynomialEnsembleSpec(2, fixed_base_weights([1.0, 2.0], GW))
-    sys = gram_biorth(base)
-
-    def K(yp, y):
-        return kernel_poly(yp, y, sys, GW)
-
-    assert abs(correlation_Rk([1.1, 1.1], K)) < 1e-9
 
 
 def test_diagonal_over_n_is_the_jpdf_marginal_n3():
