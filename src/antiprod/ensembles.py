@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial, isfinite
+from math import factorial, inf, isfinite, ldexp
 from typing import NamedTuple
 
 import numpy as np
@@ -102,15 +102,24 @@ def _det_density(a, d, norm, den, e: int, name: str):
     """norm Delta(a^2) / den * d at spectra a / 2^e of shape (..., m), times
     2^(-m e) and clamped at 0, a float for one spectrum.  d = 0 enters
     Delta(a^2) as zeros, so a huge entry (a row of zeros) reads 0 and an
-    infinite one NaN; NaN or inf raises DomainError naming name."""
-    a = a * (d != 0.0)[..., None]
-    val = np.ldexp(norm * vandermonde(a * a) / den * d, -a.shape[-1] * e)
-    if np.ndim(val) == 0:
-        val = float(val)
+    infinite one NaN; NaN or inf raises DomainError naming name.  One
+    spectrum (a 0-d d) takes the same operations in Python floats."""
+    m = a.shape[-1]
+    if np.ndim(d):
+        a = a * (d != 0.0)[..., None]
+        val = np.ldexp(norm * vandermonde(a * a) / den * d, -m * e)
+        if np.isfinite(val).all():
+            return np.maximum(val, 0.0)
+    else:
+        d = float(d)
+        if d == 0.0:
+            a = a * 0.0
+        try:
+            val = ldexp(norm * float(vandermonde(a * a)) / den * d, -m * e)
+        except OverflowError:
+            val = inf
         if isfinite(val):
             return max(0.0, val)    # 0.0 at -0.0, as np.maximum gives
-    elif np.isfinite(val).all():
-        return np.maximum(val, 0.0)
     raise DomainError(f"{name}: density is not finite")
 
 
@@ -241,7 +250,9 @@ def _fixed_density(a, base: _FixedBase, factor: WeightFunction, name: str):
         W = factor.density(x) / t
     else:
         run, order, tc = base.cols
-        W = factor.neg_xdx(x, max(order.tolist()))[..., run, order] / tc
+        cols = factor.neg_xdx(x, max(order.tolist()))
+        # one run (the base of ones) reads its columns as a slice
+        W = (cols[..., 0, :] if t.size == 1 else cols[..., run, order]) / tc
     return _det_density(a, det(W), _fixed_norm(factor, n), base.den, e,
                         name)
 

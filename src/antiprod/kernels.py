@@ -18,11 +18,12 @@ for the meromorphic-in-z^2 integrands that occur here.  The z-circle of
 kernel_fixed is the unit circle: there the term z^(2i) (y'/z)^(2k) of
 chi(z) ptilde_j(y'/z) is the k-th residue term times a ratio of chi
 coefficients, at any base and y', so the mean cancels about as much as
-the residue sum.  The double contour puts circles of radius rho, a
-quarter of the smallest gap among the poles +/- a_j, around the a_j, and
-its z'-circle has radius 0.5 (min_j a_j - rho), so r' + rho <= 0.75
-min_j a_j and the circles never meet.  Every fixed-base route reads its
-base from ensembles._fixed_base.
+the residue sum.  The double contour puts a circle of radius rho_j, a
+quarter of the gap from a_j to its nearest neighbour among the poles
++/- a_i, around each a_j, so a wide base keeps every circle above the ulp
+of its pole, and its z'-circle has radius 0.5 (a_min - rho) with rho
+that of a_min, inside every pole circle: no two circles meet.  Every
+fixed-base route reads its base from ensembles._fixed_base.
 """
 
 from __future__ import annotations
@@ -267,9 +268,9 @@ FRAME_MEMO = 8
 class _ContourFrame(NamedTuple):
     """The point-free part of the double-contour kernel of one base: the
     z'-nodes zp with num = prod_i (a_i^2 - zp^2), the pole-circle nodes z
-    (circle after circle) with trapezoid weights wts = (2 rho / N_NODES) w /
-    prod_i (a_i^2 - z^2), and the Cauchy matrix 1 / (zp^2 - z^2) of shape
-    (zp.size, z.size); all read-only."""
+    (circle after circle) with trapezoid weights wts = (2 rho_j / N_NODES)
+    w / prod_i (a_i^2 - z^2) on the circle of a_j, and the Cauchy matrix
+    1 / (zp^2 - z^2) of shape (zp.size, z.size); all read-only."""
     n: int
     zp: np.ndarray
     num: np.ndarray
@@ -287,16 +288,18 @@ def _contour_frame(values: tuple) -> _ContourFrame:
     if _fixed_base(values).t.size < n:
         raise DomainError("fixed-base kernel requires a non-degenerate base")
     av = np.array(values)
-    # smallest spacing among the pole set {+/- a_j}: consecutive gaps and
-    # the distance 2 a_min across the origin
-    rho = 0.25 * min([2.0 * av[0]] + list(np.diff(av)))
+    # each pole's nearest neighbour in the pole set {+/- a_j}: its
+    # consecutive gaps, and for a_min the distance 2 a_min across the
+    # origin
+    gaps = np.diff(np.r_[-av[0], av, np.inf])
+    rho = 0.25 * np.minimum(gaps[:-1], gaps[1:])
     w = _unit_circle(N_NODES)
     sq = av * av
-    zp = 0.5 * (av[0] - rho) * w
-    z = (av[:, None] + rho * w[None, :]).ravel()
+    zp = 0.5 * (av[0] - rho[0]) * w
+    z = (av[:, None] + rho[:, None] * w[None, :]).ravel()
     num = np.prod(sq[None, :] - (zp ** 2)[:, None], axis=1)
     den = np.prod(sq[None, :] - (z ** 2)[:, None], axis=1)
-    wts = (2.0 * rho / N_NODES) * np.tile(w, n) / den
+    wts = np.repeat(2.0 * rho / N_NODES, N_NODES) * np.tile(w, n) / den
     cauchy = 1.0 / ((zp ** 2)[:, None] - (z ** 2)[None, :])
     for arr in (zp, num, z, wts, cauchy):
         arr.setflags(write=False)

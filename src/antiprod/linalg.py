@@ -146,8 +146,8 @@ def sorted_spectra(a, n=None) -> np.ndarray:
     or a scalar is one spectrum."""
     if isinstance(a, SingularSpectrum):
         a = a.values
-    a = np.asarray(a, dtype=float)
-    a = np.sort(a if a.ndim else a[None], axis=-1)
+    a = np.array(a, dtype=float, ndmin=1)
+    a.sort(axis=-1)
     if n is not None and a.shape[-1] != n:
         raise DomainError(f"spectra of length {n} expected, "
                           f"got length {a.shape[-1]}")

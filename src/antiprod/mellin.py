@@ -33,7 +33,11 @@ rule on the same panels, and bisection of the panels that miss their share
 of the error gate, QUAD_RTOL times the integral of |f|.  quad_cumulative
 tabulates running integrals on a fixed grid under the same gate.
 mellin_numeric and mellin_convolve integrate in the log variable; a
-quadrature that cannot meet the gate raises QuadratureError.
+quadrature that cannot meet the gate raises QuadratureError.  The window
+of mellin_numeric on a weight w >= 0 starts where its exact handle bounds
+the mass cut off below, int_0^x w(a) a^(Re s - 1) da <= x^(Re s - s')
+M w(s') for edge < s' < Re s, at eps times int |integrand|; a plain
+callable keeps the support it is given.
 """
 
 from __future__ import annotations
@@ -189,6 +193,11 @@ def _on_support(f, support, at0, a):
     return out if at0 is None else np.where(a == 0, at0, out)
 
 
+def _as_float(a):
+    """a as a float64 array, a itself when it is one."""
+    return a if a.dtype == np.float64 else a.astype(float)
+
+
 @lru_cache(maxsize=MEMO)
 def ginibre_weight(nu: float) -> WeightFunction:
     """Determinant-modulus density of the induced real Ginibre factor.
@@ -206,13 +215,18 @@ def ginibre_weight(nu: float) -> WeightFunction:
     support = (0.0, np.inf)
     # A(0) = 1 / Gamma(1), finite only at 2 nu = 0
     w0 = np.exp(-lognorm) if two_nu == 0.0 else None
+    # the same values as 0-d arrays, which numpy takes as operands without
+    # the conversion it makes of a Python float on every call
+    r_two_nu, r_lognorm = np.array(two_nu), np.array(lognorm)
+
+    def real(t):
+        return np.exp(r_two_nu * np.log(t) - t - r_lognorm)
 
     def density(a):
         a = np.asarray(a)
-        if np.iscomplexobj(a):
+        if a.dtype.kind == "c":
             return a ** two_nu * np.exp(-a - lognorm)
-        out = _on_support(lambda t: np.exp(two_nu * np.log(t) - t - lognorm),
-                          support, w0, a.astype(float, copy=False))
+        out = _on_support(real, support, w0, _as_float(a))
         return out if out.ndim else float(out)
 
     def mellin(s):
@@ -237,9 +251,8 @@ def ginibre_weight(nu: float) -> WeightFunction:
 
     def jet(a, m):
         C, at0, jet_support = table(m)
-        return _on_support(
-            lambda t: _horner(t, C) * np.exp(two_nu * np.log(t) - t - lognorm),
-            jet_support, at0, np.asarray(a, dtype=float)[..., None])
+        return _on_support(lambda t: _horner(t, C) * real(t), jet_support,
+                           at0, np.asarray(a, dtype=float)[..., None])
 
     return WeightFunction(density=density, mellin=mellin, support=support,
                           edge=-two_nu, jet=jet)
@@ -266,14 +279,18 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
     support = (0.0, 1.0)
     # A(0) = 1 / B, finite only at 2 nu = 0
     w0 = np.exp(-lognorm) if two_nu == 0.0 else None
+    # 0-d arrays, as in ginibre_weight
+    r_two_nu, r_beta, r_lognorm = map(np.array, (two_nu, beta, lognorm))
+
+    def real(t):
+        return np.exp(r_two_nu * np.log(t) + r_beta * np.log1p(-t)
+                      - r_lognorm)
 
     def density(a):
         a = np.asarray(a)
-        if np.iscomplexobj(a):
+        if a.dtype.kind == "c":
             return a ** two_nu * (1.0 - a) ** beta * np.exp(-lognorm)
-        out = _on_support(lambda t: np.exp(two_nu * np.log(t)
-                                           + beta * np.log1p(-t) - lognorm),
-                          support, w0, a.astype(float, copy=False))
+        out = _on_support(real, support, w0, _as_float(a))
         return out if out.ndim else float(out)
 
     def mellin(s):
@@ -295,8 +312,8 @@ def jacobi_weight(nu: float, mu: float, n: int) -> WeightFunction:
     def jet(a, m):
         f, C, at0 = table(m)
         return _on_support(
-            lambda t: _horner(t, C) * np.exp(two_nu * np.log(t)
-                                             + f * np.log1p(-t) - lognorm),
+            lambda t: _horner(t, C) * np.exp(r_two_nu * np.log(t)
+                                             + f * np.log1p(-t) - r_lognorm),
             support, at0, np.asarray(a, dtype=float)[..., None])
 
     return WeightFunction(density=density, mellin=mellin, support=support,
@@ -391,11 +408,33 @@ def mellin_numeric(f, s, support=None) -> complex:
     """M f(s) = int_0^inf f(a) a^(s-1) da by quad in t = log a, which
     resolves algebraic behaviour at a = 0; a half line ends at TAIL_CUT.
 
-    f is a WeightFunction, or a plain callable with an explicit support."""
-    lo, hi = f.support if support is None else support
+    f is a WeightFunction, or a plain callable with an explicit support,
+    which is integrated over exactly that support from max(lo, 1e-280).
+    A WeightFunction w is assumed >= 0, and its window starts where its
+    exact handle bounds the mass cut off: for edge < s' < Re s,
+
+        int_0^x w(a) a^(Re s - 1) da <= x^(Re s - s') M w(s'),
+
+    so at s' = (edge + Re s) / 2 the start x = (eps M w(Re s) / M
+    w(s'))^(1 / (Re s - s')) cuts at most eps M w(Re s), eps times the
+    integral of |integrand| that the gate of quad is relative to; the
+    support's own lower end, or the least normal double, if higher (below
+    it a^(2 nu) of a catalogued weight can overflow).  Re s <= edge, where
+    M w(s) diverges, raises DomainError."""
     s = complex(s)
-    val, _ = quad(lambda t: f(np.exp(t)) * np.exp(s * t),
-                  np.log(max(lo, 1e-280)),
+    if support is None:
+        lo, hi = f.support
+        sigma = s.real
+        if not sigma > f.edge:
+            raise DomainError("Mellin transform needs Re s above the edge")
+        sp = (f.edge + sigma) / 2.0
+        log_x = np.log(np.finfo(float).eps * abs(f.mellin(sigma))
+                       / abs(f.mellin(sp))) / (sigma - sp)
+        t_lo = max(np.log(max(lo, np.finfo(float).tiny)), log_x)
+    else:
+        lo, hi = support
+        t_lo = np.log(max(lo, 1e-280))
+    val, _ = quad(lambda t: f(np.exp(t)) * np.exp(s * t), t_lo,
                   np.log(hi if np.isfinite(hi) else TAIL_CUT))
     return complex(val)
 

@@ -79,7 +79,7 @@ def _decimal(x: np.ndarray, shortest: bool):
     # the decimal exponent: floor(e2 log10 2) (Ryu's 78913 / 2**18), or one
     # more where |x| reaches the next power of ten
     elo = ((biased - 1023) * 78913) >> 18
-    E = elo + (ax >= _LEAST[np.clip(elo + 7, 0, 23)])
+    E = elo + (ax >= _LEAST.take(elo + 7, mode="clip"))
     fast = (E >= -6) & (E <= 16)
     ax = np.where(fast, ax, 1.0)
     E = np.where(fast, E, 0)
@@ -144,11 +144,13 @@ def spell(x: np.ndarray, shortest: bool):
     full, bare = full.view(np.uint8), bare.view(np.uint8)
     # one layout of slices per (exponent, sign) group of the sorted rows
     out = np.zeros((n, 24), np.uint8)
-    bounds = np.cumsum(np.bincount(key, minlength=48))
+    counts = np.bincount(key)
+    groups = np.flatnonzero(counts)
+    stops = np.cumsum(counts[groups])
     fixed_end = 16 if shortest else 17
-    for g, (start, stop) in enumerate(zip(np.r_[0, bounds[:-1]], bounds)):
-        if start == stop:
-            continue
+    for g, start, stop in zip(groups.tolist(),
+                              (stops - counts[groups]).tolist(),
+                              stops.tolist()):
         Eg, o = g // 2 - 6, g % 2
         row, fg, bg = out[start:stop], full[start:stop], bare[start:stop]
         if o:

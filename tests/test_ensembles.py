@@ -12,7 +12,7 @@ from antiprod.ensembles import (PolynomialEnsembleSpec, corank2_jpdf,
                                 jpdf_degenerate, jpdf_fixed,
                                 muttalib_borodin_weights)
 from antiprod.kernels import biorth_fixed, gram_biorth
-from antiprod.linalg import DomainError
+from antiprod.linalg import DomainError, det
 from antiprod.mellin import (convolved_weight, ginibre_weight, jacobi_weight,
                              mellin_table)
 from test_acceptance import _grid_mass
@@ -342,6 +342,55 @@ def test_stacked_densities_match_per_row_calls_bitwise(n, jacobi, kind, rows,
         assert all(type(v) is float for block in per_row for v in block)
         assert np.array_equal(stacked, per_row)
         assert f(a[:1, 0]).shape == (1,)
+
+
+#: A spectrum at base (1, 2) whose entries lie 3 ulp apart: det W rounds
+#: below 0 there, and the density clamps to 0.0.
+_TIE = [0.17268170426065163, 0.17268170426065163 + 3 * 2.0 ** -55]
+
+
+@pytest.mark.parametrize("f,a,want", [
+    (lambda a: jpdf_fixed(a, [1.0, 2.0], GW), [1e300, 1.0], 0.0),
+    (lambda a: jpdf_fixed(a, [1.0, 2.0], GW), _TIE, 0.0),
+    (lambda a: jpdf_fixed(a, [0.8, 1.5], ginibre_weight(-0.45)),
+     [1e-200, 0.7], None),
+    (lambda a: jpdf_fixed(a, [0.5, 0.9], jacobi_weight(0.0, 0.0, 2)),
+     [0.3, 0.7], None),
+    (lambda a: jpdf_fixed(a, [0.5, 0.9, 0.9], jacobi_weight(0.5, 0.0, 3)),
+     [0.2, 0.4, 0.7], None),
+    (lambda a: jpdf_degenerate(a, GW), [0.4, 1.3], None),
+    (lambda a: jpdf_degenerate(a, ginibre_weight(0.5)), [0.4, 1.3, 2.2],
+     None),
+    (lambda a: corank2_jpdf(a, [0.5, 1.0, 2.0]), [0.7, 2.5], 0.0),
+], ids=["huge-entry", "negative-det", "two-nu-below-0", "jacobi-masked",
+        "jacobi-masked-partial", "ones-n2", "ones-n3", "corank2-above"])
+def test_a_single_spectrum_equals_its_stack_row_bitwise(f, a, want):
+    # one spectrum finishes in Python floats, a stack in numpy: the same
+    # operations in the same order, so the float is the row bit for bit
+    single = f(a)
+    stacked = f(np.array([a, np.sort(np.array(a) * 0.9 + 0.05)]))
+    assert type(single) is float
+    assert np.float64(single).tobytes() == stacked[0].tobytes()
+    if want is not None:
+        assert single == want and not np.signbit(single)
+    else:
+        assert single > 0.0
+
+
+def test_the_negative_det_case_rounds_below_zero():
+    # the clamp of the negative-det case above is a clamp: det W < 0
+    base = ens._fixed_base([1.0, 2.0])
+    x = np.ldexp(np.array(_TIE), -base.exp)[:, None] / base.t
+    assert det(GW.density(x) / base.t) < 0.0
+
+
+def test_an_infinite_entry_raises_for_a_spectrum_and_a_stack():
+    a = [np.inf, 1.0]
+    for x in (a, [a, [0.5, 1.0]]):
+        with pytest.raises(DomainError, match="not finite"):
+            jpdf_fixed(x, [1.0, 2.0], GW)
+        with pytest.raises(DomainError, match="not finite"):
+            jpdf_degenerate(x, GW)
 
 
 @pytest.mark.parametrize("base", [[1.0, 1.0, 2.0], [1.0, 1.5, 2.0]],

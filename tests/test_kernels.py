@@ -274,6 +274,26 @@ def test_fixed_kernel_routes_at_a_wide_base(nu, n, spread):
                                atol=1e-7 * scale)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+@pytest.mark.parametrize("base", [(1e-10, 1.0), (1e-20, 1.0)])
+def test_double_contour_at_a_wide_base_matches_the_series(nu, base):
+    # each pole circle takes a quarter of its own nearest gap, so the
+    # circle around 1 keeps radius 1/4 beside a pole at 1e-20; one radius
+    # for all, 5e-21, put its nodes on the pole (ContourError), and at
+    # 1e-10 missed the series by 3e-9 of max |K|.  Each block of points
+    # lies on the scale of one pole: a y' far above min a with a y below
+    # it cancels in the z'-mean and may raise ContourError
+    w = ginibre_weight(nu)
+    for y in (base[0] * np.geomspace(1e-3, 10.0, 4),
+              np.geomspace(0.05, 10.0, 4)):
+        series = kernel_fixed(y[:, None], y, base, w, method="series")
+        double = kernel_fixed_contour(y[:, None], y, base, w)
+        np.testing.assert_allclose(double, series, rtol=0,
+                                   atol=1e-7 * np.max(np.abs(series)))
+    assert kernel_fixed_contour(0.5, 0.5, base, w) == pytest.approx(
+        kernel_fixed(0.5, 0.5, base, w, method="series"), rel=1e-12)
+
+
 @pytest.mark.parametrize("base", [(1e-10, 1.0), (1e-30, 1.0), (1e-300, 1.0)])
 def test_fixed_kernel_routes_at_a_tiny_base_value(base):
     sys = biorth_fixed(base, GW)

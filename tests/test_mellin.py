@@ -260,6 +260,57 @@ def test_error_estimate_bounds_closed_form_error(monkeypatch):
     assert checks == 72
 
 
+#: The catalogued weights whose transforms the Mellin suite checks.
+_SUITE_WEIGHTS = [ginibre_weight(nu) for nu in (0.0, 0.5, 1.0)] + [
+    jacobi_weight(nu, mu, 2) for nu in (0.0, 0.5, 1.0) for mu in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("w", _SUITE_WEIGHTS, ids=[
+    f"ginibre{nu}" for nu in (0.0, 0.5, 1.0)] + [
+    f"jacobi{nu}-{mu}" for nu in (0.0, 0.5, 1.0) for mu in (0.0, 1.0)])
+def test_mellin_window_takes_at_most_three_panel_rounds(w, monkeypatch):
+    # the window starts where the exact handle bounds the cut mass, not at
+    # 1e-280, so the quadrature needs at most two bisection rounds
+    panels = mellin._gl_panels
+    rounds = []
+
+    def counting(*args):
+        rounds.append(1)
+        return panels(*args)
+
+    monkeypatch.setattr(mellin, "_gl_panels", counting)
+    for s in (1, 3, 5, 7):
+        rounds.clear()
+        num = mellin_numeric(w, s)
+        assert len(rounds) <= 3, s
+        assert abs(num - w.mellin(s)) < 1e-13 * abs(w.mellin(s))
+
+
+def test_mellin_window_holds_where_its_bound_is_weak():
+    # Re s - edge = 0.1: the bound puts the start near a = e^(-735), below
+    # the least normal double, where the window starts instead
+    w = ginibre_weight(-0.45)
+    assert abs(mellin_numeric(w, 1.0) - w.mellin(1.0)) < 1e-12
+    with pytest.raises(DomainError):
+        mellin_numeric(w, 0.9)
+
+
+def test_a_plain_callable_is_integrated_over_its_support(monkeypatch):
+    # the nested convolution of the Mellin suite keeps its explicit window
+    # [1e-280, tail]; only a WeightFunction's window comes from its handle
+    windows = []
+
+    def recording(f, lo, hi, *args):
+        windows.append((lo, hi))
+        return quad(f, lo, hi, *args)
+
+    monkeypatch.setattr(mellin, "quad", recording)
+    f, h = ginibre_weight(0.5), jacobi_weight(0.0, 0.0, 1)
+    mellin_numeric(lambda y: mellin_convolve(f, h, y), 2.0,
+                   support=(0.0, f.tail))
+    assert windows[0] == (np.log(1e-280), np.log(f.tail))
+
+
 def test_catalogued_weights_are_shared_per_parameter_set():
     # one weight per parameter set: the memos keyed on weights see the
     # same key however often a caller builds its weight
